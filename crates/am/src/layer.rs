@@ -16,12 +16,14 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
+use std::hash::BuildHasherDefault;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
 use oam_model::{AbortReason, MachineConfig, NodeId};
 use oam_net::{BufPool, Network, Packet, PacketKind, PayloadBuf};
+use oam_sim::SeqHasher;
 use oam_threads::{Dispatcher, ExecMode, Flag, Node};
 
 use crate::handler::{AmToken, HandlerEntry, HandlerId, PacketHandler};
@@ -30,7 +32,9 @@ struct AmInner {
     net: Network,
     cfg: Rc<MachineConfig>,
     nodes: Vec<Node>,
-    registries: Vec<RefCell<HashMap<u32, HandlerEntry>>>,
+    /// Per-node handler tables. Only the program inserts keys (packets
+    /// merely look them up), so a multiplicative hash stands in for SipHash.
+    registries: Vec<RefCell<HashMap<u32, HandlerEntry, BuildHasherDefault<SeqHasher>>>>,
     /// Per-node packets that could not be injected from handler context;
     /// flushed ahead of new sends to preserve FIFO order.
     staging: Vec<RefCell<VecDeque<Packet>>>,
@@ -65,7 +69,7 @@ impl Am {
                 net,
                 cfg,
                 nodes,
-                registries: (0..n).map(|_| RefCell::new(HashMap::new())).collect(),
+                registries: (0..n).map(|_| RefCell::new(HashMap::default())).collect(),
                 staging: (0..n).map(|_| RefCell::new(VecDeque::new())).collect(),
                 depth: (0..n).map(|_| Cell::new(0)).collect(),
             }),

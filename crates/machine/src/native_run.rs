@@ -23,7 +23,7 @@
 //! barrier: short gaps to the next due event spin-poll the rings, longer
 //! waits publish a parked state and re-check before parking (the
 //! no-lost-wake Dekker protocol in `oam_net::ring`), bounded by
-//! [`MAX_PARK`] so a thread's view of the stop flag never goes stale.
+//! `MAX_PARK` so a thread's view of the stop flag never goes stale.
 //!
 //! Termination is a two-phase protocol. Each thread reports its main's
 //! completion to the coordinator (the caller's thread); once every main

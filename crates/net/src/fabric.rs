@@ -842,7 +842,7 @@ impl Network {
             if n.in_fifo.len() >= cap_in || n.pending.is_empty() {
                 // FIFO filled (or queue emptied) since scheduling; poll()
                 // will restart delivery when space frees.
-                (None, Vec::new())
+                (None, BTreeSet::new())
             } else if n.in_link_free > now {
                 // A bulk transfer claimed the inbound link meanwhile.
                 drop(inner);
@@ -853,9 +853,9 @@ impl Network {
                 n.in_link_free = now + gap;
                 n.in_fifo.push_back(pkt);
                 let hook = n.arrival_hook.clone();
-                let woken: Vec<usize> =
-                    std::mem::take(&mut n.stalled_senders).into_iter().collect();
-                (hook, woken)
+                // Hand the set over whole rather than collecting it into a
+                // `Vec`: the common empty set then never touches the heap.
+                (hook, std::mem::take(&mut n.stalled_senders))
             }
         };
         for s in woken {

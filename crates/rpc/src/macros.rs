@@ -84,6 +84,10 @@
 //! retires the session as cancelled and aborts the server-side body at its
 //! next suspension point.
 //!
+//! [`StreamHandle::next`]: crate::runtime::StreamHandle::next
+//! [`StreamHandle::finish`]: crate::runtime::StreamHandle::finish
+//! [`StreamHandle::cancel`]: crate::runtime::StreamHandle::cancel
+//!
 //! Like the paper's prototype, a procedure registered under the *rerun*
 //! abort strategy must only mutate shared state after acquiring all its
 //! locks and testing all its conditions (§3.3).

@@ -1,16 +1,13 @@
 //! The discrete-event simulation core.
 //!
-//! A [`Sim`] owns a virtual clock, an event queue, and a single-threaded
-//! executor for non-`Send` futures. Everything above this layer — network
-//! fabric, node schedulers, thread packages — is built from two primitives:
-//!
-//! * **events**: closures that run at a chosen virtual time, and
-//! * **tasks**: futures polled when explicitly readied or woken.
+//! A [`Sim`] owns a virtual clock and an event queue of closures that run
+//! at chosen virtual times. Everything above this layer — network fabric,
+//! node schedulers, thread packages — is built from that one primitive;
+//! futures run on the per-node schedulers of `oam-threads`, not here.
 //!
 //! Determinism: events at equal times run in scheduling order (a monotone
-//! sequence number breaks ties), tasks run in wake order, and all randomness
-//! flows from one seeded generator. Two runs with the same seed produce
-//! bit-identical traces.
+//! sequence number breaks ties), and all randomness flows from one seeded
+//! generator. Two runs with the same seed produce bit-identical traces.
 //!
 //! # Hot-path layout
 //!
@@ -19,21 +16,15 @@
 //! Event actions live in a generation-tagged slab indexed by the queue
 //! entry itself, so firing an event touches no hash map; cancellation just
 //! bumps the slot's generation, turning the queue entry stale in `O(1)`.
-//! Task wakers are created once per task (not per poll), wake drains swap
-//! a recycled scratch buffer instead of allocating, and the task table uses
-//! a trivial multiplicative hasher — task ids are dense monotone integers,
-//! so SipHash buys nothing.
+//! The [`Sim`] handle is a single `Rc`: cloning or dropping it is a
+//! non-atomic refcount bump, and the run loops touch no lock.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::future::Future;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::Hasher;
 use std::marker::PhantomData;
 use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
-use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::{Arc, Mutex};
-use std::task::{Context, Poll, Wake, Waker};
+use std::sync::Arc;
 
 use oam_model::{Dur, Time};
 
@@ -62,15 +53,9 @@ impl EventId {
     }
 }
 
-/// Identifier of a spawned task.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct TaskId(u64);
-
-type TaskFuture = Pin<Box<dyn Future<Output = ()>>>;
-
 /// Inline capacity of an [`EventAction`], in `usize` words. 48 bytes holds
-/// every closure the network fabric and timers schedule (a couple of `Rc`
-/// handles plus a few scalars); anything bigger spills to a `Box`.
+/// every closure the network fabric and node schedulers schedule (a couple
+/// of `Rc` handles plus a few scalars); anything bigger spills to a `Box`.
 const ACTION_WORDS: usize = 6;
 
 /// A type-erased `FnOnce(&Sim)` with small-closure optimization: closures
@@ -203,12 +188,13 @@ struct KeyedState {
     owner: u32,
 }
 
-/// Multiplicative hasher for the task table. Task ids are dense monotone
-/// `u64`s handed out by the executor itself — not attacker-controlled — so
-/// a single Fibonacci multiply spreads them across buckets at a fraction
-/// of SipHash's cost.
+/// Multiplicative hasher for maps whose keys the program inserts itself —
+/// scheduler-issued thread ids, compile-time handler ids — so no outside
+/// input can choose colliding keys, and a single Fibonacci multiply spreads
+/// them across buckets at a fraction of SipHash's cost. Use as
+/// `HashMap<K, V, BuildHasherDefault<SeqHasher>>`.
 #[derive(Default)]
-struct SeqHasher(u64);
+pub struct SeqHasher(u64);
 
 impl Hasher for SeqHasher {
     fn finish(&self) -> u64 {
@@ -223,50 +209,18 @@ impl Hasher for SeqHasher {
         }
     }
 
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(n as u64);
+    }
+
     fn write_u64(&mut self, n: u64) {
         self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 }
 
-type TaskMap = HashMap<u64, TaskEntry, BuildHasherDefault<SeqHasher>>;
-
-/// Wake requests posted by [`Waker`]s; drained by the run loop.
-///
-/// Wakers must be `Send + Sync` by contract even though this executor is
-/// single-threaded, so the queue sits behind a (never contended) mutex.
-#[derive(Default)]
-struct WakeQueue {
-    woken: Mutex<Vec<u64>>,
-}
-
-struct TaskWaker {
-    id: u64,
-    queue: Arc<WakeQueue>,
-}
-
-impl Wake for TaskWaker {
-    fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.woken.lock().expect("wake queue poisoned").push(self.id);
-    }
-}
-
-/// A live task: its future (taken while being polled), a waker built once
-/// at spawn (cloning it is a refcount bump, not an allocation), and a flag
-/// deduplicating entries in the ready queue.
-struct TaskEntry {
-    fut: Option<TaskFuture>,
-    waker: Waker,
-    queued: bool,
-}
-
 struct Inner {
     now: Time,
     next_seq: u64,
-    next_task: u64,
     /// Pending events, min-ordered on (time, sequence): deterministic FIFO
     /// within a timestamp.
     queue: CalendarQueue,
@@ -274,22 +228,17 @@ struct Inner {
     slots: Vec<EventSlot>,
     /// Retired slots available for reuse.
     free_slots: Vec<u32>,
-    tasks: TaskMap,
-    ready: VecDeque<u64>,
-    /// Recycled buffer swapped with the wake queue on each drain.
-    wake_scratch: Vec<u64>,
     rng: Prng,
     /// Partition-independent keying (sharded runs); `None` in legacy mode,
     /// where `next_seq` provides global scheduling-order tie-breaks.
     keyed: Option<KeyedState>,
     events_executed: u64,
-    tasks_polled: u64,
     /// High-water mark of the event queue (pending entries, including
     /// stale cancelled ones), for capacity planning and perf harnesses.
     queue_peak: u64,
     /// Wall-clock time source (native backend); `None` in simulator mode.
-    /// Lives here rather than on the `Sim` handle so the handle stays two
-    /// words — closures capturing a `Sim` must keep fitting the event
+    /// Lives here rather than on the `Sim` handle so the handle stays one
+    /// word — closures capturing a `Sim` must keep fitting the event
     /// slab's inline buffer ([`ACTION_WORDS`]).
     wall: Option<Arc<WallClock>>,
 }
@@ -379,7 +328,6 @@ impl WallClock {
 #[derive(Clone)]
 pub struct Sim {
     inner: Rc<RefCell<Inner>>,
-    wakes: Arc<WakeQueue>,
 }
 
 impl Sim {
@@ -389,21 +337,15 @@ impl Sim {
             inner: Rc::new(RefCell::new(Inner {
                 now: Time::ZERO,
                 next_seq: 0,
-                next_task: 0,
                 queue: CalendarQueue::new(),
                 slots: Vec::new(),
                 free_slots: Vec::new(),
-                tasks: TaskMap::default(),
-                ready: VecDeque::new(),
-                wake_scratch: Vec::new(),
                 rng: Prng::seed_from_u64(seed),
                 keyed: None,
                 events_executed: 0,
-                tasks_polled: 0,
                 queue_peak: 0,
                 wall: None,
             })),
-            wakes: Arc::new(WakeQueue::default()),
         }
     }
 
@@ -492,11 +434,6 @@ impl Sim {
     /// Number of events executed so far.
     pub fn events_executed(&self) -> u64 {
         self.inner.borrow().events_executed
-    }
-
-    /// Number of task polls performed so far.
-    pub fn tasks_polled(&self) -> u64 {
-        self.inner.borrow().tasks_polled
     }
 
     /// Number of events currently pending (including cancelled entries not
@@ -602,40 +539,10 @@ impl Sim {
         }
     }
 
-    /// Spawn a task; it will be polled on the next run-loop iteration.
-    pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) -> TaskId {
-        let mut inner = self.inner.borrow_mut();
-        let id = inner.next_task;
-        inner.next_task += 1;
-        let waker: Waker = Arc::new(TaskWaker { id, queue: Arc::clone(&self.wakes) }).into();
-        inner.tasks.insert(id, TaskEntry { fut: Some(Box::pin(fut)), waker, queued: true });
-        inner.ready.push_back(id);
-        TaskId(id)
-    }
-
-    /// Number of live (spawned, not yet completed) tasks.
-    pub fn live_tasks(&self) -> usize {
-        self.inner.borrow().tasks.len()
-    }
-
-    /// Drive the simulation until no task is ready, no wake is pending, and
-    /// no event remains. Returns the final virtual time.
-    ///
-    /// Tasks still blocked at quiescence (e.g. waiting on a message that
-    /// never comes) are simply left pending; callers that consider this a
-    /// bug can check [`Sim::live_tasks`].
+    /// Drive the simulation until no event remains. Returns the final
+    /// virtual time.
     pub fn run(&self) -> Time {
-        loop {
-            self.drain_wakes();
-            let next_ready = self.inner.borrow_mut().ready.pop_front();
-            if let Some(tid) = next_ready {
-                self.poll_task(tid);
-                continue;
-            }
-            if !self.fire_next_event() {
-                break;
-            }
-        }
+        while self.fire_next_event() {}
         self.now()
     }
 
@@ -644,22 +551,17 @@ impl Sim {
     /// bound runaway scenarios. Returns `true` on quiescence.
     pub fn run_with_deadline(&self, deadline: Time) -> bool {
         loop {
-            self.drain_wakes();
-            let next_ready = self.inner.borrow_mut().ready.pop_front();
-            if let Some(tid) = next_ready {
-                self.poll_task(tid);
-                continue;
+            match self.peek_event_time() {
+                None => return true,
+                Some(t) if t > deadline => return false,
+                Some(_) => {
+                    self.fire_next_event();
+                }
             }
-            if self.peek_event_time().is_none_or(|t| t > deadline) {
-                let idle = self.peek_event_time().is_none();
-                return idle;
-            }
-            self.fire_next_event();
         }
     }
 
-    /// Drive the simulation until every ready task and pending wake is
-    /// drained and the earliest remaining event is at or beyond `limit`.
+    /// Fire events until the earliest remaining one is at or beyond `limit`.
     /// Returns the time of that earliest event, or `None` if none remain.
     ///
     /// This is the shard worker's epoch step: with a conservative fence it
@@ -669,21 +571,14 @@ impl Sim {
         self.run_before_counted(limit).0
     }
 
-    /// As [`Sim::run_before`], but also report whether any task polled or
-    /// event fired inside the window. An idle window cannot have produced
-    /// new cross-shard effects, so the epoch engine skips its outbox scans
+    /// As [`Sim::run_before`], but also report whether any event fired
+    /// inside the window. An idle window cannot have produced new
+    /// cross-shard effects, so the epoch engine skips its outbox scans
     /// entirely — the returned time doubles as the exact next-event report
     /// for the fence agreement, saving a second queue peek.
     pub fn run_before_counted(&self, limit: Time) -> (Option<Time>, bool) {
         let mut ran = false;
         loop {
-            self.drain_wakes();
-            let next_ready = self.inner.borrow_mut().ready.pop_front();
-            if let Some(tid) = next_ready {
-                self.poll_task(tid);
-                ran = true;
-                continue;
-            }
             match self.peek_event_time() {
                 Some(t) if t < limit => {
                     self.fire_next_event();
@@ -694,10 +589,10 @@ impl Sim {
         }
     }
 
-    /// Native-mode pass: poll ready tasks and fire every event whose
-    /// timestamp the wall clock has reached, up to `max_events` firings so
-    /// that callers under a dense event stream still get back regularly to
-    /// check stop flags and incoming channels. Returns the earliest
+    /// Native-mode pass: fire every event whose timestamp the wall clock
+    /// has reached, up to `max_events` firings so that callers under a
+    /// dense event stream still get back regularly to check stop flags and
+    /// incoming channels. Returns the earliest
     /// pending event time (which may already be due if the batch bound was
     /// hit), or `None` when the queue is empty.
     pub fn run_wall(&self, max_events: u64) -> Option<Time> {
@@ -706,12 +601,6 @@ impl Sim {
         );
         let mut fired = 0u64;
         loop {
-            self.drain_wakes();
-            let next_ready = self.inner.borrow_mut().ready.pop_front();
-            if let Some(tid) = next_ready {
-                self.poll_task(tid);
-                continue;
-            }
             match self.peek_event_time() {
                 Some(t) if t <= clock.now() => {
                     if fired >= max_events {
@@ -742,33 +631,6 @@ impl Sim {
             inner.queue.pop();
         }
         None
-    }
-
-    fn drain_wakes(&self) {
-        let mut inner = self.inner.borrow_mut();
-        let inner = &mut *inner;
-        let mut scratch = std::mem::take(&mut inner.wake_scratch);
-        {
-            let mut q = self.wakes.woken.lock().expect("wake queue poisoned");
-            if q.is_empty() {
-                inner.wake_scratch = scratch;
-                return;
-            }
-            // Swap buffers: the wake queue gets the (empty, pre-sized)
-            // scratch Vec back, so steady-state draining never allocates.
-            std::mem::swap(&mut *q, &mut scratch);
-        }
-        for &id in &scratch {
-            // Skip completed tasks and dedupe tasks already queued.
-            if let Some(entry) = inner.tasks.get_mut(&id) {
-                if !entry.queued {
-                    entry.queued = true;
-                    inner.ready.push_back(id);
-                }
-            }
-        }
-        scratch.clear();
-        inner.wake_scratch = scratch;
     }
 
     /// Fire the earliest pending event, advancing the clock. Returns `false`
@@ -802,38 +664,6 @@ impl Sim {
         };
         action.invoke(self);
         true
-    }
-
-    fn poll_task(&self, tid: u64) {
-        let (mut fut, waker) = {
-            let mut inner = self.inner.borrow_mut();
-            match inner.tasks.get_mut(&tid) {
-                // Empty `fut`: task is already being polled (re-entrant
-                // wake); absent key: task completed. Nothing to do either
-                // way.
-                Some(entry) => {
-                    entry.queued = false;
-                    match entry.fut.take() {
-                        Some(f) => (f, entry.waker.clone()),
-                        None => return,
-                    }
-                }
-                None => return,
-            }
-        };
-        let mut cx = Context::from_waker(&waker);
-        self.inner.borrow_mut().tasks_polled += 1;
-        match fut.as_mut().poll(&mut cx) {
-            Poll::Ready(()) => {
-                self.inner.borrow_mut().tasks.remove(&tid);
-            }
-            Poll::Pending => {
-                let mut inner = self.inner.borrow_mut();
-                if let Some(entry) = inner.tasks.get_mut(&tid) {
-                    entry.fut = Some(fut);
-                }
-            }
-        }
     }
 }
 
@@ -964,17 +794,49 @@ mod tests {
     }
 
     #[test]
-    fn tasks_run_and_complete() {
+    fn zero_delay_events_fire_at_the_current_instant() {
         let sim = Sim::new(1);
-        let done = Rc::new(Cell::new(false));
-        let d = done.clone();
-        sim.spawn(async move {
-            d.set(true);
+        let log: Rc<RefCell<Vec<(u32, Time)>>> = Rc::default();
+        let l = log.clone();
+        sim.schedule_after(Dur::from_micros(3), move |sim| {
+            let (a, b) = (l.clone(), l.clone());
+            sim.schedule_after(Dur::ZERO, move |sim| a.borrow_mut().push((2, sim.now())));
+            sim.schedule_after(Dur::from_micros(3), move |sim| b.borrow_mut().push((3, sim.now())));
+            l.borrow_mut().push((1, sim.now()));
         });
-        assert_eq!(sim.live_tasks(), 1);
         sim.run();
-        assert!(done.get());
-        assert_eq!(sim.live_tasks(), 0);
+        assert_eq!(
+            *log.borrow(),
+            vec![
+                (1, Time::from_nanos(3_000)),
+                (2, Time::from_nanos(3_000)),
+                (3, Time::from_nanos(6_000)),
+            ]
+        );
+    }
+
+    #[test]
+    fn run_before_counted_fires_only_inside_the_window() {
+        let sim = Sim::new(1);
+        let hits = Rc::new(Cell::new(0u32));
+        for us in [1u64, 2, 5] {
+            let h = hits.clone();
+            sim.schedule_after(Dur::from_micros(us), move |_| h.set(h.get() + 1));
+        }
+        let (next, ran) = sim.run_before_counted(Time::from_nanos(1_000));
+        assert_eq!((next, ran), (Some(Time::from_nanos(1_000)), false), "empty window");
+        let (next, ran) = sim.run_before_counted(Time::from_nanos(5_000));
+        assert_eq!((next, ran, hits.get()), (Some(Time::from_nanos(5_000)), true, 2));
+        assert_eq!(sim.run_before_counted(Time::MAX), (None, true));
+        assert_eq!(sim.run_before_counted(Time::MAX), (None, false), "drained queue is idle");
+        assert_eq!(hits.get(), 3);
+    }
+
+    #[test]
+    fn sim_handle_is_one_word() {
+        // Closures capturing a `Sim` (or a `Network`, which holds one) must
+        // keep fitting the inline event slot.
+        assert_eq!(size_of::<Sim>(), size_of::<usize>());
     }
 
     #[test]

@@ -1,22 +1,19 @@
 //! # oam-sim
 //!
-//! Deterministic discrete-event simulation core. Provides the virtual clock,
-//! an event queue of timed closures, a single-threaded executor for
-//! non-`Send` futures, and sleep timers. The network fabric (`oam-net`) and
-//! the per-node thread schedulers (`oam-threads`) are built directly on
-//! these primitives.
+//! Deterministic discrete-event simulation core: a virtual clock and an
+//! event queue of timed closures. The network fabric (`oam-net`) and the
+//! per-node thread schedulers (`oam-threads`) are built directly on it.
 //!
 //! ```
-//! use oam_sim::{Sim, sleep};
+//! use oam_sim::Sim;
 //! use oam_model::Dur;
 //!
 //! let sim = Sim::new(42);
-//! let s = sim.clone();
-//! sim.spawn(async move {
-//!     sleep(&s, Dur::from_micros(10)).await;
-//!     assert_eq!(s.now().as_micros_f64(), 10.0);
+//! sim.schedule_after(Dur::from_micros(10), |sim| {
+//!     assert_eq!(sim.now().as_micros_f64(), 10.0);
+//!     sim.schedule_after(Dur::from_micros(5), |_| {});
 //! });
-//! sim.run();
+//! assert_eq!(sim.run().as_micros_f64(), 15.0);
 //! ```
 
 #![warn(missing_docs)]
@@ -26,14 +23,12 @@ pub mod executor;
 pub mod mem;
 pub mod rng;
 pub mod shard;
-pub mod timer;
 
 pub use executor::{
-    event_key, EventId, Sim, TaskId, WallClock, KEY_CLASS_COLLECTIVE, KEY_CLASS_NODE,
+    event_key, EventId, SeqHasher, Sim, WallClock, KEY_CLASS_COLLECTIVE, KEY_CLASS_NODE,
 };
 pub use mem::{alloc_snapshot, AllocSnapshot, CountingAlloc};
 pub use rng::Prng;
 pub use shard::{
     default_spin, partition, shard_range, Coordinator, Fence, FencePolicy, Round, ShardPort,
 };
-pub use timer::{sleep, sleep_until, Sleep};

@@ -12,9 +12,11 @@
 //! region. Binaries that do not install it read zeros — the counters are
 //! advisory, never load-bearing for correctness.
 //!
-//! Counting uses relaxed atomics: the simulator is single-threaded, and
-//! the harness only ever reads the counters between runs, so there is no
-//! ordering to defend — just a pair of `fetch_add`s per allocation.
+//! Counting uses relaxed atomics shared by every thread of the process:
+//! sharded and native runs allocate from several OS threads at once, and
+//! all of them `fetch_add` the same three counters, so those cache lines
+//! are contended there. The harness only ever reads the counters between
+//! runs, so there is no ordering to defend — relaxed adds stay exact.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -98,6 +98,9 @@ pub(crate) struct NodeInner {
     cfg: Rc<MachineConfig>,
     stats: Rc<RefCell<NodeStats>>,
     pub(crate) sched: RefCell<Sched>,
+    /// Buffer the step loop lends to [`Sched::take_ready_spinners`] and
+    /// gets back empty, so waking a spinner allocates nothing.
+    ready_spinners: Cell<Vec<ThreadId>>,
     pending: Cell<Dur>,
     mode: Cell<ExecMode>,
     block_kind: RefCell<Option<BlockKind>>,
@@ -148,6 +151,7 @@ impl Node {
                 cfg,
                 stats,
                 sched: RefCell::new(Sched::new()),
+                ready_spinners: Cell::new(Vec::new()),
                 pending: Cell::new(Dur::ZERO),
                 mode: Cell::new(ExecMode::Thread),
                 block_kind: RefCell::new(None),
@@ -647,16 +651,17 @@ impl Node {
             }
 
             // 2. Spinners whose flag was set become runnable (front).
-            let ready = {
-                let mut sched = self.inner.sched.borrow_mut();
-                sched.take_ready_spinners()
-            };
-            if !ready.is_empty() {
-                // Reverse so the earliest-registered spinner ends up at the
-                // very front of the run queue.
-                for tid in ready.into_iter().rev() {
-                    self.make_runnable(tid, Placement::Front);
-                }
+            let mut ready = self.inner.ready_spinners.take();
+            self.inner.sched.borrow_mut().take_ready_spinners(&mut ready);
+            let woke = !ready.is_empty();
+            // Reverse so the earliest-registered spinner ends up at the very
+            // front of the run queue.
+            for &tid in ready.iter().rev() {
+                self.make_runnable(tid, Placement::Front);
+            }
+            ready.clear();
+            self.inner.ready_spinners.set(ready);
+            if woke {
                 continue;
             }
 

@@ -14,10 +14,12 @@
 use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
+use std::hash::BuildHasherDefault;
 use std::pin::Pin;
 use std::rc::Rc;
 
 use oam_model::{CostModel, Dur};
+use oam_sim::SeqHasher;
 
 /// Identifier of a thread (or a provisional optimistic-execution slot) on a
 /// single node. Not meaningful across nodes.
@@ -179,7 +181,8 @@ pub(crate) fn switch_cost(
 
 /// The per-node scheduler bookkeeping.
 pub(crate) struct Sched {
-    pub slots: HashMap<u64, ThreadSlot>,
+    /// Keyed by dense scheduler-issued ids, so a multiplicative hash suffices.
+    pub slots: HashMap<u64, ThreadSlot, BuildHasherDefault<SeqHasher>>,
     pub run_queue: VecDeque<ThreadId>,
     pub current: Option<ThreadId>,
     /// Spin-waiting threads, in registration order.
@@ -193,7 +196,7 @@ pub(crate) struct Sched {
 impl Sched {
     pub fn new() -> Self {
         Sched {
-            slots: HashMap::new(),
+            slots: HashMap::default(),
             run_queue: VecDeque::new(),
             current: None,
             spinners: Vec::new(),
@@ -209,13 +212,11 @@ impl Sched {
         ThreadId(id)
     }
 
-    /// Remove and return spinners whose flag is set, in registration order.
-    /// The node makes each runnable (handling provisional slots correctly).
-    pub fn take_ready_spinners(&mut self) -> Vec<ThreadId> {
-        if self.spinners.is_empty() {
-            return Vec::new();
-        }
-        let mut ready: Vec<ThreadId> = Vec::new();
+    /// Remove spinners whose flag is set and append them to `ready`, in
+    /// registration order. The node makes each runnable (handling
+    /// provisional slots correctly) and reuses `ready` across steps, so a
+    /// spinner wake — one per blocking call — allocates nothing.
+    pub fn take_ready_spinners(&mut self, ready: &mut Vec<ThreadId>) {
         self.spinners.retain(|(tid, flag)| {
             if flag.get() {
                 ready.push(*tid);
@@ -224,7 +225,6 @@ impl Sched {
                 true
             }
         });
-        ready
     }
 }
 
@@ -282,11 +282,14 @@ mod tests {
         }
         f1.set();
         f3.set();
-        let ready = s.take_ready_spinners();
+        let mut ready = Vec::new();
+        s.take_ready_spinners(&mut ready);
         assert_eq!(ready, vec![ThreadId(0), ThreadId(2)]);
         assert_eq!(s.spinners.len(), 1);
         assert_eq!(s.spinners[0].0, ThreadId(1));
-        assert!(s.take_ready_spinners().is_empty(), "taking twice yields nothing new");
+        ready.clear();
+        s.take_ready_spinners(&mut ready);
+        assert!(ready.is_empty(), "taking twice yields nothing new");
     }
 
     #[test]
