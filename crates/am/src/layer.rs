@@ -182,17 +182,7 @@ impl Am {
         payload: impl Into<PayloadBuf>,
     ) {
         node.add_pending(self.inner.cfg.cost.scopy_setup_send);
-        let dst_node = self.inner.nodes[dst.index()].clone();
-        self.inner.net.start_bulk_after(
-            node.id(),
-            dst,
-            handler.0,
-            payload,
-            node.pending_charge(),
-            move |_| {
-                dst_node.kick();
-            },
-        );
+        self.inner.net.start_bulk_after(node.id(), dst, handler.0, payload, node.pending_charge());
     }
 
     /// Flush staged packets, then try to inject `pkt`. Returns success.

@@ -172,8 +172,8 @@ pub fn run_pipelined(system: System, slaves: usize, p: TspParams) -> AppOutcome 
 /// As [`run_configured`], invoking `hook` on the freshly built machine
 /// before the run starts. Lets harnesses install trace observers (e.g. a
 /// `Recorder` for golden-trace determinism checks) on an otherwise
-/// self-contained application run. Hooked runs always use the legacy
-/// single-shard engine (trace observers are thread-local).
+/// self-contained application run. Hooked runs always run on one shard
+/// (trace observers are thread-local).
 pub fn run_hooked(
     system: System,
     cfg: oam_model::MachineConfig,

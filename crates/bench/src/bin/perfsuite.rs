@@ -135,7 +135,7 @@ struct SuiteRun {
     peak_queue_depth: u64,
     alloc: AllocSnapshot,
     answer: u64,
-    /// Epoch-engine rounds (0 under the legacy/native engines). A
+    /// Epoch-engine rounds (0 for direct `Machine::run` and native runs). A
     /// host-schedule invariant under the epoch engine: bench_check gates it
     /// for exact equality against the baseline.
     epochs: u64,

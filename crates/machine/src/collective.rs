@@ -20,19 +20,20 @@ use oam_sim::{event_key, Sim, KEY_CLASS_COLLECTIVE};
 use oam_threads::{Flag, Node};
 
 // ---------------------------------------------------------------------------
-// Sharded-replica support
+// Replicas
 // ---------------------------------------------------------------------------
 //
-// Under the sharded executor every shard builds a *replica* of each
-// reducer (setup code runs identically on every shard, so replicas are
-// created in the same order and get the same ids). A node's contribution
-// is recorded in its shard's replica and broadcast to every other shard
-// at the next epoch barrier; once a replica has all `n` contributions it
-// schedules the publish event at `max(contribution time) + latency` under
-// a collective-class key, so every shard fires the publish at the same
-// virtual time with the same ordering key. The collective latency must be
-// at least the coordinator's lookahead for the conservative fence
-// argument to cover these cross-shard effects (asserted at creation).
+// Every shard builds a *replica* of each reducer (setup code runs
+// identically on every shard, so replicas are created in the same order
+// and get the same ids); a one-shard machine is the case with a single
+// replica. A node's contribution is recorded in its shard's replica and,
+// when other shards exist, broadcast to them at the next epoch barrier;
+// once a replica has all `n` contributions it schedules the publish event
+// at `max(contribution time) + latency` under a collective-class key, so
+// every shard fires the publish at the same virtual time with the same
+// ordering key. The collective latency must be at least the coordinator's
+// lookahead for the conservative fence argument to cover these
+// cross-shard effects (asserted at creation).
 
 /// One reduction contribution crossing shard threads. The value is type-
 /// erased (`Arc<dyn Any>`) so a single record type serves every reducer;
@@ -65,14 +66,17 @@ pub struct ShardCollectives {
     pub(crate) sinks: RefCell<Vec<Weak<dyn ReduceSink>>>,
     pub(crate) owned: std::ops::Range<usize>,
     pub(crate) lookahead: Dur,
+    /// Whether other shards exist to broadcast contributions to.
+    peers: bool,
 }
 
 impl ShardCollectives {
-    /// Create the context for one shard owning `owned` nodes.
-    pub fn new(owned: std::ops::Range<usize>, lookahead: Dur) -> Self {
+    /// Create the context for one shard owning `owned` of `nodes` nodes.
+    pub fn new(owned: std::ops::Range<usize>, nodes: usize, lookahead: Dur) -> Self {
         ShardCollectives {
             outbox: RefCell::new(Vec::new()),
             sinks: RefCell::new(Vec::new()),
+            peers: owned.len() < nodes,
             owned,
             lookahead,
         }
@@ -101,56 +105,21 @@ impl ShardCollectives {
     }
 }
 
-/// One reduction round. Entrants hold an `Rc` to the round they joined,
-/// so a node may start the *next* round before slower nodes have read this
-/// one's result.
-struct Round<T> {
-    entered: Cell<usize>,
-    contributed: Vec<Cell<bool>>,
-    acc: RefCell<Option<T>>,
-    result: RefCell<Option<T>>,
-    flag: Flag,
-}
-
-impl<T> Round<T> {
-    fn new(n: usize) -> Rc<Self> {
-        Rc::new(Round {
-            entered: Cell::new(0),
-            contributed: (0..n).map(|_| Cell::new(false)).collect(),
-            acc: RefCell::new(None),
-            result: RefCell::new(None),
-            flag: Flag::new(),
-        })
-    }
-}
-
 type ReduceOp<T> = Rc<dyn Fn(&T, &T) -> T>;
 
-/// Sharded-replica state of one reducer (see the module notes above).
-struct ShardedReduce<T> {
-    /// Replica id: creation order, identical on every shard.
-    id: u32,
-    ctx: Rc<ShardCollectives>,
-    /// The round local contributions belong to; advanced by each publish.
-    current_round: Rc<Cell<u64>>,
-    /// Open rounds by number. At most a handful live at once: a round
-    /// publishes as soon as its last contribution is integrated.
-    rounds: Rc<RefCell<BTreeMap<u64, Rc<ShardRound<T>>>>>,
-}
-
-/// One round of a sharded reducer replica: per-node `(time, value)`
+/// One round of a reducer replica: per-node `(time, value)`
 /// contributions, folded in `(time, node)` order at publish so every
 /// shard computes bit-identical results.
-struct ShardRound<T> {
+struct Round<T> {
     values: RefCell<Vec<Option<(Time, T)>>>,
     count: Cell<usize>,
     flag: Flag,
     result: RefCell<Option<T>>,
 }
 
-impl<T> ShardRound<T> {
+impl<T> Round<T> {
     fn new(n: usize) -> Rc<Self> {
-        Rc::new(ShardRound {
+        Rc::new(Round {
             values: RefCell::new((0..n).map(|_| None).collect()),
             count: Cell::new(0),
             flag: Flag::new(),
@@ -159,19 +128,26 @@ impl<T> ShardRound<T> {
     }
 }
 
-impl<T> ShardedReduce<T> {
-    fn round_handle(&self, round_no: u64, n: usize) -> Rc<ShardRound<T>> {
-        Rc::clone(self.rounds.borrow_mut().entry(round_no).or_insert_with(|| ShardRound::new(n)))
-    }
-}
-
 struct ReduceInner<T> {
     sim: Sim,
     nodes: Vec<Node>,
     latency: Dur,
     op: ReduceOp<T>,
-    current: RefCell<Option<Rc<Round<T>>>>,
-    sharded: Option<ShardedReduce<T>>,
+    /// Replica id: creation order, identical on every shard.
+    id: u32,
+    ctx: Rc<ShardCollectives>,
+    /// The round local contributions belong to; advanced by each publish.
+    current_round: Rc<Cell<u64>>,
+    /// Open rounds by number. At most a handful live at once: a round
+    /// publishes as soon as its last contribution is integrated.
+    rounds: Rc<RefCell<BTreeMap<u64, Rc<Round<T>>>>>,
+}
+
+impl<T> ReduceInner<T> {
+    fn round_handle(&self, round_no: u64) -> Rc<Round<T>> {
+        let n = self.nodes.len();
+        Rc::clone(self.rounds.borrow_mut().entry(round_no).or_insert_with(|| Round::new(n)))
+    }
 }
 
 /// A reusable global reduction (and, with `bool`/`|`, the CM-5 global-OR).
@@ -189,123 +165,58 @@ impl<T> Clone for Reducer<T> {
 
 impl<T: Clone + Send + Sync + 'static> Reducer<T> {
     /// Create a reducer combining contributions with `op` (must be
-    /// associative and commutative — contributions combine in arrival
-    /// order).
+    /// associative and commutative).
     pub fn new(coll: &Collectives, op: impl Fn(&T, &T) -> T + 'static) -> Self {
-        Self::with_latency(
-            &coll.sim,
-            coll.nodes.clone(),
-            coll.reduction_latency,
-            coll.shard.clone(),
-            op,
-        )
+        Self::with_latency(&coll.sim, coll.nodes.clone(), coll.reduction_latency, &coll.shard, op)
     }
 
     fn with_latency(
         sim: &Sim,
         nodes: Vec<Node>,
         latency: Dur,
-        shard: Option<Rc<ShardCollectives>>,
+        ctx: &Rc<ShardCollectives>,
         op: impl Fn(&T, &T) -> T + 'static,
     ) -> Self {
-        let sharded = shard.map(|ctx| {
-            assert!(
-                latency >= ctx.lookahead,
-                "collective latency {latency} below shard lookahead {}",
-                ctx.lookahead
-            );
-            let id = ctx.sinks.borrow().len() as u32;
-            ShardedReduce {
-                id,
-                ctx,
-                current_round: Rc::new(Cell::new(0)),
-                rounds: Rc::new(RefCell::new(BTreeMap::new())),
-            }
-        });
+        assert!(
+            latency >= ctx.lookahead,
+            "collective latency {latency} below shard lookahead {}",
+            ctx.lookahead
+        );
         let inner = Rc::new(ReduceInner {
             sim: sim.clone(),
             nodes,
             latency,
             op: Rc::new(op),
-            current: RefCell::new(None),
-            sharded,
+            id: ctx.sinks.borrow().len() as u32,
+            ctx: Rc::clone(ctx),
+            current_round: Rc::new(Cell::new(0)),
+            rounds: Rc::new(RefCell::new(BTreeMap::new())),
         });
-        if let Some(sh) = &inner.sharded {
-            let weak: Weak<dyn ReduceSink> =
-                Rc::downgrade(&(Rc::clone(&inner) as Rc<dyn ReduceSink>));
-            sh.ctx.sinks.borrow_mut().push(weak);
-        }
+        let weak: Weak<dyn ReduceSink> = Rc::downgrade(&(Rc::clone(&inner) as Rc<dyn ReduceSink>));
+        ctx.sinks.borrow_mut().push(weak);
         Reducer { inner }
     }
 
-    /// Contribute this node's value and wait for the combined result.
-    pub async fn reduce(&self, node: &Node, value: T) -> T {
-        if self.inner.sharded.is_some() {
-            return self.reduce_sharded(node, value).await;
-        }
-        let idx = node.id().index();
-        let n = self.inner.nodes.len();
-        // Join the current round, or open a fresh one.
-        let round = {
-            let mut cur = self.inner.current.borrow_mut();
-            match cur.as_ref() {
-                Some(r) => Rc::clone(r),
-                None => {
-                    let r = Round::new(n);
-                    *cur = Some(Rc::clone(&r));
-                    r
-                }
-            }
-        };
-        assert!(
-            !round.contributed[idx].replace(true),
-            "node contributed twice to one reduction round"
-        );
-        {
-            let mut acc = round.acc.borrow_mut();
-            *acc = Some(match acc.take() {
-                None => value,
-                Some(a) => (self.inner.op)(&a, &value),
-            });
-        }
-        round.entered.set(round.entered.get() + 1);
-        if round.entered.get() == n {
-            // Last contributor: close the round (the next entrant opens a
-            // new one) and publish after the control-network latency.
-            *self.inner.current.borrow_mut() = None;
-            let inner = Rc::clone(&self.inner);
-            let done = Rc::clone(&round);
-            self.inner.sim.schedule_after(self.inner.latency, move |_| {
-                let acc = done.acc.borrow().clone().expect("round has an accumulator");
-                *done.result.borrow_mut() = Some(acc);
-                done.flag.set();
-                for nd in &inner.nodes {
-                    nd.kick();
-                }
-            });
-        }
-        node.spin_on(round.flag.clone()).await;
-        let result = round.result.borrow().clone().expect("reduction result published");
-        result
-    }
-
-    /// Sharded-replica contribution path: record locally, queue the
-    /// broadcast for the next epoch barrier, and spin until the replica
+    /// Contribute this node's value and wait for the combined result:
+    /// record it in the local replica, queue its broadcast to the other
+    /// shards for the next epoch barrier, and spin until the replica
     /// publishes the round.
-    async fn reduce_sharded(&self, node: &Node, value: T) -> T {
-        let sh = self.inner.sharded.as_ref().expect("sharded path without replica state");
+    pub async fn reduce(&self, node: &Node, value: T) -> T {
+        let inner = &self.inner;
         let idx = node.id().index();
-        let t = self.inner.sim.now();
-        let round_no = sh.current_round.get();
-        let round = sh.round_handle(round_no, self.inner.nodes.len());
-        sh.ctx.outbox.borrow_mut().push(ReduceRecord {
-            reducer: sh.id,
-            round: round_no,
-            node: idx as u32,
-            t,
-            value: Arc::new(value.clone()),
-        });
-        self.inner.integrate_contribution(round_no, idx, t, value);
+        let t = inner.sim.now();
+        let round_no = inner.current_round.get();
+        let round = inner.round_handle(round_no);
+        if inner.ctx.peers {
+            inner.ctx.outbox.borrow_mut().push(ReduceRecord {
+                reducer: inner.id,
+                round: round_no,
+                node: idx as u32,
+                t,
+                value: Arc::new(value.clone()),
+            });
+        }
+        inner.integrate_contribution(round_no, idx, t, value);
         node.spin_on(round.flag.clone()).await;
         let result = round.result.borrow().clone().expect("reduction result published");
         result
@@ -318,9 +229,8 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
     /// (from [`Reducer::reduce`]) and for remote ones delivered by the
     /// shard worker between the epoch barriers.
     fn integrate_contribution(&self, round_no: u64, node: usize, t: Time, value: T) {
-        let sh = self.sharded.as_ref().expect("contribution to a legacy reducer replica");
         let n = self.nodes.len();
-        let round = sh.round_handle(round_no, n);
+        let round = self.round_handle(round_no);
         {
             let mut vals = round.values.borrow_mut();
             assert!(
@@ -333,8 +243,8 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
             return;
         }
         // Round complete on this replica: publish at the last contribution
-        // time plus the control-network latency (matching the legacy
-        // schedule), under a key every shard derives identically.
+        // time plus the control-network latency, under a key every shard
+        // derives identically.
         let t_pub = round
             .values
             .borrow()
@@ -345,13 +255,16 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
             .expect("round has contributions")
             + self.latency;
         debug_assert!(round_no < 1 << 32, "reduction round counter overflow");
-        let key =
-            event_key(0, KEY_CLASS_COLLECTIVE, (u64::from(sh.id) << 32) | (round_no & 0xFFFF_FFFF));
+        let key = event_key(
+            0,
+            KEY_CLASS_COLLECTIVE,
+            (u64::from(self.id) << 32) | (round_no & 0xFFFF_FFFF),
+        );
         let op = Rc::clone(&self.op);
         let nodes = self.nodes.clone();
-        let owned = sh.ctx.owned.clone();
-        let current = Rc::clone(&sh.current_round);
-        let rounds = Rc::clone(&sh.rounds);
+        let owned = self.ctx.owned.clone();
+        let current = Rc::clone(&self.current_round);
+        let rounds = Rc::clone(&self.rounds);
         let done = round;
         self.sim.schedule_at_raw(t_pub, key, 0, move |_| {
             rounds.borrow_mut().remove(&round_no);
@@ -398,39 +311,26 @@ pub struct Collectives {
     nodes: Vec<Node>,
     reduction_latency: Dur,
     barrier: Reducer<()>,
-    shard: Option<Rc<ShardCollectives>>,
+    shard: Rc<ShardCollectives>,
 }
 
 impl Collectives {
-    /// Build the collectives for a machine.
-    pub fn new(sim: &Sim, nodes: Vec<Node>, barrier_latency: Dur, reduction_latency: Dur) -> Self {
-        let barrier = Reducer::with_latency(sim, nodes.clone(), barrier_latency, None, |_, _| ());
-        Collectives { sim: sim.clone(), nodes, reduction_latency, barrier, shard: None }
-    }
-
-    /// Build the collectives for one shard of a partitioned machine:
-    /// reducers become replicas coordinated through `ctx` (see the module
-    /// notes).
-    pub fn new_sharded(
+    /// Build the collectives of one shard replica: reducers are replicas
+    /// coordinated through `ctx` (see the module notes).
+    pub fn new(
         sim: &Sim,
         nodes: Vec<Node>,
         barrier_latency: Dur,
         reduction_latency: Dur,
         ctx: Rc<ShardCollectives>,
     ) -> Self {
-        let barrier = Reducer::with_latency(
-            sim,
-            nodes.clone(),
-            barrier_latency,
-            Some(Rc::clone(&ctx)),
-            |_, _| (),
-        );
-        Collectives { sim: sim.clone(), nodes, reduction_latency, barrier, shard: Some(ctx) }
+        let barrier = Reducer::with_latency(sim, nodes.clone(), barrier_latency, &ctx, |_, _| ());
+        Collectives { sim: sim.clone(), nodes, reduction_latency, barrier, shard: ctx }
     }
 
-    /// The shard context, when built via [`Collectives::new_sharded`].
-    pub fn shard_ctx(&self) -> Option<&Rc<ShardCollectives>> {
-        self.shard.as_ref()
+    /// The shard context the replicas coordinate through.
+    pub fn shard_ctx(&self) -> &Rc<ShardCollectives> {
+        &self.shard
     }
 
     /// Wait until every node has entered the barrier. Split-phase
@@ -471,6 +371,7 @@ mod tests {
             nodes.clone(),
             cfg.cost.barrier_latency,
             cfg.cost.reduction_latency,
+            Rc::new(ShardCollectives::new(0..n, n, Dur::ZERO)),
         );
         (sim, nodes, coll)
     }

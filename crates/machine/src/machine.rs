@@ -9,12 +9,12 @@ use oam_model::{
     AbortStrategy, CostModel, Dur, ExecPolicy, MachineConfig, MachineStats, NodeId, NodeStats,
     QueuePolicy, Time,
 };
-use oam_net::{NetConfig, Network};
+use oam_net::{EpochPort, NetConfig, Network};
 use oam_rpc::Rpc;
 use oam_sim::Sim;
 use oam_threads::{Flag, Node};
 
-use crate::collective::Collectives;
+use crate::collective::{Collectives, ShardCollectives};
 use crate::watchdog::{HangKind, HangReport, NodeHangInfo};
 
 /// Configures and builds a [`Machine`].
@@ -106,14 +106,71 @@ impl MachineBuilder {
     }
 
     /// Build the machine: simulation, network, node runtimes, AM layer,
-    /// RPC runtime, and collectives.
+    /// RPC runtime, and collectives — one shard owning every node, driven
+    /// by [`Machine::run`].
     pub fn build(self) -> Machine {
+        let owners = vec![0; self.cfg.nodes];
+        self.build_shard(&owners, 0)
+    }
+
+    /// Build one shard of a partitioned machine. `owners[i]` is the shard
+    /// owning node `i`; this machine drives the nodes owned by `shard`
+    /// while the rest are built identically but stay inert (they receive
+    /// no spawns and no deliveries). Used by [`crate::run_partitioned`].
+    pub(crate) fn build_shard(self, owners: &[usize], shard: usize) -> Machine {
+        let sim = Sim::new(self.cfg.seed);
+        self.assemble(sim, owners.to_vec(), shard, Rc::new(EpochPort::new()))
+    }
+
+    /// Build the single-node replica a native (host-threads) run drives on
+    /// one OS thread: a wall-clock simulator sharing `clock` with every
+    /// other replica, a fabric whose cross-node records leave through
+    /// `port` immediately, and collectives owning exactly `node`. The
+    /// ownership map is the identity (replica *i* executes node *i*), so
+    /// this is a partition into nodes-many shards, in real time. Used by
+    /// [`crate::native_run`].
+    pub fn build_native(
+        self,
+        node: usize,
+        clock: std::sync::Arc<oam_sim::WallClock>,
+        port: Rc<dyn oam_net::FabricPort>,
+    ) -> Machine {
+        assert!(self.cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
+        assert!(node < self.cfg.nodes, "node index out of range");
+        let sim = Sim::new_native(self.cfg.seed, clock);
+        let owners = (0..self.cfg.nodes).collect();
+        self.assemble(sim, owners, node, port)
+    }
+
+    /// Wire every layer of the replica that executes the nodes `owners`
+    /// assigns to `shard`, on `sim`, with `port` carrying fabric records
+    /// to the other replicas.
+    fn assemble(
+        self,
+        sim: Sim,
+        owners: Vec<usize>,
+        shard: usize,
+        port: Rc<dyn oam_net::FabricPort>,
+    ) -> Machine {
         self.cfg.validate().expect("invalid machine configuration");
+        assert_eq!(owners.len(), self.cfg.nodes, "owner table must cover every node");
+        let first = owners.iter().position(|&s| s == shard).expect("shard owns at least one node");
+        let last = owners.iter().rposition(|&s| s == shard).expect("shard owns at least one node");
+        debug_assert!(
+            owners[first..=last].iter().all(|&s| s == shard),
+            "shard ownership must be a contiguous node range"
+        );
         let cfg = Rc::new(self.cfg);
-        let sim = Sim::new(cfg.seed);
         let stats: Vec<Rc<RefCell<NodeStats>>> =
             (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
+        let net = Network::new_backend(
+            &sim,
+            NetConfig::from_machine(&cfg),
+            stats.clone(),
+            owners,
+            shard,
+            port,
+        );
         let nodes: Vec<Node> = (0..cfg.nodes)
             .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
             .collect();
@@ -125,97 +182,9 @@ impl MachineBuilder {
             net.set_fault_hook(move |src, kind| hook_nodes[src.index()].emit(kind));
         }
         let rpc = Rpc::new(am.clone());
+        let lookahead = crate::shard_run::conservative_lookahead(&cfg);
+        let ctx = Rc::new(ShardCollectives::new(first..last + 1, cfg.nodes, lookahead));
         let coll = Collectives::new(
-            &sim,
-            nodes.clone(),
-            cfg.cost.barrier_latency,
-            cfg.cost.reduction_latency,
-        );
-        Machine { sim, cfg, stats, net, am, rpc, coll, nodes }
-    }
-
-    /// Build one shard of a partitioned machine: keyed simulator, epoch-mode
-    /// network, and replica collectives. `owners[i]` is the shard owning
-    /// node `i`; this machine drives the nodes owned by `shard` while the
-    /// rest are built identically but stay inert (they receive no spawns
-    /// and no deliveries). Used by [`crate::run_partitioned`].
-    pub fn build_shard(self, owners: &[usize], shard: usize, lookahead: Dur) -> Machine {
-        self.cfg.validate().expect("invalid machine configuration");
-        assert!(
-            self.cfg.fault_plan.is_none(),
-            "fault injection draws from the global RNG in pump order; run single-shard"
-        );
-        assert_eq!(owners.len(), self.cfg.nodes, "owner table must cover every node");
-        let cfg = Rc::new(self.cfg);
-        let sim = Sim::new_keyed(cfg.seed, cfg.nodes);
-        let stats: Vec<Rc<RefCell<NodeStats>>> =
-            (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new_epoch(
-            &sim,
-            NetConfig::from_machine(&cfg),
-            stats.clone(),
-            owners.to_vec(),
-            shard,
-        );
-        let nodes: Vec<Node> = (0..cfg.nodes)
-            .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
-            .collect();
-        let am = Am::new(net.clone(), Rc::clone(&cfg), nodes.clone());
-        let rpc = Rpc::new(am.clone());
-        let first = owners.iter().position(|&s| s == shard).expect("shard owns at least one node");
-        let last = owners.iter().rposition(|&s| s == shard).expect("shard owns at least one node");
-        debug_assert!(
-            owners[first..=last].iter().all(|&s| s == shard),
-            "shard ownership must be a contiguous node range"
-        );
-        let ctx = Rc::new(crate::collective::ShardCollectives::new(first..last + 1, lookahead));
-        let coll = Collectives::new_sharded(
-            &sim,
-            nodes.clone(),
-            cfg.cost.barrier_latency,
-            cfg.cost.reduction_latency,
-            ctx,
-        );
-        Machine { sim, cfg, stats, net, am, rpc, coll, nodes }
-    }
-
-    /// Build the single-node replica a native (host-threads) run drives on
-    /// one OS thread: a wall-clock simulator sharing `clock` with every
-    /// other replica, a fabric whose cross-node records leave through
-    /// `port` immediately, and collectives owning exactly `node`. The
-    /// ownership map is the identity (replica *i* executes node *i*), so
-    /// this is [`MachineBuilder::build_shard`] with nodes-many shards and
-    /// real time. Used by [`crate::native_run`].
-    pub fn build_native(
-        self,
-        node: usize,
-        lookahead: Dur,
-        clock: std::sync::Arc<oam_sim::WallClock>,
-        port: Rc<dyn oam_net::FabricPort>,
-    ) -> Machine {
-        self.cfg.validate().expect("invalid machine configuration");
-        assert!(self.cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
-        assert!(node < self.cfg.nodes, "node index out of range");
-        let cfg = Rc::new(self.cfg);
-        let sim = Sim::new_native(cfg.seed, cfg.nodes, clock);
-        let stats: Vec<Rc<RefCell<NodeStats>>> =
-            (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let owners: Vec<usize> = (0..cfg.nodes).collect();
-        let net = Network::new_backend(
-            &sim,
-            NetConfig::from_machine(&cfg),
-            stats.clone(),
-            owners,
-            node,
-            port,
-        );
-        let nodes: Vec<Node> = (0..cfg.nodes)
-            .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
-            .collect();
-        let am = Am::new(net.clone(), Rc::clone(&cfg), nodes.clone());
-        let rpc = Rpc::new(am.clone());
-        let ctx = Rc::new(crate::collective::ShardCollectives::new(node..node + 1, lookahead));
-        let coll = Collectives::new_sharded(
             &sim,
             nodes.clone(),
             cfg.cost.barrier_latency,
@@ -256,8 +225,8 @@ pub struct RunReport {
 
 impl RunReport {
     /// Host-engine epoch counters for this run: epochs stepped, empty
-    /// epochs fused, fences widened. All zero outside the sharded epoch
-    /// engine (legacy and native runs).
+    /// epochs fused, fences widened. All zero for runs that no epoch
+    /// coordinator drove ([`Machine::run`] and native runs).
     pub fn engine(&self) -> &oam_model::EngineCounters {
         &self.stats.engine
     }

@@ -48,7 +48,7 @@ use oam_threads::{Flag, NodeDiag};
 
 use crate::collective::ReduceRecord;
 use crate::machine::{Machine, MachineBuilder, RunReport};
-use crate::shard_run::{conservative_lookahead, ShardApp};
+use crate::shard_run::ShardApp;
 use crate::watchdog::{budget_from_env, HangKind, HangReport, NodeHangInfo};
 
 /// A record crossing node threads on the native backend.
@@ -135,7 +135,6 @@ pub fn try_run_native<R: Send + 'static>(
     cfg.validate().expect("invalid machine configuration");
     assert!(cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
     let nodes = cfg.nodes;
-    let lookahead = conservative_lookahead(&cfg);
     let batch = cfg.effective_batch();
     let clock = Arc::new(WallClock::start());
     let stop = Arc::new(AtomicBool::new(false));
@@ -174,10 +173,7 @@ pub fn try_run_native<R: Send + 'static>(
                 let done_tx = done_tx.clone();
                 let setup = &setup;
                 scope.spawn(move || {
-                    run_node(
-                        cfg, node, lookahead, batch, clock, stop, gates, tx_row, rx_row, done_tx,
-                        setup,
-                    )
+                    run_node(cfg, node, batch, clock, stop, gates, tx_row, rx_row, done_tx, setup)
                 })
             })
             .collect();
@@ -270,7 +266,6 @@ pub fn try_run_native<R: Send + 'static>(
 fn run_node<R>(
     cfg: MachineConfig,
     node: usize,
-    lookahead: oam_model::Dur,
     batch: u32,
     clock: Arc<WallClock>,
     stop: Arc<AtomicBool>,
@@ -307,14 +302,9 @@ fn run_node<R>(
                 .send(NativeMsg::Net(rec), &abandoned);
         }
     }));
-    let machine =
-        MachineBuilder::from_config(cfg).build_native(node, lookahead, Arc::clone(&clock), port);
+    let machine = MachineBuilder::from_config(cfg).build_native(node, Arc::clone(&clock), port);
     let app = setup(&machine);
-    let ctx = machine
-        .collectives()
-        .shard_ctx()
-        .expect("build_native installs a shard collective context")
-        .clone();
+    let ctx = Rc::clone(machine.collectives().shard_ctx());
 
     let done = Flag::new();
     {

@@ -106,15 +106,13 @@ pub(crate) fn conservative_lookahead(cfg: &MachineConfig) -> Dur {
     cfg.cost.wire_latency.min(cfg.cost.barrier_latency).min(cfg.cost.reduction_latency)
 }
 
-/// Run an application across `cfg.effective_shards()` host threads and
-/// merge the per-shard reports into one [`RunReport`].
+/// Run an application across `cfg.effective_shards()` shards and merge
+/// the per-shard reports into one [`RunReport`].
 ///
-/// With one shard (the default) this is byte-for-byte the legacy
-/// single-threaded path — same engine, same global event sequence, same
-/// traces. With `S ≥ 2` shards, nodes are partitioned into contiguous
-/// ranges and executed in parallel under conservative epoch
-/// synchronization; answers and per-node statistics are independent of
-/// the shard count.
+/// Nodes are partitioned into contiguous ranges and executed under
+/// conservative epoch synchronization; one shard simply runs to
+/// quiescence. Answers, per-node statistics and event counts are
+/// independent of the shard count.
 ///
 /// `setup` runs once per shard against that shard's machine replica and
 /// must be deterministic: register the same handlers and create the same
@@ -134,29 +132,6 @@ pub fn run_partitioned<R: Send + 'static>(
         return crate::native_run::run_native(cfg, setup);
     }
     let shards = cfg.effective_shards();
-    // Debug/validation knob: run the epoch engine even at one shard
-    // (single-threaded, keyed events, arrival-time link reservation).
-    // Useful for isolating engine differences from partitioning: the epoch
-    // engine is partition-invariant, so a forced 1-shard run is
-    // bit-identical to any S ≥ 2 run.
-    //
-    // Admission-controlled machines always take the epoch engine: overload
-    // outcomes (which call gets shed) are decided at same-timestamp event
-    // ties, and the legacy engine breaks those by global insertion order
-    // while the keyed engine does not. Pinning the keyed order makes shed
-    // decisions independent of the shard count. Fault plans still need the
-    // legacy engine (the epoch pump asserts a lossless fabric), and
-    // `effective_shards` already forces them to one shard.
-    let force_epoch =
-        cfg.effective_force_epoch() || (cfg.admission.is_some() && cfg.fault_plan.is_none());
-    if shards == 1 && !force_epoch {
-        let machine = MachineBuilder::from_config(cfg).build();
-        let app = setup(&machine);
-        let report = machine.run(|env| (app.main)(env));
-        let answer = (app.finish)(&machine);
-        return (report, answer);
-    }
-
     let nodes = cfg.nodes;
     let lookahead = conservative_lookahead(&cfg);
     let owners = partition(nodes, shards);
@@ -172,20 +147,25 @@ pub fn run_partitioned<R: Send + 'static>(
         .with_spin(spin)
         .with_batched(batched);
 
-    let results: Vec<ShardResult<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|worker| {
-                let cfg = cfg.clone();
-                let coord = &coord;
-                let owners = &owners;
-                let setup = &setup;
-                scope.spawn(move || {
-                    run_worker(cfg, coord, owners, worker, workers, lookahead, pin, setup)
+    // One worker runs on the calling thread: spawning would only add a
+    // thread, and a malloc arena, that the run does not need (and pinning
+    // would stick to the caller).
+    let results: Vec<ShardResult<R>> = if workers == 1 {
+        run_worker(cfg.clone(), &coord, &owners, 0, 1, false, &setup)
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|worker| {
+                    let cfg = cfg.clone();
+                    let coord = &coord;
+                    let owners = &owners;
+                    let setup = &setup;
+                    scope.spawn(move || run_worker(cfg, coord, owners, worker, workers, pin, setup))
                 })
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("shard worker panicked")).collect()
-    });
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("shard worker panicked")).collect()
+        })
+    };
 
     // Merge: per-node stats reassembled by node id, counters summed or
     // maxed, the answer taken from shard 0.
@@ -258,7 +238,6 @@ fn run_worker<R>(
     owners: &[usize],
     worker: usize,
     workers: usize,
-    lookahead: Dur,
     pin: bool,
     setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
 ) -> Vec<ShardResult<R>> {
@@ -274,14 +253,9 @@ fn run_worker<R>(
 
     let mut lanes: Vec<Lane<'_, R>> = my_shards
         .map(|shard| {
-            let machine =
-                MachineBuilder::from_config(cfg.clone()).build_shard(owners, shard, lookahead);
+            let machine = MachineBuilder::from_config(cfg.clone()).build_shard(owners, shard);
             let app = setup(&machine);
-            let ctx = machine
-                .collectives()
-                .shard_ctx()
-                .expect("build_shard installs a shard collective context")
-                .clone();
+            let ctx = std::rc::Rc::clone(machine.collectives().shard_ctx());
             let done: Vec<(usize, Flag)> = shard_range(nodes, shards, shard)
                 .map(|i| {
                     let flag = Flag::new();
@@ -339,16 +313,10 @@ fn run_worker<R>(
                     next
                 }
                 Fence::Unbounded => {
-                    // Single-shard epoch runs: no peer exists, so run to
-                    // quiescence. The fabric owns every node and records
-                    // no cross packets; collective contributions still
-                    // queue for broadcast, which at one shard has no
-                    // recipients.
+                    // One shard: no peer exists, so run to quiescence. The
+                    // fabric owns every node and the collectives have no
+                    // one to broadcast to, so nothing crosses.
                     lane.machine.sim().run();
-                    lane.machine.network().drain_cross_into(&mut cross);
-                    debug_assert!(cross.is_empty(), "single-shard fabric routed a cross record");
-                    lane.ctx.drain_outbox_into(&mut reduce);
-                    reduce.clear();
                     None
                 }
                 Fence::Done => unreachable!("the loop breaks on Done"),

@@ -300,9 +300,11 @@ pub struct MachineConfig {
     pub ni_out_capacity: usize,
     /// Capacity (packets) of each node's NI input FIFO.
     pub ni_in_capacity: usize,
-    /// Packets the fabric will buffer per destination beyond the input FIFO.
-    /// The CM-5 had "a substantial amount of buffering in the network" (§2);
-    /// Alewife-like machines have very little.
+    /// Packets the fabric will buffer per directed link beyond the input
+    /// FIFO: each sender holds this many credits per destination, and its
+    /// output FIFO stalls once they are spent. The CM-5 had "a substantial
+    /// amount of buffering in the network" (§2); Alewife-like machines have
+    /// very little.
     pub fabric_capacity: usize,
     /// Virtual-time budget for an optimistic handler before a `checkpoint()`
     /// triggers a [`crate::stats::AbortReason::RanTooLong`] abort.
@@ -335,11 +337,11 @@ pub struct MachineConfig {
     /// the pre-policy runtime exactly.
     pub policies: BTreeMap<u32, ExecPolicy>,
     /// Host-parallelism shard count: partition the simulated nodes into
-    /// this many shards, one host worker thread each, synchronized by
-    /// conservative epochs. `None` (the default) defers to the
-    /// `OAM_SHARDS` environment variable, falling back to 1
-    /// (single-threaded). Results are identical for any shard count; see
-    /// `MachineConfig::effective_shards` for the resolution rules.
+    /// this many shards, synchronized by conservative epochs. `None` (the
+    /// default) defers to the `OAM_SHARDS` environment variable, falling
+    /// back to 1. Results are identical for any shard count, fault plans
+    /// included; see `MachineConfig::effective_shards` for the resolution
+    /// rules.
     pub shards: Option<usize>,
     /// Execution backend: the discrete-event simulator (virtual time,
     /// bit-deterministic) or the native host-threads runtime (one OS
@@ -380,9 +382,9 @@ pub struct ShardTuning {
     /// Pin shard workers to host cores (`shard % cores`; Linux only, best
     /// effort). `None` defers to `OAM_PIN` (`1`/`true`).
     pub pin: Option<bool>,
-    /// Run the epoch engine even at one shard (normally a single-shard,
-    /// fault-free run takes the legacy in-process engine). `None` defers
-    /// to `OAM_SHARD_FORCE_EPOCH`.
+    /// Has no effect: every simulator run uses the one keyed epoch engine.
+    /// Kept only so code that builds `ShardTuning` with a struct literal
+    /// keeps compiling.
     pub force_epoch: Option<bool>,
     /// Delivery batch size for the cross-worker fabric layer. `1` selects
     /// the naive per-message path (one mailbox write per record in the
@@ -518,7 +520,7 @@ impl MachineConfig {
 
     /// Builder-style shard-count override. An explicit value wins over the
     /// `OAM_SHARDS` environment variable; `with_shards(1)` pins a run to
-    /// the single-threaded engine regardless of environment.
+    /// one shard regardless of environment.
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -592,23 +594,14 @@ impl MachineConfig {
         requested.clamp(1, shards.max(1))
     }
 
-    /// Resolve whether a single-shard run still uses the epoch engine:
-    /// explicit [`ShardTuning::force_epoch`] wins, then the presence of
-    /// `OAM_SHARD_FORCE_EPOCH`, else off. (Admission-controlled fault-free
-    /// runs force the epoch engine regardless; see `run_partitioned`.)
-    pub fn effective_force_epoch(&self) -> bool {
-        self.tuning.force_epoch.unwrap_or_else(|| std::env::var("OAM_SHARD_FORCE_EPOCH").is_ok())
-    }
-
     /// Resolve the effective backend for this configuration:
     ///
     /// 1. explicit [`MachineConfig::backend`] if set, else the
     ///    `OAM_BACKEND` environment variable (`"native"` selects the
     ///    host-threads runtime; anything else means the simulator);
-    /// 2. forced to [`Backend::Sim`] when a [`FaultPlan`] is present — the
-    ///    native runtime, like the epoch engine, assumes a lossless fabric
-    ///    (fault draws come from the single global RNG stream in pump
-    ///    order, which only the single-threaded simulator reproduces).
+    /// 2. forced to [`Backend::Sim`] when a [`FaultPlan`] is present: only
+    ///    the simulator's fabric injects faults; the native backend has no
+    ///    fault-injecting port yet.
     pub fn effective_backend(&self) -> Backend {
         if self.fault_plan.is_some() {
             return Backend::Sim;
@@ -623,17 +616,11 @@ impl MachineConfig {
     ///
     /// 1. explicit [`MachineConfig::shards`] if set, else the `OAM_SHARDS`
     ///    environment variable, else 1;
-    /// 2. clamped to `[1, nodes]`;
-    /// 3. forced to 1 when a [`FaultPlan`] is present — fault draws come
-    ///    from the single global RNG stream in fabric pump order, which
-    ///    only the single-threaded engine reproduces.
+    /// 2. clamped to `[1, nodes]`.
     pub fn effective_shards(&self) -> usize {
         let requested = self.shards.unwrap_or_else(|| {
             std::env::var("OAM_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
         });
-        if self.fault_plan.is_some() {
-            return 1;
-        }
         requested.clamp(1, self.nodes.max(1))
     }
 

@@ -462,8 +462,8 @@ impl NodeStats {
 /// Host-engine execution counters for one run: how many conservative
 /// epochs the sharded executor stepped through, how it spent them, and how
 /// the delivery layer batched the records crossing worker threads. All
-/// zero under the legacy single-threaded engine; the native backend fills
-/// only the delivery fields (it has no epochs).
+/// zero for a machine driven directly by `Machine::run`; the native backend
+/// fills only the delivery fields (it has no epochs).
 ///
 /// These describe the *host* schedule, not the simulated machine: they
 /// legitimately vary with the shard count while every simulation-domain

@@ -114,12 +114,15 @@ mod tests {
             dst: NodeId(1),
             tag: 7,
             payload: CrossPayload::Heap(vec![1, 2, 3]),
+            credits: 0,
         }
     }
 
     fn key_of(r: &CrossNet) -> u64 {
         match r {
-            CrossNet::Short { key, .. } | CrossNet::Bulk { key, .. } => *key,
+            CrossNet::Short { key, .. }
+            | CrossNet::Bulk { key, .. }
+            | CrossNet::Credit { key, .. } => *key,
         }
     }
 

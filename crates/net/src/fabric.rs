@@ -6,38 +6,43 @@
 //!   is one of the three OAM abort conditions;
 //! * per-node NI **input FIFO** (finite): messages wait here until the node
 //!   polls — CM-5 polling semantics, no interrupts;
-//! * a **fabric buffer** per destination (deep on the CM-5, shallow on
-//!   Alewife-like configurations): when it fills, senders' output FIFOs
-//!   stall and back pressure propagates to the application;
+//! * **fabric buffering** per directed link, enforced by credit-based flow
+//!   control (deep on the CM-5, shallow on Alewife-like configurations): a
+//!   sender holds `fabric_capacity` credits per destination, and once they
+//!   are spent its output FIFO stalls and back pressure propagates to the
+//!   application;
 //! * per-node **link serialization** in each direction (`packet_gap` models
 //!   bandwidth), shared between short packets and bulk transfers;
 //! * a **bulk engine** (the CM-5 `scopy` block-transfer primitive): occupies
 //!   both endpoints' links for `bytes × scopy_per_byte` and delivers a
 //!   completion record to the receiver.
 //!
-//! Delivery is FIFO per destination; all timing flows through the
-//! simulation's event queue, so runs are deterministic.
+//! Every effect one node has on another travels as an event dated at least
+//! one `wire_latency` later and keyed from the acting node's counter, so a
+//! fabric instance that executes only some nodes (one shard of a sharded
+//! run, one thread of a native run) behaves exactly like one that executes
+//! them all.
 
 use std::cell::RefCell;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use oam_model::{Dur, FaultPlan, MachineConfig, NodeId, NodeStats, Time, TraceKind};
-use oam_sim::Sim;
+use oam_sim::{Prng, Sim};
 
 use crate::backend::{EpochPort, FabricPort};
 use crate::packet::{CrossPayload, Packet, PacketKind, PayloadBuf};
 use crate::pool::BufPool;
 
 /// A cross-shard network record — the only fabric data that crosses shard
-/// threads in a sharded (epoch-mode) run. Everything here is plain `Send`
-/// data; payloads travel in their [`CrossPayload`] boundary form and are
-/// rewrapped into pooled buffers on the receiving shard.
+/// threads in a sharded run. Everything here is plain `Send` data; payloads
+/// travel in their [`CrossPayload`] boundary form and are rewrapped into
+/// pooled buffers on the receiving shard.
 ///
-/// The `key` was allocated from the *source* node's counter on the source
-/// shard ([`Sim::alloc_key_for`]), so inserting the record under it on the
-/// destination shard reproduces the exact global event order a
-/// single-shard run would have used.
+/// The `key` was allocated from the acting node's counter on its own shard
+/// ([`Sim::alloc_key_for`]), so inserting the record under it on the
+/// receiving shard reproduces the exact global event order a single-shard
+/// run would have used.
 #[derive(Clone)]
 pub enum CrossNet {
     /// A short packet entering the destination's fabric queue at `ready`.
@@ -54,6 +59,8 @@ pub enum CrossNet {
         tag: u32,
         /// Payload in boundary form.
         payload: CrossPayload,
+        /// Credits `dst` regains for its link to `src`, riding along.
+        credits: u32,
     },
     /// A bulk transfer reaching the destination at `arrive` (`send_start +
     /// wire latency`); the receiver-side link reservation happens there.
@@ -73,6 +80,20 @@ pub enum CrossNet {
         /// Payload in boundary form.
         payload: CrossPayload,
     },
+    /// Fabric credits for the link `to → from`, returned by `from` once it
+    /// has moved that many of `to`'s packets into its input FIFO.
+    Credit {
+        /// Partition-independent event key (returning node's counter).
+        key: u64,
+        /// When the credits reach the sender (`delivery + wire latency`).
+        at: Time,
+        /// The sender regaining credits.
+        to: NodeId,
+        /// The destination returning them.
+        from: NodeId,
+        /// Number of credits.
+        credits: u32,
+    },
 }
 
 impl CrossNet {
@@ -80,20 +101,9 @@ impl CrossNet {
     pub fn dst(&self) -> NodeId {
         match self {
             CrossNet::Short { dst, .. } | CrossNet::Bulk { dst, .. } => *dst,
+            CrossNet::Credit { to, .. } => *to,
         }
     }
-}
-
-/// Partitioned-mode state: which nodes this fabric instance executes, and
-/// the [`FabricPort`] that carries records bound for nodes it does not.
-struct EpochNet {
-    /// Owning shard of every node, indexed by node id.
-    owners: Vec<usize>,
-    /// This instance's shard index.
-    shard: usize,
-    /// Outbound edge: an epoch outbox (sim backend) or an immediate
-    /// channel route (native backend).
-    port: Rc<dyn FabricPort>,
 }
 
 /// Why an injection was refused.
@@ -119,10 +129,13 @@ pub struct NetConfig {
     pub ni_out_capacity: usize,
     /// Input FIFO capacity (packets).
     pub ni_in_capacity: usize,
-    /// Fabric buffering per destination (packets).
+    /// Fabric buffering per directed link (packets): the credits a sender
+    /// holds for each destination.
     pub fabric_capacity: usize,
     /// Fault-injection plan; `None` keeps the fabric lossless.
     pub fault_plan: Option<FaultPlan>,
+    /// Seed of the per-packet fault draws.
+    pub seed: u64,
 }
 
 impl NetConfig {
@@ -137,6 +150,7 @@ impl NetConfig {
             ni_in_capacity: cfg.ni_in_capacity,
             fabric_capacity: cfg.fabric_capacity,
             fault_plan: cfg.fault_plan.clone(),
+            seed: cfg.seed,
         }
     }
 }
@@ -155,11 +169,21 @@ struct NodeNet {
     /// Bulk completions; a separate, unbounded queue (on the CM-5 a
     /// completed scopy is discovered in memory, not in the NI FIFO).
     completions: VecDeque<Packet>,
-    /// In-fabric packets headed to this node: `(earliest delivery, packet)`.
-    pending: VecDeque<(Time, Packet)>,
-    /// Nodes whose output pump stalled because this node's fabric buffer
-    /// was full (woken in node-id order — deterministic).
-    stalled_senders: BTreeSet<usize>,
+    /// Traffic on the wire to this node, sorted by `(arrival, key)`. Each
+    /// entry has an ingress event under the same time and key, which takes
+    /// the front entry; staging here keeps that event's capture small.
+    staged: VecDeque<(Time, u64, Arrival)>,
+    /// Bulk transfers occupying the inbound link, in completion order.
+    receiving: VecDeque<Packet>,
+    /// Packets that reached this node's fabric buffer and wait for the
+    /// input FIFO, in arrival order.
+    pending: VecDeque<Packet>,
+    /// Sender side: credits spent per destination and not yet returned.
+    /// Sized on first send.
+    credits_used: Vec<u32>,
+    /// Receiver side: packets delivered per source whose credits have not
+    /// been returned yet. Sized on first delivery.
+    credits_owed: Vec<u32>,
     out_link_free: Time,
     in_link_free: Time,
     pump_scheduled: bool,
@@ -172,14 +196,27 @@ struct NodeNet {
 /// One-shot callback run when an output FIFO frees a slot.
 type SpaceWaiter = Box<dyn FnOnce(&Sim)>;
 
+/// What reaches a node's fabric ingress.
+enum Arrival {
+    /// A short packet, bound for the input FIFO, and the credits it
+    /// carries back for the receiver's link to the packet's sender.
+    Short(Packet, u32),
+    /// The front of a bulk transfer: its completion record, and how long
+    /// the transfer occupies the inbound link.
+    Bulk(Packet, Dur),
+}
+
 impl NodeNet {
     fn new() -> Self {
         NodeNet {
             out_fifo: VecDeque::new(),
             in_fifo: VecDeque::new(),
             completions: VecDeque::new(),
+            staged: VecDeque::new(),
+            receiving: VecDeque::new(),
             pending: VecDeque::new(),
-            stalled_senders: BTreeSet::new(),
+            credits_used: Vec::new(),
+            credits_owed: Vec::new(),
             out_link_free: Time::ZERO,
             in_link_free: Time::ZERO,
             pump_scheduled: false,
@@ -190,14 +227,56 @@ impl NodeNet {
     }
 }
 
+/// Add `by` to `counts[i]`, sizing an unused table to `nodes` entries first.
+fn bump(counts: &mut Vec<u32>, nodes: usize, i: usize, by: u32) -> u32 {
+    if counts.is_empty() {
+        counts.resize(nodes, 0);
+    }
+    counts[i] += by;
+    counts[i]
+}
+
+/// Draw one packet's faults from `rng`: the number of copies entering the
+/// fabric (0 dropped, 1, or 2 duplicated), the extra delay, and the trace
+/// events to report.
+fn draw_faults(
+    plan: &FaultPlan,
+    mut rng: Prng,
+    pkt: &Packet,
+    now: Time,
+) -> (u32, Dur, Vec<TraceKind>) {
+    let (tag, dst) = (pkt.tag, pkt.dst);
+    let (drop_p, mut extra) = plan.link_faults(pkt.src, dst, now);
+    if drop_p > 0.0 && rng.gen_bool(drop_p) {
+        return (0, extra, vec![TraceKind::PacketDropped { tag, dst }]);
+    }
+    let mut events = Vec::new();
+    let mut copies = 1;
+    if plan.dup_prob > 0.0 && rng.gen_bool(plan.dup_prob) {
+        copies = 2;
+        events.push(TraceKind::PacketDuplicated { tag, dst });
+    }
+    if plan.delay_prob > 0.0 && rng.gen_bool(plan.delay_prob) {
+        extra += Dur::from_nanos(rng.gen_inclusive(0, plan.delay_max.as_nanos()));
+    }
+    if extra > Dur::ZERO {
+        events.push(TraceKind::PacketDelayed { tag, dst, by: extra });
+    }
+    (copies, extra, events)
+}
+
 struct NetInner {
     cfg: NetConfig,
     nodes: Vec<NodeNet>,
     stats: Vec<Rc<RefCell<NodeStats>>>,
     fault_hook: Option<FaultHook>,
-    /// `Some` in sharded (epoch) mode; `None` for the single-threaded
-    /// legacy engine.
-    epoch: Option<EpochNet>,
+    /// Owning shard of every node, indexed by node id.
+    owners: Vec<usize>,
+    /// The shard this instance executes.
+    shard: usize,
+    /// Outbound edge for records bound for nodes of other shards: an epoch
+    /// outbox (sim backend) or an immediate channel route (native backend).
+    port: Rc<dyn FabricPort>,
 }
 
 /// Handle to the simulated network. Cheap to clone.
@@ -212,9 +291,29 @@ pub struct Network {
 }
 
 impl Network {
-    /// Build the network. `stats` must hold one counter block per node.
+    /// Build a network that executes every node. `stats` must hold one
+    /// counter block per node.
     pub fn new(sim: &Sim, cfg: NetConfig, stats: Vec<Rc<RefCell<NodeStats>>>) -> Self {
+        let owners = vec![0; cfg.nodes];
+        Network::new_backend(sim, cfg, stats, owners, 0, Rc::new(EpochPort::new()))
+    }
+
+    /// Build the fabric instance of one partition: `owners` maps every node
+    /// id to its owning shard, this instance executes the nodes owned by
+    /// `shard`, and `port` decides what happens to records bound for the
+    /// others — an [`EpochPort`] batches them until the barrier (sim
+    /// backend), a [`crate::backend::ChannelPort`] routes them immediately
+    /// (native backend).
+    pub fn new_backend(
+        sim: &Sim,
+        cfg: NetConfig,
+        stats: Vec<Rc<RefCell<NodeStats>>>,
+        owners: Vec<usize>,
+        shard: usize,
+        port: Rc<dyn FabricPort>,
+    ) -> Self {
         assert_eq!(stats.len(), cfg.nodes, "one NodeStats per node required");
+        assert_eq!(owners.len(), cfg.nodes, "one owner per node required");
         let nodes = (0..cfg.nodes).map(|_| NodeNet::new()).collect();
         let stall_ends: Vec<(NodeId, Time)> = cfg
             .fault_plan
@@ -229,15 +328,20 @@ impl Network {
                 nodes,
                 stats,
                 fault_hook: None,
-                epoch: None,
+                owners,
+                shard,
+                port,
             })),
             pools,
         };
         // A stalled node may have gone idle with packets already waiting in
         // its input FIFO; wake it the moment each stall window closes.
         for (node, until) in stall_ends {
+            if !net.owns(node.index()) {
+                continue;
+            }
             let n = net.clone();
-            sim.schedule_at(until, move |sim| {
+            sim.schedule_at_for(until, node.index() as u32, move |sim| {
                 let hook = n.inner.borrow().nodes[node.index()].arrival_hook.clone();
                 if let Some(h) = hook {
                     h(sim);
@@ -247,80 +351,34 @@ impl Network {
         net
     }
 
-    /// Build a fabric instance for one shard of a sharded run. `owners`
-    /// maps every node id to its owning shard; this instance executes the
-    /// nodes owned by `shard` and routes traffic for other shards into its
-    /// outbox ([`Network::drain_cross_into`]).
-    ///
-    /// Epoch mode requires a lossless fabric (fault draws come from the
-    /// global RNG stream in pump order, which only the legacy engine
-    /// reproduces) and never exercises the fabric-capacity stall path: the
-    /// destination's queue depth lives on another thread, so back-pressure
-    /// from the (deep, CM-5-sized) fabric buffer is waived.
-    pub fn new_epoch(
-        sim: &Sim,
-        cfg: NetConfig,
-        stats: Vec<Rc<RefCell<NodeStats>>>,
-        owners: Vec<usize>,
-        shard: usize,
-    ) -> Self {
-        Network::new_backend(sim, cfg, stats, owners, shard, Rc::new(EpochPort::new()))
-    }
-
-    /// As [`Network::new_epoch`], with a caller-supplied [`FabricPort`]
-    /// deciding what happens to records bound for nodes this instance does
-    /// not execute: an [`EpochPort`] batches them until the barrier (sim
-    /// backend), a [`crate::backend::ChannelPort`] routes them immediately
-    /// (native backend).
-    pub fn new_backend(
-        sim: &Sim,
-        cfg: NetConfig,
-        stats: Vec<Rc<RefCell<NodeStats>>>,
-        owners: Vec<usize>,
-        shard: usize,
-        port: Rc<dyn FabricPort>,
-    ) -> Self {
-        assert!(cfg.fault_plan.is_none(), "partitioned mode requires a lossless fabric");
-        assert_eq!(owners.len(), cfg.nodes, "one owner per node required");
-        let net = Network::new(sim, cfg, stats);
-        net.inner.borrow_mut().epoch = Some(EpochNet { owners, shard, port });
-        net
-    }
-
-    /// Drain the records bound for other shards (epoch mode) into a
-    /// caller-owned buffer, preserving its capacity across epochs; called
-    /// at each barrier. The caller routes each record to
-    /// `owners[record.dst()]`.
+    /// Drain the records bound for other shards into a caller-owned
+    /// buffer, preserving its capacity across epochs; called at each
+    /// barrier. The caller routes each record to `owners[record.dst()]`.
     pub fn drain_cross_into(&self, out: &mut Vec<CrossNet>) {
-        let port = {
-            let inner = self.inner.borrow();
-            Rc::clone(&inner.epoch.as_ref().expect("drain_cross requires partitioned mode").port)
-        };
+        let port = Rc::clone(&self.inner.borrow().port);
         port.drain_into(out);
     }
 
-    /// Integrate records received from other shards (epoch mode): each is
-    /// inserted as an event under its pre-allocated key, reproducing the
-    /// order a single-shard run would have executed it in. Runs on the
-    /// destination shard's thread, between the exchange and agree barrier
-    /// phases. Drains `records`, leaving the caller's capacity for reuse.
+    /// Integrate records received from other shards: each is inserted as
+    /// an event under its pre-allocated key, reproducing the order a
+    /// single-shard run would have executed it in. Runs on the receiving
+    /// shard's thread, between the exchange and agree barrier phases.
+    /// Drains `records`, leaving the caller's capacity for reuse.
     pub fn apply_cross(&self, records: &mut Vec<CrossNet>) {
         for rec in records.drain(..) {
             match rec {
-                CrossNet::Short { key, ready, src, dst, tag, payload } => {
+                CrossNet::Short { key, ready, src, dst, tag, payload, credits } => {
                     let payload = payload.into_payload(Some(&self.pools[dst.index()]));
                     let pkt = Packet::short(src, dst, tag, payload);
-                    let net = self.clone();
-                    self.sim.schedule_at_raw(ready, key, dst.index() as u32, move |_| {
-                        net.ingress_short(ready, pkt);
-                    });
+                    self.stage(ready, key, Arrival::Short(pkt, credits));
                 }
                 CrossNet::Bulk { key, arrive, dur, src, dst, tag, payload } => {
                     let payload = payload.into_payload(Some(&self.pools[dst.index()]));
-                    let net = self.clone();
-                    self.sim.schedule_at_raw(arrive, key, dst.index() as u32, move |_| {
-                        net.ingress_bulk(src, dst, tag, payload, dur);
-                    });
+                    let done = Packet::bulk_done(src, dst, tag, payload);
+                    self.stage(arrive, key, Arrival::Bulk(done, dur));
+                }
+                CrossNet::Credit { key, at, to, from, credits } => {
+                    self.schedule_credit(at, key, to.index() as u32, from.index() as u32, credits);
                 }
             }
         }
@@ -438,19 +496,12 @@ impl Network {
     /// Start a bulk (scopy) transfer of `payload` from `src` to `dst`. The
     /// transfer occupies both endpoints' links; on completion a
     /// [`PacketKind::BulkDone`] record tagged `tag` becomes pollable at
-    /// `dst` and `on_complete` runs (receiver side).
+    /// `dst` and `dst`'s arrival hook runs.
     ///
     /// Setup costs (`scopy_setup_send/recv`) are charged by the layers
     /// above, which know whose virtual time to charge.
-    pub fn start_bulk(
-        &self,
-        src: NodeId,
-        dst: NodeId,
-        tag: u32,
-        payload: impl Into<PayloadBuf>,
-        on_complete: impl FnOnce(&Sim) + 'static,
-    ) {
-        self.start_bulk_after(src, dst, tag, payload, Dur::ZERO, on_complete)
+    pub fn start_bulk(&self, src: NodeId, dst: NodeId, tag: u32, payload: impl Into<PayloadBuf>) {
+        self.start_bulk_after(src, dst, tag, payload, Dur::ZERO)
     }
 
     /// As [`Network::start_bulk`], but the transfer may not start before
@@ -462,17 +513,9 @@ impl Network {
         tag: u32,
         payload: impl Into<PayloadBuf>,
         delay: Dur,
-        on_complete: impl FnOnce(&Sim) + 'static,
     ) {
         let payload = payload.into();
-        enum BulkPath {
-            /// Legacy: both link reservations made at send time.
-            Legacy { complete_at: Time },
-            /// Epoch: only the sender's link is reserved here; the
-            /// receiver side happens in a keyed ingress event at `arrive`.
-            Epoch { arrive: Time, dur: Dur },
-        }
-        let path = {
+        let (arrive, dur) = {
             let mut inner = self.inner.borrow_mut();
             let now = self.sim.now() + delay;
             let dur = inner.cfg.scopy_per_byte.times(payload.len() as u64);
@@ -480,78 +523,42 @@ impl Network {
             // the sender's link and the receiver's link are occupied for
             // the transfer duration *independently* (coupling them would
             // chain unrelated transfers across the machine into convoys).
+            // Only the sender's link is reserved here; the receiver's is
+            // reserved by the ingress event when the front arrives.
             let send_start = now.max(inner.nodes[src.index()].out_link_free);
-            let send_end = send_start + dur;
-            inner.nodes[src.index()].out_link_free = send_end;
+            inner.nodes[src.index()].out_link_free = send_start + dur;
             {
                 let mut st = inner.stats[src.index()].borrow_mut();
                 st.bulk_transfers_sent += 1;
                 st.bytes_sent += payload.len() as u64;
             }
-            if inner.epoch.is_some() {
-                BulkPath::Epoch { arrive: send_start + inner.cfg.wire_latency, dur }
-            } else {
-                let recv_start = (send_start + inner.cfg.wire_latency)
-                    .max(inner.nodes[dst.index()].in_link_free);
-                let recv_end = recv_start + dur;
-                inner.nodes[dst.index()].in_link_free = recv_end;
-                BulkPath::Legacy { complete_at: recv_end }
-            }
+            (send_start + inner.cfg.wire_latency, dur)
         };
-        match path {
-            BulkPath::Legacy { complete_at } => {
-                let net = self.clone();
-                self.sim.schedule_at_for(complete_at, dst.index() as u32, move |sim| {
-                    let hook = {
-                        let mut inner = net.inner.borrow_mut();
-                        inner.nodes[dst.index()]
-                            .completions
-                            .push_back(Packet::bulk_done(src, dst, tag, payload));
-                        inner.nodes[dst.index()].arrival_hook.clone()
-                    };
-                    on_complete(sim);
-                    if let Some(h) = hook {
-                        h(sim);
-                    }
-                });
-            }
-            BulkPath::Epoch { arrive, dur } => {
-                // The receiver-side reservation and completion happen in a
-                // keyed ingress event on the destination's shard;
-                // `on_complete` is dropped (it cannot cross threads) and
-                // replaced by a second arrival-hook invocation — see
-                // `ingress_bulk`.
-                drop(on_complete);
-                let key = self.sim.alloc_key_for(src.index() as u32);
-                if self.owns(dst.index()) {
-                    let net = self.clone();
-                    self.sim.schedule_at_raw(arrive, key, dst.index() as u32, move |_| {
-                        net.ingress_bulk(src, dst, tag, payload, dur);
-                    });
-                } else {
-                    let rec = CrossNet::Bulk {
-                        key,
-                        arrive,
-                        dur,
-                        src,
-                        dst,
-                        tag,
-                        payload: payload.to_cross(Some(&self.pools[src.index()])),
-                    };
-                    self.port_send(rec);
-                }
-            }
+        let key = self.sim.alloc_key_for(src.index() as u32);
+        if self.owns(dst.index()) {
+            self.stage(arrive, key, Arrival::Bulk(Packet::bulk_done(src, dst, tag, payload), dur));
+        } else {
+            let payload = payload.to_cross(Some(&self.pools[src.index()]));
+            self.port_send(CrossNet::Bulk { key, arrive, dur, src, dst, tag, payload });
         }
     }
 
-    /// Total packets currently buffered anywhere in the network (output
-    /// FIFOs, fabric, input FIFOs, completion queues). Zero means drained.
+    /// Total packets currently buffered anywhere in this instance's part
+    /// of the network (output FIFOs, wire, fabric, input FIFOs, completion
+    /// queues). Zero means drained.
     pub fn in_flight(&self) -> usize {
         let inner = self.inner.borrow();
         inner
             .nodes
             .iter()
-            .map(|n| n.out_fifo.len() + n.pending.len() + n.in_fifo.len() + n.completions.len())
+            .map(|n| {
+                n.out_fifo.len()
+                    + n.staged.len()
+                    + n.receiving.len()
+                    + n.pending.len()
+                    + n.in_fifo.len()
+                    + n.completions.len()
+            })
             .sum()
     }
 
@@ -577,239 +584,195 @@ impl Network {
         self.sim.schedule_at_for(at, src as u32, move |_| net.pump(src));
     }
 
-    /// Move the head of `src`'s output FIFO into the fabric, if the
-    /// destination's fabric buffer has room.
+    /// Move the head of `src`'s output FIFO onto the wire, if `src` holds a
+    /// credit for its destination. A pump that finds no credit leaves the
+    /// packet queued; the credit return re-arms the pump.
+    ///
+    /// Fault injection happens here, at the NI → fabric hand-off: the
+    /// packet has left the sender (link time is spent, stats counted) and
+    /// whatever the plan decides is what the fabric delivers. Each copy
+    /// that enters the fabric spends one credit, and one copy carries back
+    /// every credit `src` owes `dst`, so two-way traffic needs no separate
+    /// credit returns.
     fn pump(&self, src: usize) {
-        enum Outcome {
-            Retry(Time),
-            Stalled,
-            Sent {
-                dst: usize,
-                delivered: bool,
-                waiters: Vec<SpaceWaiter>,
-            },
-            /// Epoch mode: the packet leaves the sender; ingress at the
-            /// destination happens via a keyed event (local or cross-shard).
-            SentEpoch {
-                ready: Time,
-                pkt: Packet,
-                waiters: Vec<SpaceWaiter>,
-            },
-            Idle,
-        }
-        let mut fault_events: Vec<TraceKind> = Vec::new();
-        let (outcome, hook) = {
-            let mut inner = self.inner.borrow_mut();
-            let now = self.sim.now();
-            let fabric_cap = inner.cfg.fabric_capacity;
-            let wire = inner.cfg.wire_latency;
-            let gap = inner.cfg.packet_gap;
-            let epoch_mode = inner.epoch.is_some();
-            let n = &mut inner.nodes[src];
-            n.pump_scheduled = false;
-            let head = n.out_fifo.front().map(|(launch, pkt)| (*launch, pkt.dst.index()));
-            let outcome = match head {
-                None => Outcome::Idle,
-                Some((launch, _)) if n.out_link_free.max(launch) > now => {
-                    // A bulk transfer grabbed the link after this pump was
-                    // scheduled, or the head packet's launch time is still
-                    // ahead; try again then.
-                    Outcome::Retry(n.out_link_free.max(launch))
-                }
-                Some(_) if epoch_mode => {
-                    // Epoch mode: no fabric-capacity stall (the
-                    // destination's queue lives on another thread) and no
-                    // fault draws (lossless fabric asserted). The packet
-                    // enters the destination's fabric queue via a keyed
-                    // ingress event at `ready`, identically whether the
-                    // destination is local or remote.
-                    let (_, pkt) = n.out_fifo.pop_front().expect("checked non-empty");
-                    n.out_link_free = now + gap;
-                    let ready = now + wire;
-                    let waiters = std::mem::take(&mut n.space_waiters);
-                    Outcome::SentEpoch { ready, pkt, waiters }
-                }
-                Some((_, dst)) => {
-                    if inner.nodes[dst].pending.len() >= fabric_cap {
-                        inner.nodes[dst].stalled_senders.insert(src);
-                        Outcome::Stalled
-                    } else {
-                        let (_, pkt) =
-                            inner.nodes[src].out_fifo.pop_front().expect("checked non-empty");
-                        inner.nodes[src].out_link_free = now + gap;
-                        // Fault injection happens here, at the NI → fabric
-                        // hand-off: the packet has left the sender (link
-                        // time is spent, stats counted) and whatever the
-                        // plan decides is what the fabric delivers.
-                        let mut copies: usize = 1;
-                        let mut extra = Dur::ZERO;
-                        if let Some(plan) = &inner.cfg.fault_plan {
-                            let (drop_p, window_delay) = plan.link_faults(pkt.src, pkt.dst, now);
-                            extra = window_delay;
-                            if drop_p > 0.0 && self.sim.with_rng(|r| r.gen_bool(drop_p)) {
-                                copies = 0;
-                                fault_events
-                                    .push(TraceKind::PacketDropped { tag: pkt.tag, dst: pkt.dst });
-                            } else {
-                                if plan.dup_prob > 0.0
-                                    && self.sim.with_rng(|r| r.gen_bool(plan.dup_prob))
-                                {
-                                    copies = 2;
-                                    fault_events.push(TraceKind::PacketDuplicated {
-                                        tag: pkt.tag,
-                                        dst: pkt.dst,
-                                    });
-                                }
-                                if plan.delay_prob > 0.0
-                                    && self.sim.with_rng(|r| r.gen_bool(plan.delay_prob))
-                                {
-                                    extra += Dur::from_nanos(self.sim.with_rng(|r| {
-                                        r.gen_inclusive(0, plan.delay_max.as_nanos())
-                                    }));
-                                }
-                                if extra > Dur::ZERO {
-                                    fault_events.push(TraceKind::PacketDelayed {
-                                        tag: pkt.tag,
-                                        dst: pkt.dst,
-                                        by: extra,
-                                    });
-                                }
-                            }
-                        }
-                        {
-                            let mut st = inner.stats[src].borrow_mut();
-                            match copies {
-                                0 => st.packets_dropped += 1,
-                                2 => st.packets_duplicated += 1,
-                                _ => {}
-                            }
-                            if copies > 0 && extra > Dur::ZERO {
-                                st.packets_delayed += 1;
-                            }
-                        }
-                        let ready = now + wire + extra;
-                        for _ in 0..copies {
-                            inner.nodes[dst].pending.push_back((ready, pkt.clone()));
-                        }
-                        let waiters = std::mem::take(&mut inner.nodes[src].space_waiters);
-                        Outcome::Sent { dst, delivered: copies > 0, waiters }
-                    }
-                }
-            };
-            (outcome, inner.fault_hook.clone())
+        let mut inner = self.inner.borrow_mut();
+        let now = self.sim.now();
+        let cap = inner.cfg.fabric_capacity as u32;
+        let gap = inner.cfg.packet_gap;
+        let n = &mut inner.nodes[src];
+        n.pump_scheduled = false;
+        let Some((launch, dst)) = n.out_fifo.front().map(|(l, p)| (*l, p.dst.index())) else {
+            return;
         };
+        let ready_at = n.out_link_free.max(launch);
+        if ready_at > now {
+            // A bulk transfer grabbed the link after this pump was
+            // scheduled, or the head packet's launch time is still ahead;
+            // try again then.
+            n.pump_scheduled = true;
+            drop(inner);
+            let net = self.clone();
+            self.sim.schedule_at_for(ready_at, src as u32, move |_| net.pump(src));
+            return;
+        }
+        if n.credits_used.get(dst).copied().unwrap_or(0) >= cap {
+            return;
+        }
+        let (_, pkt) = n.out_fifo.pop_front().expect("checked non-empty");
+        n.out_link_free = now + gap;
+        let waiters = std::mem::take(&mut n.space_waiters);
+        let key = self.sim.alloc_key_for(src as u32);
+        let (copies, extra, faults) = match &inner.cfg.fault_plan {
+            None => (1, Dur::ZERO, Vec::new()),
+            Some(plan) => {
+                let drawn = draw_faults(plan, Prng::for_key(inner.cfg.seed, key), &pkt, now);
+                let mut st = inner.stats[src].borrow_mut();
+                match drawn.0 {
+                    0 => st.packets_dropped += 1,
+                    2 => st.packets_duplicated += 1,
+                    _ => {}
+                }
+                if drawn.0 > 0 && drawn.1 > Dur::ZERO {
+                    st.packets_delayed += 1;
+                }
+                drawn
+            }
+        };
+        let nodes = inner.cfg.nodes;
+        let n = &mut inner.nodes[src];
+        bump(&mut n.credits_used, nodes, dst, copies);
+        let refund = match n.credits_owed.get_mut(dst) {
+            Some(owed) if copies > 0 => std::mem::take(owed),
+            _ => 0,
+        };
+        let ready = now + inner.cfg.wire_latency + extra;
+        let local = inner.owners[dst] == inner.shard;
+        let hook = if faults.is_empty() { None } else { inner.fault_hook.clone() };
+        drop(inner);
         if let Some(hook) = hook {
-            for ev in fault_events {
+            for ev in faults {
                 hook(NodeId(src), ev);
             }
         }
-        match outcome {
-            Outcome::Idle | Outcome::Stalled => {}
-            Outcome::Retry(at) => {
-                let net = self.clone();
-                self.inner.borrow_mut().nodes[src].pump_scheduled = true;
-                self.sim.schedule_at_for(at, src as u32, move |_| net.pump(src));
-            }
-            Outcome::Sent { dst, delivered, waiters } => {
-                if delivered {
-                    self.ensure_delivery(dst);
-                }
-                self.ensure_pump(src); // more queued output?
-                for w in waiters {
-                    w(&self.sim);
-                }
-            }
-            Outcome::SentEpoch { ready, pkt, waiters } => {
-                // Key allocated from the sender's counter *now*, at the
-                // pump — the same global-order point on every partition.
-                let key = self.sim.alloc_key_for(src as u32);
-                let dst = pkt.dst;
-                if self.owns(dst.index()) {
-                    let net = self.clone();
-                    self.sim.schedule_at_raw(ready, key, dst.index() as u32, move |_| {
-                        net.ingress_short(ready, pkt);
-                    });
-                } else {
-                    let rec = CrossNet::Short {
-                        key,
-                        ready,
-                        src: pkt.src,
-                        dst,
-                        tag: pkt.tag,
-                        payload: pkt.payload.to_cross(Some(&self.pools[pkt.src.index()])),
-                    };
-                    self.port_send(rec);
-                }
-                self.ensure_pump(src); // more queued output?
-                for w in waiters {
-                    w(&self.sim);
-                }
+        if copies == 2 {
+            let dup_key = self.sim.alloc_key_for(src as u32);
+            self.send_short(local, ready, dup_key, pkt.clone(), 0);
+        }
+        if copies > 0 {
+            self.send_short(local, ready, key, pkt, refund);
+        }
+        self.ensure_pump(src); // more queued output?
+        for w in waiters {
+            w(&self.sim);
+        }
+    }
+
+    /// Send a pumped packet, carrying `credits`, to its destination's
+    /// ingress at `ready`: staged here when this instance executes the
+    /// destination (`local`), else handed to the port.
+    fn send_short(&self, local: bool, ready: Time, key: u64, pkt: Packet, credits: u32) {
+        if local {
+            self.stage(ready, key, Arrival::Short(pkt, credits));
+        } else {
+            let payload = pkt.payload.to_cross(Some(&self.pools[pkt.src.index()]));
+            let (src, dst, tag) = (pkt.src, pkt.dst, pkt.tag);
+            self.port_send(CrossNet::Short { key, ready, src, dst, tag, payload, credits });
+        }
+    }
+
+    /// Stage `arrival` at its (owned) destination and schedule its ingress
+    /// event under `key` at `at`.
+    fn stage(&self, at: Time, key: u64, arrival: Arrival) {
+        let (Arrival::Short(pkt, _) | Arrival::Bulk(pkt, _)) = &arrival;
+        let dst = pkt.dst.index();
+        {
+            let mut inner = self.inner.borrow_mut();
+            let staged = &mut inner.nodes[dst].staged;
+            if staged.back().is_none_or(|&(t, k, _)| (t, k) < (at, key)) {
+                staged.push_back((at, key, arrival));
+            } else {
+                let i = staged.partition_point(|&(t, k, _)| (t, k) < (at, key));
+                staged.insert(i, (at, key, arrival));
             }
         }
+        let net = self.clone();
+        self.sim.schedule_at_raw(at, key, dst as u32, move |_| net.ingress(dst));
     }
 
     /// Hand a record for a non-owned node to the backend port, with no
     /// internals borrowed (a native port re-enters nothing here, but an
     /// immediate route must be free to run arbitrary code).
     fn port_send(&self, rec: CrossNet) {
-        let port = {
-            let inner = self.inner.borrow();
-            Rc::clone(&inner.epoch.as_ref().expect("partitioned mode").port)
-        };
+        let port = Rc::clone(&self.inner.borrow().port);
         port.send(rec);
     }
 
-    /// Epoch mode: does this fabric instance execute `node`? Always true
-    /// in legacy mode.
+    /// Does this fabric instance execute `node`?
     fn owns(&self, node: usize) -> bool {
         let inner = self.inner.borrow();
-        match &inner.epoch {
-            Some(e) => e.owners[node] == e.shard,
-            None => true,
+        inner.owners[node] == inner.shard
+    }
+
+    /// The earliest staged arrival reaches `dst` now.
+    ///
+    /// A short packet enters the fabric buffer; it goes straight into the
+    /// input FIFO when nothing is queued ahead of it and the FIFO and
+    /// inbound link are free, sparing a delivery event. A bulk transfer
+    /// reserves the inbound link and completes once it has streamed in,
+    /// in an event keyed from the destination's counter.
+    fn ingress(&self, dst: usize) {
+        let mut inner = self.inner.borrow_mut();
+        let now = self.sim.now();
+        let cap_in = inner.cfg.ni_in_capacity;
+        let n = &mut inner.nodes[dst];
+        let (at, _, arrival) =
+            n.staged.pop_front().expect("ingress event without a staged arrival");
+        // Equal in the simulator; a native record can arrive after its
+        // date, and its event is then clamped to now.
+        debug_assert!(at <= now, "staged arrivals leave in (time, key) order");
+        match arrival {
+            Arrival::Short(pkt, credits) => {
+                let src = pkt.src.index() as u32;
+                let inline = !n.delivery_scheduled
+                    && n.pending.is_empty()
+                    && n.in_fifo.len() < cap_in
+                    && n.in_link_free <= now;
+                if inline {
+                    drop(inner);
+                    self.admit(dst, pkt);
+                } else {
+                    n.pending.push_back(pkt);
+                    drop(inner);
+                    self.ensure_delivery(dst);
+                }
+                if credits > 0 {
+                    self.credit(dst as u32, src, credits);
+                }
+            }
+            Arrival::Bulk(done, dur) => {
+                let recv_end = now.max(n.in_link_free) + dur;
+                n.in_link_free = recv_end;
+                n.receiving.push_back(done);
+                drop(inner);
+                let net = self.clone();
+                self.sim.schedule_at_for(recv_end, dst as u32, move |sim| net.bulk_done(dst, sim));
+            }
         }
     }
 
-    /// Epoch mode: a short packet reaches `pkt.dst`'s fabric queue at
-    /// `ready`. Runs as a keyed event on the destination's shard.
-    fn ingress_short(&self, ready: Time, pkt: Packet) {
-        let dst = pkt.dst.index();
-        self.inner.borrow_mut().nodes[dst].pending.push_back((ready, pkt));
-        self.ensure_delivery(dst);
-    }
-
-    /// Epoch mode: the front of a bulk transfer reaches `dst` now. Reserve
-    /// the inbound link and schedule the completion, keyed from the
-    /// *destination's* counter (this event runs on the destination's
-    /// shard, so the allocation point is partition-independent).
-    fn ingress_bulk(&self, src: NodeId, dst: NodeId, tag: u32, payload: PayloadBuf, dur: Dur) {
-        let recv_end = {
+    /// The oldest bulk transfer into `dst` has streamed in: its completion
+    /// becomes pollable.
+    fn bulk_done(&self, dst: usize, sim: &Sim) {
+        let hook = {
             let mut inner = self.inner.borrow_mut();
-            let now = self.sim.now();
-            let n = &mut inner.nodes[dst.index()];
-            let recv_start = now.max(n.in_link_free);
-            let recv_end = recv_start + dur;
-            n.in_link_free = recv_end;
-            recv_end
+            let n = &mut inner.nodes[dst];
+            let done = n.receiving.pop_front().expect("completion without a transfer");
+            n.completions.push_back(done);
+            n.arrival_hook.clone()
         };
-        let net = self.clone();
-        self.sim.schedule_at_for(recv_end, dst.index() as u32, move |sim| {
-            let hook = {
-                let mut inner = net.inner.borrow_mut();
-                inner.nodes[dst.index()]
-                    .completions
-                    .push_back(Packet::bulk_done(src, dst, tag, payload));
-                inner.nodes[dst.index()].arrival_hook.clone()
-            };
-            // Legacy runs `on_complete` (the receiver's kick, installed by
-            // the AM layer) and then the arrival hook (also the kick).
-            // Closures don't cross shards, so epoch mode replays the same
-            // pair through the hook — the AM layer asserts the equivalence
-            // when wiring a sharded machine.
-            if let Some(h) = hook {
-                h(sim);
-                h(sim);
-            }
-        });
+        if let Some(h) = hook {
+            h(sim);
+        }
     }
 
     /// Arrange delivery of the next fabric packet into `dst`'s input FIFO.
@@ -822,48 +785,96 @@ impl Network {
                 return;
             }
             n.delivery_scheduled = true;
-            let ready = n.pending.front().expect("checked non-empty").0;
-            ready.max(n.in_link_free).max(self.sim.now())
+            n.in_link_free.max(self.sim.now())
         };
         let net = self.clone();
         self.sim.schedule_at_for(at, dst as u32, move |_| net.deliver(dst));
     }
 
-    /// Move one fabric packet into `dst`'s input FIFO; wake the node and any
-    /// senders that stalled on this destination's fabric buffer.
+    /// Move one fabric packet into `dst`'s input FIFO.
     fn deliver(&self, dst: usize) {
-        let (hook, woken) = {
+        let pkt = {
             let mut inner = self.inner.borrow_mut();
             let now = self.sim.now();
             let cap_in = inner.cfg.ni_in_capacity;
-            let gap = inner.cfg.packet_gap;
             let n = &mut inner.nodes[dst];
             n.delivery_scheduled = false;
             if n.in_fifo.len() >= cap_in || n.pending.is_empty() {
                 // FIFO filled (or queue emptied) since scheduling; poll()
                 // will restart delivery when space frees.
-                (None, BTreeSet::new())
-            } else if n.in_link_free > now {
+                return;
+            }
+            if n.in_link_free > now {
                 // A bulk transfer claimed the inbound link meanwhile.
                 drop(inner);
                 self.ensure_delivery(dst);
                 return;
-            } else {
-                let (_ready, pkt) = n.pending.pop_front().expect("checked non-empty");
-                n.in_link_free = now + gap;
-                n.in_fifo.push_back(pkt);
-                let hook = n.arrival_hook.clone();
-                // Hand the set over whole rather than collecting it into a
-                // `Vec`: the common empty set then never touches the heap.
-                (hook, std::mem::take(&mut n.stalled_senders))
             }
+            n.pending.pop_front().expect("checked non-empty")
         };
-        for s in woken {
-            self.ensure_pump(s);
+        self.admit(dst, pkt);
+    }
+
+    /// Put `pkt` into `dst`'s input FIFO (the caller checked room and a
+    /// free inbound link), count the credit it frees, and wake the node.
+    ///
+    /// Owed credits ride back on `dst`'s next packet to the sender (see
+    /// [`Network::pump`]); once half the fabric capacity is owed they go
+    /// back on their own, one wire latency later, so one-way traffic on a
+    /// deep fabric costs one return per many packets and every return
+    /// respects the lookahead.
+    fn admit(&self, dst: usize, pkt: Packet) {
+        let (hook, refund) = {
+            let mut inner = self.inner.borrow_mut();
+            let now = self.sim.now();
+            let gap = inner.cfg.packet_gap;
+            let nodes = inner.cfg.nodes;
+            let batch = (inner.cfg.fabric_capacity as u32).div_ceil(2);
+            let src = pkt.src.index();
+            let n = &mut inner.nodes[dst];
+            n.in_link_free = now + gap;
+            n.in_fifo.push_back(pkt);
+            let owed = bump(&mut n.credits_owed, nodes, src, 1);
+            let refund = (owed >= batch).then(|| {
+                n.credits_owed[src] = 0;
+                (src, owed)
+            });
+            (n.arrival_hook.clone(), refund)
+        };
+        if let Some((src, credits)) = refund {
+            let at = self.sim.now() + self.inner.borrow().cfg.wire_latency;
+            let key = self.sim.alloc_key_for(dst as u32);
+            if self.owns(src) {
+                self.schedule_credit(at, key, src as u32, dst as u32, credits);
+            } else {
+                let (to, from) = (NodeId(src), NodeId(dst));
+                self.port_send(CrossNet::Credit { key, at, to, from, credits });
+            }
         }
         self.ensure_delivery(dst);
         if let Some(h) = hook {
             h(&self.sim);
+        }
+    }
+
+    /// Schedule the arrival of `credits` for the link `to → from` at `to`.
+    fn schedule_credit(&self, at: Time, key: u64, to: u32, from: u32, credits: u32) {
+        let net = self.clone();
+        self.sim.schedule_at_raw(at, key, to, move |_| net.credit(to, from, credits));
+    }
+
+    /// Credits for the link `src → dst` arrive at `src`; a pump stalled on
+    /// that link may go again.
+    fn credit(&self, src: u32, dst: u32, credits: u32) {
+        let (src, dst) = (src as usize, dst as usize);
+        let stalled = {
+            let mut inner = self.inner.borrow_mut();
+            let n = &mut inner.nodes[src];
+            n.credits_used[dst] -= credits;
+            n.out_fifo.front().is_some_and(|(_, p)| p.dst.index() == dst)
+        };
+        if stalled {
+            self.ensure_pump(src);
         }
     }
 }
@@ -960,12 +971,44 @@ mod tests {
     }
 
     #[test]
+    fn spent_credits_stall_the_sender_until_the_return_lands() {
+        // One credit per link: the second packet may leave only once the
+        // first one's credit is back — delivery + one wire latency.
+        let (sim, net) = mk(2, |c| {
+            c.ni_out_capacity = 1;
+            c.fabric_capacity = 1;
+        });
+        let wire = NetConfig::from_machine(&MachineConfig::cm5(2)).wire_latency;
+        let arrivals: Rc<RefCell<Vec<Time>>> = Rc::default();
+        let a = arrivals.clone();
+        net.set_arrival_hook(NodeId(1), move |sim| a.borrow_mut().push(sim.now()));
+        net.try_inject(Packet::short(NodeId(0), NodeId(1), 0, vec![])).unwrap();
+        let n2 = net.clone();
+        // Queued behind the first packet's credit; the 1-deep output FIFO
+        // stays full while the sender is stalled.
+        sim.schedule_at(Time::ZERO + wire, move |_| {
+            n2.try_inject(Packet::short(NodeId(0), NodeId(1), 1, vec![])).unwrap();
+        });
+        let credit_at = Time::ZERO + wire + wire;
+        let probes: Rc<RefCell<Vec<bool>>> = Rc::default();
+        for at in [credit_at - Dur::from_nanos(1), credit_at + Dur::from_nanos(1)] {
+            let (n, p) = (net.clone(), probes.clone());
+            sim.schedule_at(at, move |_| p.borrow_mut().push(n.output_has_space(NodeId(0))));
+        }
+        sim.run();
+        assert_eq!(*probes.borrow(), vec![false, true], "stalled until the credit lands");
+        assert_eq!(*arrivals.borrow(), vec![Time::ZERO + wire, credit_at + wire]);
+        assert_eq!(std::iter::from_fn(|| net.poll(NodeId(1))).count(), 2);
+    }
+
+    #[test]
     fn bulk_transfer_time_scales_with_bytes() {
         let (sim, net) = mk(2, |_| {});
         let done_at = Rc::new(Cell::new(Time::MAX));
         let d = done_at.clone();
+        net.set_arrival_hook(NodeId(1), move |sim| d.set(sim.now()));
         // 640 bytes at 100 ns/B = 64 µs + 2.7 µs wire.
-        net.start_bulk(NodeId(0), NodeId(1), 9, vec![0u8; 640], move |sim| d.set(sim.now()));
+        net.start_bulk(NodeId(0), NodeId(1), 9, vec![0u8; 640]);
         sim.run();
         assert_eq!(done_at.get(), Time::from_nanos(64_000 + 2_700));
         let p = net.poll(NodeId(1)).expect("completion pollable");
@@ -983,7 +1026,7 @@ mod tests {
                 a.set(sim.now());
             }
         });
-        net.start_bulk(NodeId(0), NodeId(1), 9, vec![0u8; 1000], |_| {});
+        net.start_bulk(NodeId(0), NodeId(1), 9, vec![0u8; 1000]);
         net.try_inject(Packet::short(NodeId(0), NodeId(1), 1, vec![])).unwrap();
         sim.run();
         // Short packet cannot pump until the 100 µs bulk finishes.

@@ -60,9 +60,8 @@ fn bulk_transfers_between_disjoint_pairs_proceed_in_parallel() {
     let done: Rc<RefCell<Vec<(u32, Time)>>> = Rc::default();
     for (i, (src, dst)) in [(0usize, 1usize), (2, 3)].into_iter().enumerate() {
         let d = done.clone();
-        net.start_bulk(NodeId(src), NodeId(dst), i as u32, vec![0u8; 1_000], move |s| {
-            d.borrow_mut().push((i as u32, s.now()));
-        });
+        net.set_arrival_hook(NodeId(dst), move |s| d.borrow_mut().push((i as u32, s.now())));
+        net.start_bulk(NodeId(src), NodeId(dst), i as u32, vec![0u8; 1_000]);
     }
     sim.run();
     let done = done.borrow();
@@ -74,11 +73,10 @@ fn bulk_transfers_between_disjoint_pairs_proceed_in_parallel() {
 fn bulk_transfers_sharing_a_receiver_serialize_on_its_in_link() {
     let (sim, net) = mk(3, |_| {});
     let done: Rc<RefCell<Vec<Time>>> = Rc::default();
+    let d = done.clone();
+    net.set_arrival_hook(NodeId(2), move |s| d.borrow_mut().push(s.now()));
     for src in [0usize, 1] {
-        let d = done.clone();
-        net.start_bulk(NodeId(src), NodeId(2), src as u32, vec![0u8; 1_000], move |s| {
-            d.borrow_mut().push(s.now());
-        });
+        net.start_bulk(NodeId(src), NodeId(2), src as u32, vec![0u8; 1_000]);
     }
     sim.run();
     let done = done.borrow();
@@ -96,7 +94,7 @@ fn short_packets_and_bulk_interleave_without_loss() {
     for i in 0..10u32 {
         net.try_inject(Packet::short(NodeId(0), NodeId(1), i, vec![])).unwrap();
         if i % 3 == 0 {
-            net.start_bulk(NodeId(0), NodeId(1), 100 + i, vec![0u8; 64], |_| {});
+            net.start_bulk(NodeId(0), NodeId(1), 100 + i, vec![0u8; 64]);
         }
         // Let the pump drain the (4-deep) output FIFO between batches.
         sim.run();
@@ -117,7 +115,7 @@ fn short_packets_and_bulk_interleave_without_loss() {
 fn input_depth_tracks_everything_pollable() {
     let (sim, net) = mk(2, |_| {});
     net.try_inject(Packet::short(NodeId(0), NodeId(1), 0, vec![])).unwrap();
-    net.start_bulk(NodeId(0), NodeId(1), 1, vec![0u8; 32], |_| {});
+    net.start_bulk(NodeId(0), NodeId(1), 1, vec![0u8; 32]);
     sim.run();
     assert_eq!(net.input_depth(NodeId(1)), 2);
     let _ = net.poll(NodeId(1));

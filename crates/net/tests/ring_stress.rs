@@ -105,7 +105,7 @@ fn stress_round(
         // lost wake surfaces as a named assertion rather than a hang.
         gate.register();
         let mut counts = vec![0u64; producers];
-        let mut next_seq = vec![0u64; producers];
+        let mut expected_seq = vec![0u64; producers];
         let total = per_producer * producers as u64;
         let mut received = 0u64;
         let mut rng = XorShift::new(seed ^ 0xC0FF_EE00);
@@ -116,11 +116,11 @@ fn stress_round(
                 while let Some(m) = rx.pop() {
                     drained_any = true;
                     assert_eq!(
-                        m.seq, next_seq[m.producer],
+                        m.seq, expected_seq[m.producer],
                         "producer {} records out of order",
                         m.producer
                     );
-                    next_seq[m.producer] += 1;
+                    expected_seq[m.producer] += 1;
                     counts[m.producer] += 1;
                     received += 1;
                 }

@@ -839,7 +839,7 @@ impl Rpc {
             call_id,
             slot: Some(slot),
             session,
-            next_seq: 0,
+            next_chunk: 0,
             total: None,
             fin: None,
             error: None,
@@ -1422,7 +1422,7 @@ pub struct StreamHandle<C: Wire, F: Wire> {
     slot: Option<Rc<CallSlot>>,
     session: Rc<SessionState>,
     /// Next chunk sequence number to hand out.
-    next_seq: u32,
+    next_chunk: u32,
     /// Total chunk count, known once the Close reply arrives.
     total: Option<u32>,
     /// The server's final value, held until `finish`.
@@ -1446,9 +1446,9 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
     /// then reports which.
     pub async fn next(&mut self) -> Option<C> {
         loop {
-            let buffered = self.session.chunks.borrow_mut().remove(&self.next_seq);
+            let buffered = self.session.chunks.borrow_mut().remove(&self.next_chunk);
             if let Some(bytes) = buffered {
-                self.next_seq += 1;
+                self.next_chunk += 1;
                 match crate::wire::from_bytes::<C>(&bytes) {
                     Ok(chunk) => return Some(chunk),
                     Err(e) => {
@@ -1461,7 +1461,7 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
                 return None;
             }
             if let Some(total) = self.total {
-                if self.next_seq >= total {
+                if self.next_chunk >= total {
                     return None;
                 }
                 // Closed but a declared chunk is still in flight

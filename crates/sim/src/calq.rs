@@ -15,8 +15,8 @@
 //! to the heap-based executor (enforced by `tests/determinism_golden.rs`
 //! and the order-equivalence property test in `tests/properties.rs`):
 //!
-//! * Every entry carries the scheduling sequence number; comparisons use
-//!   `(t, seq)` and nothing else, so ties at a timestamp stay FIFO.
+//! * Every entry carries its ordering key; comparisons use `(t, seq)` and
+//!   nothing else, so ties at a timestamp break by key.
 //! * The **current** bucket (where the cursor stands) is kept sorted in
 //!   descending order, so the minimum is an `O(1)` pop from the back and a
 //!   same-day insert is a binary search plus a short `memmove`.
@@ -99,9 +99,9 @@ impl Occupancy {
     }
 }
 
-/// One pending event: its due time, the executor's global scheduling
-/// sequence number (the tie-break that makes same-time events FIFO), and
-/// the slab coordinates of its action.
+/// One pending event: its due time, the executor's ordering key (the
+/// tie-break among same-time events), and the slab coordinates of its
+/// action.
 ///
 /// Ordering is on `(t, seq)` **only**; `slot`/`gen` are payload. `seq` is
 /// unique per entry, so the order is total and `sort_unstable` is safe.
@@ -109,7 +109,7 @@ impl Occupancy {
 pub struct Entry {
     /// Absolute virtual due time.
     pub t: Time,
-    /// Global scheduling sequence number (monotone, never reused).
+    /// Ordering key ([`crate::event_key`]); unique among pending entries.
     pub seq: u64,
     /// Slab slot holding the event's action.
     pub slot: u32,
@@ -135,6 +135,17 @@ impl PartialOrd for Entry {
 impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         (self.t, self.seq).cmp(&(other.t, other.seq))
+    }
+}
+
+/// Make room for one more entry in a wheel bucket, growing by a quarter
+/// instead of `Vec`'s doubling. Buckets keep their capacity for the whole
+/// run and every day of the wheel is reused, so a burst one entry past a
+/// power of two would otherwise double the memory of every bucket it
+/// touches.
+fn grow_gently(bucket: &mut Vec<Entry>) {
+    if bucket.len() == bucket.capacity() {
+        bucket.reserve_exact((bucket.len() / 4).max(4));
     }
 }
 
@@ -207,11 +218,13 @@ impl CalendarQueue {
             let idx = (self.cursor_day & MASK) as usize;
             let cur = &mut self.buckets[idx];
             let pos = cur.partition_point(|x| *x > e);
+            grow_gently(cur);
             cur.insert(pos, e);
             self.occupied.set(idx);
             self.near_len += 1;
         } else if d < self.cursor_day + NBUCKETS as u64 {
             let idx = (d & MASK) as usize;
+            grow_gently(&mut self.buckets[idx]);
             self.buckets[idx].push(e);
             self.occupied.set(idx);
             self.near_len += 1;

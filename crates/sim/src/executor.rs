@@ -5,9 +5,12 @@
 //! node schedulers, thread packages — is built from that one primitive;
 //! futures run on the per-node schedulers of `oam-threads`, not here.
 //!
-//! Determinism: events at equal times run in scheduling order (a monotone
-//! sequence number breaks ties), and all randomness flows from one seeded
-//! generator. Two runs with the same seed produce bit-identical traces.
+//! Determinism: events at equal times run in the order of a
+//! partition-independent key — `(node, class, per-node counter)`, see
+//! [`event_key`] — and every node draws randomness from its own stream
+//! derived from the seed. The order never depends on how nodes are split
+//! across shards, so two runs with the same seed produce bit-identical
+//! traces at any shard count.
 //!
 //! # Hot-path layout
 //!
@@ -150,13 +153,13 @@ impl Drop for EventAction {
 /// snapshot the generation and are ignored once it moves on.
 struct EventSlot {
     gen: u32,
-    /// Node the event is attributed to (keyed mode); becomes the ambient
-    /// owner while the action runs. Unused in legacy mode.
+    /// Node the event is attributed to; becomes the ambient owner while
+    /// the action runs.
     owner: u32,
     action: Option<EventAction>,
 }
 
-/// Bit layout of a keyed event sequence number: `node:16 | class:4 |
+/// Bit layout of an event key: `node:16 | class:4 |
 /// counter:44`. Within one timestamp, events order by node, then class,
 /// then per-node issue order — none of which depend on how nodes are
 /// partitioned into shards, so the total (time, seq) order is identical
@@ -178,14 +181,6 @@ pub fn event_key(node: u32, class: u32, counter: u64) -> u64 {
     debug_assert!(class < (1 << 4), "event class exceeds key width");
     debug_assert!(counter <= KEY_COUNTER_MASK, "event counter exceeded 2^44");
     ((node as u64) << KEY_NODE_SHIFT) | ((class as u64) << KEY_CLASS_SHIFT) | counter
-}
-
-/// Keyed-mode state: per-node sequence counters and RNG streams, plus the
-/// ambient owner node used to attribute events scheduled from node code.
-struct KeyedState {
-    counters: Vec<u64>,
-    rngs: Vec<Prng>,
-    owner: u32,
 }
 
 /// Multiplicative hasher for maps whose keys the program inserts itself —
@@ -220,18 +215,20 @@ impl Hasher for SeqHasher {
 
 struct Inner {
     now: Time,
-    next_seq: u64,
-    /// Pending events, min-ordered on (time, sequence): deterministic FIFO
-    /// within a timestamp.
+    /// Pending events, min-ordered on (time, key).
     queue: CalendarQueue,
     /// Event actions, indexed by the queue entries' slot/generation pairs.
     slots: Vec<EventSlot>,
     /// Retired slots available for reuse.
     free_slots: Vec<u32>,
-    rng: Prng,
-    /// Partition-independent keying (sharded runs); `None` in legacy mode,
-    /// where `next_seq` provides global scheduling-order tie-breaks.
-    keyed: Option<KeyedState>,
+    /// Seed the per-node RNG streams derive from.
+    seed: u64,
+    /// Per-node class-0 event counters, grown on first use of a node.
+    counters: Vec<u64>,
+    /// Per-node RNG streams, grown on first use of a node.
+    rngs: Vec<Prng>,
+    /// Node that events scheduled without explicit attribution belong to.
+    owner: u32,
     events_executed: u64,
     /// High-water mark of the event queue (pending entries, including
     /// stale cancelled ones), for capacity planning and perf harnesses.
@@ -244,41 +241,27 @@ struct Inner {
 }
 
 impl Inner {
-    /// Next tie-break key for an event attributed to the ambient owner:
-    /// the global scheduling counter in legacy mode, the owner node's
-    /// class-0 counter in keyed mode.
-    fn next_key_ambient(&mut self) -> (u64, u32) {
-        match self.keyed.as_mut() {
-            Some(k) => {
-                let node = k.owner;
-                let c = k.counters[node as usize];
-                k.counters[node as usize] += 1;
-                (event_key(node, KEY_CLASS_NODE, c), node)
-            }
-            None => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                (seq, 0)
-            }
+    /// Next class-0 key for an event attributed to `node`.
+    fn next_key_for(&mut self, node: u32) -> u64 {
+        let i = node as usize;
+        if i >= self.counters.len() {
+            self.counters.resize(i + 1, 0);
         }
+        let c = self.counters[i];
+        self.counters[i] += 1;
+        event_key(node, KEY_CLASS_NODE, c)
     }
 
-    /// Next tie-break key for an event explicitly attributed to `node`.
-    /// Legacy mode ignores the attribution (bit-identical to
-    /// [`Inner::next_key_ambient`]).
-    fn next_key_for(&mut self, node: u32) -> (u64, u32) {
-        match self.keyed.as_mut() {
-            Some(k) => {
-                let c = k.counters[node as usize];
-                k.counters[node as usize] += 1;
-                (event_key(node, KEY_CLASS_NODE, c), node)
-            }
-            None => {
-                let seq = self.next_seq;
-                self.next_seq += 1;
-                (seq, 0)
-            }
+    /// `node`'s RNG stream: distinct per node and stable across shard
+    /// counts, because it mixes only the node id into the seed.
+    fn rng_for(&mut self, node: u32) -> &mut Prng {
+        let seed = self.seed;
+        let i = node as usize;
+        while self.rngs.len() <= i {
+            let n = self.rngs.len() as u64;
+            self.rngs.push(Prng::seed_from_u64(seed ^ (n + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
         }
+        &mut self.rngs[i]
     }
 
     fn push_event(&mut self, at: Time, seq: u64, owner: u32, action: EventAction) -> EventId {
@@ -331,17 +314,19 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Create a simulation whose randomness derives from `seed`.
+    /// Create a simulation whose randomness derives from `seed`. Node
+    /// counters and RNG streams are created on first use of each node id.
     pub fn new(seed: u64) -> Self {
         Sim {
             inner: Rc::new(RefCell::new(Inner {
                 now: Time::ZERO,
-                next_seq: 0,
                 queue: CalendarQueue::new(),
                 slots: Vec::new(),
                 free_slots: Vec::new(),
-                rng: Prng::seed_from_u64(seed),
-                keyed: None,
+                seed,
+                counters: Vec::new(),
+                rngs: Vec::new(),
+                owner: 0,
                 events_executed: 0,
                 queue_peak: 0,
                 wall: None,
@@ -349,47 +334,16 @@ impl Sim {
         }
     }
 
-    /// Create a simulation in **keyed** mode: equal-time events order by a
-    /// `(node, class, per-node counter)` key instead of global scheduling
-    /// order, and each of the `nodes` simulated nodes gets its own RNG
-    /// stream derived from `seed`. The resulting event order — and thus
-    /// every result — is the same no matter how nodes are partitioned
-    /// across shards.
-    pub fn new_keyed(seed: u64, nodes: usize) -> Self {
+    /// Create a simulation in **native** mode: the same keys and RNG
+    /// streams as [`Sim::new`], but paced by `clock` — shared wall-clock
+    /// time. Pending events become *due* once the wall clock reaches their
+    /// timestamp; drive them with [`Sim::run_wall`]. [`Sim::now`] still
+    /// reads the last fired event's time, which trails the clock by at
+    /// most one batch.
+    pub fn new_native(seed: u64, clock: Arc<WallClock>) -> Self {
         let sim = Sim::new(seed);
-        {
-            let mut inner = sim.inner.borrow_mut();
-            inner.keyed = Some(KeyedState {
-                counters: vec![0; nodes],
-                rngs: (0..nodes)
-                    .map(|n| {
-                        // Distinct stream per node, stable across shard
-                        // counts: mix the node id into the machine seed.
-                        let stream = seed ^ (n as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                        Prng::seed_from_u64(stream)
-                    })
-                    .collect(),
-                owner: 0,
-            });
-        }
-        sim
-    }
-
-    /// Create a simulation in **native** mode: keyed (per-node RNG streams
-    /// and partition-independent event keys, as [`Sim::new_keyed`]) but
-    /// paced by `clock` — shared wall-clock time. Pending events become
-    /// *due* once the wall clock reaches their timestamp; drive them with
-    /// [`Sim::run_wall`]. [`Sim::now`] still reads the last fired event's
-    /// time, which trails the clock by at most one batch.
-    pub fn new_native(seed: u64, nodes: usize, clock: Arc<WallClock>) -> Self {
-        let sim = Sim::new_keyed(seed, nodes);
         sim.inner.borrow_mut().wall = Some(clock);
         sim
-    }
-
-    /// Whether this simulation uses partition-independent event keys.
-    pub fn is_keyed(&self) -> bool {
-        self.inner.borrow().keyed.is_some()
     }
 
     /// Whether this simulation is driven by a wall clock (native backend).
@@ -397,27 +351,19 @@ impl Sim {
         self.inner.borrow().wall.is_some()
     }
 
-    /// Set the ambient owner node (keyed mode) and return the previous one.
-    /// Node schedulers wrap their execution in a swap/restore pair so that
-    /// events scheduled from node code are attributed to that node. No-op
-    /// returning 0 in legacy mode.
+    /// Set the ambient owner node and return the previous one. Node
+    /// schedulers wrap their execution in a swap/restore pair so that
+    /// events scheduled from node code are attributed to that node.
     pub fn swap_owner(&self, node: u32) -> u32 {
-        match self.inner.borrow_mut().keyed.as_mut() {
-            Some(k) => std::mem::replace(&mut k.owner, node),
-            None => 0,
-        }
+        std::mem::replace(&mut self.inner.borrow_mut().owner, node)
     }
 
     /// Allocate the next class-0 event key for `node` without scheduling
     /// anything. Used at shard boundaries: the source shard allocates the
     /// key while pumping, and the destination shard inserts the event under
-    /// it, so both sides agree on the global order. Panics in legacy mode.
+    /// it, so both sides agree on the global order.
     pub fn alloc_key_for(&self, node: u32) -> u64 {
-        let mut inner = self.inner.borrow_mut();
-        let k = inner.keyed.as_mut().expect("alloc_key_for requires keyed mode");
-        let c = k.counters[node as usize];
-        k.counters[node as usize] += 1;
-        event_key(node, KEY_CLASS_NODE, c)
+        self.inner.borrow_mut().next_key_for(node)
     }
 
     /// Current virtual time: the time of the last fired event. This holds
@@ -447,31 +393,22 @@ impl Sim {
         self.inner.borrow().queue_peak
     }
 
-    /// Run `f` with the simulation's random-number generator.
-    pub fn with_rng<R>(&self, f: impl FnOnce(&mut Prng) -> R) -> R {
-        f(&mut self.inner.borrow_mut().rng)
-    }
-
-    /// Run `f` with the RNG stream that serves `node`: the per-node stream
-    /// in keyed mode, the single global stream in legacy mode (preserving
-    /// the draw order existing golden traces depend on).
+    /// Run `f` with `node`'s RNG stream. Each node draws from its own
+    /// stream, so draws on one node never shift another's.
     pub fn with_rng_for<R>(&self, node: u32, f: impl FnOnce(&mut Prng) -> R) -> R {
-        let mut inner = self.inner.borrow_mut();
-        match inner.keyed.as_mut() {
-            Some(k) => f(&mut k.rngs[node as usize]),
-            None => f(&mut inner.rng),
-        }
+        f(self.inner.borrow_mut().rng_for(node))
     }
 
     /// Schedule `action` to run at absolute time `at` (clamped to `now` if
     /// already past). Returns an id usable with [`Sim::cancel`].
     ///
-    /// In keyed mode the event is attributed to the ambient owner node
-    /// (see [`Sim::swap_owner`]); use [`Sim::schedule_at_for`] to attribute
-    /// it explicitly.
+    /// The event is attributed to the ambient owner node (see
+    /// [`Sim::swap_owner`]); use [`Sim::schedule_at_for`] to attribute it
+    /// explicitly.
     pub fn schedule_at(&self, at: Time, action: impl FnOnce(&Sim) + 'static) -> EventId {
         let mut inner = self.inner.borrow_mut();
-        let (seq, owner) = inner.next_key_ambient();
+        let owner = inner.owner;
+        let seq = inner.next_key_for(owner);
         inner.push_event(at, seq, owner, EventAction::new(action))
     }
 
@@ -481,10 +418,8 @@ impl Sim {
         self.schedule_at(at, action)
     }
 
-    /// Schedule `action` at `at`, attributed to `node`. Identical to
-    /// [`Sim::schedule_at`] in legacy mode (same global sequence counter);
-    /// in keyed mode the event takes `node`'s next class-0 key and runs
-    /// with `node` as the ambient owner.
+    /// Schedule `action` at `at`, attributed to `node`: the event takes
+    /// `node`'s next class-0 key and runs with `node` as the ambient owner.
     pub fn schedule_at_for(
         &self,
         at: Time,
@@ -492,8 +427,8 @@ impl Sim {
         action: impl FnOnce(&Sim) + 'static,
     ) -> EventId {
         let mut inner = self.inner.borrow_mut();
-        let (seq, owner) = inner.next_key_for(node);
-        inner.push_event(at, seq, owner, EventAction::new(action))
+        let seq = inner.next_key_for(node);
+        inner.push_event(at, seq, node, EventAction::new(action))
     }
 
     /// Schedule `action` `after` from now, attributed to `node`.
@@ -507,8 +442,8 @@ impl Sim {
         self.schedule_at_for(at, node, action)
     }
 
-    /// Insert an event under a pre-allocated key (keyed mode only). This is
-    /// the shard-boundary primitive: the key was allocated on the shard
+    /// Insert an event under a pre-allocated key. This is the
+    /// shard-boundary primitive: the key was allocated on the shard
     /// that owns its node (via [`Sim::alloc_key_for`] or [`event_key`]),
     /// and the event body runs on the shard inserting it. No counter is
     /// touched here.
@@ -519,9 +454,7 @@ impl Sim {
         owner: u32,
         action: impl FnOnce(&Sim) + 'static,
     ) -> EventId {
-        let mut inner = self.inner.borrow_mut();
-        debug_assert!(inner.keyed.is_some(), "schedule_at_raw requires keyed mode");
-        inner.push_event(at, seq, owner, EventAction::new(action))
+        self.inner.borrow_mut().push_event(at, seq, owner, EventAction::new(action))
     }
 
     /// Cancel a pending event. Returns `true` if it had not yet fired.
@@ -654,9 +587,7 @@ impl Sim {
                         debug_assert!(e.t >= inner.now, "event queue went backwards");
                         inner.now = e.t;
                         inner.events_executed += 1;
-                        if let Some(k) = inner.keyed.as_mut() {
-                            k.owner = owner;
-                        }
+                        inner.owner = owner;
                         break action;
                     }
                 }
@@ -841,11 +772,12 @@ mod tests {
 
     #[test]
     fn deterministic_rng_across_same_seed() {
-        let a = Sim::new(42).with_rng(|r| (0..8).map(|_| r.next_u64()).collect::<Vec<_>>());
-        let b = Sim::new(42).with_rng(|r| (0..8).map(|_| r.next_u64()).collect::<Vec<_>>());
-        let c = Sim::new(43).with_rng(|r| (0..8).map(|_| r.next_u64()).collect::<Vec<_>>());
-        assert_eq!(a, b);
-        assert_ne!(a, c);
+        let draw = |seed, node| {
+            Sim::new(seed).with_rng_for(node, |r| (0..8).map(|_| r.next_u64()).collect::<Vec<_>>())
+        };
+        assert_eq!(draw(42, 0), draw(42, 0));
+        assert_ne!(draw(42, 0), draw(43, 0));
+        assert_ne!(draw(42, 0), draw(42, 1), "each node has its own stream");
     }
 
     #[test]

