@@ -82,6 +82,23 @@ impl Am {
         am
     }
 
+    /// Remove every node's dispatcher and drop every registered handler.
+    ///
+    /// Both hold handles back into this layer: a dispatcher holds the `Am`
+    /// that holds its node, and handlers capture the `Am` or `Rpc` whose
+    /// tables hold them. Those reference cycles never free on their own, so
+    /// the machine calls this when it is dropped; the layer must not be
+    /// used afterwards. The fabric's arrival and fault hooks hold nodes
+    /// too, but a node reaches the fabric only through its dispatcher.
+    pub fn detach(&self) {
+        for node in &self.inner.nodes {
+            node.clear_dispatcher();
+        }
+        for registry in &self.inner.registries {
+            registry.borrow_mut().clear();
+        }
+    }
+
     /// The underlying network.
     pub fn network(&self) -> &Network {
         &self.inner.net

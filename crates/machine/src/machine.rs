@@ -196,6 +196,15 @@ impl MachineBuilder {
 }
 
 /// A fully wired simulated multicomputer.
+///
+/// Dropping it frees the run: its simulator, network, node runtimes and
+/// registered handlers. The layers point at each other (every node's
+/// dispatcher reaches the AM layer, which reaches every node), so `Drop`
+/// unhooks those links; a [`NodeEnv`] or layer handle kept past the drop
+/// keeps its own memory alive but can no longer dispatch messages. A run
+/// that stopped with work unfinished (a deadlock, or an exhausted watchdog
+/// budget) is the exception: its suspended threads still hold their node
+/// handles, and with them the machine.
 pub struct Machine {
     sim: Sim,
     cfg: Rc<MachineConfig>,
@@ -205,6 +214,12 @@ pub struct Machine {
     rpc: Rpc,
     coll: Collectives,
     nodes: Vec<Node>,
+}
+
+impl Drop for Machine {
+    fn drop(&mut self) {
+        self.am.detach();
+    }
 }
 
 /// Outcome of a [`Machine::run`].

@@ -24,6 +24,9 @@
 //!   append-only `Vec`s; each is sorted once, when the cursor reaches it.
 //! * Events beyond the horizon overflow into a small `far` binary heap and
 //!   are pulled into the wheel as the cursor advances toward them.
+//! * A bucket that drains hands its storage to a spare list, and the next
+//!   empty bucket to fill takes it from there, so the wheel holds about as
+//!   many entry slots as were ever pending at once.
 //!
 //! Two structural invariants keep this correct:
 //!
@@ -46,8 +49,9 @@ use oam_model::Time;
 /// map is a mask.
 pub const NBUCKETS: usize = 4096;
 /// log2 of the bucket width in nanoseconds: each day spans 1024 ns, so the
-/// wheel covers a 4 µs horizon — wider than the fabric's per-hop latencies,
-/// so in steady state nearly every event lands in the near wheel.
+/// wheel covers a 4096 × 1024 ns ≈ 4.2 ms horizon — far wider than the
+/// fabric's per-hop latencies, so in steady state nearly every event lands
+/// in the near wheel.
 pub const DAY_SHIFT: u32 = 10;
 
 const MASK: u64 = (NBUCKETS as u64) - 1;
@@ -138,21 +142,15 @@ impl Ord for Entry {
     }
 }
 
-/// Make room for one more entry in a wheel bucket, growing by a quarter
-/// instead of `Vec`'s doubling. Buckets keep their capacity for the whole
-/// run and every day of the wheel is reused, so a burst one entry past a
-/// power of two would otherwise double the memory of every bucket it
-/// touches.
-fn grow_gently(bucket: &mut Vec<Entry>) {
-    if bucket.len() == bucket.capacity() {
-        bucket.reserve_exact((bucket.len() / 4).max(4));
-    }
-}
-
 /// The calendar queue. See the module docs for the invariants.
 pub struct CalendarQueue {
     /// The wheel. `buckets[day & MASK]` holds the entries due on `day`.
+    /// An empty bucket owns no storage.
     buckets: Vec<Vec<Entry>>,
+    /// Storage of drained buckets, handed to the next empty bucket that
+    /// fills. The wheel's memory then follows the entries pending at once,
+    /// not the busiest day each of its 4096 buckets ever held.
+    spare: Vec<Vec<Entry>>,
     /// Which buckets are non-empty, for fast cursor advancement.
     occupied: Occupancy,
     /// The day the dequeue cursor stands on. The bucket at this index is
@@ -175,6 +173,7 @@ impl CalendarQueue {
     pub fn new() -> Self {
         CalendarQueue {
             buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             occupied: Occupancy::new(),
             cursor_day: 0,
             near_len: 0,
@@ -216,16 +215,14 @@ impl CalendarQueue {
             // Due now or overdue (clamped schedule): merge into the sorted
             // current bucket so it pops in exact (t, seq) order.
             let idx = (self.cursor_day & MASK) as usize;
-            let cur = &mut self.buckets[idx];
+            let cur = self.bucket_to_fill(idx);
             let pos = cur.partition_point(|x| *x > e);
-            grow_gently(cur);
             cur.insert(pos, e);
             self.occupied.set(idx);
             self.near_len += 1;
         } else if d < self.cursor_day + NBUCKETS as u64 {
             let idx = (d & MASK) as usize;
-            grow_gently(&mut self.buckets[idx]);
-            self.buckets[idx].push(e);
+            self.bucket_to_fill(idx).push(e);
             self.occupied.set(idx);
             self.near_len += 1;
         } else {
@@ -241,6 +238,7 @@ impl CalendarQueue {
         let e = cur.pop().expect("advance_to_nonempty found a bucket");
         if cur.is_empty() {
             self.occupied.clear(idx);
+            self.spare.push(std::mem::take(cur));
         }
         self.near_len -= 1;
         Some(e)
@@ -299,10 +297,29 @@ impl CalendarQueue {
             }
             let Reverse(e) = self.far.pop().expect("peeked entry");
             let idx = (Self::day(e.t) & MASK) as usize;
-            self.buckets[idx].push(e);
+            self.bucket_to_fill(idx).push(e);
             self.occupied.set(idx);
             self.near_len += 1;
         }
+    }
+
+    /// Bucket `idx`, about to take an entry. An empty bucket first takes
+    /// the storage the latest drained bucket gave up.
+    #[inline]
+    fn bucket_to_fill(&mut self, idx: usize) -> &mut Vec<Entry> {
+        let bucket = &mut self.buckets[idx];
+        if bucket.capacity() == 0 {
+            if let Some(storage) = self.spare.pop() {
+                *bucket = storage;
+            }
+        }
+        bucket
+    }
+
+    /// Entry slots held by the wheel's buckets and the spare list.
+    #[cfg(test)]
+    fn retained_capacity(&self) -> usize {
+        self.buckets.iter().chain(&self.spare).map(Vec::capacity).sum()
     }
 }
 
@@ -352,6 +369,34 @@ mod tests {
         q.push(e(100, 1));
         assert_eq!(q.pop().unwrap().seq, 1);
         assert_eq!(q.pop().unwrap().seq, 0);
+    }
+
+    #[test]
+    fn drained_buckets_hand_their_storage_on() {
+        // Bursts of same-day entries on every day of the wheel (and once
+        // more round it), two days pending at a time: the next day's burst
+        // is appended to its near bucket while the current day drains.
+        const BURST: u64 = 300;
+        let mut q = CalendarQueue::new();
+        let mut seq = 0;
+        let mut peak = 0;
+        for day in 0..NBUCKETS as u64 + 64 {
+            let start = day << DAY_SHIFT;
+            for i in 0..BURST {
+                q.push(e(start + i % 7, seq));
+                seq += 1;
+            }
+            peak = peak.max(q.len());
+            while q.peek().is_some_and(|x| x.t.as_nanos() < start) {
+                q.pop();
+            }
+        }
+        while q.pop().is_some() {}
+        let retained = q.retained_capacity();
+        assert!(
+            retained <= 4 * peak,
+            "{retained} entry slots retained for at most {peak} pending entries"
+        );
     }
 
     #[test]

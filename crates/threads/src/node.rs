@@ -207,6 +207,12 @@ impl Node {
         *self.inner.dispatcher.borrow_mut() = Some(d);
     }
 
+    /// Remove the message dispatcher. The AM layer's dispatcher points back
+    /// at every node, so the layer removes it when its machine is dropped.
+    pub fn clear_dispatcher(&self) {
+        self.inner.dispatcher.borrow_mut().take();
+    }
+
     /// Install a trace observer. Events from the scheduler and the layers
     /// above flow to it synchronously; `None` (the default) costs a null
     /// check per event site.

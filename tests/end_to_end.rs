@@ -182,3 +182,53 @@ fn paper_headline_holds_end_to_end() {
     assert!(ratio_orpc > 1.5, "TRPC/ORPC = {ratio_orpc}");
     assert!(ratio_am < 1.25, "ORPC within 25% of hand-coded AM, got {ratio_am}");
 }
+
+#[test]
+fn dropping_a_machine_frees_it() {
+    let (machine, _) = build_ping(4, RpcMode::Orpc);
+    let stats = Rc::clone(machine.nodes()[0].stats());
+    machine.run(|env| async move {
+        let dst = NodeId((env.id().index() + 1) % env.nprocs());
+        Ping::ping::call(env.rpc(), env.node(), dst, 1).await.expect("reply decode");
+        env.barrier().await;
+    });
+    drop(machine);
+    assert_eq!(Rc::strong_count(&stats), 1, "the dropped machine still holds node 0's stats");
+}
+
+#[test]
+fn a_partitioned_run_frees_its_shards() {
+    use optimistic_active_messages::machine::{run_partitioned, ShardApp};
+    use optimistic_active_messages::model::{NodeStats, ShardTuning};
+    use std::cell::RefCell;
+
+    thread_local! {
+        static STATS: RefCell<Option<Rc<RefCell<NodeStats>>>> = const { RefCell::new(None) };
+    }
+    // One worker steps both shards on this thread, so the finisher's stash
+    // is still readable here once the run returns.
+    let cfg = MachineConfig::cm5(4)
+        .with_shards(2)
+        .with_tuning(ShardTuning { workers: Some(1), ..Default::default() });
+    let (report, ()) = run_partitioned(cfg, |m| {
+        let state = Rc::new(PingState { hits: Cell::new(0) });
+        for node in m.nodes() {
+            Ping::register_all(m.rpc(), node.id(), Rc::clone(&state), RpcMode::Orpc);
+        }
+        ShardApp {
+            main: Box::new(|env| {
+                Box::pin(async move {
+                    let dst = NodeId((env.id().index() + 2) % env.nprocs());
+                    Ping::ping::call(env.rpc(), env.node(), dst, 1).await.expect("reply decode");
+                    env.barrier().await;
+                })
+            }),
+            finish: Box::new(|m| {
+                STATS.with(|s| *s.borrow_mut() = Some(Rc::clone(m.nodes()[0].stats())));
+            }),
+        }
+    });
+    assert!(report.engine().epochs > 0, "the epoch engine ran");
+    let stats = STATS.with(|s| s.borrow_mut().take()).expect("shard 0 ran its finisher");
+    assert_eq!(Rc::strong_count(&stats), 1, "a finished shard still holds node 0's stats");
+}

@@ -404,16 +404,33 @@ fn water_half_shell_covers_each_pair_once() {
 /// mid-range steps across days, and jumps far beyond the wheel horizon
 /// (`NBUCKETS << DAY_SHIFT` ns) so near-wheel, current-bucket merge, and
 /// far-heap paths are all exercised, with pushes interleaved among pops.
+/// Each case then drains the queue and refills it in bursts of exact ties
+/// over many days, so buckets run on storage earlier days gave up.
 #[test]
 fn calendar_queue_matches_binary_heap_order() {
     use optimistic_active_messages::sim::calq::{CalendarQueue, Entry, DAY_SHIFT, NBUCKETS};
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
 
+    type Heap = BinaryHeap<Reverse<(Time, u64)>>;
+    fn push(cq: &mut CalendarQueue, heap: &mut Heap, t: u64, seq: &mut u64) {
+        cq.push(Entry { t: Time::from_nanos(t), seq: *seq, slot: 0, gen: 0 });
+        heap.push(Reverse((Time::from_nanos(t), *seq)));
+        *seq += 1;
+    }
+    /// Pop both, check they agree, and return the popped time.
+    fn pop(cq: &mut CalendarQueue, heap: &mut Heap, case: u64) -> Option<u64> {
+        let a = cq.pop().map(|e| (e.t, e.seq));
+        let b = heap.pop().map(|Reverse(k)| k);
+        assert_eq!(a, b, "case {case}: pop");
+        assert_eq!(cq.len(), heap.len(), "case {case}: len");
+        a.map(|(t, _)| t.as_nanos())
+    }
+
     let horizon = (NBUCKETS as u64) << DAY_SHIFT;
     for_cases(48, |case, r| {
         let mut cq = CalendarQueue::new();
-        let mut heap: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
+        let mut heap = Heap::new();
         let mut seq = 0u64;
         // `now` mirrors the executor clock: pushes are clamped to it, so the
         // queue never sees a time earlier than the last pop.
@@ -427,33 +444,43 @@ fn calendar_queue_matches_binary_heap_order() {
                     5..=6 => now + r.gen_below(64 << DAY_SHIFT), // across days
                     _ => now + horizon + r.gen_below(horizon),   // beyond horizon
                 };
-                cq.push(Entry { t: Time::from_nanos(t), seq, slot: 0, gen: 0 });
-                heap.push(Reverse((Time::from_nanos(t), seq)));
-                seq += 1;
+                push(&mut cq, &mut heap, t, &mut seq);
             } else {
                 if r.gen_bool(0.25) {
                     let p = cq.peek().map(|e| (e.t, e.seq));
                     assert_eq!(p, heap.peek().map(|Reverse(k)| *k), "case {case}: peek");
                 }
-                let a = cq.pop().map(|e| (e.t, e.seq));
-                let b = heap.pop().map(|Reverse(k)| k);
-                assert_eq!(a, b, "case {case}: pop");
-                if let Some((t, _)) = a {
-                    now = t.as_nanos();
+                if let Some(t) = pop(&mut cq, &mut heap, case) {
+                    now = t;
                 }
             }
             assert_eq!(cq.len(), heap.len(), "case {case}: len");
         }
         // Drain both completely; the tails must agree entry for entry.
-        loop {
-            let a = cq.pop().map(|e| (e.t, e.seq));
-            let b = heap.pop().map(|Reverse(k)| k);
-            assert_eq!(a, b, "case {case}: drain");
-            if a.is_none() {
-                break;
-            }
+        while let Some(t) = pop(&mut cq, &mut heap, case) {
+            now = t;
         }
         assert!(cq.is_empty(), "case {case}");
+        // Bursts: up to 64 ties at each of many times spread over the
+        // wheel and past its horizon; pop about half, refill, and drain to
+        // empty each round.
+        for _ in 0..3 {
+            for _ in 0..2 {
+                for _ in 0..8 + r.gen_below(56) {
+                    let t = now + r.gen_below(2 * horizon);
+                    for _ in 0..1 + r.gen_below(64) {
+                        push(&mut cq, &mut heap, t, &mut seq);
+                    }
+                }
+                for _ in 0..cq.len() / 2 {
+                    now = pop(&mut cq, &mut heap, case).expect("half of a non-empty queue");
+                }
+            }
+            while let Some(t) = pop(&mut cq, &mut heap, case) {
+                now = t;
+            }
+            assert!(cq.is_empty(), "case {case}: burst round drains");
+        }
     });
 }
 
