@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use oam_apps::water::{WaterParams, WaterVariant};
 use oam_apps::{sor, water, AppOutcome, System};
-use oam_model::MachineConfig;
+use oam_model::{host_cores, MachineConfig};
 
 const REPS: usize = 3;
 const SHARDS: [usize; 3] = [1, 2, 4];
@@ -74,7 +74,7 @@ fn print_table(name: &str, rows: &[Row]) {
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    let cores = host_cores();
     println!("host cores: {cores} (speedup > 1 requires cores >= shards)");
 
     let sor_iters = if quick { 2 } else { 8 };

@@ -29,6 +29,12 @@
 //! park-free while remaining bit-identical to the thread-per-shard run:
 //! the epoch engine is host-schedule invariant by construction.
 //!
+//! Worker 0 always runs on the calling thread; only workers `1..workers`
+//! are spawned, so a one-worker run creates no thread at all. Worker 0 is
+//! never pinned (pinning would stick to the caller after the run). The
+//! host core count behind the defaults is probed once per process
+//! ([`oam_model::host_cores`]).
+//!
 //! Cross-shard records take the batched delivery path by default (one
 //! mailbox publish per peer per epoch, `cfg.effective_batch()`); setting
 //! `OAM_BATCH=1` selects the per-message reference path.
@@ -36,7 +42,7 @@
 use std::future::Future;
 use std::pin::Pin;
 
-use oam_model::{Dur, EngineCounters, MachineConfig, MachineStats, NodeStats, Time};
+use oam_model::{host_cores, Dur, EngineCounters, MachineConfig, MachineStats, NodeStats, Time};
 use oam_net::CrossNet;
 use oam_sim::{
     default_spin, partition, shard_range, Coordinator, Fence, FencePolicy, Round, ShardPort,
@@ -147,25 +153,26 @@ pub fn run_partitioned<R: Send + 'static>(
         .with_spin(spin)
         .with_batched(batched);
 
-    // One worker runs on the calling thread: spawning would only add a
-    // thread, and a malloc arena, that the run does not need (and pinning
-    // would stick to the caller).
-    let results: Vec<ShardResult<R>> = if workers == 1 {
-        run_worker(cfg.clone(), &coord, &owners, 0, 1, false, &setup)
-    } else {
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|worker| {
-                    let cfg = cfg.clone();
-                    let coord = &coord;
-                    let owners = &owners;
-                    let setup = &setup;
-                    scope.spawn(move || run_worker(cfg, coord, owners, worker, workers, pin, setup))
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("shard worker panicked")).collect()
-        })
-    };
+    // Worker 0 runs on the calling thread, whatever the worker count:
+    // spawning it would only add a thread, and a malloc arena, that the
+    // run does not need. It is never pinned (pinning would stick to the
+    // caller); only the spawned workers `1..workers` honour `pin`.
+    let results: Vec<ShardResult<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..workers)
+            .map(|worker| {
+                let cfg = cfg.clone();
+                let coord = &coord;
+                let owners = &owners;
+                let setup = &setup;
+                scope.spawn(move || run_worker(cfg, coord, owners, worker, workers, pin, setup))
+            })
+            .collect();
+        let mut results = run_worker(cfg, &coord, &owners, 0, workers, false, &setup);
+        for h in handles {
+            results.extend(h.join().expect("shard worker panicked"));
+        }
+        results
+    });
 
     // Merge: per-node stats reassembled by node id, counters summed or
     // maxed, the answer taken from shard 0.
@@ -242,8 +249,7 @@ fn run_worker<R>(
     setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
 ) -> Vec<ShardResult<R>> {
     if pin {
-        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-        pin_current_thread(worker % cores);
+        pin_current_thread(worker % host_cores());
     }
     let nodes = cfg.nodes;
     let shards = coord_shards(owners);

@@ -376,11 +376,13 @@ pub struct ShardTuning {
     /// Barrier spin budget: iterations a shard worker spins at the epoch
     /// barrier before parking its thread. `None` defers to `OAM_SPIN`,
     /// else an automatic default: spin only when the host has at least
-    /// one core per shard (spinning on an oversubscribed host burns the
-    /// quantum the peer shard needs).
+    /// one core per epoch worker (spinning on an oversubscribed host
+    /// burns the quantum the peer worker needs).
     pub spin: Option<u32>,
-    /// Pin shard workers to host cores (`shard % cores`; Linux only, best
-    /// effort). `None` defers to `OAM_PIN` (`1`/`true`).
+    /// Pin spawned epoch workers to host cores (worker `i` to core
+    /// `i % cores`; Linux only, best effort). Worker 0 runs on the
+    /// caller's thread and is never pinned. `None` defers to `OAM_PIN`
+    /// (`1`/`true`).
     pub pin: Option<bool>,
     /// Has no effect: every simulator run uses the one keyed epoch engine.
     /// Kept only so code that builds `ShardTuning` with a struct literal
@@ -553,12 +555,12 @@ impl MachineConfig {
 
     /// Resolve the explicit barrier spin budget, if any: explicit
     /// [`ShardTuning::spin`] wins, then `OAM_SPIN`. `None` means "let the
-    /// engine pick" (spin only when the host has a core per shard).
+    /// engine pick" (spin only when the host has a core per epoch worker).
     pub fn effective_spin(&self) -> Option<u32> {
         self.tuning.spin.or_else(|| std::env::var("OAM_SPIN").ok().and_then(|v| v.parse().ok()))
     }
 
-    /// Resolve whether shard workers pin to host cores: explicit
+    /// Resolve whether spawned epoch workers pin to host cores: explicit
     /// [`ShardTuning::pin`] wins, then `OAM_PIN` (`1`/`true`), else off.
     pub fn effective_pin(&self) -> bool {
         self.tuning
@@ -589,9 +591,7 @@ impl MachineConfig {
             .tuning
             .workers
             .or_else(|| std::env::var("OAM_WORKERS").ok().and_then(|v| v.parse().ok()));
-        let requested = requested
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
-        requested.clamp(1, shards.max(1))
+        requested.unwrap_or_else(crate::host_cores).clamp(1, shards.max(1))
     }
 
     /// Resolve the effective backend for this configuration:

@@ -10,6 +10,7 @@
 pub mod config;
 pub mod cost;
 pub mod fault;
+pub mod host;
 pub mod ids;
 pub mod stats;
 pub mod time;
@@ -21,6 +22,7 @@ pub use config::{
 };
 pub use cost::CostModel;
 pub use fault::{FaultPlan, LinkDegradation, NodeStall};
+pub use host::host_cores;
 pub use ids::NodeId;
 pub use stats::{
     AbortReason, EngineCounters, LatencyHistogram, MachineStats, MethodStats, NodeStats,

@@ -7,11 +7,13 @@
 //!   cache-line-padded head/tail words. The producer/consumer halves are
 //!   separate non-cloneable handles taking `&mut self`, so the SPSC
 //!   contract is enforced by the type system rather than by convention.
-//! * [`WakeGate`] — the spin-then-park consumer wait (the PR 8 barrier
-//!   discipline, lifted out of the epoch coordinator). The no-lost-wake
-//!   argument is a Dekker store/load pair: the consumer publishes
-//!   `PARKED`, fences, then re-checks its rings before parking; the
-//!   producer publishes its ring tail, fences, then reads the gate state.
+//! * [`WakeGate`] — the consumer's park wait. The gate itself never
+//!   spins; the only consumer-side spin is the native node loop's poll
+//!   of due gaps up to 200 µs (`oam_machine::native_run`), and longer
+//!   waits come here. The no-lost-wake argument is a Dekker store/load
+//!   pair: the consumer publishes `PARKED`, fences, then re-checks its
+//!   rings before parking; the producer publishes its ring tail, fences,
+//!   then reads the gate state.
 //!   Whatever interleaving the hardware picks, either the consumer sees
 //!   the new tail (and skips the park) or the producer sees `PARKED` (and
 //!   unparks) — a deposit can never slip between the check and the park.
@@ -145,12 +147,14 @@ impl<T: Send> RingRx<T> {
     }
 }
 
-/// Gate state: the consumer is running (or spinning).
+/// Gate state: the consumer is running.
 const AWAKE: u32 = 0;
 /// Gate state: the consumer is parked (or committed to parking).
 const PARKED: u32 = 1;
 
-/// One consumer's spin-then-park wait state, shared with its producers.
+/// One consumer's park state, shared with its producers. The gate never
+/// spins: [`WakeGate::park_unless`] publishes the parked state, re-checks,
+/// and parks; any spinning is the caller's, before it gets here.
 ///
 /// Consumer side: [`WakeGate::register`] once on the owning thread, then
 /// [`WakeGate::park_unless`] whenever idle. Producer side:

@@ -96,8 +96,8 @@
 //! generation word. The last arriver resets the counter, bumps the
 //! generation, and unparks the rest; waiters spin a bounded budget
 //! ([`Coordinator::with_spin`]) and then `thread::park()`. On hosts with
-//! a core per shard the spin wins; on oversubscribed hosts a zero budget
-//! hands the quantum straight to the peer shard ([`default_spin`]).
+//! a core per worker the spin wins; on oversubscribed hosts a zero budget
+//! hands the quantum straight to the peer worker ([`default_spin`]).
 //!
 //! Every barrier is exposed in two halves — [`ShardPort::arrive`] (write
 //! the snapshot, publish batches, count in) and [`ShardPort::complete`]
@@ -116,7 +116,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread::Thread;
 
-use oam_model::{Dur, EngineCounters, Time};
+use oam_model::{host_cores, Dur, EngineCounters, Time};
 
 /// How the coordinator advances the epoch fence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -179,15 +179,15 @@ struct NextCell(UnsafeCell<Option<Time>>);
 // SAFETY: as for `Slot` — one writer before each barrier, readers after.
 unsafe impl Sync for NextCell {}
 
-/// Default barrier spin budget when the host has a core per shard worker.
+/// Default barrier spin budget when the host has a core per epoch worker.
 const SPIN_DEFAULT: u32 = 1 << 12;
 
-/// Pick a barrier spin budget for `shards` workers on this host: spin
-/// only when every worker can hold a core; otherwise park immediately and
-/// hand the quantum to the peer shard.
-pub fn default_spin(shards: usize) -> u32 {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if cores >= shards {
+/// Pick a barrier spin budget for `workers` epoch worker threads on this
+/// host: spin only when every worker can hold a core; otherwise park
+/// immediately and hand the quantum to the peer worker. Reads the cached
+/// [`host_cores`], so it never probes the host more than once per process.
+pub fn default_spin(workers: usize) -> u32 {
+    if host_cores() >= workers {
         SPIN_DEFAULT
     } else {
         0
@@ -231,6 +231,9 @@ pub struct Coordinator<M> {
 impl<M> Coordinator<M> {
     /// A coordinator for `shards` workers with the given conservative
     /// lookahead (the minimum virtual latency of any cross-shard effect).
+    /// The spin budget defaults to [`default_spin`] for one worker per
+    /// shard; callers that multiplex shards override it with
+    /// [`Coordinator::with_spin`].
     pub fn new(shards: usize, lookahead: Dur) -> Self {
         assert!(shards >= 1, "need at least one shard");
         assert!(lookahead > Dur::ZERO, "conservative epochs need positive lookahead");

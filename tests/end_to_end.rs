@@ -198,7 +198,7 @@ fn dropping_a_machine_frees_it() {
 
 #[test]
 fn a_partitioned_run_frees_its_shards() {
-    use optimistic_active_messages::machine::{run_partitioned, ShardApp};
+    use optimistic_active_messages::machine::run_partitioned;
     use optimistic_active_messages::model::{NodeStats, ShardTuning};
     use std::cell::RefCell;
 
@@ -211,24 +211,68 @@ fn a_partitioned_run_frees_its_shards() {
         .with_shards(2)
         .with_tuning(ShardTuning { workers: Some(1), ..Default::default() });
     let (report, ()) = run_partitioned(cfg, |m| {
-        let state = Rc::new(PingState { hits: Cell::new(0) });
-        for node in m.nodes() {
-            Ping::register_all(m.rpc(), node.id(), Rc::clone(&state), RpcMode::Orpc);
-        }
-        ShardApp {
-            main: Box::new(|env| {
-                Box::pin(async move {
-                    let dst = NodeId((env.id().index() + 2) % env.nprocs());
-                    Ping::ping::call(env.rpc(), env.node(), dst, 1).await.expect("reply decode");
-                    env.barrier().await;
-                })
-            }),
-            finish: Box::new(|m| {
-                STATS.with(|s| *s.borrow_mut() = Some(Rc::clone(m.nodes()[0].stats())));
-            }),
-        }
+        cross_shard_ping(m, |m| {
+            STATS.with(|s| *s.borrow_mut() = Some(Rc::clone(m.nodes()[0].stats())));
+        })
     });
     assert!(report.engine().epochs > 0, "the epoch engine ran");
     let stats = STATS.with(|s| s.borrow_mut().take()).expect("shard 0 ran its finisher");
     assert_eq!(Rc::strong_count(&stats), 1, "a finished shard still holds node 0's stats");
+}
+
+/// A minimal two-shard app on four nodes: every node pings its mirror on
+/// the other shard, so the run exchanges records across the epoch barrier.
+/// `finish` extracts the answer from shard 0.
+fn cross_shard_ping<R>(
+    m: &Machine,
+    finish: impl FnOnce(&Machine) -> R + 'static,
+) -> optimistic_active_messages::machine::ShardApp<R> {
+    let state = Rc::new(PingState { hits: Cell::new(0) });
+    for node in m.nodes() {
+        Ping::register_all(m.rpc(), node.id(), Rc::clone(&state), RpcMode::Orpc);
+    }
+    optimistic_active_messages::machine::ShardApp {
+        main: Box::new(|env| {
+            Box::pin(async move {
+                let dst = NodeId((env.id().index() + 2) % env.nprocs());
+                Ping::ping::call(env.rpc(), env.node(), dst, 1).await.expect("reply decode");
+                env.barrier().await;
+            })
+        }),
+        finish: Box::new(finish),
+    }
+}
+
+#[test]
+fn epoch_worker_zero_runs_on_the_calling_thread() {
+    use optimistic_active_messages::machine::run_partitioned;
+    use optimistic_active_messages::model::ShardTuning;
+
+    let cfg = MachineConfig::cm5(4)
+        .with_shards(2)
+        .with_tuning(ShardTuning { workers: Some(2), ..Default::default() });
+    // Only shard 0's finisher runs, so the answer is the thread that ran
+    // shard 0's setup.
+    let (report, setup_thread) = run_partitioned(cfg, |m| {
+        let me = std::thread::current().id();
+        cross_shard_ping(m, move |_| me)
+    });
+    assert!(report.engine().epochs > 0, "the epoch engine ran");
+    assert_eq!(setup_thread, std::thread::current().id(), "worker 0 runs on the caller's thread");
+}
+
+#[test]
+fn starting_runs_probes_the_host_at_most_once() {
+    use optimistic_active_messages::machine::run_partitioned;
+    use optimistic_active_messages::model::host;
+    use optimistic_active_messages::sim::Coordinator;
+
+    for shards in [1, 2, 4] {
+        let cfg = MachineConfig::cm5(4).with_shards(shards);
+        let (report, ()) = run_partitioned(cfg, |m| cross_shard_ping(m, |_| ()));
+        assert!(report.completed);
+    }
+    let _ = Coordinator::<()>::new(2, Dur::from_nanos(10));
+    assert!(host::host_cores() >= 1);
+    assert_eq!(host::host_probes(), 1, "the host core count is probed once per process");
 }
