@@ -214,3 +214,46 @@ fn stress_parked_consumer_is_woken_per_record() {
         }
     });
 }
+
+/// Publish counting, producer side only: with a registered consumer that
+/// parks on the gate whenever its ring is empty, and a ring roomy enough
+/// that no flush waits, a burst of `n` records costs exactly
+/// ⌈n / high_water⌉ publishes (wake signals issued), whatever the host
+/// timing. The consumer then drains the whole burst in order.
+#[test]
+fn burst_publishes_once_per_high_water_mark() {
+    const N: u64 = 1_000;
+    for (high_water, publishes) in [(32usize, N.div_ceil(32)), (1, N)] {
+        let gate = Arc::new(WakeGate::new());
+        let (tx, mut rx) = spsc::<u64>(N as usize);
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let consumer = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || {
+                gate.register();
+                ready_tx.send(()).expect("producer waits for registration");
+                let mut got = Vec::new();
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while (got.len() as u64) < N {
+                    while let Some(v) = rx.pop() {
+                        got.push(v);
+                    }
+                    assert!(Instant::now() < deadline, "consumer stalled at {}/{N}", got.len());
+                    gate.park_unless(|| rx.has_records(), Duration::from_millis(50));
+                }
+                got
+            })
+        };
+        ready_rx.recv().expect("consumer registered");
+        let mut tx = BatchTx::new(tx, Arc::clone(&gate), high_water);
+        let never = || false;
+        for i in 0..N {
+            tx.send(i, &never);
+        }
+        tx.flush(&never);
+        assert_eq!(tx.deposits, N, "high water {high_water}: deposits");
+        assert_eq!(tx.batches, publishes, "high water {high_water}: publishes");
+        let got = consumer.join().expect("consumer thread");
+        assert_eq!(got, (0..N).collect::<Vec<_>>(), "high water {high_water}: order");
+    }
+}

@@ -1,79 +1,56 @@
-//! Benchmark regression gate.
+//! Benchmark gates, one per clock.
 //!
-//! Compares a fresh `BENCH_results.json` (written by the `perfsuite`
-//! binary) against the committed `BENCH_baseline.json` and exits non-zero
-//! if any suite's wall-clock regressed by more than the threshold, or if a
-//! suite's deterministic counters (events, answer) drifted — a drift means
-//! the two files aren't measuring the same work and the wall-clock
-//! comparison would be meaningless.
+//! **Deterministic gate.** Compares a fresh `BENCH_results.json` (written
+//! by the `perfsuite` binary) against the committed `BENCH_baseline.json`.
+//! Every gated column is a pure function of the workload, so any drift is
+//! a real change: sim rows (`"gates": "full"`) must reproduce `answer`,
+//! `events`, `virtual_us`, `epochs`, `deposits` and `batches` exactly,
+//! and may grow `allocs` by at most 20% and `p99_us` by at most 25%;
+//! native rows (`"gates": "answer"`) must reproduce their answer. Host
+//! wall time is not read.
 //!
-//! Dependency-free single file so CI can run it without touching the
-//! workspace build graph:
+//! **Host-time pairs.** `pairs <parent-rev>` builds e2ebench at the
+//! parent revision (a detached worktree under `.bench_build/`) and in the
+//! current tree, runs every `BENCHMARK.json` workload in ten alternating
+//! parent/change pairs on seeds 21–30, and fails when a change median of
+//! an end-to-end metric is worse than the parent median by more than the
+//! metric's bound, when a run's output check fails, or when the change
+//! fails a larger share of its operations. One traced pair on the
+//! held-out seed then ranks each workload's per-layer rows by relative
+//! move, worst first; they have no bounds and are reported, not gated.
+//!
+//! Dependency-free single file, so it builds without the workspace:
 //!
 //! ```sh
-//! rustc -O scripts/bench_check.rs -o /tmp/bench_check
-//! /tmp/bench_check BENCH_baseline.json BENCH_results.json
+//! rustc -O --edition 2021 scripts/bench_check.rs -o bench_check
+//! ./bench_check BENCH_baseline.json BENCH_results.json
+//! ./bench_check pairs origin/main        # from the repository root
 //! ```
 //!
-//! The parser handles exactly the JSON subset `perfsuite` emits (flat
-//! string/number fields, one array of suite objects) — it is not a general
-//! JSON parser and does not try to be.
+//! The parser handles exactly the JSON subset `perfsuite`, e2ebench and
+//! `BENCHMARK.json` use (flat string/number fields, arrays of flat
+//! objects) — it is not a general JSON parser and does not try to be.
 
-use std::process::ExitCode;
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitCode};
 
-/// Maximum tolerated wall-clock growth per suite, as a fraction of the
-/// baseline (0.15 = +15%). Above this, the gate fails.
-const MAX_WALL_REGRESSION: f64 = 0.15;
+/// Columns a `"full"` row must reproduce exactly.
+const EXACT_FULL: [&str; 6] = ["answer", "events", "virtual_us", "epochs", "deposits", "batches"];
 
-/// Wall threshold for suites gated `"wall"` or `"wall_answer"` — the
-/// native-backend rows, whose wall clock is *real* time on a shared CI
-/// host (observed drift on the same container across days exceeds 30%).
-/// The looser bound still catches order-of-magnitude breakage without
-/// tripping on scheduler noise.
-const MAX_WALL_REGRESSION_NATIVE: f64 = 0.50;
+/// One-sided growth bands on `"full"` rows: (column, max growth as a
+/// fraction of the baseline). Allocation counts differ by a handful
+/// between host core counts (worker spawns on the sharded rows), so they
+/// get a band rather than equality. The p99 histogram is log-bucketed:
+/// one bucket step is ~25%. A zero or absent baseline skips the band.
+const BANDS: [(&str, f64); 2] = [("allocs", 0.20), ("p99_us", 0.25)];
 
-/// Minimum batch-amortization ratio between the small-AM storm pair: the
-/// naive per-message row must publish at least this many times more
-/// batches (== wake signals issued) than the batched row. The ratio is
-/// not deterministic: batched senders publish at the high-water mark and
-/// at pass boundaries, and how many deposits a pass gathers depends on
-/// host timing, so a slow or busy host batches less (1.8x has been seen
-/// on a 2-core host). A failure means the batching stopped coalescing or
-/// the host starved the producers.
-const MIN_STORM_BATCH_RATIO: f64 = 2.0;
-const STORM_SUITE: &str = "native_small_am_storm";
-const STORM_NAIVE_SUITE: &str = "native_small_am_storm_naive";
-
-/// Maximum tolerated p99 latency growth for service suites (0.25 = +25%).
-/// The quantile is virtual-time, hence deterministic for a fixed workload,
-/// but the histogram is log-bucketed: one bucket step is ~25%, so the
-/// threshold trips on any real bucket move while ignoring formatting
-/// noise. Suites without a `p99_us` field (or a zero baseline) skip the
-/// check, mirroring the allocs gate.
-const MAX_P99_REGRESSION: f64 = 0.25;
-
-/// Maximum tolerated heap-allocation-count growth per suite (0.20 = +20%).
-/// Unlike wall-clock, alloc counts are deterministic for a fixed workload,
-/// so growth past the threshold means the code path really did start
-/// allocating more — the slack only absorbs intentional small changes that
-/// don't warrant re-recording.
-const MAX_ALLOC_REGRESSION: f64 = 0.20;
-
-#[derive(Debug, Default, Clone)]
-struct Suite {
-    name: String,
-    /// Gate level, read from the *baseline* row: `"full"` (default when
-    /// absent — pre-gates baselines), `"wall_answer"`, or `"wall"`.
-    gates: String,
-    wall_ms: f64,
-    events: u64,
-    answer: u64,
-    allocs: u64,
-    epochs: u64,
-    deposits: u64,
-    batches: u64,
-    p99_us: f64,
-}
+/// Alternating parent/change pairs per workload, on seeds 21, 22, ...
+const PAIRS: u64 = 10;
+const FIRST_SEED: u64 = 21;
+/// e2ebench's held-out seed, used for the traced pair.
+const HELD_OUT_SEED: u64 = 7919;
+/// Where the parent worktree and both build directories live (ignored).
+const BUILD_DIR: &str = ".bench_build";
 
 /// Extract the value of `"key": ...` from a flat object body. String
 /// values lose their quotes; numbers come back as the raw token.
@@ -89,9 +66,13 @@ fn field(body: &str, key: &str) -> Option<String> {
     }
 }
 
-/// Split the `"suites": [ {..}, {..} ]` array into per-suite object bodies.
-fn suite_bodies(json: &str) -> Vec<String> {
-    let Some(start) = json.find("\"suites\"") else { return Vec::new() };
+fn num(body: &str, key: &str) -> Option<f64> {
+    field(body, key)?.parse().ok()
+}
+
+/// Split the `"key": [ {..}, {..} ]` array into per-object bodies.
+fn array_bodies(json: &str, key: &str) -> Vec<String> {
+    let Some(start) = json.find(&format!("\"{key}\"")) else { return Vec::new() };
     let Some(open) = json[start..].find('[').map(|i| start + i) else { return Vec::new() };
     let mut bodies = Vec::new();
     let mut depth = 0usize;
@@ -119,245 +100,359 @@ fn suite_bodies(json: &str) -> Vec<String> {
     bodies
 }
 
-fn parse_suites(json: &str) -> Vec<Suite> {
-    suite_bodies(json)
-        .iter()
-        .map(|body| {
-            let num = |k: &str| field(body, k).and_then(|v| v.parse::<f64>().ok()).unwrap_or(0.0);
-            Suite {
-                name: field(body, "name").unwrap_or_default(),
-                gates: field(body, "gates").unwrap_or_else(|| "full".to_string()),
-                wall_ms: num("wall_ms"),
-                events: num("events") as u64,
-                answer: num("answer") as u64,
-                allocs: num("allocs") as u64,
-                epochs: num("epochs") as u64,
-                deposits: num("deposits") as u64,
-                batches: num("batches") as u64,
-                p99_us: num("p99_us"),
+fn read(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
+}
+
+/// The gate failures of one baseline row against its result row.
+fn check_row(name: &str, gates: &str, base: &str, new: &str) -> Vec<String> {
+    let exact: &[&str] = match gates {
+        "full" => &EXACT_FULL,
+        "answer" => &["answer"],
+        other => return vec![format!("{name}: unknown gates level {other:?} in the baseline")],
+    };
+    let mut failures = Vec::new();
+    for &k in exact {
+        let (b, n) = (field(base, k), field(new, k));
+        if b != n {
+            let show = |v: Option<String>| v.unwrap_or_else(|| "absent".into());
+            failures.push(format!("{name}: {k} {} (baseline) vs {} (result)", show(b), show(n)));
+        }
+    }
+    if gates == "full" {
+        for (k, limit) in BANDS {
+            let (Some(b), Some(n)) = (num(base, k), num(new, k)) else { continue };
+            if b > 0.0 && (n - b) / b > limit {
+                failures.push(format!(
+                    "{name}: {k} {b} (baseline) vs {n} (result), {:+.1}% > +{:.0}% limit",
+                    (n - b) / b * 100.0,
+                    limit * 100.0
+                ));
             }
+        }
+    }
+    failures
+}
+
+fn deterministic_gate(base_path: &str, new_path: &str) -> Result<Vec<String>, String> {
+    let (base_json, new_json) = (read(base_path)?, read(new_path)?);
+    let base = array_bodies(&base_json, "suites");
+    let new = array_bodies(&new_json, "suites");
+    if base.is_empty() || new.is_empty() {
+        return Err(format!("no suites parsed (baseline: {}, new: {})", base.len(), new.len()));
+    }
+    let name = |body: &String| field(body, "name").unwrap_or_default();
+    let mut failures = Vec::new();
+    for b in &base {
+        let row = name(b);
+        let gates = field(b, "gates").unwrap_or_default();
+        let row_failures = match new.iter().find(|n| name(n) == row) {
+            Some(n) => check_row(&row, &gates, b, n),
+            None => vec![format!("{row}: missing from new results")],
+        };
+        let verdict = if row_failures.is_empty() { "ok" } else { "FAILED" };
+        println!("{row:<24} {gates:<7} {verdict}");
+        failures.extend(row_failures);
+    }
+    // An unknown result row would be silently ungated.
+    for n in &new {
+        let row = name(n);
+        if !base.iter().any(|b| name(b) == row) {
+            println!("{row:<24} {:<7} UNKNOWN", "-");
+            failures.push(format!("{row}: present in results but missing from the baseline"));
+        }
+    }
+    Ok(failures)
+}
+
+/// An end-to-end or per-layer metric `BENCHMARK.json` declares.
+struct MetricSpec {
+    name: String,
+    lower_is_better: bool,
+    bound: f64,
+}
+
+fn metric_specs(bench: &str, key: &str) -> Vec<MetricSpec> {
+    array_bodies(bench, key)
+        .iter()
+        .map(|b| MetricSpec {
+            name: field(b, "name").unwrap_or_default(),
+            lower_is_better: field(b, "better").as_deref() != Some("higher"),
+            bound: num(b, "bound").unwrap_or(0.0),
         })
         .collect()
 }
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let (Some(base_path), Some(new_path)) = (args.next(), args.next()) else {
-        eprintln!("usage: bench_check BENCH_baseline.json BENCH_results.json");
-        return ExitCode::from(2);
-    };
-    let read = |p: &str| match std::fs::read_to_string(p) {
-        Ok(s) => Some(s),
-        Err(e) => {
-            eprintln!("bench_check: cannot read {p}: {e}");
-            None
-        }
-    };
-    let (Some(base_json), Some(new_json)) = (read(&base_path), read(&new_path)) else {
-        return ExitCode::from(2);
-    };
-    let base = parse_suites(&base_json);
-    let new = parse_suites(&new_json);
-    if base.is_empty() || new.is_empty() {
-        eprintln!(
-            "bench_check: no suites parsed (baseline: {}, new: {})",
-            base.len(),
-            new.len()
-        );
-        return ExitCode::from(2);
-    }
+/// The last line of one e2ebench run: its JSON summary.
+struct RunLine(String);
 
-    // Every gate violation, phrased for the failure summary: suite name,
-    // baseline vs result, percentage delta.
-    let mut failures: Vec<String> = Vec::new();
-    println!(
-        "{:<24} {:>12} {:>12} {:>8}   verdict",
-        "suite", "base ms", "new ms", "delta"
-    );
-    for b in &base {
-        let Some(n) = new.iter().find(|n| n.name == b.name) else {
-            println!("{:<24} {:>12.2} {:>12} {:>8}   MISSING from new results", b.name, b.wall_ms, "-", "-");
-            failures.push(format!("{}: missing from new results (baseline {:.2} ms)", b.name, b.wall_ms));
-            continue;
-        };
-        // The baseline row's gate level decides which checks apply. Rows
-        // below `"full"` are native-backend suites whose skipped gates are
-        // logged explicitly rather than silently exempted.
-        let full = b.gates == "full";
-        let check_answer = b.gates != "wall";
-        let wall_limit = if full { MAX_WALL_REGRESSION } else { MAX_WALL_REGRESSION_NATIVE };
-        if !full {
-            println!(
-                "{:<24} gates \"{}\": holding {} to +{:.0}% wall; skipping {} checks",
-                b.name,
-                b.gates,
-                if check_answer { "answer exact and wall" } else { "wall only" },
-                wall_limit * 100.0,
-                if check_answer { "allocs/epochs/p99" } else { "answer/allocs/epochs/p99" },
-            );
+impl RunLine {
+    fn correct(&self) -> bool {
+        field(&self.0, "correct").as_deref() == Some("true")
+    }
+    fn count(&self, key: &str) -> f64 {
+        num(&self.0, key).unwrap_or(0.0)
+    }
+    fn metric(&self, name: &str) -> Option<f64> {
+        let i = self.0.find(&format!("\"{name}\": {{"))?;
+        num(&self.0[i..], "value")
+    }
+}
+
+/// Run one e2ebench binary from its tree's root and return its JSON line.
+fn run_e2e(
+    bin: &Path,
+    root: &Path,
+    workload: &str,
+    seed: u64,
+    secs: &str,
+    trace: bool,
+) -> Result<RunLine, String> {
+    let out = Command::new(bin)
+        .current_dir(root)
+        .args(["--workload", workload, "--seed", &seed.to_string(), "--seconds", secs])
+        .args(["--trace", if trace { "1" } else { "0" }])
+        .output()
+        .map_err(|e| format!("cannot run {}: {e}", bin.display()))?;
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    match stdout.lines().rev().find(|l| l.starts_with('{')) {
+        Some(line) => Ok(RunLine(line.to_string())),
+        None => Err(format!(
+            "{workload} seed {seed} at {}: no JSON line ({}): {}",
+            root.display(),
+            out.status,
+            String::from_utf8_lossy(&out.stderr).trim()
+        )),
+    }
+}
+
+fn run_cmd(cmd: &mut Command) -> Result<(), String> {
+    let status = cmd.status().map_err(|e| format!("cannot run {cmd:?}: {e}"))?;
+    if status.success() {
+        Ok(())
+    } else {
+        Err(format!("{cmd:?} failed: {status}"))
+    }
+}
+
+/// Build e2ebench from `root` into `target` and return the binary path.
+fn build_e2e(root: &Path, target: &Path) -> Result<PathBuf, String> {
+    let manifest = root.join("e2ebench/Cargo.toml");
+    run_cmd(Command::new("cargo").args(["build", "--release", "--offline", "--quiet"]).args([
+        "--manifest-path".as_ref(),
+        manifest.as_os_str(),
+        "--target-dir".as_ref(),
+        target.as_os_str(),
+    ]))?;
+    Ok(target.join("release/oam-e2ebench"))
+}
+
+fn median(v: &[f64]) -> f64 {
+    let mut s = v.to_vec();
+    s.sort_by(f64::total_cmp);
+    let m = s.len() / 2;
+    if s.len() % 2 == 0 {
+        (s[m - 1] + s[m]) / 2.0
+    } else {
+        s[m]
+    }
+}
+
+/// Relative move from `parent` to `change`, positive when worse.
+fn worse_by(spec_lower_is_better: bool, parent: f64, change: f64) -> f64 {
+    let d = if spec_lower_is_better { change - parent } else { parent - change };
+    if parent != 0.0 {
+        d / parent.abs()
+    } else if d == 0.0 {
+        0.0
+    } else {
+        d.signum() * f64::INFINITY
+    }
+}
+
+fn pairs(parent_rev: &str) -> Result<Vec<String>, String> {
+    let bench =
+        read("BENCHMARK.json").map_err(|e| format!("{e} (run from the repository root)"))?;
+    let secs = field(&bench, "run_seconds").ok_or("BENCHMARK.json has no run_seconds")?;
+    let workloads: Vec<String> =
+        array_bodies(&bench, "workloads").iter().filter_map(|b| field(b, "name")).collect();
+    let e2e = metric_specs(&bench, "end_to_end");
+    let layers = metric_specs(&bench, "per_layer");
+
+    // Absolute, because each binary runs with its own tree as working
+    // directory.
+    let cwd = std::env::current_dir().map_err(|e| format!("no working directory: {e}"))?;
+    let build = cwd.join(BUILD_DIR);
+    let parent_root = build.join("parent");
+    // Cleanup calls: a missing worktree is not an error, so output is dropped.
+    let worktree = |args: &[&str]| Command::new("git").arg("worktree").args(args).output();
+    let _ = worktree(&["remove", "--force", &parent_root.to_string_lossy()]);
+    let _ = std::fs::remove_dir_all(&parent_root);
+    let _ = worktree(&["prune"]);
+    run_cmd(
+        Command::new("git").args(["worktree", "add", "--detach"]).arg(&parent_root).arg(parent_rev),
+    )?;
+    let bins = build_e2e(&parent_root, &build.join("target-parent"))
+        .and_then(|p| Ok((p, build_e2e(&cwd, &build.join("target-change"))?)));
+    let result = bins.map(|(parent_bin, change_bin)| {
+        let sides = [(parent_bin.as_path(), parent_root.as_path()), (&change_bin, &cwd)];
+        compare(&sides, &workloads, &secs, &e2e, &layers)
+    });
+    let _ = worktree(&["remove", "--force", &parent_root.to_string_lossy()]);
+    result?
+}
+
+/// Run the pairs and the traced pair; `sides[0]` is the parent.
+fn compare(
+    sides: &[(&Path, &Path); 2],
+    workloads: &[String],
+    secs: &str,
+    e2e: &[MetricSpec],
+    layers: &[MetricSpec],
+) -> Result<Vec<String>, String> {
+    let mut failures = Vec::new();
+    for w in workloads {
+        // runs[0] holds the parent's lines, runs[1] the change's.
+        let mut runs: [Vec<RunLine>; 2] = [Vec::new(), Vec::new()];
+        for seed in FIRST_SEED..FIRST_SEED + PAIRS {
+            // Alternate which side goes first, so drift hits both alike.
+            let order = if seed % 2 == 1 { [0, 1] } else { [1, 0] };
+            for side in order {
+                let (bin, root) = sides[side];
+                runs[side].push(run_e2e(bin, root, w, seed, secs, false)?);
+            }
+            let show = |side: usize| {
+                let l = runs[side].last().expect("just pushed");
+                e2e.iter()
+                    .map(|m| format!("{}={:.4e}", m.name, l.metric(&m.name).unwrap_or(f64::NAN)))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            println!("{w} seed {seed}: parent {} | change {}", show(0), show(1));
         }
-        // Determinism cross-check: same suite definition must do the same
-        // virtual work. `events` legitimately changes when the simulator or
-        // workload changes — that's what re-recording the baseline is for —
-        // but inside one CI run it must match the committed expectations
-        // unless the PR also updates the baseline.
-        if check_answer && n.answer != b.answer {
+        for (side, label) in [(0, "parent"), (1, "change")] {
+            if let Some(bad) = runs[side].iter().position(|l| !l.correct()) {
+                failures.push(format!(
+                    "{w}: {label} run on seed {} printed correct: false",
+                    FIRST_SEED + bad as u64
+                ));
+            }
+        }
+        let share = |side: usize| {
+            let (f, a) = runs[side]
+                .iter()
+                .fold((0.0, 0.0), |(f, a), l| (f + l.count("failed"), a + l.count("attempted")));
+            if a > 0.0 {
+                f / a
+            } else {
+                0.0
+            }
+        };
+        if share(1) > share(0) {
+            failures.push(format!(
+                "{w}: failed share {:.3e} (change) > {:.3e} (parent)",
+                share(1),
+                share(0)
+            ));
+        }
+        println!(
+            "\n{w}: {:<16} {:>14} {:>14} {:>8} {:>6} {:>6}  verdict",
+            "metric", "parent", "change", "worse", "bound", "wins"
+        );
+        for m in e2e {
+            let vals = |side: usize| -> Vec<f64> {
+                runs[side].iter().map(|l| l.metric(&m.name).unwrap_or(f64::NAN)).collect()
+            };
+            let (p, c) = (vals(0), vals(1));
+            let worse = worse_by(m.lower_is_better, median(&p), median(&c));
+            let wins = p
+                .iter()
+                .zip(&c)
+                .filter(|(p, c)| worse_by(m.lower_is_better, **p, **c) < 0.0)
+                .count();
+            let ok = worse <= m.bound;
             println!(
-                "{:<24} {:>12.2} {:>12.2} {:>8}   ANSWER DRIFT ({} -> {})",
-                b.name, b.wall_ms, n.wall_ms, "-", b.answer, n.answer
+                "{w}: {:<16} {:>14.6e} {:>14.6e} {:>+7.1}% {:>5.0}% {:>3}/{PAIRS}  {}",
+                m.name,
+                median(&p),
+                median(&c),
+                worse * 100.0,
+                m.bound * 100.0,
+                wins,
+                if ok { "ok" } else { "WORSE" }
             );
+            if !ok {
+                failures.push(format!(
+                    "{w}: {} median {:.6e} (change) vs {:.6e} (parent), {:+.1}% worse > {:.0}% bound",
+                    m.name,
+                    median(&c),
+                    median(&p),
+                    worse * 100.0,
+                    m.bound * 100.0
+                ));
+            }
+        }
+        // The traced pair: per-layer rows, ranked so a failure names its layer.
+        let [(pb, pr), (cb, cr)] = *sides;
+        let (tp, tc) = (
+            run_e2e(pb, pr, w, HELD_OUT_SEED, secs, true)?,
+            run_e2e(cb, cr, w, HELD_OUT_SEED, secs, true)?,
+        );
+        if !tp.correct() || !tc.correct() {
             failures
-                .push(format!("{}: answer drift (baseline {} vs result {})", b.name, b.answer, n.answer));
-            continue;
+                .push(format!("{w}: traced run on seed {HELD_OUT_SEED} printed correct: false"));
         }
-        // The epoch count is a host-schedule invariant of the epoch engine:
-        // it depends only on the fence policy and the deterministic virtual
-        // workload, never on thread timing, so it must match *exactly*.
-        // Baselines recorded before the counter existed (or suites running
-        // the legacy/native engines) carry 0 — skip, same as allocs.
-        if full && b.epochs > 0 && n.epochs != b.epochs {
-            println!(
-                "{:<24} {:>12.2} {:>12.2} {:>8}   EPOCH DRIFT ({} -> {})",
-                b.name, b.wall_ms, n.wall_ms, "-", b.epochs, n.epochs
-            );
-            failures.push(format!(
-                "{}: epoch drift (baseline {} vs result {}) — fence schedule changed; \
-                 re-record if intentional",
-                b.name, b.epochs, n.epochs
-            ));
-            continue;
-        }
-        // Delivery-layer determinism on epoch rows: deposits (boundary
-        // records handed to the batch layer) and batches (non-empty slot
-        // publishes) are host-schedule invariants of the epoch engine,
-        // exactly like the epoch count. Native rows and pre-counter
-        // baselines (deposits == 0) skip, same as allocs.
-        if full && b.epochs > 0 && b.deposits > 0
-            && (n.deposits != b.deposits || n.batches != b.batches)
-        {
-            println!(
-                "{:<24} {:>12.2} {:>12.2} {:>8}   DELIVERY DRIFT (deposits {} -> {}, batches {} -> {})",
-                b.name, b.wall_ms, n.wall_ms, "-", b.deposits, n.deposits, b.batches, n.batches
-            );
-            failures.push(format!(
-                "{}: delivery drift (deposits {} vs {}, batches {} vs {}) — batch publish \
-                 schedule changed; re-record if intentional",
-                b.name, b.deposits, n.deposits, b.batches, n.batches
-            ));
-            continue;
-        }
-        let delta = (n.wall_ms - b.wall_ms) / b.wall_ms.max(1e-9);
-        // Alloc counts are deterministic; gate them like wall-clock but
-        // with their own threshold. Baselines recorded before alloc
-        // tracking carry 0 — skip the check rather than divide by it.
-        let alloc_delta = (full && b.allocs > 0)
-            .then(|| (n.allocs as f64 - b.allocs as f64) / b.allocs as f64);
-        // Service suites also carry a deterministic virtual-time p99; a
-        // zero/absent baseline skips the check (same pattern as allocs).
-        let p99_delta = (full && b.p99_us > 0.0).then(|| (n.p99_us - b.p99_us) / b.p99_us);
-        let verdict = if delta > wall_limit {
-            failures.push(format!(
-                "{}: wall {:.2} ms (baseline) vs {:.2} ms (result), {:+.1}% > +{:.0}% limit",
-                b.name,
-                b.wall_ms,
-                n.wall_ms,
-                delta * 100.0,
-                wall_limit * 100.0
-            ));
-            "REGRESSED"
-        } else if alloc_delta.is_some_and(|d| d > MAX_ALLOC_REGRESSION) {
-            failures.push(format!(
-                "{}: allocs {} (baseline) vs {} (result), {:+.1}% > +{:.0}% limit",
-                b.name,
-                b.allocs,
-                n.allocs,
-                alloc_delta.unwrap_or(0.0) * 100.0,
-                MAX_ALLOC_REGRESSION * 100.0
-            ));
-            "ALLOC REGRESSED"
-        } else if p99_delta.is_some_and(|d| d > MAX_P99_REGRESSION) {
-            failures.push(format!(
-                "{}: p99 {:.0} us (baseline) vs {:.0} us (result), {:+.1}% > +{:.0}% limit",
-                b.name,
-                b.p99_us,
-                n.p99_us,
-                p99_delta.unwrap_or(0.0) * 100.0,
-                MAX_P99_REGRESSION * 100.0
-            ));
-            "P99 REGRESSED"
-        } else {
-            "ok"
-        };
-        let events_note = if n.events != b.events { " (events changed; consider re-recording baseline)" } else { "" };
-        let alloc_note = match alloc_delta {
-            Some(d) => format!(" allocs {} -> {} ({:+.1}%)", b.allocs, n.allocs, d * 100.0),
-            None => String::new(),
-        };
-        let p99_note = match p99_delta {
-            Some(d) => format!(" p99 {:.0} -> {:.0} us ({:+.1}%)", b.p99_us, n.p99_us, d * 100.0),
-            None => String::new(),
-        };
+        let mut rows: Vec<(f64, &str, f64, f64)> = layers
+            .iter()
+            .filter_map(|m| {
+                let (p, c) = (tp.metric(&m.name)?, tc.metric(&m.name)?);
+                Some((worse_by(m.lower_is_better, p, c), m.name.as_str(), p, c))
+            })
+            .collect();
+        rows.sort_by(|a, b| b.0.total_cmp(&a.0));
         println!(
-            "{:<24} {:>12.2} {:>12.2} {:>+7.1}%   {verdict}{alloc_note}{p99_note}{events_note}",
-            b.name, b.wall_ms, n.wall_ms, delta * 100.0
+            "{w}: per-layer rows on seed {HELD_OUT_SEED}, worst move first (reported, not gated)"
         );
-    }
-    // Every result row must have a baseline row: an unknown suite means
-    // perfsuite grew a workload without re-recording, and whatever it
-    // measures is silently ungated. (This used to be how native rows
-    // dodged the gate; they now sit in the baseline with explicit
-    // `gates` levels instead.)
-    for n in &new {
-        if !base.iter().any(|b| b.name == n.name) {
-            println!(
-                "{:<24} {:>12} {:>12.2} {:>8}   UNKNOWN suite (absent from baseline)",
-                n.name, "-", n.wall_ms, "-"
-            );
-            failures.push(format!(
-                "{}: present in results but missing from baseline — re-record the baseline \
-                 so the new suite is gated",
-                n.name
-            ));
+        for (d, n, p, c) in rows {
+            println!("{w}: {n:<38} {p:>14.6e} {c:>14.6e} {:>+9.1}%", d * 100.0);
         }
+        println!();
     }
+    Ok(failures)
+}
 
-    // The storm pair's amortization invariant: sender-side batching must
-    // keep coalescing. Checked on the fresh results (both rows measured
-    // this run, same host), not against the baseline.
-    if let (Some(storm), Some(naive)) = (
-        new.iter().find(|s| s.name == STORM_SUITE),
-        new.iter().find(|s| s.name == STORM_NAIVE_SUITE),
-    ) {
-        let ratio = naive.batches as f64 / (storm.batches as f64).max(1.0);
-        println!(
-            "\nstorm amortization: naive {} batches / batched {} batches = {:.1}x (floor {:.1}x)",
-            naive.batches, storm.batches, ratio, MIN_STORM_BATCH_RATIO
-        );
-        if storm.batches == 0 || ratio < MIN_STORM_BATCH_RATIO {
-            failures.push(format!(
-                "{STORM_SUITE}: batch amortization {ratio:.1}x below the {MIN_STORM_BATCH_RATIO:.1}x \
-                 floor (naive {} vs batched {} publishes) — sender-side batching stopped coalescing",
-                naive.batches, storm.batches
-            ));
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let result = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
+        ["pairs", parent] => pairs(parent),
+        [base, new] if base != "pairs" => deterministic_gate(base, new),
+        _ => {
+            eprintln!("usage: bench_check BENCH_baseline.json BENCH_results.json");
+            eprintln!("       bench_check pairs <parent-rev>   (from the repository root)");
+            return ExitCode::from(2);
+        }
+    };
+    match result {
+        Err(e) => {
+            eprintln!("bench_check: {e}");
+            ExitCode::from(2)
+        }
+        Ok(failures) if failures.is_empty() => {
+            println!("\nbench_check: all gates pass");
+            ExitCode::SUCCESS
+        }
+        Ok(failures) => {
+            eprintln!("\nbench_check: {} failure(s):", failures.len());
+            for f in &failures {
+                eprintln!("  - {f}");
+            }
+            if args.len() == 2 && args[0] != "pairs" {
+                eprintln!(
+                    "if intentional, re-record with `cargo run --release -p oam-bench --bin \
+                     perfsuite -- --quick --out BENCH_baseline.json`"
+                );
+            }
+            ExitCode::FAILURE
         }
     }
-
-    if !failures.is_empty() {
-        eprintln!("\nbench_check: {} suite(s) failed the gate:", failures.len());
-        for f in &failures {
-            eprintln!("  - {f}");
-        }
-        eprintln!(
-            "if intentional, re-record with `cargo run --release -p oam-bench --bin perfsuite \
-             -- --quick --out BENCH_baseline.json`"
-        );
-        return ExitCode::FAILURE;
-    }
-    println!(
-        "\nbench_check: all suites within {:.0}% wall / {:.0}% allocs / {:.0}% p99 of baseline",
-        MAX_WALL_REGRESSION * 100.0,
-        MAX_ALLOC_REGRESSION * 100.0,
-        MAX_P99_REGRESSION * 100.0
-    );
-    ExitCode::SUCCESS
 }

@@ -16,10 +16,46 @@ use optimistic_active_messages::apps::sor::SorParams;
 use optimistic_active_messages::apps::tsp::TspParams;
 use optimistic_active_messages::apps::water::{WaterParams, WaterVariant};
 use optimistic_active_messages::apps::{sor, triangle, tsp, water, System};
+use optimistic_active_messages::model::EngineCounters;
 use optimistic_active_messages::prelude::*;
 
 fn on(backend: Backend, nodes: usize) -> MachineConfig {
     MachineConfig::cm5(nodes).with_backend(backend)
+}
+
+/// State of the small-AM storm target: a hit counter the receiver's main
+/// sleeps against. A bare spin-charge loop would starve the dispatcher (a
+/// computing node never polls its NI), so the receiver blocks on the
+/// condvar and the handler signals when the burst has fully landed —
+/// idiomatic AM code, and exactly the shape that makes per-message wakes
+/// expensive on the native backend.
+pub struct StormState {
+    /// Hits received so far.
+    pub count: Mutex<u64>,
+    /// Signalled when `count` reaches `target`.
+    pub done: CondVar,
+    /// The burst size the receiver is waiting for.
+    pub target: u64,
+}
+
+define_rpc_service! {
+    /// The storm sink: the cheapest possible one-way active message.
+    service Storm {
+        state StormState;
+
+        /// Count one hit; wake the waiting main on the last one.
+        oneway hit(ctx, st) {
+            let _ = ctx;
+            let g = st.count.lock().await;
+            let v = g.with_mut(|c| {
+                *c += 1;
+                *c
+            });
+            if v >= st.target {
+                st.done.signal();
+            }
+        }
+    }
 }
 
 #[test]
@@ -165,4 +201,94 @@ fn apps_honor_the_backend_environment() {
     let (sol, pos, _) = triangle::sequential(4);
     let out = triangle::run_configured(System::Orpc, MachineConfig::cm5(3), 4, 1);
     assert_eq!(out.answer, (sol << 40) | pos);
+}
+
+/// A burst of `rounds` small one-way active messages from node 0 to node
+/// 1 on the native backend at delivery batch size `batch`, then a
+/// count-sum reduction. The receiver blocks until every hit has landed
+/// before reducing, so a lost message or a lost wake is a wrong answer or
+/// a hang. Returns the answer and the machine's delivery counters.
+fn native_am_storm(rounds: u32, batch: u32) -> (u64, EngineCounters) {
+    use optimistic_active_messages::machine::{run_partitioned, ShardApp};
+    use std::cell::Cell;
+    use std::rc::Rc;
+
+    let cfg = on(Backend::Native, 2)
+        .with_tuning(ShardTuning { batch: Some(batch), ..ShardTuning::default() });
+    let (report, answer) = run_partitioned(cfg, move |machine| {
+        let states: Vec<Rc<StormState>> = machine
+            .nodes()
+            .iter()
+            .map(|node| {
+                Rc::new(StormState {
+                    count: Mutex::new(node, 0),
+                    done: CondVar::new(node),
+                    target: rounds as u64,
+                })
+            })
+            .collect();
+        for (i, st) in states.iter().enumerate() {
+            Storm::register_all(machine.rpc(), NodeId(i), Rc::clone(st), RpcMode::Orpc);
+        }
+        let sum = Reducer::new(machine.collectives(), |a: &u64, b: &u64| a.wrapping_add(*b));
+        let total = Rc::new(Cell::new(0u64));
+        let t = Rc::clone(&total);
+        ShardApp {
+            main: Box::new(move |env| {
+                let sum = sum.clone();
+                let st = Rc::clone(&states[1]);
+                let t = Rc::clone(&t);
+                Box::pin(async move {
+                    let mut mine = 0u64;
+                    match env.id().index() {
+                        0 => {
+                            for _ in 0..rounds {
+                                Storm::hit::send(env.rpc(), env.node(), NodeId(1)).await;
+                            }
+                        }
+                        1 => {
+                            let mut g = st.count.lock().await;
+                            while g.with(|c| *c < st.target) {
+                                g = st.done.wait(g).await;
+                            }
+                            mine = g.with(|c| *c);
+                        }
+                        _ => {}
+                    }
+                    // Only the target contributes; each native thread has
+                    // its own state, so the sum folds to exactly `rounds`.
+                    let got = sum.reduce(env.node(), mine).await;
+                    if env.id().index() == 0 {
+                        t.set(got);
+                    }
+                })
+            }),
+            finish: Box::new(move |_| total.get()),
+        }
+    });
+    (answer, report.stats.engine)
+}
+
+/// The small-AM storm under the batched (`batch = 32`) and per-message
+/// (`batch = 1`) delivery paths. Both deliver the whole burst. Per-message
+/// delivery publishes once per deposit; batched delivery publishes at the
+/// high-water mark or earlier at a pass boundary, so its publish count
+/// lies between ⌈deposits / 32⌉ and deposits whatever the host timing.
+#[test]
+fn small_am_storm_delivers_every_message_at_both_batch_sizes() {
+    const ROUNDS: u32 = 8_000;
+    for batch in [32u32, 1] {
+        let (answer, engine) = native_am_storm(ROUNDS, batch);
+        let (deposits, batches) = (engine.deposits, engine.batches);
+        assert_eq!(answer, ROUNDS as u64, "storm answer at batch {batch}");
+        assert!(deposits >= ROUNDS as u64, "batch {batch}: {deposits} deposits < {ROUNDS} hits");
+        if batch == 1 {
+            assert_eq!(batches, deposits, "per-message path must publish every deposit");
+        } else {
+            assert!(
+                deposits.div_ceil(32) <= batches && batches <= deposits,
+                "batch 32: {batches} publishes for {deposits} deposits"
+            );
+        }
+    }
 }

@@ -174,6 +174,15 @@ fn sor_is_shard_count_invariant() {
             }
         }
     }
+    // The 64-node machine at the perfsuite `sor_64node*` rows' grid, where
+    // each shard holds 16 or more nodes and every epoch exchanges bulk
+    // boundary rows across shards.
+    let p = SorParams { rows: 256, cols: 128, iters: 2 };
+    let reference = sor::run_configured(System::Orpc, shard_cfg(64, 1, 1), p);
+    for shards in [2, 4] {
+        let out = sor::run_configured(System::Orpc, shard_cfg(64, 1, shards), p);
+        assert_outcomes_match(&reference, &out, &format!("sor 64-node shards={shards}"));
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -267,6 +276,19 @@ fn water_is_shard_count_invariant() {
                 }
             }
         }
+    }
+    // 64 nodes and 128 molecules: every iteration's all-pairs position
+    // fetches and force reductions cross shard boundaries.
+    let p = WaterParams { molecules: 128, iters: 2 };
+    let variant = WaterVariant { system: System::Orpc, barrier: true };
+    let reference = water::run_configured(variant, shard_cfg(64, 1, 1), p);
+    for shards in [2, 4] {
+        let out = water::run_configured(variant, shard_cfg(64, 1, shards), p);
+        assert_outcomes_match(
+            &reference.outcome,
+            &out.outcome,
+            &format!("water 64-node shards={shards}"),
+        );
     }
 }
 
