@@ -92,11 +92,9 @@ impl Slab {
         let cols = self.cols;
         let mut updated = 0;
         let mut maxd = 0.0f64;
-        // Split borrows: copy the stencil rows' views first.
-        let up: Vec<f64> = self.row_above(l).to_vec();
-        let down: Vec<f64> = self.row_below(l).to_vec();
-        let cur = &self.cur[l];
-        let nxt = &mut self.nxt[l];
+        // Lift the output row out so the stencil rows can be read in place.
+        let mut nxt = std::mem::take(&mut self.nxt[l]);
+        let (up, down, cur) = (self.row_above(l), self.row_below(l), &self.cur[l]);
         nxt[0] = cur[0];
         nxt[cols - 1] = cur[cols - 1];
         for c in 1..cols - 1 {
@@ -109,6 +107,7 @@ impl Slab {
             nxt[c] = v;
             updated += 1;
         }
+        self.nxt[l] = nxt;
         (updated, maxd)
     }
 

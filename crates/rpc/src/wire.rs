@@ -186,6 +186,25 @@ pub trait Wire: Sized {
     fn encode(&self, out: &mut WireWriter);
     /// Decode one value.
     fn decode(rd: &mut WireReader<'_>) -> Result<Self, WireError>;
+
+    /// Append the encodings of `vs` back to back (no length prefix).
+    /// Fixed-width numbers override this to copy the whole run at once;
+    /// the bytes are the same as encoding each value in turn.
+    fn encode_slice(vs: &[Self], out: &mut WireWriter) {
+        for v in vs {
+            v.encode(out);
+        }
+    }
+
+    /// Decode `n` values written by [`Wire::encode_slice`]. Fails without
+    /// reserving more than the payload could hold when it is too short.
+    fn decode_n(n: usize, rd: &mut WireReader<'_>) -> Result<Vec<Self>, WireError> {
+        let mut v = Vec::with_capacity(n.min(rd.remaining()));
+        for _ in 0..n {
+            v.push(Self::decode(rd)?);
+        }
+        Ok(v)
+    }
 }
 
 /// Encode a value into a fresh buffer.
@@ -225,6 +244,25 @@ macro_rules! wire_int {
                 let mut a = [0u8; core::mem::size_of::<$t>()];
                 a.copy_from_slice(b);
                 Ok(<$t>::from_le_bytes(a))
+            }
+            // A run is one copy: on a little-endian target the values'
+            // memory is already their wire encoding.
+            #[cfg(target_endian = "little")]
+            fn encode_slice(vs: &[Self], out: &mut WireWriter) {
+                // SAFETY: a plain number has no padding and no invalid
+                // bytes, so its slice is readable as `size_of_val` bytes.
+                let bytes = unsafe {
+                    core::slice::from_raw_parts(vs.as_ptr().cast::<u8>(), size_of_val(vs))
+                };
+                out.extend_from_slice(bytes);
+            }
+            fn decode_n(n: usize, rd: &mut WireReader<'_>) -> Result<Vec<Self>, WireError> {
+                const W: usize = core::mem::size_of::<$t>();
+                let at = rd.position();
+                let len = n.checked_mul(W).ok_or(WireError { what: stringify!($t), at })?;
+                let b = rd.take(len, stringify!($t))?;
+                let value = |c: &[u8]| <$t>::from_le_bytes(c.try_into().expect("W-byte chunk"));
+                Ok(b.chunks_exact(W).map(value).collect())
             }
         }
     )*};
@@ -279,17 +317,11 @@ impl<T: Wire> Wire for Option<T> {
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, out: &mut WireWriter) {
         (self.len() as u32).encode(out);
-        for v in self {
-            v.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn decode(rd: &mut WireReader<'_>) -> Result<Self, WireError> {
         let n = u32::decode(rd)? as usize;
-        let mut v = Vec::with_capacity(n.min(rd.remaining()));
-        for _ in 0..n {
-            v.push(T::decode(rd)?);
-        }
-        Ok(v)
+        T::decode_n(n, rd)
     }
 }
 
@@ -423,6 +455,90 @@ mod tests {
     fn bad_option_tag_is_an_error() {
         let r: Result<Option<u32>, _> = from_bytes(&[2, 0, 0, 0, 0]);
         assert!(r.is_err());
+    }
+
+    /// Run lengths around the inline boundary and well past it.
+    const RUN_LENS: [usize; 8] = [0, 1, 2, 15, 16, 17, 64, 1000];
+
+    /// `n` values of `T` decoded from a mixed byte pattern, so floats
+    /// include NaNs with assorted payloads.
+    fn sample<T: Wire>(n: usize) -> Vec<T> {
+        let bytes: Vec<u8> = (0..n * core::mem::size_of::<T>())
+            .map(|i| (i as u32).wrapping_mul(0x9e37_79b9).rotate_right(13) as u8)
+            .collect();
+        let mut rd = WireReader::new(&bytes);
+        (0..n).map(|_| T::decode(&mut rd).unwrap()).collect()
+    }
+
+    /// The inline-first, already-spilled and pooled writers.
+    fn writers() -> [WireWriter; 3] {
+        let mut spilled = WireWriter::new();
+        for b in 0..=SHORT_PAYLOAD_MAX as u8 {
+            spilled.push(b);
+        }
+        [WireWriter::new(), spilled, WireWriter::pooled(BufPool::new())]
+    }
+
+    fn check_run_path<T: Wire>() {
+        for n in RUN_LENS {
+            let vs = sample::<T>(n);
+            for (mut run, mut each) in writers().into_iter().zip(writers()) {
+                T::encode_slice(&vs, &mut run);
+                for v in &vs {
+                    v.encode(&mut each);
+                }
+                assert_eq!(run.into_vec(), each.into_vec(), "{} x{n}", core::any::type_name::<T>());
+            }
+            // `Vec<T>` is the length prefix then the run; it decodes bit for bit.
+            let bytes = to_bytes(&vs);
+            let mut each = to_bytes(&(n as u32));
+            for v in &vs {
+                each.extend(to_bytes(v));
+            }
+            assert_eq!(bytes, each);
+            let back: Vec<T> = from_bytes(&bytes).unwrap();
+            assert_eq!(to_bytes(&back), bytes);
+            // Every truncation of a run fails cleanly.
+            for cut in [0, 3, 4, bytes.len() / 2, bytes.len().saturating_sub(1)] {
+                if cut < bytes.len() {
+                    assert!(from_bytes::<Vec<T>>(&bytes[..cut]).is_err(), "cut {cut} of x{n}");
+                }
+            }
+        }
+        // A huge claimed count fails before reserving it: reserving
+        // `isize::MAX` elements would panic or abort the test binary.
+        let huge = [0xffu8, 0xff, 0xff, 0xff, 1, 2, 3, 4, 5, 6, 7, 8, 9];
+        assert!(from_bytes::<Vec<T>>(&huge).is_err());
+        for n in [u32::MAX as usize, isize::MAX as usize, usize::MAX] {
+            assert!(T::decode_n(n, &mut WireReader::new(&huge[4..])).is_err());
+        }
+    }
+
+    #[test]
+    fn runs_encode_like_their_elements_and_roundtrip() {
+        check_run_path::<u8>();
+        check_run_path::<u16>();
+        check_run_path::<u32>();
+        check_run_path::<u64>();
+        check_run_path::<i8>();
+        check_run_path::<i16>();
+        check_run_path::<i32>();
+        check_run_path::<i64>();
+        check_run_path::<f32>();
+        check_run_path::<f64>();
+        // The per-element default path keeps the same guards.
+        check_run_path::<bool>();
+    }
+
+    #[test]
+    fn float_runs_keep_nan_payloads() {
+        let f =
+            [f64::from_bits(0x7ff8_dead_beef_0001), f64::from_bits(0xfff0_0000_0000_0001), -0.0];
+        let back: Vec<f64> = from_bytes(&to_bytes(&f.to_vec())).unwrap();
+        assert_eq!(back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), f.map(f64::to_bits));
+        let f = [f32::from_bits(0x7fc1_2345), f32::from_bits(0xff80_0001)];
+        let back: Vec<f32> = from_bytes(&to_bytes(&f.to_vec())).unwrap();
+        assert_eq!(back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), f.map(f32::to_bits));
     }
 
     #[test]
