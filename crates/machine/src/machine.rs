@@ -203,8 +203,8 @@ impl MachineBuilder {
 /// unhooks those links; a [`NodeEnv`] or layer handle kept past the drop
 /// keeps its own memory alive but can no longer dispatch messages. A run
 /// that stopped with work unfinished (a deadlock, or an exhausted watchdog
-/// budget) is the exception: its suspended threads still hold their node
-/// handles, and with them the machine.
+/// budget) is freed too: `Drop` also discards the threads and pending
+/// events it left behind, which hold node handles.
 pub struct Machine {
     sim: Sim,
     cfg: Rc<MachineConfig>,
@@ -219,6 +219,13 @@ pub struct Machine {
 impl Drop for Machine {
     fn drop(&mut self) {
         self.am.detach();
+        // An unfinished run leaves threads and events behind that hold the
+        // nodes; threads go first, since dropping one can wake another and
+        // so schedule an event.
+        for node in &self.nodes {
+            node.drop_threads();
+        }
+        self.sim.drop_pending();
     }
 }
 

@@ -232,9 +232,20 @@ impl CalendarQueue {
 
     /// Remove and return the minimum entry by `(t, seq)`.
     pub fn pop(&mut self) -> Option<Entry> {
+        self.pop_if(|_| true)
+    }
+
+    /// Remove and return the minimum entry if `take` accepts it; `None`
+    /// when the queue is empty or `take` refuses. One cursor advance serves
+    /// both the test and the pop, where a `peek` then `pop` would pay two.
+    #[inline]
+    pub fn pop_if(&mut self, take: impl FnOnce(&Entry) -> bool) -> Option<Entry> {
         self.advance_to_nonempty()?;
         let idx = (self.cursor_day & MASK) as usize;
         let cur = &mut self.buckets[idx];
+        if !take(cur.last().expect("advance_to_nonempty found a bucket")) {
+            return None;
+        }
         let e = cur.pop().expect("advance_to_nonempty found a bucket");
         if cur.is_empty() {
             self.occupied.clear(idx);
@@ -410,5 +421,18 @@ mod tests {
             assert_eq!(q.pop(), Some(p));
         }
         assert_eq!(q.len(), 0);
+    }
+
+    #[test]
+    fn pop_if_takes_the_minimum_only_when_accepted() {
+        let mut q = CalendarQueue::new();
+        for (ns, seq) in [(40_960, 1u64), (512, 0)] {
+            q.push(e(ns, seq));
+        }
+        assert_eq!(q.pop_if(|m| m.t > Time::from_nanos(512)), None, "refused");
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_if(|m| m.seq == 0), Some(e(512, 0)));
+        assert_eq!(q.pop_if(|_| true), Some(e(40_960, 1)));
+        assert_eq!(q.pop_if(|_| true), None, "empty");
     }
 }

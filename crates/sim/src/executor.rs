@@ -21,6 +21,19 @@
 //! bumps the slot's generation, turning the queue entry stale in `O(1)`.
 //! The [`Sim`] handle is a single `Rc`: cloning or dropping it is a
 //! non-atomic refcount bump, and the run loops touch no lock.
+//!
+//! Next to the queue sits one **continuation slot**: a single event that
+//! cannot be cancelled, held as `(time, key, owner, action)` outside both
+//! the slab and the queue ([`Sim::continue_after_for`]). A node's settle —
+//! the wait that turns its accumulated charge into virtual time — goes
+//! through it, because with few busy nodes the settle is almost always the
+//! very next event to fire, and the slot spares it the key-to-slab-to-queue
+//! round trip. Firing compares the slot with the raw queue head: the slot
+//! fires if it is earlier, a stale head is discarded and the comparison
+//! repeats, otherwise the head pops. So events still fire in exact
+//! `(time, key)` order, cancelled entries are discarded at the same moments
+//! as without the slot, and an empty slot costs one branch. The slot counts
+//! as one pending entry in the queue depth and its peak.
 
 use std::cell::RefCell;
 use std::hash::Hasher;
@@ -159,6 +172,15 @@ struct EventSlot {
     action: Option<EventAction>,
 }
 
+/// The event held in the continuation slot: its due time and key order it
+/// against the queue exactly as an [`Entry`] would be ordered.
+struct Continuation {
+    t: Time,
+    seq: u64,
+    owner: u32,
+    action: EventAction,
+}
+
 /// Bit layout of an event key: `node:16 | class:4 |
 /// counter:44`. Within one timestamp, events order by node, then class,
 /// then per-node issue order — none of which depend on how nodes are
@@ -217,6 +239,9 @@ struct Inner {
     now: Time,
     /// Pending events, min-ordered on (time, key).
     queue: CalendarQueue,
+    /// The continuation slot: one more pending event, outside the queue
+    /// and the slab (see the module docs).
+    cont: Option<Continuation>,
     /// Event actions, indexed by the queue entries' slot/generation pairs.
     slots: Vec<EventSlot>,
     /// Retired slots available for reuse.
@@ -280,8 +305,13 @@ impl Inner {
         };
         let gen = self.slots[slot as usize].gen;
         self.queue.push(Entry { t: at, seq, slot, gen });
-        self.queue_peak = self.queue_peak.max(self.queue.len() as u64);
+        self.queue_peak = self.queue_peak.max(self.depth() as u64);
         EventId::new(slot, gen)
+    }
+
+    /// Pending events: queue entries (stale ones included) plus the slot.
+    fn depth(&self) -> usize {
+        self.queue.len() + self.cont.is_some() as usize
     }
 }
 
@@ -321,6 +351,7 @@ impl Sim {
             inner: Rc::new(RefCell::new(Inner {
                 now: Time::ZERO,
                 queue: CalendarQueue::new(),
+                cont: None,
                 slots: Vec::new(),
                 free_slots: Vec::new(),
                 seed,
@@ -383,9 +414,9 @@ impl Sim {
     }
 
     /// Number of events currently pending (including cancelled entries not
-    /// yet garbage-collected).
+    /// yet garbage-collected, and the continuation slot's event).
     pub fn event_queue_depth(&self) -> usize {
-        self.inner.borrow().queue.len()
+        self.inner.borrow().depth()
     }
 
     /// High-water mark of the event queue over the whole run.
@@ -440,6 +471,54 @@ impl Sim {
     ) -> EventId {
         let at = self.now() + after;
         self.schedule_at_for(at, node, action)
+    }
+
+    /// Schedule `action` `after` from now, attributed to `node`, as a
+    /// *continuation*: an event that cannot be cancelled and so needs no
+    /// [`EventId`]. It takes `node`'s next class-0 key exactly as
+    /// [`Sim::schedule_after_for`] does and fires in the same `(time, key)`
+    /// order; only its storage differs. It goes to the continuation slot;
+    /// if the slot is taken, the earlier of the two keeps it and the other
+    /// joins the queue.
+    pub fn continue_after_for(&self, after: Dur, node: u32, action: impl FnOnce(&Sim) + 'static) {
+        let mut inner = self.inner.borrow_mut();
+        let inner = &mut *inner;
+        let t = inner.now + after;
+        let seq = inner.next_key_for(node);
+        let action = EventAction::new(action);
+        // The earlier of the two keeps the slot; the other is queued.
+        if inner.cont.as_ref().is_some_and(|held| (held.t, held.seq) < (t, seq)) {
+            inner.push_event(t, seq, node, action);
+        } else if let Some(held) = inner.cont.replace(Continuation { t, seq, owner: node, action })
+        {
+            inner.push_event(held.t, held.seq, held.owner, held.action);
+        } else {
+            inner.queue_peak = inner.queue_peak.max(inner.depth() as u64);
+        }
+    }
+
+    /// Drop every pending event without running it: the continuation, and
+    /// each queued action (their queue entries go stale, as on
+    /// [`Sim::cancel`]). Pending actions hold handles to the nodes and
+    /// fabric that hold this `Sim`; a machine dropped mid-run calls this
+    /// to break those cycles. The actions are dropped after the simulator's
+    /// state is released, so their destructors may use it.
+    pub fn drop_pending(&self) {
+        let (cont, actions) = {
+            let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
+            let mut actions = Vec::new();
+            for (i, s) in inner.slots.iter_mut().enumerate() {
+                if let Some(a) = s.action.take() {
+                    s.gen = s.gen.wrapping_add(1);
+                    inner.free_slots.push(i as u32);
+                    actions.push(a);
+                }
+            }
+            (inner.cont.take(), actions)
+        };
+        drop(cont);
+        drop(actions);
     }
 
     /// Insert an event under a pre-allocated key. This is the
@@ -556,14 +635,18 @@ impl Sim {
 
     fn peek_event_time(&self) -> Option<Time> {
         let mut inner = self.inner.borrow_mut();
-        // Discard stale (cancelled) queue entries.
+        let cont = inner.cont.as_ref().map(|c| (c.t, c.seq));
+        // Discard stale (cancelled) queue entries that precede the slot.
         while let Some(e) = inner.queue.peek() {
+            if cont.is_some_and(|c| c < (e.t, e.seq)) {
+                break;
+            }
             if inner.slots[e.slot as usize].gen == e.gen {
                 return Some(e.t);
             }
             inner.queue.pop();
         }
-        None
+        cont.map(|(t, _)| t)
     }
 
     /// Fire the earliest pending event, advancing the clock. Returns `false`
@@ -571,26 +654,33 @@ impl Sim {
     fn fire_next_event(&self) -> bool {
         let action = {
             let mut inner = self.inner.borrow_mut();
+            let inner = &mut *inner;
             loop {
-                match inner.queue.pop() {
-                    None => return false,
-                    Some(e) => {
-                        let s = &mut inner.slots[e.slot as usize];
-                        if s.gen != e.gen {
-                            // Stale entry for a cancelled event.
-                            continue;
-                        }
-                        let action = s.action.take().expect("live slot has an action");
-                        let owner = s.owner;
-                        s.gen = s.gen.wrapping_add(1);
-                        inner.free_slots.push(e.slot);
-                        debug_assert!(e.t >= inner.now, "event queue went backwards");
-                        inner.now = e.t;
-                        inner.events_executed += 1;
-                        inner.owner = owner;
-                        break action;
-                    }
+                // Pop the queue head only if it precedes the slot.
+                let cont = inner.cont.as_ref().map(|c| (c.t, c.seq));
+                let head = inner.queue.pop_if(|e| cont.is_none_or(|c| (e.t, e.seq) < c));
+                let Some(e) = head else {
+                    let Some(c) = inner.cont.take() else { return false };
+                    debug_assert!(c.t >= inner.now, "event queue went backwards");
+                    inner.now = c.t;
+                    inner.events_executed += 1;
+                    inner.owner = c.owner;
+                    break c.action;
+                };
+                let s = &mut inner.slots[e.slot as usize];
+                if s.gen != e.gen {
+                    // Stale entry for a cancelled event.
+                    continue;
                 }
+                let action = s.action.take().expect("live slot has an action");
+                let owner = s.owner;
+                s.gen = s.gen.wrapping_add(1);
+                inner.free_slots.push(e.slot);
+                debug_assert!(e.t >= inner.now, "event queue went backwards");
+                inner.now = e.t;
+                inner.events_executed += 1;
+                inner.owner = owner;
+                break action;
             }
         };
         action.invoke(self);
@@ -681,12 +771,6 @@ mod tests {
     fn cancelled_actions_drop_their_captures() {
         // The capture's destructor must run exactly once whether the event
         // fires, is cancelled, or (spilled case) is cancelled while boxed.
-        struct DropCounter(Rc<Cell<u32>>);
-        impl Drop for DropCounter {
-            fn drop(&mut self) {
-                self.0.set(self.0.get() + 1);
-            }
-        }
         let drops = Rc::new(Cell::new(0u32));
 
         let sim = Sim::new(1);
@@ -778,6 +862,166 @@ mod tests {
         assert_eq!(draw(42, 0), draw(42, 0));
         assert_ne!(draw(42, 0), draw(43, 0));
         assert_ne!(draw(42, 0), draw(42, 1), "each node has its own stream");
+    }
+
+    /// Drop counter for captures: counts how many times it was dropped.
+    struct DropCounter(Rc<Cell<u32>>);
+    impl Drop for DropCounter {
+        fn drop(&mut self) {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+
+    #[test]
+    fn a_continuation_fires_in_time_and_key_order_among_queued_events() {
+        // At one instant: node 0's and node 4's events are cancelled (a
+        // stale head before and after the slot), node 1 sorts before the
+        // continuation of node 2, node 3 after it.
+        let sim = Sim::new(1);
+        let t = Time::from_nanos(100);
+        let log: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let push = |node: u32| {
+            let l = log.clone();
+            move |_: &Sim| l.borrow_mut().push(node)
+        };
+        let stale_before = sim.schedule_at_for(t, 0, push(0));
+        sim.schedule_at_for(t, 3, push(3));
+        sim.continue_after_for(Dur::from_nanos(100), 2, push(2));
+        sim.schedule_at_for(t, 1, push(1));
+        let stale_after = sim.schedule_at_for(t, 4, push(4));
+        assert!(sim.cancel(stale_before) && sim.cancel(stale_after));
+        assert_eq!(sim.event_queue_depth(), 5, "stale entries stay until reached");
+        assert_eq!(sim.next_event_time(), Some(t));
+        assert_eq!(sim.event_queue_depth(), 4, "the stale head before the slot is discarded");
+        sim.run();
+        assert_eq!(*log.borrow(), vec![1, 2, 3]);
+        assert_eq!(sim.events_executed(), 3);
+        assert_eq!(sim.event_queue_depth(), 0, "the stale entry after the slot is discarded");
+        assert_eq!(sim.now(), t);
+    }
+
+    #[test]
+    fn of_two_continuations_the_earlier_keeps_the_slot() {
+        let held = |sim: &Sim| {
+            let inner = sim.inner.borrow();
+            let c = inner.cont.as_ref().expect("slot occupied");
+            (c.t.as_nanos(), c.seq >> KEY_NODE_SHIFT, inner.queue.len())
+        };
+        // Later first, then earlier: the earlier displaces it.
+        let sim = Sim::new(1);
+        sim.continue_after_for(Dur::from_nanos(20), 0, |_| {});
+        sim.continue_after_for(Dur::from_nanos(10), 1, |_| {});
+        assert_eq!(held(&sim), (10, 1, 1));
+        // Earlier first, then later: the later is queued.
+        let sim = Sim::new(1);
+        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
+        sim.continue_after_for(Dur::from_nanos(20), 1, |_| {});
+        assert_eq!(held(&sim), (10, 0, 1));
+        // Same instant: the smaller key (node 0) keeps the slot.
+        let sim = Sim::new(1);
+        sim.continue_after_for(Dur::from_nanos(10), 1, |_| {});
+        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
+        assert_eq!(held(&sim), (10, 0, 1));
+        sim.schedule_after(Dur::from_nanos(5), |_| {});
+        assert_eq!(sim.run(), Time::from_nanos(10));
+        assert_eq!(sim.events_executed(), 3);
+    }
+
+    #[test]
+    fn run_before_counted_does_not_fire_a_continuation_at_the_limit() {
+        let sim = Sim::new(1);
+        let hits = Rc::new(Cell::new(0u32));
+        let h = hits.clone();
+        sim.continue_after_for(Dur::from_nanos(1_000), 0, move |_| h.set(h.get() + 1));
+        let limit = Time::from_nanos(1_000);
+        assert_eq!(sim.run_before_counted(limit), (Some(limit), false));
+        assert_eq!(hits.get(), 0);
+        assert_eq!(sim.run_before_counted(Time::from_nanos(1_001)), (None, true));
+        assert_eq!(hits.get(), 1);
+    }
+
+    #[test]
+    fn run_with_deadline_stops_before_a_late_continuation() {
+        let sim = Sim::new(1);
+        let fired = Rc::new(Cell::new(false));
+        let f = fired.clone();
+        sim.continue_after_for(Dur::from_nanos(1_000), 0, move |_| f.set(true));
+        assert!(!sim.run_with_deadline(Time::from_nanos(999)));
+        assert!(!fired.get());
+        assert_eq!(sim.now(), Time::ZERO);
+        assert!(sim.run_with_deadline(Time::from_nanos(1_000)));
+        assert!(fired.get());
+    }
+
+    #[test]
+    fn a_continuation_counts_once_in_every_counter() {
+        let sim = Sim::new(1);
+        sim.schedule_after(Dur::from_nanos(5), |_| {});
+        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
+        assert_eq!(sim.event_queue_depth(), 2);
+        assert_eq!(sim.peak_event_queue_depth(), 2);
+        sim.run();
+        assert_eq!(sim.events_executed(), 2);
+        assert_eq!(sim.event_queue_depth(), 0);
+        assert_eq!(sim.peak_event_queue_depth(), 2);
+        // Displacing a held continuation queues it: still one entry each.
+        sim.continue_after_for(Dur::from_nanos(20), 0, |_| {});
+        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
+        sim.schedule_after(Dur::from_nanos(30), |_| {});
+        assert_eq!(sim.event_queue_depth(), 3);
+        assert_eq!(sim.peak_event_queue_depth(), 3);
+        sim.run();
+        assert_eq!(sim.events_executed(), 5);
+    }
+
+    #[test]
+    fn a_pending_continuation_drops_its_captures_once() {
+        let drops = Rc::new(Cell::new(0u32));
+        let sim = Sim::new(1);
+        let c = DropCounter(drops.clone());
+        sim.continue_after_for(Dur::from_nanos(10), 0, move |_| {
+            let _keep = &c;
+        });
+        drop(sim);
+        assert_eq!(drops.get(), 1, "dropping the sim dropped the continuation");
+
+        // A fired continuation drops its captures when it runs.
+        let sim = Sim::new(1);
+        let c = DropCounter(drops.clone());
+        sim.continue_after_for(Dur::from_nanos(10), 0, move |_| {
+            let _keep = &c;
+        });
+        sim.run();
+        drop(sim);
+        assert_eq!(drops.get(), 2);
+    }
+
+    #[test]
+    fn drop_pending_discards_every_pending_action_once() {
+        let drops = Rc::new(Cell::new(0u32));
+        let sim = Sim::new(1);
+        for d in [10u64, 20] {
+            let c = DropCounter(drops.clone());
+            sim.schedule_after(Dur::from_nanos(d), move |_| {
+                let _keep = &c;
+            });
+        }
+        let c = DropCounter(drops.clone());
+        let id = sim.schedule_after(Dur::from_nanos(5), move |_| {
+            let _keep = &c;
+        });
+        assert!(sim.cancel(id));
+        let c = DropCounter(drops.clone());
+        sim.continue_after_for(Dur::from_nanos(15), 0, move |_| {
+            let _keep = &c;
+        });
+        assert_eq!(drops.get(), 1, "the cancelled action");
+        sim.drop_pending();
+        assert_eq!(drops.get(), 4);
+        assert_eq!(sim.run(), Time::ZERO, "nothing is left to fire");
+        assert_eq!(sim.events_executed(), 0);
+        drop(sim);
+        assert_eq!(drops.get(), 4, "no double drop");
     }
 
     #[test]

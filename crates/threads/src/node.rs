@@ -18,7 +18,10 @@
 //! # Virtual-time accounting
 //!
 //! Costs accumulate in a per-node `pending` pot; the scheduler converts the
-//! pot into an event-queue wait (a *settle*) before running anything else.
+//! pot into a wait (a *settle*) before running anything else. The settle is
+//! a simulator continuation ([`Sim::continue_after_for`]): an uncancellable
+//! event with the node's next key that usually skips the event queue, since
+//! it is most often the very next event to fire.
 //! `charge()` inside a thread suspends until its cost has settled — compute
 //! is non-preemptible and messages wait in the NI meanwhile, which is
 //! exactly CM-5 polling semantics. `charge()` inside an inline handler
@@ -211,6 +214,25 @@ impl Node {
     /// at every node, so the layer removes it when its machine is dropped.
     pub fn clear_dispatcher(&self) {
         self.inner.dispatcher.borrow_mut().take();
+    }
+
+    /// Drop every thread the node still holds — suspended, runnable or
+    /// spinning — without running it. A run that stopped unfinished
+    /// (deadlock, watchdog budget) leaves such threads behind, and their
+    /// futures hold this node; the machine calls this when it is dropped to
+    /// break that cycle. The futures are dropped after the scheduler is
+    /// released, because their destructors (spins, joins, lock waits) reach
+    /// back into it.
+    pub fn drop_threads(&self) {
+        let slots = {
+            let mut sched = self.inner.sched.borrow_mut();
+            sched.run_queue.clear();
+            sched.spinners.clear();
+            sched.current = None;
+            sched.live_threads = 0;
+            std::mem::take(&mut sched.slots)
+        };
+        drop(slots);
     }
 
     /// Install a trace observer. Events from the scheduler and the layers
@@ -635,7 +657,7 @@ impl Node {
             if !pending.is_zero() {
                 self.inner.run_state.set(RunState::Settling);
                 let node = self.clone();
-                self.inner.sim.schedule_after_for(
+                self.inner.sim.continue_after_for(
                     pending,
                     self.inner.id.index() as u32,
                     move |_| {

@@ -197,6 +197,40 @@ fn dropping_a_machine_frees_it() {
 }
 
 #[test]
+fn dropping_a_deadlocked_machine_frees_it() {
+    let (machine, _) = build_ping(4, RpcMode::Orpc);
+    let stats = Rc::clone(machine.nodes()[0].stats());
+    let report = machine.try_run(|env| async move {
+        let dst = NodeId((env.id().index() + 1) % env.nprocs());
+        Ping::ping::call(env.rpc(), env.node(), dst, 1).await.expect("reply decode");
+        // Nobody sets this flag: every main is left spinning.
+        env.node().spin_on(Flag::new()).await;
+    });
+    assert!(!report.completed, "the run deadlocks");
+    drop(machine);
+    assert_eq!(Rc::strong_count(&stats), 1, "a deadlocked machine still holds node 0's stats");
+}
+
+#[test]
+fn dropping_a_machine_whose_watchdog_budget_ran_out_frees_it() {
+    let (machine, _) = build_ping(4, RpcMode::Orpc);
+    let stats = Rc::clone(machine.nodes()[0].stats());
+    let hang = machine
+        .run_with_watchdog(Time::from_nanos(2_000_000), |env| async move {
+            let dst = NodeId((env.id().index() + 1) % env.nprocs());
+            loop {
+                Ping::ping::call(env.rpc(), env.node(), dst, 1).await.expect("reply decode");
+                env.charge_micros(3).await;
+            }
+        })
+        .expect_err("an endless ping loop outlives any budget");
+    assert_eq!(hang.kind, optimistic_active_messages::machine::HangKind::BudgetExceeded);
+    assert!(machine.sim().event_queue_depth() > 0, "the run stopped with events pending");
+    drop(machine);
+    assert_eq!(Rc::strong_count(&stats), 1, "a budget-stopped machine still holds node 0's stats");
+}
+
+#[test]
 fn a_partitioned_run_frees_its_shards() {
     use optimistic_active_messages::machine::run_partitioned;
     use optimistic_active_messages::model::{NodeStats, ShardTuning};

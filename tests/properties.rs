@@ -14,7 +14,7 @@ use optimistic_active_messages::machine::MachineBuilder;
 use optimistic_active_messages::model::{Dur, MachineConfig, NodeId, NodeStats, Time};
 use optimistic_active_messages::net::{BufPool, NetConfig, Network, Packet, PayloadBuf};
 use optimistic_active_messages::rpc::{define_rpc_service, from_bytes, to_bytes, to_payload};
-use optimistic_active_messages::sim::{Prng, Sim};
+use optimistic_active_messages::sim::{event_key, EventId, Prng, Sim, KEY_CLASS_NODE};
 use optimistic_active_messages::threads::{Mutex, Node};
 
 /// Run `case` once per seed with an independent generator. The seed is the
@@ -204,6 +204,89 @@ fn events_fire_once_in_nondecreasing_time_order() {
         for (i, t) in log.iter() {
             assert_eq!(t.as_nanos(), delays[*i], "case {case}");
         }
+    });
+}
+
+/// State of [`continuations_fire_in_time_and_key_order`]: a sorted
+/// reference of what is pending, mirrored key for key.
+struct OrderModel {
+    case: u64,
+    rng: Prng,
+    /// Per-node class-0 counters, advanced exactly as the simulator does.
+    counters: [u64; 4],
+    /// Pending events by `(time, key)`: the order they must fire in.
+    pending: std::collections::BTreeSet<(Time, u64)>,
+    /// Cancellable events issued so far, fired or not.
+    ids: Vec<(EventId, (Time, u64))>,
+    /// Events still to issue.
+    budget: u32,
+}
+
+/// Issue one random operation: a continuation, an ordinary event, or a
+/// cancellation of an earlier ordinary event.
+fn issue(sim: &Sim, model: &Rc<RefCell<OrderModel>>) {
+    let mut m = model.borrow_mut();
+    let m = &mut *m;
+    if m.budget == 0 {
+        return;
+    }
+    m.budget -= 1;
+    let op = m.rng.gen_below(3);
+    if op == 2 && !m.ids.is_empty() {
+        let i = m.rng.gen_below(m.ids.len() as u64) as usize;
+        let (id, at) = m.ids[i];
+        let pending = m.pending.contains(&at);
+        assert_eq!(sim.cancel(id), pending, "case {}: cancel succeeds on pending events", m.case);
+        m.pending.remove(&at);
+        return;
+    }
+    let node = m.rng.gen_below(4) as u32;
+    // Small delays, so many events share an instant and order by key.
+    let after = Dur::from_nanos(m.rng.gen_below(48));
+    let key = event_key(node, KEY_CLASS_NODE, m.counters[node as usize]);
+    m.counters[node as usize] += 1;
+    let at = (sim.now() + after, key);
+    m.pending.insert(at);
+    let (case, model2) = (m.case, Rc::clone(model));
+    let action = move |sim: &Sim| {
+        let first = model2.borrow_mut().pending.pop_first();
+        assert_eq!(first, Some((sim.now(), key)), "case {case}: fired out of (time, key) order");
+        let fanout = model2.borrow_mut().rng.gen_below(4);
+        for _ in 0..fanout {
+            issue(sim, &model2);
+        }
+    };
+    if op == 0 {
+        sim.continue_after_for(after, node, action);
+    } else {
+        let id = sim.schedule_after_for(after, node, action);
+        m.ids.push((id, at));
+    }
+}
+
+/// Continuations, ordinary events and cancellations, issued at random from
+/// inside running events: every event that fires is the `(time, key)`
+/// minimum of a sorted reference of what is pending, so routing an event
+/// through the continuation slot never changes the firing order.
+#[test]
+fn continuations_fire_in_time_and_key_order() {
+    for_cases(64, |case, r| {
+        let model = Rc::new(RefCell::new(OrderModel {
+            case,
+            rng: Prng::seed_from_u64(r.next_u64()),
+            counters: [0; 4],
+            pending: Default::default(),
+            ids: Vec::new(),
+            budget: 64 + r.gen_below(256) as u32,
+        }));
+        let sim = Sim::new(case);
+        for _ in 0..8 {
+            issue(&sim, &model);
+        }
+        sim.run();
+        let m = model.borrow();
+        assert!(m.pending.is_empty(), "case {case}: every pending event fired");
+        assert_eq!(sim.event_queue_depth(), 0, "case {case}");
     });
 }
 
