@@ -21,7 +21,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll};
 
-use oam_model::{AbortReason, MachineConfig, NodeId};
+use oam_model::{AbortReason, MachineConfig, NodeId, NodeTable};
 use oam_net::{BufPool, Network, Packet, PacketKind, PayloadBuf};
 use oam_sim::SeqHasher;
 use oam_threads::{Dispatcher, ExecMode, Flag, Node};
@@ -31,15 +31,16 @@ use crate::handler::{AmToken, HandlerEntry, HandlerId, PacketHandler};
 struct AmInner {
     net: Network,
     cfg: Rc<MachineConfig>,
-    nodes: Vec<Node>,
+    /// The node runtimes this layer serves: the replica's owned nodes.
+    nodes: NodeTable<Node>,
     /// Per-node handler tables. Only the program inserts keys (packets
     /// merely look them up), so a multiplicative hash stands in for SipHash.
-    registries: Vec<RefCell<HashMap<u32, HandlerEntry, BuildHasherDefault<SeqHasher>>>>,
+    registries: NodeTable<RefCell<HashMap<u32, HandlerEntry, BuildHasherDefault<SeqHasher>>>>,
     /// Per-node packets that could not be injected from handler context;
     /// flushed ahead of new sends to preserve FIFO order.
-    staging: Vec<RefCell<VecDeque<Packet>>>,
+    staging: NodeTable<RefCell<VecDeque<Packet>>>,
     /// Per-node inline-dispatch nesting depth.
-    depth: Vec<Cell<usize>>,
+    depth: NodeTable<Cell<usize>>,
 }
 
 /// Handle to the Active Message layer. Cheap to clone.
@@ -59,19 +60,21 @@ impl Dispatcher for AmDispatcher {
 }
 
 impl Am {
-    /// Build the AM layer over `net` for the given node runtimes, install
+    /// Build the AM layer over `net` for the given node runtimes (the
+    /// nodes this replica executes; a `Vec` holds nodes `0..len`), install
     /// the dispatcher on each node, and hook network arrivals to the node
     /// schedulers.
-    pub fn new(net: Network, cfg: Rc<MachineConfig>, nodes: Vec<Node>) -> Self {
-        let n = nodes.len();
+    pub fn new(net: Network, cfg: Rc<MachineConfig>, nodes: impl Into<NodeTable<Node>>) -> Self {
+        let nodes = nodes.into();
+        let owned = nodes.owned();
         let am = Am {
             inner: Rc::new(AmInner {
                 net,
                 cfg,
                 nodes,
-                registries: (0..n).map(|_| RefCell::new(HashMap::default())).collect(),
-                staging: (0..n).map(|_| RefCell::new(VecDeque::new())).collect(),
-                depth: (0..n).map(|_| Cell::new(0)).collect(),
+                registries: NodeTable::new(owned.clone(), |_| RefCell::new(HashMap::default())),
+                staging: NodeTable::new(owned.clone(), |_| RefCell::new(VecDeque::new())),
+                depth: NodeTable::new(owned, |_| Cell::new(0)),
             }),
         };
         for node in &am.inner.nodes {
@@ -104,9 +107,14 @@ impl Am {
         &self.inner.net
     }
 
-    /// The node runtimes.
+    /// The node runtimes this layer serves, in id order.
     pub fn nodes(&self) -> &[Node] {
-        &self.inner.nodes
+        self.inner.nodes.as_slice()
+    }
+
+    /// The ids of the nodes this layer serves.
+    pub fn owned(&self) -> std::ops::Range<usize> {
+        self.inner.nodes.owned()
     }
 
     /// Machine configuration.
@@ -129,17 +137,18 @@ impl Am {
         assert!(prev.is_none(), "handler {id:?} registered twice on {node}");
     }
 
-    /// Register the same inline handler on every node (SPMD convenience).
+    /// Register the same inline handler on every node this layer serves
+    /// (SPMD convenience).
     pub fn register_inline_all(&self, id: HandlerId, f: impl Fn(&AmToken) + 'static) {
         let f: Rc<dyn Fn(&AmToken)> = Rc::new(f);
-        for i in 0..self.inner.nodes.len() {
+        for i in self.owned() {
             self.register(NodeId(i), id, HandlerEntry::Inline(Rc::clone(&f)));
         }
     }
 
-    /// Register the same custom handler on every node.
+    /// Register the same custom handler on every node this layer serves.
     pub fn register_custom_all(&self, id: HandlerId, h: Rc<dyn PacketHandler>) {
-        for i in 0..self.inner.nodes.len() {
+        for i in self.owned() {
             self.register(NodeId(i), id, HandlerEntry::Custom(Rc::clone(&h)));
         }
     }

@@ -309,9 +309,9 @@ pub fn run(params: ServiceParams) -> ServiceOutcome {
     let params2 = params.clone();
     let (report, answer) = run_partitioned(cfg, move |machine| {
         let p = Rc::new(params2.clone());
-        for i in 0..p.servers {
-            let st = Rc::new(KvState::new(&machine.nodes()[i], p.servers));
-            Kv::register_all(machine.rpc(), NodeId(i), st, mode);
+        for node in machine.nodes().iter().filter(|n| n.id().index() < p.servers) {
+            let st = Rc::new(KvState::new(node, p.servers));
+            Kv::register_all(machine.rpc(), node.id(), st, mode);
         }
         let sum_reduce = Reducer::new(machine.collectives(), |a: &u64, b: &u64| a.wrapping_add(*b));
         let done_reduce = Reducer::new(machine.collectives(), |a: &u64, b: &u64| a + b);

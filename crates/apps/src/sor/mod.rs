@@ -5,4 +5,4 @@ pub mod grid;
 pub mod run;
 
 pub use grid::{partition, reference_checksum, Slab};
-pub use run::{run, run_configured, sequential, SorParams, SorState};
+pub use run::{app, run, run_configured, sequential, SorParams, SorState};

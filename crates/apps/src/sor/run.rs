@@ -16,8 +16,8 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use oam_am::{AmToken, HandlerId};
-use oam_machine::{run_partitioned, Reducer, ShardApp};
-use oam_model::{Dur, NodeId};
+use oam_machine::{run_partitioned, Machine, Reducer, ShardApp};
+use oam_model::{Dur, NodeId, NodeTable};
 use oam_rpc::define_rpc_service;
 use oam_threads::{CondVar, Flag, Mutex};
 
@@ -140,233 +140,8 @@ pub fn run(system: System, nprocs: usize, p: SorParams) -> AppOutcome {
 /// As [`run`], with a caller-supplied machine configuration (mode,
 /// abort-strategy, and policy ablations).
 pub fn run_configured(system: System, cfg: oam_model::MachineConfig, p: SorParams) -> AppOutcome {
-    let nprocs = cfg.nodes;
-    assert!(nprocs <= p.rows, "at least one row per node");
-    let params = p;
-
-    let (report, answer) = run_partitioned(cfg, move |machine| {
-        let rpc_states: Vec<Rc<SorState>> = (0..nprocs)
-            .map(|i| {
-                let node = &machine.nodes()[i];
-                Rc::new(SorState {
-                    slots: [
-                        [BoundarySlot::new(node), BoundarySlot::new(node)],
-                        [BoundarySlot::new(node), BoundarySlot::new(node)],
-                    ],
-                })
-            })
-            .collect();
-        let am_states: Vec<Rc<AmSor>> = (0..nprocs)
-            .map(|_| Rc::new(AmSor { ghost: Default::default(), flag: Default::default() }))
-            .collect();
-
-        match system {
-            System::HandAm => {
-                for (i, st) in am_states.iter().enumerate() {
-                    let st = Rc::clone(st);
-                    machine.am().register(
-                        NodeId(i),
-                        AM_STORE,
-                        oam_am::HandlerEntry::Inline(Rc::new(move |t: &AmToken| {
-                            let (side, parity, data): (u32, u32, Vec<f64>) =
-                                oam_rpc::from_bytes(t.payload()).expect("boundary decode");
-                            let flag = st.flag[side as usize][parity as usize].borrow().clone();
-                            // The paper's AM version *assumes* readiness; if the
-                            // assumption is wrong "the program dies".
-                            assert!(
-                                !flag.get(),
-                                "AM SOR: boundary buffer occupied at message arrival — the program dies"
-                            );
-                            *st.ghost[side as usize][parity as usize].borrow_mut() = Some(data);
-                            flag.set();
-                        })),
-                    );
-                }
-            }
-            System::Orpc | System::Trpc => {
-                for (i, st) in rpc_states.iter().enumerate() {
-                    Sor::register_all(machine.rpc(), NodeId(i), Rc::clone(st), system.rpc_mode());
-                }
-            }
-        }
-
-        let conv_reduce = Reducer::new(machine.collectives(), |a: &bool, b: &bool| *a && *b);
-        let sum_reduce = Reducer::new(machine.collectives(), |a: &u64, b: &u64| a.wrapping_add(*b));
-        let answer_out = Rc::new(Cell::new(0u64));
-
-        let rpc_states = Rc::new(rpc_states);
-        let am_states = Rc::new(am_states);
-        let out = Rc::clone(&answer_out);
-        let main = move |env: oam_machine::NodeEnv| {
-            let rpc_states = Rc::clone(&rpc_states);
-            let am_states = Rc::clone(&am_states);
-            let (conv_r, sum_r) = (conv_reduce.clone(), sum_reduce.clone());
-            let out = Rc::clone(&out);
-            let fut: std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> =
-                Box::pin(async move {
-                    let me = env.id().index();
-                    let nprocs = env.nprocs();
-                    let copy_cost = env.config().cost.copy_per_byte;
-                    let mut slab = Slab::new(params.rows, params.cols, nprocs, me);
-                    let has_up = me > 0;
-                    let has_down = me + 1 < nprocs;
-
-                    // Prime the AM flags for both parities.
-                    if system == System::HandAm {
-                        for side in 0..2 {
-                            for par in 0..2 {
-                                *am_states[me].flag[side][par].borrow_mut() = Flag::new();
-                            }
-                        }
-                        env.barrier().await; // no messages before everyone is primed
-                    }
-
-                    for it in 0..params.iters {
-                        let parity = (it % 2) as u32;
-
-                        // Send edge rows to neighbours (bulk: 80 doubles = 640 B).
-                        if has_up {
-                            let row = slab.cur[0].clone();
-                            match system {
-                                System::HandAm => {
-                                    let payload = oam_rpc::to_payload(
-                                        &(FROM_BELOW as u32, parity, row),
-                                        env.am().pool(env.id()),
-                                    );
-                                    env.am().send_bulk(
-                                        env.node(),
-                                        NodeId(me - 1),
-                                        AM_STORE,
-                                        payload,
-                                    );
-                                }
-                                _ => {
-                                    Sor::store_boundary::send(
-                                        env.rpc(),
-                                        env.node(),
-                                        NodeId(me - 1),
-                                        FROM_BELOW as u32,
-                                        parity,
-                                        row,
-                                    )
-                                    .await;
-                                }
-                            }
-                        }
-                        if has_down {
-                            let row = slab.cur[slab.height() - 1].clone();
-                            match system {
-                                System::HandAm => {
-                                    let payload = oam_rpc::to_payload(
-                                        &(FROM_ABOVE as u32, parity, row),
-                                        env.am().pool(env.id()),
-                                    );
-                                    env.am().send_bulk(
-                                        env.node(),
-                                        NodeId(me + 1),
-                                        AM_STORE,
-                                        payload,
-                                    );
-                                }
-                                _ => {
-                                    Sor::store_boundary::send(
-                                        env.rpc(),
-                                        env.node(),
-                                        NodeId(me + 1),
-                                        FROM_ABOVE as u32,
-                                        parity,
-                                        row,
-                                    )
-                                    .await;
-                                }
-                            }
-                        }
-
-                        // Interior sweep (overlaps with the boundary transfers).
-                        let mut maxd = 0.0f64;
-                        for l in slab.interior_rows() {
-                            let (points, d) = slab.sweep_row(l);
-                            if points > 0 {
-                                env.charge(POINT_COST.times(points as u64)).await;
-                            }
-                            maxd = maxd.max(d);
-                            env.poll().await;
-                        }
-
-                        // Receive ghosts; the RPC variants pay the buffer→grid copy
-                        // that call-by-value semantics force (§4.2.3).
-                        if has_up {
-                            let ghost = match system {
-                                System::HandAm => {
-                                    let flag = am_states[me].flag[FROM_ABOVE][parity as usize]
-                                        .borrow()
-                                        .clone();
-                                    env.node().spin_on(flag).await;
-                                    *am_states[me].flag[FROM_ABOVE][parity as usize].borrow_mut() =
-                                        Flag::new();
-                                    am_states[me].ghost[FROM_ABOVE][parity as usize]
-                                        .borrow_mut()
-                                        .take()
-                                        .expect("ghost present")
-                                }
-                                _ => {
-                                    let v = rpc_states[me].slots[FROM_ABOVE][parity as usize]
-                                        .take()
-                                        .await;
-                                    env.charge(copy_cost.times((v.len() * 8) as u64)).await;
-                                    v
-                                }
-                            };
-                            slab.above = Some(ghost);
-                        }
-                        if has_down {
-                            let ghost = match system {
-                                System::HandAm => {
-                                    let flag = am_states[me].flag[FROM_BELOW][parity as usize]
-                                        .borrow()
-                                        .clone();
-                                    env.node().spin_on(flag).await;
-                                    *am_states[me].flag[FROM_BELOW][parity as usize].borrow_mut() =
-                                        Flag::new();
-                                    am_states[me].ghost[FROM_BELOW][parity as usize]
-                                        .borrow_mut()
-                                        .take()
-                                        .expect("ghost present")
-                                }
-                                _ => {
-                                    let v = rpc_states[me].slots[FROM_BELOW][parity as usize]
-                                        .take()
-                                        .await;
-                                    env.charge(copy_cost.times((v.len() * 8) as u64)).await;
-                                    v
-                                }
-                            };
-                            slab.below = Some(ghost);
-                        }
-
-                        // Edge sweeps.
-                        for l in slab.edge_rows() {
-                            let (points, d) = slab.sweep_row(l);
-                            if points > 0 {
-                                env.charge(POINT_COST.times(points as u64)).await;
-                            }
-                            maxd = maxd.max(d);
-                        }
-                        slab.advance();
-
-                        // Split-phase convergence test (global AND of "converged").
-                        let _converged = conv_r.reduce(env.node(), maxd < EPS).await;
-                    }
-
-                    let total = sum_r.reduce(env.node(), slab.checksum()).await;
-                    if me == 0 {
-                        out.set(total);
-                    }
-                });
-            fut
-        };
-        ShardApp { main: Box::new(main), finish: Box::new(move |_| answer_out.get()) }
-    });
+    assert!(cfg.nodes <= p.rows, "at least one row per node");
+    let (report, answer) = run_partitioned(cfg, move |machine| app(system, p, machine));
 
     AppOutcome {
         elapsed: report.end_time.since(oam_model::Time::ZERO),
@@ -375,6 +150,215 @@ pub fn run_configured(system: System, cfg: oam_model::MachineConfig, p: SorParam
         events: report.events,
         peak_queue_depth: report.peak_queue_depth,
     }
+}
+
+/// Build the SOR application for one machine replica: state and handlers
+/// for the nodes it executes, the reducers, and the node main. The answer
+/// is the grid checksum, read on the replica that executes node 0.
+pub fn app(system: System, params: SorParams, machine: &Machine) -> ShardApp<u64> {
+    let owned = machine.owned();
+    let rpc_states = NodeTable::new(owned.clone(), |id| {
+        let node = machine.node(id);
+        Rc::new(SorState {
+            slots: [
+                [BoundarySlot::new(node), BoundarySlot::new(node)],
+                [BoundarySlot::new(node), BoundarySlot::new(node)],
+            ],
+        })
+    });
+    let am_states = NodeTable::new(owned.clone(), |_| {
+        Rc::new(AmSor { ghost: Default::default(), flag: Default::default() })
+    });
+
+    match system {
+        System::HandAm => {
+            for (i, st) in owned.zip(&am_states) {
+                let st = Rc::clone(st);
+                machine.am().register(
+                    NodeId(i),
+                    AM_STORE,
+                    oam_am::HandlerEntry::Inline(Rc::new(move |t: &AmToken| {
+                        let (side, parity, data): (u32, u32, Vec<f64>) =
+                            oam_rpc::from_bytes(t.payload()).expect("boundary decode");
+                        let flag = st.flag[side as usize][parity as usize].borrow().clone();
+                        // The paper's AM version *assumes* readiness; if the
+                        // assumption is wrong "the program dies".
+                        assert!(
+                            !flag.get(),
+                            "AM SOR: boundary buffer occupied at message arrival — the program dies"
+                        );
+                        *st.ghost[side as usize][parity as usize].borrow_mut() = Some(data);
+                        flag.set();
+                    })),
+                );
+            }
+        }
+        System::Orpc | System::Trpc => {
+            for (i, st) in owned.zip(&rpc_states) {
+                Sor::register_all(machine.rpc(), NodeId(i), Rc::clone(st), system.rpc_mode());
+            }
+        }
+    }
+
+    let conv_reduce = Reducer::new(machine.collectives(), |a: &bool, b: &bool| *a && *b);
+    let sum_reduce = Reducer::new(machine.collectives(), |a: &u64, b: &u64| a.wrapping_add(*b));
+    let answer_out = Rc::new(Cell::new(0u64));
+
+    let rpc_states = Rc::new(rpc_states);
+    let am_states = Rc::new(am_states);
+    let out = Rc::clone(&answer_out);
+    let main = move |env: oam_machine::NodeEnv| {
+        let rpc_states = Rc::clone(&rpc_states);
+        let am_states = Rc::clone(&am_states);
+        let (conv_r, sum_r) = (conv_reduce.clone(), sum_reduce.clone());
+        let out = Rc::clone(&out);
+        let fut: std::pin::Pin<Box<dyn std::future::Future<Output = ()>>> = Box::pin(async move {
+            let me = env.id().index();
+            let nprocs = env.nprocs();
+            let copy_cost = env.config().cost.copy_per_byte;
+            let mut slab = Slab::new(params.rows, params.cols, nprocs, me);
+            let has_up = me > 0;
+            let has_down = me + 1 < nprocs;
+
+            // Prime the AM flags for both parities.
+            if system == System::HandAm {
+                for side in 0..2 {
+                    for par in 0..2 {
+                        *am_states[me].flag[side][par].borrow_mut() = Flag::new();
+                    }
+                }
+                env.barrier().await; // no messages before everyone is primed
+            }
+
+            for it in 0..params.iters {
+                let parity = (it % 2) as u32;
+
+                // Send edge rows to neighbours (bulk: 80 doubles = 640 B).
+                if has_up {
+                    let row = slab.cur[0].clone();
+                    match system {
+                        System::HandAm => {
+                            let payload = oam_rpc::to_payload(
+                                &(FROM_BELOW as u32, parity, row),
+                                env.am().pool(env.id()),
+                            );
+                            env.am().send_bulk(env.node(), NodeId(me - 1), AM_STORE, payload);
+                        }
+                        _ => {
+                            Sor::store_boundary::send(
+                                env.rpc(),
+                                env.node(),
+                                NodeId(me - 1),
+                                FROM_BELOW as u32,
+                                parity,
+                                row,
+                            )
+                            .await;
+                        }
+                    }
+                }
+                if has_down {
+                    let row = slab.cur[slab.height() - 1].clone();
+                    match system {
+                        System::HandAm => {
+                            let payload = oam_rpc::to_payload(
+                                &(FROM_ABOVE as u32, parity, row),
+                                env.am().pool(env.id()),
+                            );
+                            env.am().send_bulk(env.node(), NodeId(me + 1), AM_STORE, payload);
+                        }
+                        _ => {
+                            Sor::store_boundary::send(
+                                env.rpc(),
+                                env.node(),
+                                NodeId(me + 1),
+                                FROM_ABOVE as u32,
+                                parity,
+                                row,
+                            )
+                            .await;
+                        }
+                    }
+                }
+
+                // Interior sweep (overlaps with the boundary transfers).
+                let mut maxd = 0.0f64;
+                for l in slab.interior_rows() {
+                    let (points, d) = slab.sweep_row(l);
+                    if points > 0 {
+                        env.charge(POINT_COST.times(points as u64)).await;
+                    }
+                    maxd = maxd.max(d);
+                    env.poll().await;
+                }
+
+                // Receive ghosts; the RPC variants pay the buffer→grid copy
+                // that call-by-value semantics force (§4.2.3).
+                if has_up {
+                    let ghost = match system {
+                        System::HandAm => {
+                            let flag =
+                                am_states[me].flag[FROM_ABOVE][parity as usize].borrow().clone();
+                            env.node().spin_on(flag).await;
+                            *am_states[me].flag[FROM_ABOVE][parity as usize].borrow_mut() =
+                                Flag::new();
+                            am_states[me].ghost[FROM_ABOVE][parity as usize]
+                                .borrow_mut()
+                                .take()
+                                .expect("ghost present")
+                        }
+                        _ => {
+                            let v = rpc_states[me].slots[FROM_ABOVE][parity as usize].take().await;
+                            env.charge(copy_cost.times((v.len() * 8) as u64)).await;
+                            v
+                        }
+                    };
+                    slab.above = Some(ghost);
+                }
+                if has_down {
+                    let ghost = match system {
+                        System::HandAm => {
+                            let flag =
+                                am_states[me].flag[FROM_BELOW][parity as usize].borrow().clone();
+                            env.node().spin_on(flag).await;
+                            *am_states[me].flag[FROM_BELOW][parity as usize].borrow_mut() =
+                                Flag::new();
+                            am_states[me].ghost[FROM_BELOW][parity as usize]
+                                .borrow_mut()
+                                .take()
+                                .expect("ghost present")
+                        }
+                        _ => {
+                            let v = rpc_states[me].slots[FROM_BELOW][parity as usize].take().await;
+                            env.charge(copy_cost.times((v.len() * 8) as u64)).await;
+                            v
+                        }
+                    };
+                    slab.below = Some(ghost);
+                }
+
+                // Edge sweeps.
+                for l in slab.edge_rows() {
+                    let (points, d) = slab.sweep_row(l);
+                    if points > 0 {
+                        env.charge(POINT_COST.times(points as u64)).await;
+                    }
+                    maxd = maxd.max(d);
+                }
+                slab.advance();
+
+                // Split-phase convergence test (global AND of "converged").
+                let _converged = conv_r.reduce(env.node(), maxd < EPS).await;
+            }
+
+            let total = sum_r.reduce(env.node(), slab.checksum()).await;
+            if me == 0 {
+                out.set(total);
+            }
+        });
+        fut
+    };
+    ShardApp { main: Box::new(main), finish: Box::new(move |_| answer_out.get()) }
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@ use std::rc::Rc;
 
 use oam_am::{pack_u32_payload, AmToken, HandlerId};
 use oam_machine::{run_partitioned, Reducer, ShardApp};
-use oam_model::{Dur, NodeId};
+use oam_model::{Dur, NodeId, NodeTable};
 use oam_rpc::define_rpc_service;
 use oam_threads::Mutex;
 
@@ -152,7 +152,6 @@ pub fn run_configured(
     poll_every: usize,
 ) -> AppOutcome {
     assert!(poll_every > 0);
-    let nprocs = cfg.nodes;
 
     let (report, answer) = run_partitioned(cfg, move |machine| {
         let board = Rc::new(Board::new(size));
@@ -160,19 +159,16 @@ pub fn run_configured(
         // Per-node state. The AM variant keeps the table in a RefCell:
         // handler atomicity comes from non-preemption, the hand-synthesized
         // critical region of the paper's AM code.
-        let rpc_states: Vec<Rc<TriangleState>> = (0..nprocs)
-            .map(|i| {
-                Rc::new(TriangleState {
-                    core: Mutex::new(&machine.nodes()[i], TriangleCore::new()),
-                })
-            })
-            .collect();
-        let am_states: Vec<Rc<RefCell<TriangleCore>>> =
-            (0..nprocs).map(|_| Rc::new(RefCell::new(TriangleCore::new()))).collect();
+        let owned = machine.owned();
+        let rpc_states = NodeTable::new(owned.clone(), |id| {
+            Rc::new(TriangleState { core: Mutex::new(machine.node(id), TriangleCore::new()) })
+        });
+        let am_states =
+            NodeTable::new(owned.clone(), |_| Rc::new(RefCell::new(TriangleCore::new())));
 
         match system {
             System::HandAm => {
-                for (i, st) in am_states.iter().enumerate() {
+                for (i, st) in owned.zip(&am_states) {
                     let st = Rc::clone(st);
                     machine.am().register(
                         NodeId(i),
@@ -187,7 +183,7 @@ pub fn run_configured(
                 }
             }
             System::Orpc | System::Trpc => {
-                for (i, st) in rpc_states.iter().enumerate() {
+                for (i, st) in owned.zip(&rpc_states) {
                     Triangle::register_all(
                         machine.rpc(),
                         NodeId(i),

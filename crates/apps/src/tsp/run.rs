@@ -22,7 +22,7 @@ use std::rc::Rc;
 
 use oam_am::{AmToken, HandlerId};
 use oam_machine::{run_partitioned, Machine, MachineBuilder, Reducer, ShardApp};
-use oam_model::{Dur, NodeId};
+use oam_model::{Dur, NodeId, NodeTable};
 use oam_rpc::{define_rpc_service, RpcMode};
 use oam_threads::{CondVar, Flag, Mutex};
 
@@ -198,33 +198,29 @@ pub fn run_hooked(
 /// Build the TSP application for one machine (or shard replica): per-node
 /// state, handler registration, reducers, and the node main.
 fn app(system: System, p: TspParams, machine: &Machine, pipelined: bool) -> ShardApp<u64> {
-    let nprocs = machine.config().nodes;
     let cities = Rc::new(Cities::random(p.ncities, p.seed));
     let prefixes = Rc::new(generate_prefixes(p.ncities, p.prefix_len));
 
-    let rpc_states: Vec<Rc<TspState>> = (0..nprocs)
-        .map(|i| {
-            let node = &machine.nodes()[i];
-            Rc::new(TspState {
-                queue: Mutex::new(node, JobQueue { jobs: VecDeque::new(), done: false }),
-                not_empty: CondVar::new(node),
-                best: Cell::new(u32::MAX),
-            })
+    let owned = machine.owned();
+    let rpc_states = NodeTable::new(owned.clone(), |id| {
+        let node = machine.node(id);
+        Rc::new(TspState {
+            queue: Mutex::new(node, JobQueue { jobs: VecDeque::new(), done: false }),
+            not_empty: CondVar::new(node),
+            best: Cell::new(u32::MAX),
         })
-        .collect();
-    let am_states: Vec<Rc<AmTsp>> = (0..nprocs)
-        .map(|_| {
-            Rc::new(AmTsp {
-                jobs: RefCell::new(VecDeque::new()),
-                reply: RefCell::new(None),
-                reply_flag: RefCell::new(Flag::new()),
-            })
+    });
+    let am_states = NodeTable::new(owned.clone(), |_| {
+        Rc::new(AmTsp {
+            jobs: RefCell::new(VecDeque::new()),
+            reply: RefCell::new(None),
+            reply_flag: RefCell::new(Flag::new()),
         })
-        .collect();
+    });
 
     match system {
         System::HandAm => {
-            for (i, st) in am_states.iter().enumerate() {
+            for (i, st) in owned.zip(&am_states) {
                 let master_st = Rc::clone(st);
                 let master_pool = machine.am().pool(NodeId(i)).clone();
                 machine.am().register(
@@ -260,7 +256,7 @@ fn app(system: System, p: TspParams, machine: &Machine, pipelined: bool) -> Shar
             }
         }
         System::Orpc | System::Trpc => {
-            for (i, st) in rpc_states.iter().enumerate() {
+            for (i, st) in owned.zip(&rpc_states) {
                 Tsp::register_all(machine.rpc(), NodeId(i), Rc::clone(st), system.rpc_mode());
             }
         }

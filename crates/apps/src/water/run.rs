@@ -16,7 +16,7 @@ use std::rc::Rc;
 
 use oam_am::{AmToken, HandlerId};
 use oam_machine::{run_partitioned, Reducer, ShardApp};
-use oam_model::{Dur, NodeId, Time};
+use oam_model::{Dur, NodeId, NodeTable, Time};
 use oam_rpc::define_rpc_service;
 use oam_threads::Flag;
 
@@ -198,31 +198,28 @@ pub fn run_configured(
     let params = p;
 
     let (report, (answer, after_first_iter)) = run_partitioned(cfg, move |machine| {
-        let rpc_states: Vec<Rc<WaterState>> = (0..nprocs)
-            .map(|i| {
-                let node = &machine.nodes()[i];
-                Rc::new(WaterState {
-                    pos: (0..nprocs)
-                        .map(|_| [BoundarySlot::new(node), BoundarySlot::new(node)])
-                        .collect(),
-                    upd: (0..nprocs)
-                        .map(|_| [BoundarySlot::new(node), BoundarySlot::new(node)])
-                        .collect(),
-                })
+        let owned = machine.owned();
+        let rpc_states = NodeTable::new(owned.clone(), |id| {
+            let node = machine.node(id);
+            Rc::new(WaterState {
+                pos: (0..nprocs)
+                    .map(|_| [BoundarySlot::new(node), BoundarySlot::new(node)])
+                    .collect(),
+                upd: (0..nprocs)
+                    .map(|_| [BoundarySlot::new(node), BoundarySlot::new(node)])
+                    .collect(),
             })
-            .collect();
-        let am_states: Vec<Rc<AmWater>> = (0..nprocs)
-            .map(|_| {
-                Rc::new(AmWater {
-                    pos: (0..nprocs).map(|_| Default::default()).collect(),
-                    upd: (0..nprocs).map(|_| Default::default()).collect(),
-                })
+        });
+        let am_states = NodeTable::new(owned.clone(), |_| {
+            Rc::new(AmWater {
+                pos: (0..nprocs).map(|_| Default::default()).collect(),
+                upd: (0..nprocs).map(|_| Default::default()).collect(),
             })
-            .collect();
+        });
 
         match variant.system {
             System::HandAm => {
-                for (i, st) in am_states.iter().enumerate() {
+                for (i, st) in owned.zip(&am_states) {
                     for (id, which) in [(AM_POS, 0usize), (AM_UPD, 1usize)] {
                         let st = Rc::clone(st);
                         machine.am().register(
@@ -250,7 +247,7 @@ pub fn run_configured(
                 }
             }
             System::Orpc | System::Trpc => {
-                for (i, st) in rpc_states.iter().enumerate() {
+                for (i, st) in owned.zip(&rpc_states) {
                     Water::register_all(
                         machine.rpc(),
                         NodeId(i),

@@ -78,6 +78,7 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::future::Future;
+use std::ops::Range;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
@@ -85,7 +86,7 @@ use std::task::{Context, Poll, Waker};
 use oam_am::{Am, PacketHandler};
 use oam_model::{
     AbortReason, AbortStrategy, AdaptivePolicy, AdmissionConfig, CallMode, Dur, ExecPolicy,
-    MachineConfig, NodeId, TraceKind,
+    MachineConfig, NodeId, NodeTable, TraceKind,
 };
 use oam_net::{Packet, PayloadBuf};
 use oam_threads::{ExecMode, Node, Placement, ThreadId};
@@ -273,12 +274,12 @@ struct EngineInner {
     cfg: Rc<MachineConfig>,
     /// Per-server-node duplicate suppression; only consulted when faults or
     /// retransmission make duplicates possible.
-    dedup: Vec<RefCell<HashMap<(NodeId, u32), CallFrame>>>,
+    dedup: NodeTable<RefCell<HashMap<(NodeId, u32), CallFrame>>>,
     /// Per-server-node registry of in-flight *cancellable* calls (methods
     /// registered with [`MethodSite::with_cancellation`] — streaming
     /// sessions). Plain single-shot methods never touch it, keeping the
     /// legacy hot path allocation-free.
-    inflight: Vec<RefCell<HashMap<(NodeId, u32), InflightCall>>>,
+    inflight: NodeTable<RefCell<HashMap<(NodeId, u32), InflightCall>>>,
     /// Duplicate suppression enabled (retransmission on, or a fault plan
     /// that can duplicate/redeliver packets).
     dedup_on: bool,
@@ -292,7 +293,7 @@ struct EngineInner {
     /// promoted, rerun, or queued as threads). Only maintained when
     /// `admission` is set; empty otherwise so existing workloads pay
     /// nothing.
-    pending: Vec<Rc<Cell<usize>>>,
+    pending: NodeTable<Rc<Cell<usize>>>,
     shed_nack: RefCell<Option<ShedNackSender>>,
 }
 
@@ -306,20 +307,18 @@ pub struct CallEngine {
 }
 
 impl CallEngine {
-    /// Build the engine for a machine of `nodes` processors.
-    pub fn new(cfg: Rc<MachineConfig>, nodes: usize) -> Self {
+    /// Build the engine serving the server nodes `owned` (the nodes this
+    /// machine replica executes).
+    pub fn new(cfg: Rc<MachineConfig>, owned: Range<usize>) -> Self {
         let dedup_on = cfg.reliability.retransmit || cfg.fault_plan.is_some();
         let admission = cfg.admission;
-        let pending = if admission.is_some() {
-            (0..nodes).map(|_| Rc::new(Cell::new(0))).collect()
-        } else {
-            Vec::new()
-        };
+        let counted = if admission.is_some() { owned.clone() } else { owned.start..owned.start };
+        let pending = NodeTable::new(counted, |_| Rc::new(Cell::new(0)));
         CallEngine {
             inner: Rc::new(EngineInner {
                 cfg,
-                dedup: (0..nodes).map(|_| RefCell::new(HashMap::new())).collect(),
-                inflight: (0..nodes).map(|_| RefCell::new(HashMap::new())).collect(),
+                dedup: NodeTable::new(owned.clone(), |_| RefCell::new(HashMap::new())),
+                inflight: NodeTable::new(owned, |_| RefCell::new(HashMap::new())),
                 dedup_on,
                 names: RefCell::new(BTreeMap::new()),
                 resend_reply: RefCell::new(None),
@@ -363,7 +362,7 @@ impl CallEngine {
     /// Engine-admitted calls currently in flight on `node` (0 when
     /// admission control is off — the counter is only maintained under it).
     pub fn pending_calls(&self, node: usize) -> usize {
-        self.inner.pending.get(node).map_or(0, |p| p.get())
+        self.inner.admission.map_or(0, |_| self.inner.pending[node].get())
     }
 
     /// Whether the dedup table already tracks `(caller, call_id)` on
@@ -1116,7 +1115,7 @@ mod tests {
         let nodes: Vec<Node> = (0..nprocs)
             .map(|i| Node::new(&sim, NodeId(i), nprocs, Rc::clone(&cfg), Rc::clone(&stats[i])))
             .collect();
-        let engine = CallEngine::new(Rc::clone(&cfg), nprocs);
+        let engine = CallEngine::new(Rc::clone(&cfg), 0..nprocs);
         let am = Am::new(net, cfg, nodes);
         (sim, am, engine, stats)
     }

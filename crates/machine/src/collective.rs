@@ -26,9 +26,10 @@ use oam_threads::{Flag, Node};
 // Every shard builds a *replica* of each reducer (setup code runs
 // identically on every shard, so replicas are created in the same order
 // and get the same ids); a one-shard machine is the case with a single
-// replica. A node's contribution is recorded in its shard's replica and,
-// when other shards exist, broadcast to them at the next epoch barrier;
-// once a replica has all `n` contributions it schedules the publish event
+// replica. A replica holds the shard's own nodes, to kick at publish, and
+// one contribution slot per machine node. A node's contribution is
+// recorded in its shard's replica and, when other shards exist, broadcast
+// to them at the next epoch barrier; once a replica has all `n` contributions it schedules the publish event
 // at `max(contribution time) + latency` under a collective-class key, so
 // every shard fires the publish at the same virtual time with the same
 // ordering key. The collective latency must be at least the coordinator's
@@ -59,12 +60,12 @@ pub(crate) trait ReduceSink {
 }
 
 /// Per-shard collective context: the outbox of contributions awaiting the
-/// next epoch barrier, the replica registry, and which nodes this shard
-/// owns (only they are kicked at publish).
+/// next epoch barrier, the replica registry, and the machine's node count
+/// (every node contributes to every round).
 pub struct ShardCollectives {
     pub(crate) outbox: RefCell<Vec<ReduceRecord>>,
     pub(crate) sinks: RefCell<Vec<Weak<dyn ReduceSink>>>,
-    pub(crate) owned: std::ops::Range<usize>,
+    pub(crate) nodes: usize,
     pub(crate) lookahead: Dur,
     /// Whether other shards exist to broadcast contributions to.
     peers: bool,
@@ -77,7 +78,7 @@ impl ShardCollectives {
             outbox: RefCell::new(Vec::new()),
             sinks: RefCell::new(Vec::new()),
             peers: owned.len() < nodes,
-            owned,
+            nodes,
             lookahead,
         }
     }
@@ -130,6 +131,7 @@ impl<T> Round<T> {
 
 struct ReduceInner<T> {
     sim: Sim,
+    /// The shard's own nodes, kicked at publish.
     nodes: Vec<Node>,
     latency: Dur,
     op: ReduceOp<T>,
@@ -145,7 +147,7 @@ struct ReduceInner<T> {
 
 impl<T> ReduceInner<T> {
     fn round_handle(&self, round_no: u64) -> Rc<Round<T>> {
-        let n = self.nodes.len();
+        let n = self.ctx.nodes;
         Rc::clone(self.rounds.borrow_mut().entry(round_no).or_insert_with(|| Round::new(n)))
     }
 }
@@ -229,7 +231,7 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
     /// (from [`Reducer::reduce`]) and for remote ones delivered by the
     /// shard worker between the epoch barriers.
     fn integrate_contribution(&self, round_no: u64, node: usize, t: Time, value: T) {
-        let n = self.nodes.len();
+        let n = self.ctx.nodes;
         let round = self.round_handle(round_no);
         {
             let mut vals = round.values.borrow_mut();
@@ -262,7 +264,6 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
         );
         let op = Rc::clone(&self.op);
         let nodes = self.nodes.clone();
-        let owned = self.ctx.owned.clone();
         let current = Rc::clone(&self.current_round);
         let rounds = Rc::clone(&self.rounds);
         let done = round;
@@ -285,8 +286,8 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
             *done.result.borrow_mut() = Some(acc);
             done.flag.set();
             current.set(round_no + 1);
-            for i in owned.clone() {
-                nodes[i].kick();
+            for node in &nodes {
+                node.kick();
             }
         });
     }
@@ -308,6 +309,7 @@ impl<T: Clone + Send + Sync + 'static> ReduceSink for ReduceInner<T> {
 #[derive(Clone)]
 pub struct Collectives {
     sim: Sim,
+    /// The shard's own nodes.
     nodes: Vec<Node>,
     reduction_latency: Dur,
     barrier: Reducer<()>,
@@ -315,8 +317,9 @@ pub struct Collectives {
 }
 
 impl Collectives {
-    /// Build the collectives of one shard replica: reducers are replicas
-    /// coordinated through `ctx` (see the module notes).
+    /// Build the collectives of one shard replica over its own `nodes`:
+    /// reducers are replicas coordinated through `ctx` (see the module
+    /// notes).
     pub fn new(
         sim: &Sim,
         nodes: Vec<Node>,
@@ -340,9 +343,9 @@ impl Collectives {
         self.barrier.reduce(node, ()).await;
     }
 
-    /// Number of participating nodes.
+    /// Number of participating nodes: every node of the machine.
     pub fn nprocs(&self) -> usize {
-        self.nodes.len()
+        self.shard.nodes
     }
 }
 

@@ -2,12 +2,13 @@
 
 use std::cell::RefCell;
 use std::future::Future;
+use std::ops::Range;
 use std::rc::Rc;
 
 use oam_am::Am;
 use oam_model::{
     AbortStrategy, CostModel, Dur, ExecPolicy, MachineConfig, MachineStats, NodeId, NodeStats,
-    QueuePolicy, Time,
+    NodeTable, QueuePolicy, Time,
 };
 use oam_net::{EpochPort, NetConfig, Network};
 use oam_rpc::Rpc;
@@ -109,26 +110,26 @@ impl MachineBuilder {
     /// RPC runtime, and collectives — one shard owning every node, driven
     /// by [`Machine::run`].
     pub fn build(self) -> Machine {
-        let owners = vec![0; self.cfg.nodes];
-        self.build_shard(&owners, 0)
+        let nodes = self.cfg.nodes;
+        self.build_shard(0..nodes)
     }
 
-    /// Build one shard of a partitioned machine. `owners[i]` is the shard
-    /// owning node `i`; this machine drives the nodes owned by `shard`
-    /// while the rest are built identically but stay inert (they receive
-    /// no spawns and no deliveries). Used by [`crate::run_partitioned`].
-    pub(crate) fn build_shard(self, owners: &[usize], shard: usize) -> Machine {
+    /// Build one shard of a partitioned machine: the nodes `owned` and
+    /// nothing else. Every per-node table — stats, node runtimes, fabric
+    /// state, buffer pools, handler and call tables — covers `owned` only;
+    /// the other nodes exist on other shards and are reached through the
+    /// epoch exchange. Used by [`crate::run_partitioned`].
+    pub(crate) fn build_shard(self, owned: Range<usize>) -> Machine {
         let sim = Sim::new(self.cfg.seed);
-        self.assemble(sim, owners.to_vec(), shard, Rc::new(EpochPort::new()))
+        self.assemble(sim, owned, Rc::new(EpochPort::new()))
     }
 
     /// Build the single-node replica a native (host-threads) run drives on
-    /// one OS thread: a wall-clock simulator sharing `clock` with every
-    /// other replica, a fabric whose cross-node records leave through
-    /// `port` immediately, and collectives owning exactly `node`. The
-    /// ownership map is the identity (replica *i* executes node *i*), so
-    /// this is a partition into nodes-many shards, in real time. Used by
-    /// [`crate::native_run`].
+    /// one OS thread: node `node` alone, on a wall-clock simulator sharing
+    /// `clock` with every other replica, with a fabric whose cross-node
+    /// records leave through `port` immediately. Replica *i* executes node
+    /// *i*, so this is a partition into nodes-many shards, in real time.
+    /// Used by [`crate::native_run`].
     pub fn build_native(
         self,
         node: usize,
@@ -138,42 +139,23 @@ impl MachineBuilder {
         assert!(self.cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
         assert!(node < self.cfg.nodes, "node index out of range");
         let sim = Sim::new_native(self.cfg.seed, clock);
-        let owners = (0..self.cfg.nodes).collect();
-        self.assemble(sim, owners, node, port)
+        self.assemble(sim, node..node + 1, port)
     }
 
-    /// Wire every layer of the replica that executes the nodes `owners`
-    /// assigns to `shard`, on `sim`, with `port` carrying fabric records
-    /// to the other replicas.
-    fn assemble(
-        self,
-        sim: Sim,
-        owners: Vec<usize>,
-        shard: usize,
-        port: Rc<dyn oam_net::FabricPort>,
-    ) -> Machine {
+    /// Wire every layer of the replica that executes the nodes `owned`, on
+    /// `sim`, with `port` carrying fabric records to the other replicas.
+    fn assemble(self, sim: Sim, owned: Range<usize>, port: Rc<dyn oam_net::FabricPort>) -> Machine {
         self.cfg.validate().expect("invalid machine configuration");
-        assert_eq!(owners.len(), self.cfg.nodes, "owner table must cover every node");
-        let first = owners.iter().position(|&s| s == shard).expect("shard owns at least one node");
-        let last = owners.iter().rposition(|&s| s == shard).expect("shard owns at least one node");
-        debug_assert!(
-            owners[first..=last].iter().all(|&s| s == shard),
-            "shard ownership must be a contiguous node range"
+        assert!(
+            !owned.is_empty() && owned.end <= self.cfg.nodes,
+            "a replica owns a non-empty range of the machine's nodes"
         );
         let cfg = Rc::new(self.cfg);
-        let stats: Vec<Rc<RefCell<NodeStats>>> =
-            (0..cfg.nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new_backend(
-            &sim,
-            NetConfig::from_machine(&cfg),
-            stats.clone(),
-            owners,
-            shard,
-            port,
-        );
-        let nodes: Vec<Node> = (0..cfg.nodes)
-            .map(|i| Node::new(&sim, NodeId(i), cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[i])))
-            .collect();
+        let stats = NodeTable::new(owned.clone(), |_| Rc::new(RefCell::new(NodeStats::new())));
+        let net = Network::new_backend(&sim, NetConfig::from_machine(&cfg), stats.clone(), port);
+        let nodes = NodeTable::new(owned.clone(), |id| {
+            Node::new(&sim, id, cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[id.index()]))
+        });
         let am = Am::new(net.clone(), Rc::clone(&cfg), nodes.clone());
         if cfg.fault_plan.is_some() {
             // Route fabric fault events (drops, dups, delays) to the sending
@@ -183,10 +165,10 @@ impl MachineBuilder {
         }
         let rpc = Rpc::new(am.clone());
         let lookahead = crate::shard_run::conservative_lookahead(&cfg);
-        let ctx = Rc::new(ShardCollectives::new(first..last + 1, cfg.nodes, lookahead));
+        let ctx = Rc::new(ShardCollectives::new(owned, cfg.nodes, lookahead));
         let coll = Collectives::new(
             &sim,
-            nodes.clone(),
+            nodes.as_slice().to_vec(),
             cfg.cost.barrier_latency,
             cfg.cost.reduction_latency,
             ctx,
@@ -208,12 +190,12 @@ impl MachineBuilder {
 pub struct Machine {
     sim: Sim,
     cfg: Rc<MachineConfig>,
-    stats: Vec<Rc<RefCell<NodeStats>>>,
+    stats: NodeTable<Rc<RefCell<NodeStats>>>,
     net: Network,
     am: Am,
     rpc: Rpc,
     coll: Collectives,
-    nodes: Vec<Node>,
+    nodes: NodeTable<Node>,
 }
 
 impl Drop for Machine {
@@ -265,9 +247,26 @@ impl Machine {
         &self.cfg
     }
 
-    /// The node runtimes.
+    /// The node runtimes this machine executes, in id order: every node
+    /// of a machine from [`MachineBuilder::build`], the shard's own range
+    /// on one shard of a partitioned run, one node on a native replica.
+    /// Each keeps its global [`NodeId`].
     pub fn nodes(&self) -> &[Node] {
-        &self.nodes
+        self.nodes.as_slice()
+    }
+
+    /// The ids of the nodes this machine executes.
+    pub fn owned(&self) -> Range<usize> {
+        self.nodes.owned()
+    }
+
+    /// The runtime of node `id`.
+    ///
+    /// # Panics
+    /// Panics, naming `id`, if this machine does not execute that node.
+    #[track_caller]
+    pub fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id.index()]
     }
 
     /// The RPC runtime.
@@ -291,8 +290,37 @@ impl Machine {
     }
 
     /// The per-node environment handed to node mains.
+    ///
+    /// # Panics
+    /// Panics, naming the node, if this machine does not execute node `i`.
+    #[track_caller]
     pub fn env(&self, i: usize) -> NodeEnv {
-        NodeEnv { node: self.nodes[i].clone(), rpc: self.rpc.clone(), coll: self.coll.clone() }
+        NodeEnv {
+            node: self.node(NodeId(i)).clone(),
+            rpc: self.rpc.clone(),
+            coll: self.coll.clone(),
+        }
+    }
+
+    /// Spawn `main` on every node this machine executes; the flags report
+    /// each main's completion, in node order.
+    fn spawn_mains<F, Fut>(&self, main: &F) -> Vec<Flag>
+    where
+        F: Fn(NodeEnv) -> Fut,
+        Fut: Future<Output = ()> + 'static,
+    {
+        self.owned()
+            .map(|i| {
+                let fut = main(self.env(i));
+                let flag = Flag::new();
+                let f = flag.clone();
+                self.nodes[i].spawn(async move {
+                    fut.await;
+                    f.set();
+                });
+                flag
+            })
+            .collect()
     }
 
     /// Run `main` on every node (SPMD) to completion and harvest
@@ -323,16 +351,7 @@ impl Machine {
         F: Fn(NodeEnv) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        let done: Vec<Flag> = (0..self.cfg.nodes).map(|_| Flag::new()).collect();
-        for (i, flag) in done.iter().enumerate() {
-            let env = self.env(i);
-            let fut = main(env);
-            let flag = flag.clone();
-            self.nodes[i].spawn(async move {
-                fut.await;
-                flag.set();
-            });
-        }
+        let done = self.spawn_mains(&main);
         let end_time = self.sim.run();
         let completed = done.iter().all(Flag::get);
         RunReport {
@@ -361,16 +380,7 @@ impl Machine {
         Fut: Future<Output = ()> + 'static,
     {
         let budget = crate::watchdog::budget_from_env(budget);
-        let done: Vec<Flag> = (0..self.cfg.nodes).map(|_| Flag::new()).collect();
-        for (i, flag) in done.iter().enumerate() {
-            let env = self.env(i);
-            let fut = main(env);
-            let flag = flag.clone();
-            self.nodes[i].spawn(async move {
-                fut.await;
-                flag.set();
-            });
-        }
+        let done = self.spawn_mains(&main);
         let quiesced = self.sim.run_with_deadline(budget);
         let completed = done.iter().all(Flag::get);
         if quiesced && completed {
@@ -403,8 +413,9 @@ impl Machine {
         })
     }
 
-    /// Snapshot all nodes' statistics, labelled with the registered method
-    /// names for the per-method breakdown.
+    /// Snapshot the statistics of the nodes this machine executes (in id
+    /// order), labelled with the registered method names for the
+    /// per-method breakdown.
     ///
     /// Folds each node's trailing idle window (last wake to now) into its
     /// `idle_time` first, so the reported figure is the node's total

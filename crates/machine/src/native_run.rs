@@ -3,8 +3,8 @@
 //! place of virtual time.
 //!
 //! Structurally this is the sharded engine with every barrier removed:
-//! each node gets a full machine replica on its own thread (identity
-//! ownership — node *i*'s replica executes exactly node *i*), but instead
+//! each node gets a one-node machine replica on its own thread (node
+//! *i*'s replica builds and executes exactly node *i*), but instead
 //! of batching cross-node records until an epoch fence, the fabric's
 //! [`ChannelPort`](oam_net::ChannelPort) hands each record to a
 //! sender-side batcher ([`oam_net::BatchTx`]) in front of a bounded
@@ -94,7 +94,7 @@ struct NodeExit<R> {
     diag: NodeDiag,
     outstanding_calls: usize,
     input_queue_depth: usize,
-    method_names: Option<BTreeMap<u32, String>>,
+    method_names: BTreeMap<u32, String>,
     answer: Option<R>,
     /// Delivery counters: this node's deposits/batches as a producer plus
     /// the wake signals it received as a consumer.
@@ -105,8 +105,9 @@ struct NodeExit<R> {
 /// ring-delivered packets, wall-clock pacing. Same contract as
 /// [`crate::run_partitioned`] (which delegates here when
 /// `cfg.effective_backend()` is native): `setup` runs once per node
-/// thread against that thread's replica and must register the same
-/// handlers in the same order everywhere; the answer comes from node 0.
+/// thread against that thread's one-node replica, registers handlers on
+/// that node and creates the same reducers in the same order everywhere;
+/// the answer comes from node 0.
 ///
 /// # Panics
 /// Panics with the [`HangReport`] display if the run does not complete
@@ -223,14 +224,15 @@ pub fn try_run_native<R: Send + 'static>(
     }
 
     // Merge exactly like the sharded engine: per-node stats reassembled by
-    // id, counters summed or maxed, the answer taken from node 0.
+    // id, method names united, counters summed or maxed, the answer taken
+    // from node 0.
     let mut per_node: Vec<Option<NodeStats>> = vec![None; nodes];
     let mut end_time = Time::ZERO;
     let mut events = 0u64;
     let mut peak = 0u64;
     let mut completed = true;
     let mut answer = None;
-    let mut method_names = None;
+    let mut method_names = BTreeMap::new();
     let mut engine = EngineCounters::default();
     for e in exits {
         end_time = end_time.max(e.end_time);
@@ -241,9 +243,7 @@ pub fn try_run_native<R: Send + 'static>(
         if let Some(a) = e.answer {
             answer = Some(a);
         }
-        if let Some(m) = e.method_names {
-            method_names = Some(m);
-        }
+        method_names.extend(e.method_names);
         // No epochs on the native backend: only delivery counters, which
         // sum across node threads.
         engine.deposits += e.engine.deposits;
@@ -253,7 +253,7 @@ pub fn try_run_native<R: Send + 'static>(
     assert!(completed, "native run incomplete without a watchdog timeout");
     let stats =
         MachineStats::new(per_node.into_iter().map(|s| s.expect("one exit per node")).collect())
-            .with_method_names(method_names.unwrap_or_default())
+            .with_method_names(method_names)
             .with_engine(engine);
     let report = RunReport { end_time, stats, completed, events, peak_queue_depth: peak };
     Ok((report, answer.expect("node 0 produces the answer")))
@@ -311,7 +311,7 @@ fn run_node<R>(
         let env = machine.env(node);
         let fut = (app.main)(env);
         let f = done.clone();
-        machine.nodes()[node].spawn(async move {
+        machine.node(NodeId(node)).spawn(async move {
             fut.await;
             f.set();
         });
@@ -375,8 +375,7 @@ fn run_node<R>(
     // (the clock is shared, so per-node end times agree to within shutdown
     // skew).
     let end = machine.sim().now();
-    machine.nodes()[node].finalize_idle(end);
-    let stats = machine.harvest();
+    let stats = machine.harvest().per_node.pop().expect("the replica's one node");
     let mut engine = EngineCounters::default();
     for tx in outbound.borrow().iter().flatten() {
         engine.deposits += tx.deposits;
@@ -389,11 +388,11 @@ fn run_node<R>(
         end_time: end,
         events: machine.sim().events_executed(),
         peak_queue_depth: machine.sim().peak_event_queue_depth(),
-        stats: stats.per_node[node].clone(),
-        diag: machine.nodes()[node].diagnostics(),
+        stats,
+        diag: machine.node(NodeId(node)).diagnostics(),
         outstanding_calls: machine.rpc().outstanding_calls(NodeId(node)),
         input_queue_depth: machine.network().input_depth(NodeId(node)),
-        method_names: (node == 0).then(|| machine.rpc().method_names()),
+        method_names: machine.rpc().method_names(),
         answer: (node == 0).then(|| (app.finish)(&machine)),
         engine,
     }

@@ -65,10 +65,9 @@ pub enum CrossMsg {
 /// the application's answer from the machine after the run goes quiet.
 ///
 /// Produced per shard by the `setup` closure handed to
-/// [`run_partitioned`]; `setup` also performs the side effects that must
-/// happen identically on every shard replica (handler registration,
-/// reducer creation) so event keys and collective ids line up across
-/// shards.
+/// [`run_partitioned`]; `setup` also registers handlers on the replica's
+/// own nodes ([`Machine::nodes`]) and creates the reducers, the same ones
+/// in the same order on every shard so collective ids line up.
 /// A boxed SPMD node main: invoked once per owned node, returning that
 /// node's boxed main future.
 pub type NodeMain = Box<dyn Fn(NodeEnv) -> Pin<Box<dyn Future<Output = ()>>>>;
@@ -97,8 +96,8 @@ struct ShardResult<R> {
     completed: bool,
     /// Stats for the nodes this shard owns, paired with their node ids.
     per_node: Vec<(usize, NodeStats)>,
-    /// Registered RPC method names (shard 0 only; identical everywhere).
-    method_names: Option<std::collections::BTreeMap<u32, String>>,
+    /// RPC method names registered on this shard's nodes.
+    method_names: std::collections::BTreeMap<u32, String>,
     /// Epoch counters; identical on every shard by construction.
     engine: EngineCounters,
     /// The application answer (shard 0 only).
@@ -120,9 +119,10 @@ pub(crate) fn conservative_lookahead(cfg: &MachineConfig) -> Dur {
 /// quiescence. Answers, per-node statistics and event counts are
 /// independent of the shard count.
 ///
-/// `setup` runs once per shard against that shard's machine replica and
-/// must be deterministic: register the same handlers and create the same
-/// reducers in the same order on every shard.
+/// `setup` runs once per shard against that shard's machine replica, which
+/// holds only the shard's own nodes, and must be deterministic: register
+/// handlers on those nodes and create the same reducers in the same order
+/// on every shard.
 ///
 /// # Panics
 /// Panics if any node main fails to complete (distributed deadlock), like
@@ -137,6 +137,7 @@ pub fn run_partitioned<R: Send + 'static>(
     if cfg.effective_backend() == oam_model::Backend::Native {
         return crate::native_run::run_native(cfg, setup);
     }
+    cfg.validate().expect("invalid machine configuration");
     let shards = cfg.effective_shards();
     let nodes = cfg.nodes;
     let lookahead = conservative_lookahead(&cfg);
@@ -174,15 +175,15 @@ pub fn run_partitioned<R: Send + 'static>(
         results
     });
 
-    // Merge: per-node stats reassembled by node id, counters summed or
-    // maxed, the answer taken from shard 0.
+    // Merge: per-node stats reassembled by node id, method names united,
+    // counters summed or maxed, the answer taken from shard 0.
     let mut per_node: Vec<Option<NodeStats>> = vec![None; nodes];
     let mut end_time = Time::ZERO;
     let mut events = 0u64;
     let mut peak = 0u64;
     let mut completed = true;
     let mut answer = None;
-    let mut method_names = None;
+    let mut method_names = std::collections::BTreeMap::new();
     let mut engine: Option<EngineCounters> = None;
     for r in results {
         end_time = end_time.max(r.end_time);
@@ -195,9 +196,7 @@ pub fn run_partitioned<R: Send + 'static>(
         if let Some(a) = r.answer {
             answer = Some(a);
         }
-        if let Some(m) = r.method_names {
-            method_names = Some(m);
-        }
+        method_names.extend(r.method_names);
         // Round counters must agree across shards (asserted inside
         // absorb); delivery counters sum.
         match engine.as_mut() {
@@ -210,7 +209,7 @@ pub fn run_partitioned<R: Send + 'static>(
     let stats = MachineStats::new(
         per_node.into_iter().map(|s| s.expect("every node owned by some shard")).collect(),
     )
-    .with_method_names(method_names.unwrap_or_default())
+    .with_method_names(method_names)
     .with_engine(engine);
     assert!(
         completed,
@@ -259,16 +258,17 @@ fn run_worker<R>(
 
     let mut lanes: Vec<Lane<'_, R>> = my_shards
         .map(|shard| {
-            let machine = MachineBuilder::from_config(cfg.clone()).build_shard(owners, shard);
+            let owned = shard_range(nodes, shards, shard);
+            let machine = MachineBuilder::from_config(cfg.clone()).build_shard(owned.clone());
             let app = setup(&machine);
             let ctx = std::rc::Rc::clone(machine.collectives().shard_ctx());
-            let done: Vec<(usize, Flag)> = shard_range(nodes, shards, shard)
+            let done: Vec<(usize, Flag)> = owned
                 .map(|i| {
                     let flag = Flag::new();
                     let env = machine.env(i);
                     let fut = (app.main)(env);
                     let f = flag.clone();
-                    machine.nodes()[i].spawn(async move {
+                    machine.node(oam_model::NodeId(i)).spawn(async move {
                         fut.await;
                         f.set();
                     });
@@ -390,8 +390,8 @@ fn run_worker<R>(
                 events: lane.machine.sim().events_executed(),
                 peak_queue_depth: lane.machine.sim().peak_event_queue_depth(),
                 completed: lane.done.iter().all(|(_, f)| f.get()),
-                per_node: lane.done.iter().map(|(i, _)| (*i, stats.per_node[*i].clone())).collect(),
-                method_names: (lane.shard == 0).then(|| lane.machine.rpc().method_names()),
+                per_node: lane.machine.owned().zip(stats.per_node).collect(),
+                method_names: lane.machine.rpc().method_names(),
                 engine: lane.port.counters(),
                 answer: (lane.shard == 0)
                     .then(|| (lane.finish.take().expect("finish consumed once"))(&lane.machine)),

@@ -341,7 +341,7 @@ pub struct MachineConfig {
     /// default) defers to the `OAM_SHARDS` environment variable, falling
     /// back to 1. Results are identical for any shard count, fault plans
     /// included; see `MachineConfig::effective_shards` for the resolution
-    /// rules.
+    /// rules. An explicit count may not exceed `nodes`.
     pub shards: Option<usize>,
     /// Execution backend: the discrete-event simulator (virtual time,
     /// bit-deterministic) or the native host-threads runtime (one OS
@@ -616,7 +616,11 @@ impl MachineConfig {
     ///
     /// 1. explicit [`MachineConfig::shards`] if set, else the `OAM_SHARDS`
     ///    environment variable, else 1;
-    /// 2. clamped to `[1, nodes]`.
+    /// 2. clamped to `[1, nodes]`: a shard builds only the nodes it owns,
+    ///    so a shard without one cannot exist. [`MachineConfig::validate`]
+    ///    rejects an explicit count above the node count; the environment
+    ///    value is clamped, so one `OAM_SHARDS` setting serves machines of
+    ///    every size.
     pub fn effective_shards(&self) -> usize {
         let requested = self.shards.unwrap_or_else(|| {
             std::env::var("OAM_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
@@ -650,8 +654,15 @@ impl MachineConfig {
         for (id, p) in &self.policies {
             p.validate().map_err(|e| format!("policy for handler {id:#010x}: {e}"))?;
         }
-        if self.shards == Some(0) {
-            return Err("shard count must be at least 1".into());
+        match self.shards {
+            Some(0) => return Err("shard count must be at least 1".into()),
+            Some(s) if s > self.nodes => {
+                return Err(format!(
+                    "{s} shards for {} nodes: every shard must own at least one node",
+                    self.nodes
+                ))
+            }
+            _ => {}
         }
         if self.tuning.batch == Some(0) {
             return Err("delivery batch size must be at least 1".into());
@@ -693,6 +704,29 @@ mod tests {
         c.ni_in_capacity = 1;
         c.fabric_capacity = 0;
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn explicit_shards_above_the_node_count_are_rejected() {
+        assert!(MachineConfig::cm5(4).with_shards(4).validate().is_ok());
+        let err = MachineConfig::cm5(2).with_shards(4).validate().expect_err("4 shards, 2 nodes");
+        assert!(err.contains('4') && err.contains('2'), "names both numbers: {err}");
+        assert_eq!(err, "4 shards for 2 nodes: every shard must own at least one node");
+        assert!(MachineConfig::cm5(2).with_shards(0).validate().is_err());
+    }
+
+    #[test]
+    fn environment_shards_above_the_node_count_are_clamped() {
+        // The only test in this binary that reads or writes OAM_SHARDS.
+        let before = std::env::var("OAM_SHARDS").ok();
+        std::env::set_var("OAM_SHARDS", "4");
+        let c = MachineConfig::cm5(2);
+        let got = (c.validate(), c.effective_shards(), MachineConfig::cm5(8).effective_shards());
+        match before {
+            Some(v) => std::env::set_var("OAM_SHARDS", v),
+            None => std::env::remove_var("OAM_SHARDS"),
+        }
+        assert_eq!(got, (Ok(()), 2, 4));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub use config::{
 pub use cost::CostModel;
 pub use fault::{FaultPlan, LinkDegradation, NodeStall};
 pub use host::host_cores;
-pub use ids::NodeId;
+pub use ids::{NodeId, NodeTable};
 pub use stats::{
     AbortReason, EngineCounters, LatencyHistogram, MachineStats, MethodStats, NodeStats,
 };

@@ -27,7 +27,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use oam_model::{Dur, FaultPlan, MachineConfig, NodeId, NodeStats, Time, TraceKind};
+use oam_model::{Dur, FaultPlan, MachineConfig, NodeId, NodeStats, NodeTable, Time, TraceKind};
 use oam_sim::{Prng, Sim};
 
 use crate::backend::{EpochPort, FabricPort};
@@ -267,13 +267,11 @@ fn draw_faults(
 
 struct NetInner {
     cfg: NetConfig,
-    nodes: Vec<NodeNet>,
-    stats: Vec<Rc<RefCell<NodeStats>>>,
+    /// Fabric state of the nodes this instance executes; its range is the
+    /// ownership test for every destination.
+    nodes: NodeTable<NodeNet>,
+    stats: NodeTable<Rc<RefCell<NodeStats>>>,
     fault_hook: Option<FaultHook>,
-    /// Owning shard of every node, indexed by node id.
-    owners: Vec<usize>,
-    /// The shard this instance executes.
-    shard: usize,
     /// Outbound edge for records bound for nodes of other shards: an epoch
     /// outbox (sim backend) or an immediate channel route (native backend).
     port: Rc<dyn FabricPort>,
@@ -284,54 +282,44 @@ struct NetInner {
 pub struct Network {
     sim: Sim,
     inner: Rc<RefCell<NetInner>>,
-    /// One payload-buffer pool per node, for marshaling sends without
-    /// fresh heap allocations (see [`BufPool`]). Kept outside the
+    /// One payload-buffer pool per owned node, for marshaling sends
+    /// without fresh heap allocations (see [`BufPool`]). Kept outside the
     /// `RefCell` so leases never contend with fabric state borrows.
-    pools: Rc<[BufPool]>,
+    pools: Rc<NodeTable<BufPool>>,
 }
 
 impl Network {
     /// Build a network that executes every node. `stats` must hold one
     /// counter block per node.
     pub fn new(sim: &Sim, cfg: NetConfig, stats: Vec<Rc<RefCell<NodeStats>>>) -> Self {
-        let owners = vec![0; cfg.nodes];
-        Network::new_backend(sim, cfg, stats, owners, 0, Rc::new(EpochPort::new()))
+        assert_eq!(stats.len(), cfg.nodes, "one NodeStats per node required");
+        Network::new_backend(sim, cfg, stats.into(), Rc::new(EpochPort::new()))
     }
 
-    /// Build the fabric instance of one partition: `owners` maps every node
-    /// id to its owning shard, this instance executes the nodes owned by
-    /// `shard`, and `port` decides what happens to records bound for the
-    /// others — an [`EpochPort`] batches them until the barrier (sim
-    /// backend), a [`crate::backend::ChannelPort`] routes them immediately
-    /// (native backend).
+    /// Build the fabric instance of one partition: it executes the nodes
+    /// `stats` covers and holds state for no other node, and `port` decides
+    /// what happens to records bound for the others — an [`EpochPort`]
+    /// batches them until the barrier (sim backend), a
+    /// [`crate::backend::ChannelPort`] routes them immediately (native
+    /// backend).
     pub fn new_backend(
         sim: &Sim,
         cfg: NetConfig,
-        stats: Vec<Rc<RefCell<NodeStats>>>,
-        owners: Vec<usize>,
-        shard: usize,
+        stats: NodeTable<Rc<RefCell<NodeStats>>>,
         port: Rc<dyn FabricPort>,
     ) -> Self {
-        assert_eq!(stats.len(), cfg.nodes, "one NodeStats per node required");
-        assert_eq!(owners.len(), cfg.nodes, "one owner per node required");
-        let nodes = (0..cfg.nodes).map(|_| NodeNet::new()).collect();
+        let owned = stats.owned();
+        assert!(owned.end <= cfg.nodes, "owned nodes lie inside the machine");
+        let nodes = NodeTable::new(owned.clone(), |_| NodeNet::new());
         let stall_ends: Vec<(NodeId, Time)> = cfg
             .fault_plan
             .as_ref()
             .map(|p| p.stalls.iter().map(|s| (s.node, s.until)).collect())
             .unwrap_or_default();
-        let pools: Rc<[BufPool]> = (0..cfg.nodes).map(|_| BufPool::new()).collect();
+        let pools = Rc::new(NodeTable::new(owned, |_| BufPool::new()));
         let net = Network {
             sim: sim.clone(),
-            inner: Rc::new(RefCell::new(NetInner {
-                cfg,
-                nodes,
-                stats,
-                fault_hook: None,
-                owners,
-                shard,
-                port,
-            })),
+            inner: Rc::new(RefCell::new(NetInner { cfg, nodes, stats, fault_hook: None, port })),
             pools,
         };
         // A stalled node may have gone idle with packets already waiting in
@@ -646,7 +634,7 @@ impl Network {
             _ => 0,
         };
         let ready = now + inner.cfg.wire_latency + extra;
-        let local = inner.owners[dst] == inner.shard;
+        let local = inner.nodes.owned().contains(&dst);
         let hook = if faults.is_empty() { None } else { inner.fault_hook.clone() };
         drop(inner);
         if let Some(hook) = hook {
@@ -707,10 +695,10 @@ impl Network {
         port.send(rec);
     }
 
-    /// Does this fabric instance execute `node`?
+    /// Does this fabric instance execute `node`? The pools cover exactly
+    /// the owned nodes and, outside the `RefCell`, need no borrow.
     fn owns(&self, node: usize) -> bool {
-        let inner = self.inner.borrow();
-        inner.owners[node] == inner.shard
+        self.pools.owned().contains(&node)
     }
 
     /// The earliest staged arrival reaches `dst` now.

@@ -20,7 +20,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use oam_model::{Dur, NodeId};
+use oam_model::{Dur, NodeId, NodeTable};
 use oam_rpc::{define_rpc_service, from_bytes, to_bytes, RawTail, Rpc, RpcMode, Wire};
 use oam_threads::Node;
 
@@ -93,8 +93,8 @@ struct ObjEntry {
 
 struct ObjectsInner {
     rpc: Rpc,
-    /// Per node: object table.
-    tables: Vec<RefCell<HashMap<u32, ObjEntry>>>,
+    /// Per node this replica executes: object table.
+    tables: NodeTable<RefCell<HashMap<u32, ObjEntry>>>,
 }
 
 /// The shared-object layer. Create once per machine, then [`Objects::create`]
@@ -109,11 +109,10 @@ impl Objects {
     /// every node in the given stub mode (ORPC = method calls run as
     /// Optimistic Active Messages).
     pub fn new(rpc: &Rpc, mode: RpcMode) -> Self {
-        let n = rpc.nodes().len();
         let objects = Objects {
             inner: Rc::new(ObjectsInner {
                 rpc: rpc.clone(),
-                tables: (0..n).map(|_| RefCell::new(HashMap::new())).collect(),
+                tables: NodeTable::new(rpc.am().owned(), |_| RefCell::new(HashMap::new())),
             }),
         };
         // The layer's transport is an ordinary generated service: the
@@ -136,7 +135,7 @@ impl Objects {
         init: impl Fn() -> S,
     ) {
         let class = Rc::new(class.erase());
-        for (i, table) in self.inner.tables.iter().enumerate() {
+        for (i, table) in self.inner.tables.owned().zip(&self.inner.tables) {
             let holds_state = match placement {
                 Placement::Single { owner } => owner.index() == i,
                 Placement::Replicated { .. } => true,
@@ -211,7 +210,7 @@ impl Objects {
             // Sequenced write-update: per-source FIFO from the single
             // manager gives every replica the same order. Routed through
             // the RPC transport so large arguments use bulk transfers.
-            for other in 0..self.inner.tables.len() {
+            for other in 0..node.nprocs() {
                 if other != me {
                     ObjectsSvc::update::send(
                         &self.inner.rpc,

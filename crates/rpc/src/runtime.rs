@@ -40,7 +40,9 @@ use oam_core::{
     pack_deadline_word, peek_call_id, CallEngine, CallFactory, NackSender, OamCall, Priority,
     NO_DEADLINE,
 };
-use oam_model::{AbortStrategy, Dur, ExecPolicy, MachineConfig, NodeId, Time, TraceKind};
+use oam_model::{
+    AbortStrategy, Dur, ExecPolicy, MachineConfig, NodeId, NodeTable, Time, TraceKind,
+};
 use oam_net::{Packet, PayloadBuf, PayloadView};
 use oam_sim::{EventId, Sim};
 use oam_threads::{Flag, Node};
@@ -256,10 +258,10 @@ struct SessionState {
 struct RpcInner {
     am: Am,
     cfg: Rc<MachineConfig>,
-    tables: Vec<RefCell<CallTable>>,
+    tables: NodeTable<RefCell<CallTable>>,
     /// Per-node open streaming sessions, keyed by the open call's id (the
     /// session id chunks are addressed to).
-    sessions: Vec<RefCell<HashMap<u32, Rc<SessionState>>>>,
+    sessions: NodeTable<RefCell<HashMap<u32, Rc<SessionState>>>>,
     /// The call engine owning server-side dispatch: mode selection,
     /// optimistic attempts, abort resolution, duplicate suppression, and
     /// the method-name registry.
@@ -276,12 +278,12 @@ pub struct Rpc {
 
 impl Rpc {
     /// Build the runtime over an AM layer; installs the reserved reply and
-    /// NACK handlers on every node.
+    /// NACK handlers on every node the layer serves.
     pub fn new(am: Am) -> Self {
         let cfg = Rc::clone(am.config());
-        let n = am.nodes().len();
+        let owned = am.owned();
         let reliable = cfg.reliability.retransmit;
-        let engine = CallEngine::new(Rc::clone(&cfg), n);
+        let engine = CallEngine::new(Rc::clone(&cfg), owned.clone());
         // The engine answers suppressed duplicates of completed calls with
         // the frame's cached reply; a frame that somehow completed without
         // one (acks cache too, so this should not happen) gets an empty
@@ -314,8 +316,8 @@ impl Rpc {
             inner: Rc::new(RpcInner {
                 am,
                 cfg,
-                tables: (0..n).map(|_| RefCell::new(CallTable::default())).collect(),
-                sessions: (0..n).map(|_| RefCell::new(HashMap::new())).collect(),
+                tables: NodeTable::new(owned.clone(), |_| RefCell::new(CallTable::default())),
+                sessions: NodeTable::new(owned.clone(), |_| RefCell::new(HashMap::new())),
                 engine,
                 reliable,
             }),
@@ -388,7 +390,7 @@ impl Rpc {
             // non-cancellable method) is the expected race, not an error.
             engine.cancel_call(t.node(), t.src(), call_id);
         });
-        for i in 0..n {
+        for i in owned {
             rpc.register_chunk_method(NodeId(i));
         }
         rpc

@@ -216,18 +216,17 @@ fn native_am_storm(rounds: u32, batch: u32) -> (u64, EngineCounters) {
     let cfg = on(Backend::Native, 2)
         .with_tuning(ShardTuning { batch: Some(batch), ..ShardTuning::default() });
     let (report, answer) = run_partitioned(cfg, move |machine| {
-        let states: Vec<Rc<StormState>> = machine
-            .nodes()
-            .iter()
-            .map(|node| {
-                Rc::new(StormState {
-                    count: Mutex::new(node, 0),
-                    done: CondVar::new(node),
-                    target: rounds as u64,
-                })
+        // Each native replica builds only its own node: state and handlers
+        // go on that node, under its global id.
+        let states = NodeTable::new(machine.owned(), |id| {
+            let node = machine.node(id);
+            Rc::new(StormState {
+                count: Mutex::new(node, 0),
+                done: CondVar::new(node),
+                target: rounds as u64,
             })
-            .collect();
-        for (i, st) in states.iter().enumerate() {
+        });
+        for (i, st) in machine.owned().zip(&states) {
             Storm::register_all(machine.rpc(), NodeId(i), Rc::clone(st), RpcMode::Orpc);
         }
         let sum = Reducer::new(machine.collectives(), |a: &u64, b: &u64| a.wrapping_add(*b));
@@ -236,7 +235,7 @@ fn native_am_storm(rounds: u32, batch: u32) -> (u64, EngineCounters) {
         ShardApp {
             main: Box::new(move |env| {
                 let sum = sum.clone();
-                let st = Rc::clone(&states[1]);
+                let st = Rc::clone(&states[env.id().index()]);
                 let t = Rc::clone(&t);
                 Box::pin(async move {
                     let mut mine = 0u64;

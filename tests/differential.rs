@@ -10,9 +10,9 @@ use optimistic_active_messages::apps::water::{WaterParams, WaterVariant};
 use optimistic_active_messages::apps::{sor, triangle, tsp, water, System};
 use optimistic_active_messages::prelude::*;
 
-/// Shard counts exercised by the fence-policy differential: `effective_shards`
-/// clamps to the node count, so these tests run 8-node machines to make the
-/// 8-shard leg meaningful.
+/// Shard counts exercised by the fence-policy differential: an explicit shard
+/// count may not exceed the node count, so these tests run 8-node machines
+/// for the 8-shard leg.
 const FENCE_SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 const SEEDS: [u64; 3] = [1, 0xBEEF, 0x5EED_5EED];

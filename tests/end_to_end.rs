@@ -310,3 +310,97 @@ fn starting_runs_probes_the_host_at_most_once() {
     assert!(host::host_cores() >= 1);
     assert_eq!(host::host_probes(), 1, "the host core count is probed once per process");
 }
+
+/// A partitioned run's shards each build exactly the nodes they own: the
+/// machine a shard's setup sees holds its owned range, in order, under
+/// global ids, and nothing else.
+#[test]
+fn a_shard_builds_only_the_nodes_it_owns() {
+    use optimistic_active_messages::machine::run_partitioned;
+    use optimistic_active_messages::sim::shard_range;
+    use std::sync::Mutex;
+
+    let p = SorParams { rows: 256, cols: 8, iters: 2 };
+    let reference = sor::reference_checksum(p.rows, p.cols, p.iters);
+    let one = sor::run_configured(System::Orpc, MachineConfig::cm5(256).with_shards(1), p);
+    for shards in [2, 4] {
+        // Two epoch workers: the shards are built on two OS threads.
+        let cfg = MachineConfig::cm5(256)
+            .with_shards(shards)
+            .with_tuning(ShardTuning { workers: Some(2), ..Default::default() });
+        let seen = Mutex::new(Vec::new());
+        let (report, answer) = run_partitioned(cfg, |m| {
+            let ids: Vec<usize> = m.nodes().iter().map(|n| n.id().index()).collect();
+            seen.lock().unwrap().push((m.owned(), ids));
+            sor::app(System::Orpc, p, m)
+        });
+        assert_eq!(answer, reference, "shards={shards}");
+        assert_eq!(report.stats.per_node, one.stats.per_node, "shards={shards}: stats by owner");
+        assert_eq!(report.stats.method_names, one.stats.method_names, "shards={shards}");
+        assert_eq!(report.end_time.since(Time::ZERO), one.elapsed, "shards={shards}: end time");
+        let mut seen = seen.into_inner().unwrap();
+        seen.sort_by_key(|(owned, _)| owned.start);
+        assert_eq!(seen.len(), shards, "one machine per shard");
+        for (shard, (owned, ids)) in seen.into_iter().enumerate() {
+            assert_eq!(owned, shard_range(256, shards, shard), "shards={shards}");
+            assert_eq!(ids, owned.collect::<Vec<_>>(), "shards={shards} shard={shard}");
+        }
+    }
+}
+
+/// On a shard, reaching a node another shard owns — its runtime, its
+/// environment, its handler table, its buffer pool, its call table —
+/// panics naming that node.
+#[test]
+fn reaching_a_node_another_shard_owns_panics_naming_it() {
+    use optimistic_active_messages::machine::run_partitioned;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Mutex;
+
+    // One worker: both shards' setups run on this thread.
+    let cfg = MachineConfig::cm5(256)
+        .with_shards(2)
+        .with_tuning(ShardTuning { workers: Some(1), ..Default::default() });
+    let p = SorParams { rows: 256, cols: 8, iters: 1 };
+    let messages = Mutex::new(Vec::new());
+    let (_, answer) = run_partitioned(cfg, |m| {
+        let foreign = if m.owned().contains(&0) { 200 } else { 3 };
+        let inline = || HandlerEntry::Inline(Rc::new(|_: &AmToken| {}));
+        let probes: [&dyn Fn(); 5] = [
+            &|| {
+                let _ = m.node(NodeId(foreign));
+            },
+            &|| {
+                let _ = m.env(foreign);
+            },
+            &|| m.am().register(NodeId(foreign), HandlerId(0xF0E1), inline()),
+            &|| {
+                let _ = m.network().pool(NodeId(foreign));
+            },
+            &|| {
+                let _ = m.rpc().outstanding_calls(NodeId(foreign));
+            },
+        ];
+        for probe in probes {
+            let err = catch_unwind(AssertUnwindSafe(probe)).expect_err("a foreign node panics");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            messages.lock().unwrap().push((foreign, msg));
+        }
+        sor::app(System::Orpc, p, m)
+    });
+    assert_eq!(answer, sor::reference_checksum(p.rows, p.cols, p.iters), "the run still completes");
+    let messages = messages.into_inner().unwrap();
+    assert_eq!(messages.len(), 10, "five probes on each of two shards");
+    for (foreign, msg) in messages {
+        assert!(msg.contains(&format!("n{foreign} is not owned")), "names n{foreign}: {msg:?}");
+    }
+}
+
+/// An explicit shard count above the node count is a configuration error
+/// naming both numbers (a shard with no node cannot be built).
+#[test]
+#[should_panic(expected = "4 shards for 2 nodes")]
+fn more_shards_than_nodes_is_rejected() {
+    use optimistic_active_messages::machine::run_partitioned;
+    run_partitioned(MachineConfig::cm5(2).with_shards(4), |m| cross_shard_ping(m, |_| ()));
+}
