@@ -9,8 +9,8 @@ use oam_machine::{
     ShardApp,
 };
 use oam_model::{
-    AdaptivePolicy, AdmissionConfig, Dur, ExecPolicy, FaultPlan, MachineConfig, NodeId,
-    ReliabilityConfig, Time,
+    AdaptivePolicy, AdmissionConfig, Backend, Dur, EnvOverlay, ExecPolicy, FaultPlan,
+    MachineConfig, NodeId, ReliabilityConfig, Time,
 };
 use oam_rpc::{define_rpc_service, from_bytes, CallError};
 use oam_threads::Mutex;
@@ -172,12 +172,14 @@ pub struct ServiceParams {
     /// Optional fault plan (chaos testing). When set, retransmission is
     /// turned on as well, so every surviving effect stays exactly-once.
     pub fault: Option<FaultPlan>,
-    /// Pin the host-parallel engine's shard count (`0` inherits the
-    /// `OAM_SHARDS` environment, like any other run).
+    /// The host-parallel engine's shard count (`0` keeps the machine
+    /// default, one shard).
     pub shards: usize,
-    /// Pin the execution backend (`None` inherits the `OAM_BACKEND`
-    /// environment, like any other run).
-    pub backend: Option<oam_model::Backend>,
+    /// The execution backend (`None` keeps the machine default, the
+    /// simulator).
+    pub backend: Option<Backend>,
+    /// The delivery batch size (`None` keeps the machine default).
+    pub batch: Option<u32>,
 }
 
 impl Default for ServiceParams {
@@ -195,11 +197,25 @@ impl Default for ServiceParams {
             fault: None,
             shards: 0,
             backend: None,
+            batch: None,
         }
     }
 }
 
 impl ServiceParams {
+    /// These parameters with `env`'s overrides: its shard count (clamped
+    /// to the node count, like [`EnvOverlay::apply`]), backend and batch
+    /// size replace the ones set here.
+    pub fn with_env(self, env: EnvOverlay) -> Self {
+        let nodes = self.servers + self.drivers;
+        ServiceParams {
+            shards: env.shards.map_or(self.shards, |s| s.min(nodes)),
+            backend: env.backend.or(self.backend),
+            batch: env.batch.or(self.batch),
+            ..self
+        }
+    }
+
     fn open_loop(&self) -> OpenLoopConfig {
         OpenLoopConfig {
             arrivals: self.arrivals,
@@ -296,6 +312,7 @@ pub fn run(params: ServiceParams) -> ServiceOutcome {
     if let Some(b) = params.backend {
         cfg = cfg.with_backend(b);
     }
+    cfg.tuning.batch = params.batch;
     if params.variant == ServiceVariant::Adaptive {
         for id in [Kv::get::ID, Kv::put::ID, Kv::scan::ID, Kv::scan_stream::ID] {
             cfg = cfg.with_policy(id.0, ExecPolicy::adaptive(AdaptivePolicy::default()));

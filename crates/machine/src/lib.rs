@@ -20,4 +20,4 @@ pub use machine::{Machine, MachineBuilder, NodeEnv, RunReport};
 pub use native_run::{run_native, try_run_native, NativeMsg};
 pub use openloop::{arrivals_for, pace_until, Arrival, CallClass, OpenLoopConfig, OpenLoopTracker};
 pub use shard_run::{run_partitioned, CrossMsg, ShardApp};
-pub use watchdog::{budget_from_env, HangKind, HangReport, NodeHangInfo};
+pub use watchdog::{HangKind, HangReport, NodeHangInfo};

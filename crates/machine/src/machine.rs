@@ -83,23 +83,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Number of host shards (worker threads) a partitioned run splits the
-    /// simulated nodes across (see [`crate::run_partitioned`]). Overrides
-    /// the `OAM_SHARDS` environment variable.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.cfg = self.cfg.with_shards(shards);
-        self
-    }
-
-    /// Execution backend for a partitioned run (see
-    /// [`crate::run_partitioned`]): the discrete-event simulator or the
-    /// native host-threads runtime. Overrides the `OAM_BACKEND`
-    /// environment variable.
-    pub fn backend(mut self, b: oam_model::Backend) -> Self {
-        self.cfg = self.cfg.with_backend(b);
-        self
-    }
-
     /// Mutate the configuration in place (escape hatch for experiments).
     pub fn tweak(mut self, f: impl FnOnce(&mut MachineConfig)) -> Self {
         f(&mut self.cfg);
@@ -370,16 +353,11 @@ impl Machine {
     /// request with retransmission disabled) or was still live when the
     /// budget ran out, with per-node scheduler snapshots, outstanding-call
     /// counts, and in-flight packets.
-    ///
-    /// The budget can be overridden without code changes through the
-    /// `OAM_WATCHDOG_MS` environment variable (virtual milliseconds); see
-    /// [`crate::watchdog::budget_from_env`].
     pub fn run_with_watchdog<F, Fut>(&self, budget: Time, main: F) -> Result<RunReport, HangReport>
     where
         F: Fn(NodeEnv) -> Fut,
         Fut: Future<Output = ()> + 'static,
     {
-        let budget = crate::watchdog::budget_from_env(budget);
         let done = self.spawn_mains(&main);
         let quiesced = self.sim.run_with_deadline(budget);
         let completed = done.iter().all(Flag::get);

@@ -10,7 +10,7 @@
 //! sender-side batcher ([`oam_net::BatchTx`]) in front of a bounded
 //! lock-free SPSC ring per directed node pair, and every replica's clock
 //! is the shared [`WallClock`]. Deposits coalesce until a flush boundary
-//! — the batch high-water mark (`cfg.effective_batch()`; `OAM_BATCH=1`
+//! — the batch high-water mark (`cfg.effective_batch()`; a batch of 1
 //! is the per-message reference path) or the end of a handler-run pass —
 //! and each flush issues at most one wake signal through the consumer's
 //! [`oam_net::WakeGate`], so a burst of small AMs costs one wake, not N.
@@ -41,7 +41,7 @@ use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oam_model::{EngineCounters, MachineConfig, MachineStats, NodeId, NodeStats, Time};
+use oam_model::{Backend, EngineCounters, MachineConfig, MachineStats, NodeId, NodeStats, Time};
 use oam_net::{spsc, BatchTx, CrossNet, RingRx, RingTx, WakeGate};
 use oam_sim::WallClock;
 use oam_threads::{Flag, NodeDiag};
@@ -49,7 +49,7 @@ use oam_threads::{Flag, NodeDiag};
 use crate::collective::ReduceRecord;
 use crate::machine::{Machine, MachineBuilder, RunReport};
 use crate::shard_run::ShardApp;
-use crate::watchdog::{budget_from_env, HangKind, HangReport, NodeHangInfo};
+use crate::watchdog::{HangKind, HangReport, NodeHangInfo};
 
 /// A record crossing node threads on the native backend.
 pub enum NativeMsg {
@@ -59,9 +59,9 @@ pub enum NativeMsg {
     Reduce(ReduceRecord),
 }
 
-/// Default real-time watchdog budget for a native run. Generous because
-/// wall time covers real modeled compute charges; `OAM_WATCHDOG_MS`
-/// overrides it (interpreted as *real* milliseconds here).
+/// Real-time watchdog budget of [`run_native`]. Generous because wall
+/// time covers real modeled compute charges; [`try_run_native`] takes
+/// any other budget.
 const DEFAULT_BUDGET: Time = Time::from_nanos(30_000_000_000);
 
 /// Events fired per [`oam_sim::Sim::run_wall`] pass before the node loop
@@ -103,21 +103,19 @@ struct NodeExit<R> {
 
 /// Run an application on the native backend: `cfg.nodes` OS threads,
 /// ring-delivered packets, wall-clock pacing. Same contract as
-/// [`crate::run_partitioned`] (which delegates here when
-/// `cfg.effective_backend()` is native): `setup` runs once per node
-/// thread against that thread's one-node replica, registers handlers on
-/// that node and creates the same reducers in the same order everywhere;
-/// the answer comes from node 0.
+/// [`crate::run_partitioned`] (which delegates here when `cfg.backend` is
+/// native): `setup` runs once per node thread against that thread's
+/// one-node replica, registers handlers on that node and creates the same
+/// reducers in the same order everywhere; the answer comes from node 0.
 ///
 /// # Panics
-/// Panics with the [`HangReport`] display if the run does not complete
-/// within the real-time watchdog budget (default 30 s, `OAM_WATCHDOG_MS`
-/// to override).
+/// Panics if `cfg` is invalid, or with the [`HangReport`] display if the
+/// run does not complete within a real-time watchdog budget of 30 s.
 pub fn run_native<R: Send + 'static>(
     cfg: MachineConfig,
     setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
 ) -> (RunReport, R) {
-    match try_run_native(cfg, budget_from_env(DEFAULT_BUDGET), setup) {
+    match try_run_native(cfg, DEFAULT_BUDGET, setup) {
         Ok(out) => out,
         Err(hang) => panic!("native run did not complete:\n{hang}"),
     }
@@ -127,14 +125,18 @@ pub fn run_native<R: Send + 'static>(
 /// the hang diagnosis instead of panicking. All node threads are joined
 /// before this returns, whichever way the run ends: the shutdown wake
 /// reaches even threads parked on empty rings, so a hung handler leaks
-/// nothing.
+/// nothing. Runs on the native backend whatever `cfg.backend` says.
+///
+/// # Panics
+/// Panics if `cfg` is invalid, a fault plan included: the native backend
+/// cannot inject faults.
 pub fn try_run_native<R: Send + 'static>(
     cfg: MachineConfig,
     budget: Time,
     setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
 ) -> Result<(RunReport, R), HangReport> {
+    let cfg = cfg.with_backend(Backend::Native);
     cfg.validate().expect("invalid machine configuration");
-    assert!(cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
     let nodes = cfg.nodes;
     let batch = cfg.effective_batch();
     let clock = Arc::new(WallClock::start());

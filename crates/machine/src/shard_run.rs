@@ -30,19 +30,18 @@
 //! the epoch engine is host-schedule invariant by construction.
 //!
 //! Worker 0 always runs on the calling thread; only workers `1..workers`
-//! are spawned, so a one-worker run creates no thread at all. Worker 0 is
-//! never pinned (pinning would stick to the caller after the run). The
-//! host core count behind the defaults is probed once per process
+//! are spawned, so a one-worker run creates no thread at all. The host
+//! core count behind the defaults is probed once per process
 //! ([`oam_model::host_cores`]).
 //!
 //! Cross-shard records take the batched delivery path by default (one
-//! mailbox publish per peer per epoch, `cfg.effective_batch()`); setting
-//! `OAM_BATCH=1` selects the per-message reference path.
+//! mailbox publish per peer per epoch, `cfg.effective_batch()`); a batch
+//! size of 1 selects the per-message reference path.
 
 use std::future::Future;
 use std::pin::Pin;
 
-use oam_model::{host_cores, Dur, EngineCounters, MachineConfig, MachineStats, NodeStats, Time};
+use oam_model::{Backend, Dur, EngineCounters, MachineConfig, MachineStats, NodeStats, Time};
 use oam_net::CrossNet;
 use oam_sim::{
     default_spin, partition, shard_range, Coordinator, Fence, FencePolicy, Round, ShardPort,
@@ -111,8 +110,9 @@ pub(crate) fn conservative_lookahead(cfg: &MachineConfig) -> Dur {
     cfg.cost.wire_latency.min(cfg.cost.barrier_latency).min(cfg.cost.reduction_latency)
 }
 
-/// Run an application across `cfg.effective_shards()` shards and merge
-/// the per-shard reports into one [`RunReport`].
+/// Run an application across `cfg.shards` shards (or on the native
+/// backend, if `cfg.backend` says so) and merge the per-shard reports into
+/// one [`RunReport`].
 ///
 /// Nodes are partitioned into contiguous ranges and executed under
 /// conservative epoch synchronization; one shard simply runs to
@@ -125,8 +125,8 @@ pub(crate) fn conservative_lookahead(cfg: &MachineConfig) -> Dur {
 /// on every shard.
 ///
 /// # Panics
-/// Panics if any node main fails to complete (distributed deadlock), like
-/// [`Machine::run`].
+/// Panics if `cfg` is invalid, or if any node main fails to complete
+/// (distributed deadlock), like [`Machine::run`].
 pub fn run_partitioned<R: Send + 'static>(
     cfg: MachineConfig,
     setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
@@ -134,20 +134,22 @@ pub fn run_partitioned<R: Send + 'static>(
     // Backend dispatch: the native host-threads runtime replaces the whole
     // epoch machinery below (one thread per node, no fences, wall-clock
     // time); the simulator backends continue here.
-    if cfg.effective_backend() == oam_model::Backend::Native {
+    if cfg.backend == Backend::Native {
         return crate::native_run::run_native(cfg, setup);
     }
     cfg.validate().expect("invalid machine configuration");
-    let shards = cfg.effective_shards();
+    let shards = cfg.shards;
     let nodes = cfg.nodes;
     let lookahead = conservative_lookahead(&cfg);
     let owners = partition(nodes, shards);
     // Host-scheduling knobs (never outcome-affecting; see ShardTuning).
     let workers = cfg.effective_workers(shards);
-    let policy =
-        if cfg.effective_naive_fence() { FencePolicy::Naive } else { FencePolicy::Adaptive };
-    let spin = cfg.effective_spin().unwrap_or_else(|| default_spin(workers));
-    let pin = cfg.effective_pin();
+    let policy = if cfg.tuning.naive_fence == Some(true) {
+        FencePolicy::Naive
+    } else {
+        FencePolicy::Adaptive
+    };
+    let spin = cfg.tuning.spin.unwrap_or_else(|| default_spin(workers));
     let batched = cfg.effective_batch() > 1;
     let coord = Coordinator::<CrossMsg>::new(shards, lookahead)
         .with_policy(policy)
@@ -156,8 +158,7 @@ pub fn run_partitioned<R: Send + 'static>(
 
     // Worker 0 runs on the calling thread, whatever the worker count:
     // spawning it would only add a thread, and a malloc arena, that the
-    // run does not need. It is never pinned (pinning would stick to the
-    // caller); only the spawned workers `1..workers` honour `pin`.
+    // run does not need.
     let results: Vec<ShardResult<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..workers)
             .map(|worker| {
@@ -165,10 +166,10 @@ pub fn run_partitioned<R: Send + 'static>(
                 let coord = &coord;
                 let owners = &owners;
                 let setup = &setup;
-                scope.spawn(move || run_worker(cfg, coord, owners, worker, workers, pin, setup))
+                scope.spawn(move || run_worker(cfg, coord, owners, worker, workers, setup))
             })
             .collect();
-        let mut results = run_worker(cfg, &coord, &owners, 0, workers, false, &setup);
+        let mut results = run_worker(cfg, &coord, &owners, 0, workers, &setup);
         for h in handles {
             results.extend(h.join().expect("shard worker panicked"));
         }
@@ -237,19 +238,14 @@ struct Lane<'c, R> {
 /// owns, spawn their mains, then step all of them in lockstep through the
 /// epoch protocol — arrive for every owned shard, then complete them, so
 /// barriers between co-located shards never block (see the module docs).
-#[allow(clippy::too_many_arguments)]
 fn run_worker<R>(
     cfg: MachineConfig,
     coord: &Coordinator<CrossMsg>,
     owners: &[usize],
     worker: usize,
     workers: usize,
-    pin: bool,
     setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
 ) -> Vec<ShardResult<R>> {
-    if pin {
-        pin_current_thread(worker % host_cores());
-    }
     let nodes = cfg.nodes;
     let shards = coord_shards(owners);
     // Contiguous, balanced assignment of shards to workers — the same
@@ -404,32 +400,3 @@ fn run_worker<R>(
 fn coord_shards(owners: &[usize]) -> usize {
     owners.iter().copied().max().map_or(1, |m| m + 1)
 }
-
-/// Pin the calling thread to host CPU `cpu` (best effort: failures are
-/// ignored — pinning is a throughput hint, never a correctness
-/// requirement). Raw `sched_setaffinity` syscall because the workspace
-/// deliberately has no libc dependency.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
-fn pin_current_thread(cpu: usize) {
-    // 1024-CPU mask, the kernel's traditional cpu_set_t size.
-    let mut mask = [0u64; 16];
-    mask[(cpu / 64) % mask.len()] |= 1u64 << (cpu % 64);
-    unsafe {
-        let mut ret: i64 = 203; // __NR_sched_setaffinity
-        std::arch::asm!(
-            "syscall",
-            inout("rax") ret,
-            in("rdi") 0usize, // pid 0 = calling thread
-            in("rsi") std::mem::size_of_val(&mask),
-            in("rdx") mask.as_ptr(),
-            lateout("rcx") _,
-            lateout("r11") _,
-            options(nostack),
-        );
-        let _ = ret;
-    }
-}
-
-/// No-op fallback where the raw syscall isn't available.
-#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn pin_current_thread(_cpu: usize) {}

@@ -76,22 +76,6 @@ pub struct HangReport {
     pub events: u64,
 }
 
-/// The watchdog's virtual-time budget: `default`, unless the
-/// `OAM_WATCHDOG_MS` environment variable names a budget in virtual
-/// milliseconds — letting CI tighten (catch livelock early) or loosen
-/// (debug a slow config) every watchdogged run without code changes. An
-/// unparsable value falls back to `default`.
-pub fn budget_from_env(default: Time) -> Time {
-    match std::env::var("OAM_WATCHDOG_MS") {
-        Ok(v) => v
-            .trim()
-            .parse::<u64>()
-            .ok()
-            .map_or(default, |ms| Time::from_nanos(ms.saturating_mul(1_000_000))),
-        Err(_) => default,
-    }
-}
-
 impl HangReport {
     /// Nodes whose main never completed.
     pub fn stuck_nodes(&self) -> impl Iterator<Item = &NodeHangInfo> {
@@ -146,18 +130,6 @@ mod tests {
             spinning,
             parked: 0,
         }
-    }
-
-    #[test]
-    fn budget_env_override_parses_and_falls_back() {
-        // Serialized within this test: set, read, and restore the variable
-        // so no other watchdogged test in this binary observes it.
-        std::env::set_var("OAM_WATCHDOG_MS", "25");
-        assert_eq!(budget_from_env(Time::from_nanos(1)), Time::from_nanos(25_000_000));
-        std::env::set_var("OAM_WATCHDOG_MS", "not-a-number");
-        assert_eq!(budget_from_env(Time::from_nanos(7)), Time::from_nanos(7));
-        std::env::remove_var("OAM_WATCHDOG_MS");
-        assert_eq!(budget_from_env(Time::from_nanos(9)), Time::from_nanos(9));
     }
 
     #[test]

@@ -337,23 +337,20 @@ pub struct MachineConfig {
     /// the pre-policy runtime exactly.
     pub policies: BTreeMap<u32, ExecPolicy>,
     /// Host-parallelism shard count: partition the simulated nodes into
-    /// this many shards, synchronized by conservative epochs. `None` (the
-    /// default) defers to the `OAM_SHARDS` environment variable, falling
-    /// back to 1. Results are identical for any shard count, fault plans
-    /// included; see `MachineConfig::effective_shards` for the resolution
-    /// rules. An explicit count may not exceed `nodes`.
-    pub shards: Option<usize>,
+    /// this many shards, synchronized by conservative epochs. Default 1.
+    /// Results are identical for any shard count, fault plans included.
+    /// Must be in `1..=nodes`: a shard builds only the nodes it owns.
+    pub shards: usize,
     /// Execution backend: the discrete-event simulator (virtual time,
-    /// bit-deterministic) or the native host-threads runtime (one OS
-    /// thread per node, real channels, wall-clock time —
-    /// answer-deterministic only). `None` (the default) defers to the
-    /// `OAM_BACKEND` environment variable, falling back to the simulator;
-    /// see `MachineConfig::effective_backend` for the resolution rules.
-    pub backend: Option<Backend>,
+    /// bit-deterministic; the default) or the native host-threads runtime
+    /// (one OS thread per node, SPSC rings, wall-clock time —
+    /// answer-deterministic only, and no fault plan).
+    pub backend: Backend,
     /// Host-engine tuning for the sharded epoch executor (fence policy,
-    /// barrier spin budget, thread pinning). These knobs change host-side
-    /// scheduling only — simulation outcomes are bit-identical for every
-    /// setting. Every field defaults to "resolve from the environment".
+    /// barrier spin budget, delivery batch, worker count). These knobs
+    /// change host-side scheduling only — simulation outcomes are
+    /// bit-identical for every setting. `None` fields take the defaults
+    /// documented on [`ShardTuning`].
     pub tuning: ShardTuning,
 }
 
@@ -362,27 +359,27 @@ pub struct MachineConfig {
 /// None of these affect simulation outcomes: answers, per-node stats, and
 /// golden traces are bit-identical for every combination (the differential
 /// tests assert this). They only trade host cycles: how shard workers wait
-/// at the epoch barrier, whether they pin to cores, and whether the
-/// adaptive fence policy may widen epochs past one lookahead.
+/// at the epoch barrier, how many workers drive the shards, how deposits
+/// batch, and whether the adaptive fence policy may widen epochs past one
+/// lookahead.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ShardTuning {
     /// Force the naive reference fence policy — classic
     /// `global min + lookahead` every epoch, with an unconditional
     /// exchange round — instead of the adaptive policy (quiet-round
-    /// barrier fusion + min-holder fence widening). `None` defers to
-    /// `OAM_FENCE=naive`. The differential tests run both policies
-    /// against each other.
+    /// barrier fusion + min-holder fence widening). `None` means adaptive.
+    /// The differential tests run both policies against each other.
     pub naive_fence: Option<bool>,
     /// Barrier spin budget: iterations a shard worker spins at the epoch
-    /// barrier before parking its thread. `None` defers to `OAM_SPIN`,
-    /// else an automatic default: spin only when the host has at least
-    /// one core per epoch worker (spinning on an oversubscribed host
-    /// burns the quantum the peer worker needs).
+    /// barrier before parking its thread. `None` picks automatically:
+    /// spin only when the host has at least one core per epoch worker
+    /// (spinning on an oversubscribed host burns the quantum the peer
+    /// worker needs).
     pub spin: Option<u32>,
-    /// Pin spawned epoch workers to host cores (worker `i` to core
-    /// `i % cores`; Linux only, best effort). Worker 0 runs on the
-    /// caller's thread and is never pinned. `None` defers to `OAM_PIN`
-    /// (`1`/`true`).
+    /// Has no effect: thread pinning was removed (no measured gain; see
+    /// EXPERIMENTS.md "Knob ablation 1"). `Some(true)` is a
+    /// [`MachineConfig::validate`] error. Kept only so code that builds
+    /// `ShardTuning` with a struct literal keeps compiling.
     pub pin: Option<bool>,
     /// Has no effect: every simulator run uses the one keyed epoch engine.
     /// Kept only so code that builds `ShardTuning` with a struct literal
@@ -393,16 +390,15 @@ pub struct ShardTuning {
     /// epoch engine, one ring push + wake signal per record on the native
     /// backend); larger values coalesce deposits until a flush boundary
     /// (the epoch barrier, or the native high-water mark / end of a
-    /// handler-run pass). `None` defers to `OAM_BATCH`, else
-    /// [`MachineConfig::DEFAULT_BATCH`]. Never outcome-affecting.
+    /// handler-run pass). `None` means [`MachineConfig::DEFAULT_BATCH`].
+    /// Never outcome-affecting.
     pub batch: Option<u32>,
     /// Host worker threads driving the epoch engine's shards. Each worker
     /// multiplexes a contiguous range of shard replicas, so barriers
     /// between co-located shards cost function calls instead of
     /// park/unpark round trips — one wake per epoch per *worker*, not per
-    /// shard. `None` defers to `OAM_WORKERS`, else `min(shards, host
-    /// cores)`. Never outcome-affecting (the epoch engine is
-    /// host-schedule invariant).
+    /// shard. `None` means `min(shards, host cores)`. Never
+    /// outcome-affecting (the epoch engine is host-schedule invariant).
     pub workers: Option<usize>,
 }
 
@@ -421,7 +417,8 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Short label (`"sim"` / `"native"`), as accepted by `OAM_BACKEND`.
+    /// Short label (`"sim"` / `"native"`), as accepted by `OAM_BACKEND`
+    /// (see [`crate::env`]).
     pub fn label(self) -> &'static str {
         match self {
             Backend::Sim => "sim",
@@ -431,8 +428,8 @@ impl Backend {
 }
 
 impl MachineConfig {
-    /// Default delivery batch size when neither [`ShardTuning::batch`] nor
-    /// `OAM_BATCH` is set (see [`MachineConfig::effective_batch`]).
+    /// Delivery batch size when [`ShardTuning::batch`] is unset (see
+    /// [`MachineConfig::effective_batch`]).
     pub const DEFAULT_BATCH: u32 = 32;
 
     /// CM-5-like defaults: deep network buffering, front-of-queue placement,
@@ -455,8 +452,8 @@ impl MachineConfig {
             reliability: ReliabilityConfig::default(),
             admission: None,
             policies: BTreeMap::new(),
-            shards: None,
-            backend: None,
+            shards: 1,
+            backend: Backend::Sim,
             tuning: ShardTuning::default(),
         }
     }
@@ -520,112 +517,39 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style shard-count override. An explicit value wins over the
-    /// `OAM_SHARDS` environment variable; `with_shards(1)` pins a run to
-    /// one shard regardless of environment.
+    /// Builder-style shard-count override.
     pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards);
+        self.shards = shards;
         self
     }
 
-    /// Builder-style backend override. An explicit value wins over the
-    /// `OAM_BACKEND` environment variable; `with_backend(Backend::Sim)`
-    /// pins a run to the simulator regardless of environment.
+    /// Builder-style backend override.
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.backend = Some(backend);
+        self.backend = backend;
         self
     }
 
     /// Builder-style epoch-engine tuning override (fence policy, barrier
-    /// spin budget, pinning). Explicit fields win over their environment
-    /// variables; see [`ShardTuning`].
+    /// spin budget, delivery batch, workers); see [`ShardTuning`].
     pub fn with_tuning(mut self, tuning: ShardTuning) -> Self {
         self.tuning = tuning;
         self
     }
 
-    /// Resolve the effective fence policy: `true` selects the naive
-    /// reference policy. Explicit [`ShardTuning::naive_fence`] wins, then
-    /// `OAM_FENCE=naive`, else the adaptive policy.
-    pub fn effective_naive_fence(&self) -> bool {
-        self.tuning
-            .naive_fence
-            .unwrap_or_else(|| matches!(std::env::var("OAM_FENCE").as_deref(), Ok("naive")))
-    }
-
-    /// Resolve the explicit barrier spin budget, if any: explicit
-    /// [`ShardTuning::spin`] wins, then `OAM_SPIN`. `None` means "let the
-    /// engine pick" (spin only when the host has a core per epoch worker).
-    pub fn effective_spin(&self) -> Option<u32> {
-        self.tuning.spin.or_else(|| std::env::var("OAM_SPIN").ok().and_then(|v| v.parse().ok()))
-    }
-
-    /// Resolve whether spawned epoch workers pin to host cores: explicit
-    /// [`ShardTuning::pin`] wins, then `OAM_PIN` (`1`/`true`), else off.
-    pub fn effective_pin(&self) -> bool {
-        self.tuning
-            .pin
-            .unwrap_or_else(|| matches!(std::env::var("OAM_PIN").as_deref(), Ok("1") | Ok("true")))
-    }
-
-    /// Resolve the effective delivery batch size: explicit
-    /// [`ShardTuning::batch`] wins, then `OAM_BATCH`, else
-    /// [`MachineConfig::DEFAULT_BATCH`]; clamped to at least 1. `1` is the
-    /// naive per-message delivery path.
+    /// The delivery batch size: [`ShardTuning::batch`], else
+    /// [`MachineConfig::DEFAULT_BATCH`]. `1` is the naive per-message
+    /// delivery path.
     pub fn effective_batch(&self) -> u32 {
-        self.tuning
-            .batch
-            .or_else(|| std::env::var("OAM_BATCH").ok().and_then(|v| v.parse().ok()))
-            .unwrap_or(Self::DEFAULT_BATCH)
-            .max(1)
+        self.tuning.batch.unwrap_or(Self::DEFAULT_BATCH)
     }
 
-    /// Resolve the effective epoch worker-thread count for `shards`
-    /// shards: explicit [`ShardTuning::workers`] wins, then
-    /// `OAM_WORKERS`, else one worker per host core; clamped to
-    /// `[1, shards]`. On hosts with a core per shard this is one shard
+    /// The epoch worker-thread count for `shards` shards:
+    /// [`ShardTuning::workers`], else one worker per host core; clamped
+    /// to `[1, shards]`. On hosts with a core per shard this is one shard
     /// per worker (maximum parallelism); on oversubscribed hosts shards
     /// share workers and their barriers collapse into function calls.
     pub fn effective_workers(&self, shards: usize) -> usize {
-        let requested = self
-            .tuning
-            .workers
-            .or_else(|| std::env::var("OAM_WORKERS").ok().and_then(|v| v.parse().ok()));
-        requested.unwrap_or_else(crate::host_cores).clamp(1, shards.max(1))
-    }
-
-    /// Resolve the effective backend for this configuration:
-    ///
-    /// 1. explicit [`MachineConfig::backend`] if set, else the
-    ///    `OAM_BACKEND` environment variable (`"native"` selects the
-    ///    host-threads runtime; anything else means the simulator);
-    /// 2. forced to [`Backend::Sim`] when a [`FaultPlan`] is present: only
-    ///    the simulator's fabric injects faults; the native backend has no
-    ///    fault-injecting port yet.
-    pub fn effective_backend(&self) -> Backend {
-        if self.fault_plan.is_some() {
-            return Backend::Sim;
-        }
-        self.backend.unwrap_or_else(|| match std::env::var("OAM_BACKEND").as_deref() {
-            Ok("native") => Backend::Native,
-            _ => Backend::Sim,
-        })
-    }
-
-    /// Resolve the effective shard count for this configuration:
-    ///
-    /// 1. explicit [`MachineConfig::shards`] if set, else the `OAM_SHARDS`
-    ///    environment variable, else 1;
-    /// 2. clamped to `[1, nodes]`: a shard builds only the nodes it owns,
-    ///    so a shard without one cannot exist. [`MachineConfig::validate`]
-    ///    rejects an explicit count above the node count; the environment
-    ///    value is clamped, so one `OAM_SHARDS` setting serves machines of
-    ///    every size.
-    pub fn effective_shards(&self) -> usize {
-        let requested = self.shards.unwrap_or_else(|| {
-            std::env::var("OAM_SHARDS").ok().and_then(|v| v.parse().ok()).unwrap_or(1)
-        });
-        requested.clamp(1, self.nodes.max(1))
+        self.tuning.workers.unwrap_or_else(crate::host_cores).clamp(1, shards.max(1))
     }
 
     /// Validate internal consistency (positive capacities, at least one node).
@@ -654,21 +578,30 @@ impl MachineConfig {
         for (id, p) in &self.policies {
             p.validate().map_err(|e| format!("policy for handler {id:#010x}: {e}"))?;
         }
-        match self.shards {
-            Some(0) => return Err("shard count must be at least 1".into()),
-            Some(s) if s > self.nodes => {
-                return Err(format!(
-                    "{s} shards for {} nodes: every shard must own at least one node",
-                    self.nodes
-                ))
-            }
-            _ => {}
+        if self.shards == 0 {
+            return Err("shard count must be at least 1".into());
+        }
+        if self.shards > self.nodes {
+            return Err(format!(
+                "{} shards for {} nodes: every shard must own at least one node",
+                self.shards, self.nodes
+            ));
+        }
+        if self.backend == Backend::Native && self.fault_plan.is_some() {
+            return Err(
+                "the native backend cannot inject faults: a fault plan needs Backend::Sim".into()
+            );
         }
         if self.tuning.batch == Some(0) {
             return Err("delivery batch size must be at least 1".into());
         }
         if self.tuning.workers == Some(0) {
             return Err("epoch worker count must be at least 1".into());
+        }
+        if self.tuning.pin == Some(true) {
+            return Err(
+                "thread pinning was removed: ShardTuning::pin must not be Some(true)".into()
+            );
         }
         Ok(())
     }
@@ -716,17 +649,22 @@ mod tests {
     }
 
     #[test]
-    fn environment_shards_above_the_node_count_are_clamped() {
-        // The only test in this binary that reads or writes OAM_SHARDS.
-        let before = std::env::var("OAM_SHARDS").ok();
-        std::env::set_var("OAM_SHARDS", "4");
-        let c = MachineConfig::cm5(2);
-        let got = (c.validate(), c.effective_shards(), MachineConfig::cm5(8).effective_shards());
-        match before {
-            Some(v) => std::env::set_var("OAM_SHARDS", v),
-            None => std::env::remove_var("OAM_SHARDS"),
-        }
-        assert_eq!(got, (Ok(()), 2, 4));
+    fn native_with_a_fault_plan_is_rejected() {
+        let cfg = MachineConfig::cm5(2).with_backend(Backend::Native);
+        assert!(cfg.validate().is_ok());
+        let err = cfg.with_fault_plan(FaultPlan::drop_only(0.0)).validate().expect_err("native");
+        assert_eq!(err, "the native backend cannot inject faults: a fault plan needs Backend::Sim");
+    }
+
+    #[test]
+    fn pinning_is_rejected() {
+        let tuned =
+            |pin| MachineConfig::cm5(2).with_tuning(ShardTuning { pin, ..Default::default() });
+        assert!(tuned(Some(false)).validate().is_ok());
+        assert_eq!(
+            tuned(Some(true)).validate(),
+            Err("thread pinning was removed: ShardTuning::pin must not be Some(true)".into())
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! files on Linux — on the order of 100 µs, which is most of the fixed
 //! cost of starting a small simulated run. The answer cannot change in
 //! any way the runtime cares about while the process lives, so every
-//! consumer (the default worker count, the barrier spin budget, worker
-//! pinning, the scaling bench) reads it through [`host_cores`], which
+//! consumer (the default epoch worker count and barrier spin budget)
+//! reads it through [`host_cores`], which
 //! probes the host on first use and caches the result.
 
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -9,6 +9,7 @@
 
 pub mod config;
 pub mod cost;
+pub mod env;
 pub mod fault;
 pub mod host;
 pub mod ids;
@@ -21,6 +22,7 @@ pub use config::{
     QueuePolicy, ReliabilityConfig, ShardTuning,
 };
 pub use cost::CostModel;
+pub use env::EnvOverlay;
 pub use fault::{FaultPlan, LinkDegradation, NodeStall};
 pub use host::host_cores;
 pub use ids::{NodeId, NodeTable};

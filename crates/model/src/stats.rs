@@ -491,7 +491,7 @@ pub struct EngineCounters {
     /// Non-empty batch publishes that carried those deposits: per-peer
     /// mailbox appends in the epoch engine, ring flushes (each issuing at
     /// most one wake signal) in the native backend. Under the naive
-    /// per-message path (`OAM_BATCH=1`) this equals `deposits`.
+    /// per-message path (batch size 1) this equals `deposits`.
     pub batches: u64,
     /// Wake signals delivered to a parked (or possibly-parked) consumer:
     /// barrier unparks in the epoch engine, post-flush unparks of a parked

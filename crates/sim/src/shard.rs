@@ -85,7 +85,7 @@
 //! acquire per peer instead of one per message, with both the local
 //! buffers and the slots recycling their capacity forever. The naive
 //! per-message path ([`Coordinator::with_batched`]`(false)`, selected by
-//! `OAM_BATCH=1`) pushes straight into the slot on every
+//! a delivery batch of 1) pushes straight into the slot on every
 //! [`ShardPort::send`]; both paths append records in the same
 //! (source-shard, emission) order, so receivers drain identical
 //! sequences and answers are bit-identical.

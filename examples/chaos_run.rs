@@ -25,11 +25,15 @@ fn timed(run: impl FnOnce() -> AppOutcome) -> (AppOutcome, Duration) {
     (out, t0.elapsed())
 }
 
+/// `MachineConfig::cm5(nodes)` under the `OAM_*` overrides of the
+/// environment (`OAM_SHARDS=4` reruns the example on four shards).
+fn cm5(nodes: usize) -> MachineConfig {
+    MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides")
+}
+
 fn faulted(nodes: usize, p: f64) -> MachineConfig {
     let plan = FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20));
-    MachineConfig::cm5(nodes)
-        .with_fault_plan(plan)
-        .with_reliability(ReliabilityConfig::retransmitting())
+    cm5(nodes).with_fault_plan(plan).with_reliability(ReliabilityConfig::retransmitting())
 }
 
 fn row(label: &str, out: &AppOutcome, wall: Duration) {
@@ -51,7 +55,7 @@ fn main() {
     let alloc_start = alloc_snapshot();
     let params = TspParams::default(); // the paper's 12-city instance
     println!("TSP, 12 cities, 5 nodes, ORPC:");
-    let (base, wall) = timed(|| tsp::run_configured(System::Orpc, MachineConfig::cm5(5), params));
+    let (base, wall) = timed(|| tsp::run_configured(System::Orpc, cm5(5), params));
     row("  perfect fabric", &base, wall);
     for p in [0.01, 0.05] {
         let (out, wall) = timed(|| tsp::run_configured(System::Orpc, faulted(5, p), params));
@@ -60,8 +64,7 @@ fn main() {
     }
 
     println!("\nTriangle, size 5, 4 nodes, ORPC:");
-    let (base, wall) =
-        timed(|| triangle::run_configured(System::Orpc, MachineConfig::cm5(4), 5, 1));
+    let (base, wall) = timed(|| triangle::run_configured(System::Orpc, cm5(4), 5, 1));
     row("  perfect fabric", &base, wall);
     for p in [0.01, 0.05] {
         let (out, wall) = timed(|| triangle::run_configured(System::Orpc, faulted(4, p), 5, 1));

@@ -11,16 +11,19 @@ use optimistic_active_messages::apps::sor::SorParams;
 use optimistic_active_messages::apps::tsp::TspParams;
 use optimistic_active_messages::apps::water::{WaterParams, WaterVariant};
 use optimistic_active_messages::apps::{sor, triangle, tsp, water, System};
+use optimistic_active_messages::model::MachineConfig;
 
 fn main() {
     let procs = 16;
+    // `OAM_SHARDS`, `OAM_BACKEND` and `OAM_BATCH` override the machine.
+    let cfg = MachineConfig::cm5(procs).apply_env().expect("OAM_* overrides");
     println!("All four applications, {procs} nodes, scaled-down inputs.\n");
     println!("{:<10} {:>10} {:>10} {:>10}  note", "app", "AM (ms)", "ORPC (ms)", "TRPC (ms)");
 
     // Triangle: fine-grained, many small messages — ORPC/AM shine.
     let tri: Vec<f64> = System::ALL
         .iter()
-        .map(|&s| triangle::run(s, procs, 5).elapsed.as_secs_f64() * 1e3)
+        .map(|&s| triangle::run_configured(s, cfg.clone(), 5, 1).elapsed.as_secs_f64() * 1e3)
         .collect();
     println!(
         "{:<10} {:>10.2} {:>10.2} {:>10.2}  thread management dominates TRPC",
@@ -31,7 +34,7 @@ fn main() {
     let p = TspParams { ncities: 10, prefix_len: 4, ..Default::default() };
     let tsp: Vec<f64> = System::ALL
         .iter()
-        .map(|&s| tsp::run(s, procs - 1, p).elapsed.as_secs_f64() * 1e3)
+        .map(|&s| tsp::run_configured(s, cfg.clone(), p).elapsed.as_secs_f64() * 1e3)
         .collect();
     println!(
         "{:<10} {:>10.2} {:>10.2} {:>10.2}  blocking get_job; aborts promote",
@@ -40,8 +43,10 @@ fn main() {
 
     // SOR: bulk transfers dominate — systems converge.
     let sp = SorParams { rows: 64, cols: 80, iters: 20 };
-    let sor: Vec<f64> =
-        System::ALL.iter().map(|&s| sor::run(s, procs, sp).elapsed.as_secs_f64() * 1e3).collect();
+    let sor: Vec<f64> = System::ALL
+        .iter()
+        .map(|&s| sor::run_configured(s, cfg.clone(), sp).elapsed.as_secs_f64() * 1e3)
+        .collect();
     println!(
         "{:<10} {:>10.2} {:>10.2} {:>10.2}  data transfer dominates; all close",
         "sor", sor[0], sor[1], sor[2]
@@ -55,7 +60,7 @@ fn main() {
         WaterVariant { system: System::Trpc, barrier: false },
     ]
     .iter()
-    .map(|&v| water::run(v, procs, wp).outcome.elapsed.as_secs_f64() * 1e3)
+    .map(|&v| water::run_configured(v, cfg.clone(), wp).outcome.elapsed.as_secs_f64() * 1e3)
     .collect();
     println!(
         "{:<10} {:>10.2} {:>10.2} {:>10.2}  coarse-grained; all close",

@@ -90,7 +90,8 @@ pub mod prelude {
     pub use oam_machine::{Collectives, Machine, MachineBuilder, NodeEnv, Reducer, RunReport};
     pub use oam_model::{
         AbortReason, AbortStrategy, AdaptivePolicy, AdmissionConfig, Backend, CallMode, CostModel,
-        Dur, ExecPolicy, MachineConfig, NodeId, NodeTable, QueuePolicy, ShardTuning, Time,
+        Dur, EnvOverlay, ExecPolicy, MachineConfig, NodeId, NodeTable, QueuePolicy, ShardTuning,
+        Time,
     };
     pub use oam_rpc::{
         define_rpc_service, CallError, CallHandle, CallOpts, Rpc, RpcCtx, RpcMode, StreamClosed,

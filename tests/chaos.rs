@@ -7,6 +7,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use optimistic_active_messages::apps::service::ServiceParams;
 use optimistic_active_messages::apps::tsp::TspParams;
 use optimistic_active_messages::apps::{triangle, tsp, System};
 use optimistic_active_messages::machine::{HangKind, MachineBuilder};
@@ -15,12 +16,26 @@ use optimistic_active_messages::model::{
 };
 use optimistic_active_messages::prelude::*;
 
+/// `MachineConfig::cm5(nodes)` under the CI leg's `OAM_*` overrides, on
+/// the simulator: only its fabric injects faults. Whatever a test sets
+/// afterwards wins.
+fn cm5(nodes: usize) -> MachineConfig {
+    MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides").with_backend(Backend::Sim)
+}
+
+/// Default service parameters under the CI leg's `OAM_*` overrides, on
+/// the simulator.
+fn env_params() -> ServiceParams {
+    let env = EnvOverlay::read().expect("OAM_* overrides");
+    ServiceParams { backend: Some(Backend::Sim), ..ServiceParams::default().with_env(env) }
+}
+
 fn chaos_plan(drop: f64) -> FaultPlan {
     FaultPlan::drop_only(drop).with_dup(drop).with_delay(drop, Dur::from_micros(20))
 }
 
 fn reliable_cfg(nodes: usize, drop: f64) -> MachineConfig {
-    MachineConfig::cm5(nodes)
+    cm5(nodes)
         .with_fault_plan(chaos_plan(drop))
         .with_reliability(ReliabilityConfig::retransmitting())
 }
@@ -44,7 +59,7 @@ define_rpc_service! {
 fn triangle_survives_1pct_and_5pct_chaos_with_the_fault_free_answer() {
     let (sol, pos, _) = triangle::sequential(5);
     let expect = (sol << 40) | pos;
-    let baseline = triangle::run_configured(System::Orpc, MachineConfig::cm5(4), 5, 1);
+    let baseline = triangle::run_configured(System::Orpc, cm5(4), 5, 1);
     assert_eq!(baseline.answer, expect);
     for drop in [0.01, 0.05] {
         let out = triangle::run_configured(System::Orpc, reliable_cfg(4, drop), 5, 1);
@@ -86,9 +101,7 @@ fn tsp_chaos_survives_a_mid_run_node_stall() {
         Time::from_nanos(2_000_000),
         Time::from_nanos(32_000_000),
     );
-    let cfg = MachineConfig::cm5(4)
-        .with_fault_plan(plan)
-        .with_reliability(ReliabilityConfig::retransmitting());
+    let cfg = cm5(4).with_fault_plan(plan).with_reliability(ReliabilityConfig::retransmitting());
     let out = tsp::run_configured(System::Orpc, cfg, params);
     assert_eq!(out.answer, best as u64);
     assert!(out.stats.total().retransmits > 0);
@@ -126,10 +139,10 @@ fn adding_a_fault_plan_changes_nothing_but_the_faults_when_probability_is_zero()
     // A present-but-zero plan turns the dedup machinery on; the answer and
     // message counts must be unaffected.
     let params = TspParams { ncities: 8, prefix_len: 3, ..Default::default() };
-    let base = tsp::run_configured(System::Orpc, MachineConfig::cm5(3), params);
+    let base = tsp::run_configured(System::Orpc, cm5(3), params);
     let zero = tsp::run_configured(
         System::Orpc,
-        MachineConfig::cm5(3).with_fault_plan(FaultPlan::drop_only(0.0)),
+        cm5(3).with_fault_plan(FaultPlan::drop_only(0.0)),
         params,
     );
     assert_eq!(base.answer, zero.answer);
@@ -210,7 +223,7 @@ define_rpc_service! {
 
 #[test]
 fn overloaded_service_survives_chaos_and_a_server_stall() {
-    use optimistic_active_messages::apps::service::{run, ServiceParams};
+    use optimistic_active_messages::apps::service::run;
     // 5% drop/dup/delay on every link, plus the (only) server frozen for
     // 6 ms mid-run: longer than the 5 ms request deadline, so the stall
     // window forces caller-side expiries, and the thaw-time backlog forces
@@ -224,7 +237,7 @@ fn overloaded_service_survives_chaos_and_a_server_stall() {
             Time::from_nanos(2_000_000),
             Time::from_nanos(8_000_000),
         )),
-        ..ServiceParams::default()
+        ..env_params()
     };
     let a = run(params());
     let t = a.app.stats.total();
@@ -252,7 +265,7 @@ fn overloaded_service_survives_chaos_and_a_server_stall() {
 
 #[test]
 fn streaming_scans_survive_5pct_chaos_and_retire_every_session() {
-    use optimistic_active_messages::apps::service::{run, ServiceParams};
+    use optimistic_active_messages::apps::service::run;
     // Heavy arrivals fetch their scans as chunked sessions over a 5%
     // drop/dup/delay fabric. Chunks ride the reliable oneway path and the
     // Open/Close pair rides the reliable request path, so the protocol
@@ -264,7 +277,7 @@ fn streaming_scans_survive_5pct_chaos_and_retire_every_session() {
         arrivals: 64,
         streaming: true,
         fault: Some(chaos_plan(0.05)),
-        ..ServiceParams::default()
+        ..env_params()
     };
     let a = run(params());
     let t = a.app.stats.total();
@@ -317,7 +330,7 @@ fn reliable_oneway_calls_are_delivered_exactly_once_under_chaos() {
 
 #[test]
 fn chaos_outcomes_are_shard_count_invariant() {
-    use optimistic_active_messages::apps::service::{run, ServiceParams};
+    use optimistic_active_messages::apps::service::run;
     // Fault draws are keyed by each packet's event key, not by a global
     // draw order, so a lossy run is a pure function of the seed at any
     // shard count: same answer, same end time, every counter (drops, dups,
@@ -336,7 +349,7 @@ fn chaos_outcomes_are_shard_count_invariant() {
                 Time::from_nanos(8_000_000),
             )),
             shards,
-            ..ServiceParams::default()
+            ..env_params()
         })
         .app
     };

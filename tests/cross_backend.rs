@@ -9,7 +9,8 @@
 //! Also the CI `backend-matrix` smoke: with `OAM_BACKEND` unset these
 //! tests pin each backend explicitly and exercise both; with it set, the
 //! env-following tests additionally run the apps under whatever backend
-//! the matrix leg selected.
+//! the matrix leg selected. Every config starts from the leg's `OAM_*`
+//! overrides ([`MachineConfig::apply_env`]); what a test pins wins.
 
 use optimistic_active_messages::apps::service::{self, ServiceParams};
 use optimistic_active_messages::apps::sor::SorParams;
@@ -19,8 +20,13 @@ use optimistic_active_messages::apps::{sor, triangle, tsp, water, System};
 use optimistic_active_messages::model::EngineCounters;
 use optimistic_active_messages::prelude::*;
 
+/// `MachineConfig::cm5(nodes)` under the CI leg's `OAM_*` overrides.
+fn cm5(nodes: usize) -> MachineConfig {
+    MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides")
+}
+
 fn on(backend: Backend, nodes: usize) -> MachineConfig {
-    MachineConfig::cm5(nodes).with_backend(backend)
+    cm5(nodes).with_backend(backend)
 }
 
 /// State of the small-AM storm target: a hit counter the receiver's main
@@ -128,8 +134,12 @@ fn adaptive_policy_works_on_native() {
 #[test]
 fn service_invariants_hold_across_backends() {
     for backend in [Backend::Sim, Backend::Native] {
-        let params =
-            ServiceParams { arrivals: 48, backend: Some(backend), ..ServiceParams::default() };
+        let env = EnvOverlay::read().expect("OAM_* overrides");
+        let params = ServiceParams {
+            arrivals: 48,
+            backend: Some(backend),
+            ..ServiceParams::default().with_env(env)
+        };
         let arrivals = (params.arrivals as u64) * (params.drivers as u64);
         let o = service::run(params);
         assert_eq!(
@@ -189,17 +199,16 @@ fn batched_and_naive_delivery_agree_on_native() {
     }
 }
 
-/// Env-following smoke for the CI backend matrix: run one app through
-/// `cfg.effective_backend()` resolution (explicit pin absent), honoring
-/// whatever `OAM_BACKEND` the matrix leg exported.
+/// Env-following smoke for the CI backend matrix: run one app with no
+/// backend pinned, on whatever `OAM_BACKEND` the matrix leg exported.
 #[test]
 fn apps_honor_the_backend_environment() {
     let p = SorParams { rows: 16, cols: 8, iters: 3 };
     let (ck, _) = sor::sequential(p);
-    let out = sor::run_configured(System::Orpc, MachineConfig::cm5(4), p);
+    let out = sor::run_configured(System::Orpc, cm5(4), p);
     assert_eq!(out.answer, ck);
     let (sol, pos, _) = triangle::sequential(4);
-    let out = triangle::run_configured(System::Orpc, MachineConfig::cm5(3), 4, 1);
+    let out = triangle::run_configured(System::Orpc, cm5(3), 4, 1);
     assert_eq!(out.answer, (sol << 40) | pos);
 }
 

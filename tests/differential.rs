@@ -20,8 +20,11 @@ const MODES: [System; 2] = [System::Orpc, System::Trpc];
 const STRATEGIES: [AbortStrategy; 3] =
     [AbortStrategy::Promote, AbortStrategy::Rerun, AbortStrategy::Nack];
 
+/// `cm5(nodes)` under the CI leg's `OAM_*` overrides, then `seed` and
+/// `strategy`.
 fn cfg(nodes: usize, seed: u64, strategy: AbortStrategy) -> MachineConfig {
-    MachineConfig::cm5(nodes).with_seed(seed).with_abort_strategy(strategy)
+    let cm5 = MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides");
+    cm5.with_seed(seed).with_abort_strategy(strategy)
 }
 
 #[test]

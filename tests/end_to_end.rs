@@ -28,6 +28,12 @@ define_rpc_service! {
     }
 }
 
+/// `MachineConfig::cm5(nodes)` under the CI leg's `OAM_*` overrides;
+/// whatever a test sets afterwards wins.
+fn cm5(nodes: usize) -> MachineConfig {
+    MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides")
+}
+
 fn build_ping(nodes: usize, mode: RpcMode) -> (Machine, Rc<Vec<Rc<PingState>>>) {
     let machine = MachineBuilder::new(nodes).build();
     let states: Vec<Rc<PingState>> =
@@ -86,24 +92,31 @@ fn every_application_cross_checks_across_all_systems() {
     let (sol, pos, _) = triangle::sequential(4);
     let tri_expect = (sol << 40) | pos;
     for s in System::ALL {
-        assert_eq!(triangle::run(s, 3, 4).answer, tri_expect, "triangle {}", s.label());
+        assert_eq!(
+            triangle::run_configured(s, cm5(3), 4, 1).answer,
+            tri_expect,
+            "triangle {}",
+            s.label()
+        );
     }
     // TSP.
     let params = TspParams { ncities: 8, prefix_len: 3, ..Default::default() };
     let (best, _, _) = tsp::sequential(params);
     for s in System::ALL {
-        assert_eq!(tsp::run(s, 2, params).answer, best as u64, "tsp {}", s.label());
+        assert_eq!(tsp::run_configured(s, cm5(3), params).answer, best as u64, "tsp {}", s.label());
     }
     // SOR.
     let sp = SorParams { rows: 16, cols: 8, iters: 4 };
     let (ck, _) = sor::sequential(sp);
     for s in System::ALL {
-        assert_eq!(sor::run(s, 4, sp).answer, ck, "sor {}", s.label());
+        assert_eq!(sor::run_configured(s, cm5(4), sp).answer, ck, "sor {}", s.label());
     }
     // Water: all five variants agree at fixed P.
     let wp = WaterParams { molecules: 16, iters: 2 };
-    let answers: Vec<u64> =
-        WaterVariant::ALL.iter().map(|v| water::run(*v, 4, wp).outcome.answer).collect();
+    let answers: Vec<u64> = WaterVariant::ALL
+        .iter()
+        .map(|v| water::run_configured(*v, cm5(4), wp).outcome.answer)
+        .collect();
     assert!(answers.windows(2).all(|w| w[0] == w[1]), "water variants: {answers:?}");
 }
 
@@ -141,7 +154,7 @@ fn abort_strategies_agree_on_application_results() {
     let params = TspParams { ncities: 9, prefix_len: 3, ..Default::default() };
     let (best, _, _) = tsp::sequential(params);
     for strategy in [AbortStrategy::Promote, AbortStrategy::Rerun, AbortStrategy::Nack] {
-        let cfg = MachineConfig::cm5(5).with_abort_strategy(strategy);
+        let cfg = cm5(5).with_abort_strategy(strategy);
         let out = tsp::run_configured(System::Orpc, cfg, params);
         assert_eq!(out.answer, best as u64, "{strategy:?}");
     }
@@ -152,7 +165,7 @@ fn queue_policies_agree_on_application_results() {
     let (sol, pos, _) = triangle::sequential(5);
     let expect = (sol << 40) | pos;
     for policy in [QueuePolicy::Front, QueuePolicy::Back] {
-        let cfg = MachineConfig::cm5(4).with_queue_policy(policy);
+        let cfg = cm5(4).with_queue_policy(policy);
         let out = triangle::run_configured(System::Trpc, cfg, 5, 1);
         assert_eq!(out.answer, expect, "{policy:?}");
     }
@@ -162,7 +175,7 @@ fn queue_policies_agree_on_application_results() {
 fn alewife_like_machine_still_computes_correctly() {
     let (sol, pos, _) = triangle::sequential(5);
     let expect = (sol << 40) | pos;
-    let cfg = MachineConfig::alewife_like(4);
+    let cfg = MachineConfig::alewife_like(4).apply_env().expect("OAM_* overrides");
     let out = triangle::run_configured(System::Orpc, cfg, 5, 1);
     assert_eq!(out.answer, expect);
     // Shallow buffering must actually generate backpressure.
@@ -174,9 +187,8 @@ fn paper_headline_holds_end_to_end() {
     // "For applications that send many short messages, the ORPC and AM
     // implementations are up to three times faster than the TRPC
     // implementations" — at a reduced scale the gap is already >1.5x.
-    let am = triangle::run(System::HandAm, 8, 5).elapsed;
-    let orpc = triangle::run(System::Orpc, 8, 5).elapsed;
-    let trpc = triangle::run(System::Trpc, 8, 5).elapsed;
+    let run = |s| triangle::run_configured(s, cm5(8), 5, 1).elapsed;
+    let (am, orpc, trpc) = (run(System::HandAm), run(System::Orpc), run(System::Trpc));
     let ratio_orpc = trpc.as_secs_f64() / orpc.as_secs_f64();
     let ratio_am = orpc.as_secs_f64() / am.as_secs_f64();
     assert!(ratio_orpc > 1.5, "TRPC/ORPC = {ratio_orpc}");
@@ -233,7 +245,7 @@ fn dropping_a_machine_whose_watchdog_budget_ran_out_frees_it() {
 #[test]
 fn a_partitioned_run_frees_its_shards() {
     use optimistic_active_messages::machine::run_partitioned;
-    use optimistic_active_messages::model::{NodeStats, ShardTuning};
+    use optimistic_active_messages::model::NodeStats;
     use std::cell::RefCell;
 
     thread_local! {
@@ -241,9 +253,8 @@ fn a_partitioned_run_frees_its_shards() {
     }
     // One worker steps both shards on this thread, so the finisher's stash
     // is still readable here once the run returns.
-    let cfg = MachineConfig::cm5(4)
-        .with_shards(2)
-        .with_tuning(ShardTuning { workers: Some(1), ..Default::default() });
+    let mut cfg = cm5(4).with_shards(2);
+    cfg.tuning.workers = Some(1);
     let (report, ()) = run_partitioned(cfg, |m| {
         cross_shard_ping(m, |m| {
             STATS.with(|s| *s.borrow_mut() = Some(Rc::clone(m.nodes()[0].stats())));
@@ -280,11 +291,8 @@ fn cross_shard_ping<R>(
 #[test]
 fn epoch_worker_zero_runs_on_the_calling_thread() {
     use optimistic_active_messages::machine::run_partitioned;
-    use optimistic_active_messages::model::ShardTuning;
-
-    let cfg = MachineConfig::cm5(4)
-        .with_shards(2)
-        .with_tuning(ShardTuning { workers: Some(2), ..Default::default() });
+    let mut cfg = cm5(4).with_shards(2);
+    cfg.tuning.workers = Some(2);
     // Only shard 0's finisher runs, so the answer is the thread that ran
     // shard 0's setup.
     let (report, setup_thread) = run_partitioned(cfg, |m| {
@@ -302,7 +310,7 @@ fn starting_runs_probes_the_host_at_most_once() {
     use optimistic_active_messages::sim::Coordinator;
 
     for shards in [1, 2, 4] {
-        let cfg = MachineConfig::cm5(4).with_shards(shards);
+        let cfg = cm5(4).with_shards(shards);
         let (report, ()) = run_partitioned(cfg, |m| cross_shard_ping(m, |_| ()));
         assert!(report.completed);
     }
@@ -322,12 +330,11 @@ fn a_shard_builds_only_the_nodes_it_owns() {
 
     let p = SorParams { rows: 256, cols: 8, iters: 2 };
     let reference = sor::reference_checksum(p.rows, p.cols, p.iters);
-    let one = sor::run_configured(System::Orpc, MachineConfig::cm5(256).with_shards(1), p);
+    let one = sor::run_configured(System::Orpc, cm5(256).with_shards(1), p);
     for shards in [2, 4] {
         // Two epoch workers: the shards are built on two OS threads.
-        let cfg = MachineConfig::cm5(256)
-            .with_shards(shards)
-            .with_tuning(ShardTuning { workers: Some(2), ..Default::default() });
+        let mut cfg = cm5(256).with_shards(shards);
+        cfg.tuning.workers = Some(2);
         let seen = Mutex::new(Vec::new());
         let (report, answer) = run_partitioned(cfg, |m| {
             let ids: Vec<usize> = m.nodes().iter().map(|n| n.id().index()).collect();
@@ -358,9 +365,8 @@ fn reaching_a_node_another_shard_owns_panics_naming_it() {
     use std::sync::Mutex;
 
     // One worker: both shards' setups run on this thread.
-    let cfg = MachineConfig::cm5(256)
-        .with_shards(2)
-        .with_tuning(ShardTuning { workers: Some(1), ..Default::default() });
+    let mut cfg = cm5(256).with_shards(2);
+    cfg.tuning.workers = Some(1);
     let p = SorParams { rows: 256, cols: 8, iters: 1 };
     let messages = Mutex::new(Vec::new());
     let (_, answer) = run_partitioned(cfg, |m| {
@@ -402,5 +408,5 @@ fn reaching_a_node_another_shard_owns_panics_naming_it() {
 #[should_panic(expected = "4 shards for 2 nodes")]
 fn more_shards_than_nodes_is_rejected() {
     use optimistic_active_messages::machine::run_partitioned;
-    run_partitioned(MachineConfig::cm5(2).with_shards(4), |m| cross_shard_ping(m, |_| ()));
+    run_partitioned(cm5(2).with_shards(4), |m| cross_shard_ping(m, |_| ()));
 }

@@ -37,10 +37,11 @@ fn system() -> System {
     }
 }
 
-/// The leg's machine configuration: in the adaptive leg, each listed hot
-/// method gets a default adaptive ORPC policy.
+/// The leg's machine configuration, under its `OAM_*` overrides: in the
+/// adaptive leg, each listed hot method gets a default adaptive ORPC
+/// policy.
 fn cfg(nodes: usize, hot_methods: &[&str]) -> MachineConfig {
-    let mut c = MachineConfig::cm5(nodes);
+    let mut c = MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides");
     if matrix_mode() == MatrixMode::Adaptive {
         for m in hot_methods {
             c = c.with_policy(handler_id_for(m).0, ExecPolicy::adaptive(AdaptivePolicy::default()));

@@ -11,6 +11,12 @@ use optimistic_active_messages::apps::System;
 use optimistic_active_messages::machine::{try_run_native, HangKind, ShardApp};
 use optimistic_active_messages::prelude::*;
 
+/// `MachineConfig::cm5(nodes)` under the CI leg's `OAM_*` overrides;
+/// the tests pin the native backend afterwards.
+fn cm5(nodes: usize) -> MachineConfig {
+    MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides")
+}
+
 /// Clean completion: the run returns (all threads joined — `try_run_native`
 /// scopes them) well inside the watchdog budget, with nothing pending.
 #[test]
@@ -18,8 +24,7 @@ fn clean_completion_joins_promptly() {
     let p = SorParams { rows: 16, cols: 8, iters: 3 };
     let (ck, _) = sor::sequential(p);
     let start = Instant::now();
-    let out =
-        sor::run_configured(System::Orpc, MachineConfig::cm5(4).with_backend(Backend::Native), p);
+    let out = sor::run_configured(System::Orpc, cm5(4).with_backend(Backend::Native), p);
     // The modeled compute here is a few ms of real pacing; anything near
     // the 30 s default budget means shutdown leaked or stalled.
     assert!(start.elapsed() < Duration::from_secs(10), "clean shutdown took {:?}", start.elapsed());
@@ -31,7 +36,7 @@ fn clean_completion_joins_promptly() {
 /// and report per-node state identifying the stuck node.
 #[test]
 fn hung_main_is_diagnosed_and_joined_within_budget() {
-    let cfg = MachineConfig::cm5(2).with_backend(Backend::Native);
+    let cfg = cm5(2).with_backend(Backend::Native);
     let budget = Time::from_nanos(250_000_000); // 250 ms real
     let start = Instant::now();
     let result = try_run_native(cfg, budget, |_machine| ShardApp {
@@ -76,7 +81,7 @@ fn explicit_budget_does_not_disturb_a_completing_run() {
     use std::rc::Rc;
 
     let nodes = 4usize;
-    let cfg = MachineConfig::cm5(nodes).with_backend(Backend::Native);
+    let cfg = cm5(nodes).with_backend(Backend::Native);
     let (report, answer) = try_run_native(cfg, Time::from_nanos(20_000_000_000), |machine| {
         let sum = Reducer::new(machine.collectives(), |a: &u64, b: &u64| a + b);
         let out = Rc::new(Cell::new(0u64));

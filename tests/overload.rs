@@ -4,10 +4,12 @@
 //! deterministic; deadlines must actually bound request latency.
 
 use oam_apps::service::{run, ServiceParams, ServiceVariant};
-use oam_model::Dur;
+use oam_model::{Dur, EnvOverlay};
 
+/// The suite's service parameters under the CI leg's `OAM_*` overrides.
 fn base() -> ServiceParams {
-    ServiceParams { arrivals: 192, ..ServiceParams::default() }
+    let env = EnvOverlay::read().expect("OAM_* overrides");
+    ServiceParams { arrivals: 192, ..ServiceParams::default().with_env(env) }
 }
 
 #[test]
