@@ -323,8 +323,8 @@ fn run_suites(quick: bool) -> Vec<SuiteRun> {
             .into()
         }),
         // Native host-threads backend rows: modeled compute charges pace
-        // in wall-clock, one OS thread per node, so sizes are kept small
-        // and only the answer is deterministic.
+        // in wall-clock on one worker thread per host core, so sizes are
+        // kept small and only the answer is deterministic.
         measure("native_sor", "answer", || {
             let cfg = MachineConfig::cm5(4).with_backend(Backend::Native);
             let p = oam_apps::sor::SorParams { rows: 32, cols: 16, iters: 3 };

@@ -83,14 +83,9 @@ impl ShardCollectives {
         }
     }
 
-    /// Drain the contributions queued for broadcast at the next barrier.
-    pub fn drain_outbox(&self) -> Vec<ReduceRecord> {
-        std::mem::take(&mut *self.outbox.borrow_mut())
-    }
-
-    /// As [`ShardCollectives::drain_outbox`], but append into a
-    /// caller-owned buffer so the epoch hot loop reuses one allocation
-    /// (the outbox keeps its own capacity too).
+    /// Append the contributions queued for broadcast to the other
+    /// replicas to `out`, a caller-owned buffer the worker loop reuses (the
+    /// outbox keeps its own capacity too).
     pub fn drain_outbox_into(&self, out: &mut Vec<ReduceRecord>) {
         out.append(&mut self.outbox.borrow_mut());
     }

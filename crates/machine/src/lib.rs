@@ -17,7 +17,7 @@ pub mod watchdog;
 
 pub use collective::{Collectives, Reducer};
 pub use machine::{Machine, MachineBuilder, NodeEnv, RunReport};
-pub use native_run::{run_native, try_run_native, NativeMsg};
+pub use native_run::{run_native, try_run_native};
 pub use openloop::{arrivals_for, pace_until, Arrival, CallClass, OpenLoopConfig, OpenLoopTracker};
 pub use shard_run::{run_partitioned, CrossMsg, ShardApp};
 pub use watchdog::{HangKind, HangReport, NodeHangInfo};

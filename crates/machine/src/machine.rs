@@ -1,14 +1,15 @@
 //! The simulated multicomputer: construction and whole-program runs.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::future::Future;
 use std::ops::Range;
 use std::rc::Rc;
 
 use oam_am::Am;
 use oam_model::{
-    AbortStrategy, CostModel, Dur, ExecPolicy, MachineConfig, MachineStats, NodeId, NodeStats,
-    NodeTable, QueuePolicy, Time,
+    AbortStrategy, CostModel, Dur, EngineCounters, ExecPolicy, MachineConfig, MachineStats, NodeId,
+    NodeStats, NodeTable, QueuePolicy, Time,
 };
 use oam_net::{EpochPort, NetConfig, Network};
 use oam_rpc::Rpc;
@@ -107,22 +108,20 @@ impl MachineBuilder {
         self.assemble(sim, owned, Rc::new(EpochPort::new()))
     }
 
-    /// Build the single-node replica a native (host-threads) run drives on
-    /// one OS thread: node `node` alone, on a wall-clock simulator sharing
-    /// `clock` with every other replica, with a fabric whose cross-node
-    /// records leave through `port` immediately. Replica *i* executes node
-    /// *i*, so this is a partition into nodes-many shards, in real time.
-    /// Used by [`crate::native_run`].
+    /// Build the replica one native (host-threads) worker drives: the
+    /// nodes `owned`, on a wall-clock simulator sharing `clock` with every
+    /// other worker, with a fabric that delivers between owned nodes
+    /// itself and hands every other record to `port` immediately: a shard
+    /// replica in real time. Used by [`crate::native_run`].
     pub fn build_native(
         self,
-        node: usize,
+        owned: Range<usize>,
         clock: std::sync::Arc<oam_sim::WallClock>,
         port: Rc<dyn oam_net::FabricPort>,
     ) -> Machine {
         assert!(self.cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
-        assert!(node < self.cfg.nodes, "node index out of range");
         let sim = Sim::new_native(self.cfg.seed, clock);
-        self.assemble(sim, node..node + 1, port)
+        self.assemble(sim, owned, port)
     }
 
     /// Wire every layer of the replica that executes the nodes `owned`, on
@@ -219,6 +218,73 @@ impl RunReport {
     }
 }
 
+/// What one replica of a run hands back at its end: its run counters and,
+/// for each node it owns, the node's stats and hang snapshot. Every
+/// runner — [`Machine::run_with_watchdog`], the epoch engine and the
+/// native backend — ends in one [`merge`] of these.
+pub(crate) struct ReplicaExit<R> {
+    /// The first node the replica owns; its nodes follow in id order.
+    pub(crate) first: usize,
+    pub(crate) end_time: Time,
+    pub(crate) events: u64,
+    pub(crate) peak_queue_depth: u64,
+    pub(crate) in_flight: usize,
+    pub(crate) method_names: BTreeMap<u32, String>,
+    /// Host-engine counters: identical round counters on every replica,
+    /// per-replica delivery counters.
+    pub(crate) engine: EngineCounters,
+    pub(crate) nodes: Vec<(NodeStats, NodeHangInfo)>,
+    /// The application answer, from the replica that owns node 0.
+    pub(crate) answer: Option<R>,
+}
+
+/// Merge the exits of a run's replicas into one report: per-node stats
+/// reassembled by node id, method names united, counters summed or maxed,
+/// the answer taken from the replica that owns node 0. A run its watchdog
+/// stopped (at `stopped`) or whose mains did not all complete is a
+/// [`HangReport`] with one snapshot per node instead.
+pub(crate) fn merge<R>(
+    mut exits: Vec<ReplicaExit<R>>,
+    stopped: Option<Time>,
+) -> Result<(RunReport, R), HangReport> {
+    exits.sort_unstable_by_key(|e| e.first);
+    let (mut end_time, mut events, mut peak, mut in_flight) = (Time::ZERO, 0, 0, 0);
+    let nodes = exits.iter().map(|e| e.nodes.len()).sum();
+    let (mut per_node, mut hang) = (Vec::with_capacity(nodes), Vec::with_capacity(nodes));
+    let mut method_names = BTreeMap::new();
+    let (mut engine, mut answer) = (None::<EngineCounters>, None);
+    for e in exits {
+        end_time = end_time.max(e.end_time);
+        events += e.events;
+        peak = peak.max(e.peak_queue_depth);
+        in_flight += e.in_flight;
+        method_names.extend(e.method_names);
+        match engine.as_mut() {
+            Some(x) => x.absorb(e.engine),
+            None => engine = Some(e.engine),
+        }
+        answer = answer.or(e.answer);
+        for (stats, info) in e.nodes {
+            per_node.push(stats);
+            hang.push(info);
+        }
+    }
+    if stopped.is_some() || hang.iter().any(|n| !n.main_done) {
+        return Err(HangReport {
+            kind: if stopped.is_some() { HangKind::BudgetExceeded } else { HangKind::Deadlock },
+            at: stopped.unwrap_or(end_time),
+            nodes: hang,
+            in_flight_packets: in_flight,
+            events,
+        });
+    }
+    let stats = MachineStats::new(per_node)
+        .with_method_names(method_names)
+        .with_engine(engine.unwrap_or_default());
+    let report = RunReport { end_time, stats, completed: true, events, peak_queue_depth: peak };
+    Ok((report, answer.expect("the replica owning node 0 produces the answer")))
+}
+
 impl Machine {
     /// The simulation handle.
     pub fn sim(&self) -> &Sim {
@@ -231,8 +297,8 @@ impl Machine {
     }
 
     /// The node runtimes this machine executes, in id order: every node
-    /// of a machine from [`MachineBuilder::build`], the shard's own range
-    /// on one shard of a partitioned run, one node on a native replica.
+    /// of a machine from [`MachineBuilder::build`], the replica's own
+    /// range on one shard or native worker of a partitioned run.
     /// Each keeps its global [`NodeId`].
     pub fn nodes(&self) -> &[Node] {
         self.nodes.as_slice()
@@ -287,7 +353,7 @@ impl Machine {
 
     /// Spawn `main` on every node this machine executes; the flags report
     /// each main's completion, in node order.
-    fn spawn_mains<F, Fut>(&self, main: &F) -> Vec<Flag>
+    pub(crate) fn spawn_mains<F, Fut>(&self, main: &F) -> Vec<Flag>
     where
         F: Fn(NodeEnv) -> Fut,
         Fut: Future<Output = ()> + 'static,
@@ -360,35 +426,41 @@ impl Machine {
     {
         let done = self.spawn_mains(&main);
         let quiesced = self.sim.run_with_deadline(budget);
-        let completed = done.iter().all(Flag::get);
-        if quiesced && completed {
-            return Ok(RunReport {
-                end_time: self.sim.now(),
-                stats: self.harvest(),
-                completed: true,
-                events: self.sim.events_executed(),
-                peak_queue_depth: self.sim.peak_event_queue_depth(),
-            });
+        let mut exit = self.exit(&done, self.sim.now());
+        exit.answer = Some(());
+        merge(vec![exit], (!quiesced).then(|| self.sim.now())).map(|(report, ())| report)
+    }
+
+    /// Snapshot this machine at the end of a run, given the completion
+    /// flags of its mains: per-node stats, with trailing idle folded at
+    /// `idle_until`, and per-node hang snapshots.
+    pub(crate) fn exit<R>(&self, done: &[Flag], idle_until: Time) -> ReplicaExit<R> {
+        for n in &self.nodes {
+            n.finalize_idle(idle_until);
         }
-        let kind = if quiesced { HangKind::Deadlock } else { HangKind::BudgetExceeded };
-        let nodes = self
-            .nodes
-            .iter()
-            .zip(&done)
-            .map(|(node, flag)| NodeHangInfo {
-                diag: node.diagnostics(),
-                outstanding_calls: self.rpc.outstanding_calls(node.id()),
-                input_queue_depth: self.net.input_depth(node.id()),
-                main_done: flag.get(),
+        let stats = self.harvest();
+        let nodes = (stats.per_node.into_iter().zip(&self.nodes).zip(done))
+            .map(|((stats, node), flag)| {
+                let info = NodeHangInfo {
+                    diag: node.diagnostics(),
+                    outstanding_calls: self.rpc.outstanding_calls(node.id()),
+                    input_queue_depth: self.net.input_depth(node.id()),
+                    main_done: flag.get(),
+                };
+                (stats, info)
             })
             .collect();
-        Err(HangReport {
-            kind,
-            at: self.sim.now(),
-            nodes,
-            in_flight_packets: self.net.in_flight(),
+        ReplicaExit {
+            first: self.owned().start,
+            end_time: self.sim.now(),
             events: self.sim.events_executed(),
-        })
+            peak_queue_depth: self.sim.peak_event_queue_depth(),
+            in_flight: self.net.in_flight(),
+            method_names: stats.method_names,
+            engine: EngineCounters::default(),
+            nodes,
+            answer: None,
+        }
     }
 
     /// Snapshot the statistics of the nodes this machine executes (in id

@@ -1,71 +1,63 @@
-//! Native (host-threads) machine execution: one OS thread per simulated
-//! node, lock-free SPSC rings for packet delivery, wall-clock time in
-//! place of virtual time.
+//! Native (host-threads) machine execution: the sharded layout in real
+//! time. One worker OS thread per host core (never more than there are
+//! nodes) owns a contiguous range of nodes, lock-free SPSC rings carry
+//! packets between workers, and wall-clock time replaces virtual time.
 //!
-//! Structurally this is the sharded engine with every barrier removed:
-//! each node gets a one-node machine replica on its own thread (node
-//! *i*'s replica builds and executes exactly node *i*), but instead
-//! of batching cross-node records until an epoch fence, the fabric's
-//! [`ChannelPort`](oam_net::ChannelPort) hands each record to a
-//! sender-side batcher ([`oam_net::BatchTx`]) in front of a bounded
-//! lock-free SPSC ring per directed node pair, and every replica's clock
-//! is the shared [`WallClock`]. Deposits coalesce until a flush boundary
-//! — the batch high-water mark (`cfg.effective_batch()`; a batch of 1
-//! is the per-message reference path) or the end of a handler-run pass —
-//! and each flush issues at most one wake signal through the consumer's
-//! [`oam_net::WakeGate`], so a burst of small AMs costs one wake, not N.
-//! Modeled compute charges pace in *real* time, and event order across
-//! nodes is whatever the hardware produced: answers of
-//! data-deterministic programs are reproducible, traces and timings are
-//! not (see DESIGN.md §14).
+//! Worker *w* of W builds the replica of `shard_range(nodes, W, w)` on a
+//! wall-clock [`Sim`](oam_sim::Sim) and drives it like an epoch shard
+//! with every barrier removed. Traffic between nodes of one worker takes
+//! the fabric's owned path; for every other record the fabric's
+//! [`ChannelPort`] hands it at once to a sender-side batcher
+//! ([`oam_net::BatchTx`]) in front of a bounded SPSC ring per directed
+//! *worker* pair — W·(W−1) rings. Deposits coalesce until a flush
+//! boundary — the batch high-water mark (`cfg.effective_batch()`; a batch
+//! of 1 is the per-message reference path) or the end of a handler-run
+//! pass — and each flush issues at most one wake signal through the
+//! consuming worker's [`oam_net::WakeGate`], so a burst of small AMs costs
+//! one wake, not N. Modeled compute charges pace in *real* time (the
+//! charges of co-located nodes are timers on one calendar queue, so they
+//! overlap), and event order across workers is whatever the hardware
+//! produced: answers of data-deterministic programs are reproducible,
+//! traces and timings are not (see DESIGN.md §14).
 //!
-//! Consumers wait with the same spin-then-park discipline as the epoch
+//! Workers wait with the same spin-then-park discipline as the epoch
 //! barrier: short gaps to the next due event spin-poll the rings, longer
 //! waits publish a parked state and re-check before parking (the
 //! no-lost-wake Dekker protocol in `oam_net::ring`), bounded by
 //! `MAX_PARK` so a thread's view of the stop flag never goes stale.
 //!
-//! Termination is a two-phase protocol. Each thread reports its main's
-//! completion to the coordinator (the caller's thread); once every main
-//! has reported — or a *real-time* watchdog budget expires — the
-//! coordinator raises a stop flag and wakes every gate, so threads
-//! parked on empty rings exit promptly. Threads then harvest their
-//! replica (stats, scheduler diagnostics) and join; on timeout the
-//! per-node snapshots become a [`HangReport`].
+//! Termination is a two-phase protocol. Each worker reports to the
+//! coordinator (the caller's thread) once all its nodes' mains have
+//! completed; once every worker has reported — or a *real-time* watchdog
+//! budget expires — the coordinator raises a stop flag and wakes every
+//! gate, so workers parked on empty rings exit promptly. Workers then
+//! harvest their replicas and join, and the exits merge exactly as the
+//! epoch engine's do; on timeout they become a [`HangReport`] with one
+//! snapshot per node.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use oam_model::{Backend, EngineCounters, MachineConfig, MachineStats, NodeId, NodeStats, Time};
-use oam_net::{spsc, BatchTx, CrossNet, RingRx, RingTx, WakeGate};
-use oam_sim::WallClock;
-use oam_threads::{Flag, NodeDiag};
+use oam_model::{host_cores, Backend, EngineCounters, MachineConfig, Time};
+use oam_net::{spsc, BatchTx, ChannelPort, CrossNet, RingRx, RingTx, WakeGate};
+use oam_sim::{partition, shard_range, WallClock};
 
 use crate::collective::ReduceRecord;
-use crate::machine::{Machine, MachineBuilder, RunReport};
-use crate::shard_run::ShardApp;
-use crate::watchdog::{HangKind, HangReport, NodeHangInfo};
-
-/// A record crossing node threads on the native backend.
-pub enum NativeMsg {
-    /// A network packet or bulk transfer bound for this node.
-    Net(CrossNet),
-    /// A collective contribution from another node's replica.
-    Reduce(ReduceRecord),
-}
+use crate::machine::{merge, Machine, MachineBuilder, ReplicaExit, RunReport};
+use crate::shard_run::{CrossMsg, Replica, ShardApp};
+use crate::watchdog::HangReport;
 
 /// Real-time watchdog budget of [`run_native`]. Generous because wall
 /// time covers real modeled compute charges; [`try_run_native`] takes
 /// any other budget.
 const DEFAULT_BUDGET: Time = Time::from_nanos(30_000_000_000);
 
-/// Events fired per [`oam_sim::Sim::run_wall`] pass before the node loop
-/// re-checks its rings and the stop flag.
+/// Events fired per [`oam_sim::Sim::run_wall`] pass before the worker
+/// loop re-checks its rings and the stop flag.
 const EVENT_BATCH: u64 = 4096;
 
 /// Gaps to the next due event shorter than this are spin-waited (polling
@@ -77,36 +69,41 @@ const SPIN_GAP_NS: u64 = 200_000;
 /// can get even if a wake signal were lost.
 const MAX_PARK: Duration = Duration::from_millis(20);
 
-/// Ring capacity for one directed node pair, sized so a full batch plus
+/// Ring capacity for one directed worker pair, sized so a full batch plus
 /// in-flight slack fits without producer spins in the common case.
 fn ring_capacity(batch: u32) -> usize {
     (4 * batch as usize).clamp(64, 1024).next_power_of_two()
 }
 
-/// What a node thread carries back to the coordinator at join.
-struct NodeExit<R> {
-    node: usize,
-    main_done: bool,
-    end_time: Time,
-    events: u64,
-    peak_queue_depth: u64,
-    stats: NodeStats,
-    diag: NodeDiag,
-    outstanding_calls: usize,
-    input_queue_depth: usize,
-    method_names: BTreeMap<u32, String>,
-    answer: Option<R>,
-    /// Delivery counters: this node's deposits/batches as a producer plus
-    /// the wake signals it received as a consumer.
-    engine: EngineCounters,
+/// One worker's ends of the ring matrix: `tx[dst]` and `rx[src]`, `None`
+/// on the diagonal (a worker never routes to itself).
+type RingRow = (Vec<Option<RingTx<CrossMsg>>>, Vec<Option<RingRx<CrossMsg>>>);
+
+/// One bounded SPSC ring per directed worker pair, returned as one row
+/// per worker.
+fn ring_matrix(workers: usize, cap: usize) -> Vec<RingRow> {
+    let mut rows: Vec<RingRow> = (0..workers)
+        .map(|_| ((0..workers).map(|_| None).collect(), (0..workers).map(|_| None).collect()))
+        .collect();
+    for src in 0..workers {
+        for dst in (0..workers).filter(|&dst| dst != src) {
+            let (tx, rx) = spsc(cap);
+            rows[src].0[dst] = Some(tx);
+            rows[dst].1[src] = Some(rx);
+        }
+    }
+    rows
 }
 
-/// Run an application on the native backend: `cfg.nodes` OS threads,
-/// ring-delivered packets, wall-clock pacing. Same contract as
-/// [`crate::run_partitioned`] (which delegates here when `cfg.backend` is
-/// native): `setup` runs once per node thread against that thread's
-/// one-node replica, registers handlers on that node and creates the same
-/// reducers in the same order everywhere; the answer comes from node 0.
+/// Run an application on the native backend: one worker OS thread per
+/// host core, at most one per node, each owning a contiguous range of
+/// nodes; ring-delivered packets between workers, wall-clock pacing. Same
+/// contract as [`crate::run_partitioned`] (which delegates here when
+/// `cfg.backend` is native): `setup` runs once per worker against that
+/// worker's replica, registers handlers on the replica's own nodes and
+/// creates the same reducers in the same order everywhere; the answer
+/// comes from the replica that owns node 0. `cfg.shards` and
+/// `cfg.tuning.workers` are epoch-engine settings and are not read.
 ///
 /// # Panics
 /// Panics if `cfg` is invalid, or with the [`HangReport`] display if the
@@ -122,9 +119,9 @@ pub fn run_native<R: Send + 'static>(
 }
 
 /// As [`run_native`], but with an explicit *real-time* budget, returning
-/// the hang diagnosis instead of panicking. All node threads are joined
+/// the hang diagnosis instead of panicking. All worker threads are joined
 /// before this returns, whichever way the run ends: the shutdown wake
-/// reaches even threads parked on empty rings, so a hung handler leaks
+/// reaches even workers parked on empty rings, so a hung handler leaks
 /// nothing. Runs on the native backend whatever `cfg.backend` says.
 ///
 /// # Panics
@@ -137,275 +134,285 @@ pub fn try_run_native<R: Send + 'static>(
 ) -> Result<(RunReport, R), HangReport> {
     let cfg = cfg.with_backend(Backend::Native);
     cfg.validate().expect("invalid machine configuration");
-    let nodes = cfg.nodes;
-    let batch = cfg.effective_batch();
-    let clock = Arc::new(WallClock::start());
-    let stop = Arc::new(AtomicBool::new(false));
-    let gates: Vec<Arc<WakeGate>> = (0..nodes).map(|_| Arc::new(WakeGate::new())).collect();
-
-    // One bounded SPSC ring per directed node pair. `tx_mat[src][dst]` /
-    // `rx_mat[dst][src]`; the diagonal stays empty (a node never routes
-    // to itself through the fabric).
-    let cap = ring_capacity(batch);
-    let mut tx_mat: Vec<Vec<Option<RingTx<NativeMsg>>>> =
-        (0..nodes).map(|_| (0..nodes).map(|_| None).collect()).collect();
-    let mut rx_mat: Vec<Vec<Option<RingRx<NativeMsg>>>> =
-        (0..nodes).map(|_| (0..nodes).map(|_| None).collect()).collect();
-    for src in 0..nodes {
-        for dst in 0..nodes {
-            if src != dst {
-                let (tx, rx) = spsc::<NativeMsg>(cap);
-                tx_mat[src][dst] = Some(tx);
-                rx_mat[dst][src] = Some(rx);
-            }
-        }
-    }
+    let workers = host_cores().min(cfg.nodes);
+    let run = Run {
+        cfg: &cfg,
+        setup: &setup,
+        clock: Arc::new(WallClock::start()),
+        stop: Arc::new(AtomicBool::new(false)),
+        gates: (0..workers).map(|_| Arc::new(WakeGate::new())).collect(),
+    };
+    let rings = ring_matrix(workers, ring_capacity(cfg.effective_batch()));
     let (done_tx, done_rx) = mpsc::channel::<usize>();
 
     let mut timed_out = false;
-    let exits: Vec<NodeExit<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = tx_mat
+    let exits: Vec<ReplicaExit<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = rings
             .into_iter()
-            .zip(rx_mat)
             .enumerate()
-            .map(|(node, (tx_row, rx_row))| {
-                let cfg = cfg.clone();
-                let clock = Arc::clone(&clock);
-                let stop = Arc::clone(&stop);
-                let gates = gates.clone();
-                let done_tx = done_tx.clone();
-                let setup = &setup;
-                scope.spawn(move || {
-                    run_node(cfg, node, batch, clock, stop, gates, tx_row, rx_row, done_tx, setup)
-                })
+            .map(|(worker, row)| {
+                let (run, done_tx) = (&run, done_tx.clone());
+                scope.spawn(move || run.worker(worker, row, done_tx))
             })
             .collect();
         drop(done_tx);
 
-        // Coordinator: wait for every main against the real-time budget.
+        // Coordinator: wait for every worker's mains against the
+        // real-time budget.
         let deadline = Instant::now() + Duration::from_nanos(budget.as_nanos());
-        let mut mains_done = 0usize;
-        while mains_done < nodes {
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            match done_rx.recv_timeout(remaining) {
-                Ok(_) => mains_done += 1,
+        for _ in 0..workers {
+            match done_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
+                Ok(_) => {}
                 Err(RecvTimeoutError::Timeout) => {
                     timed_out = true;
                     break;
                 }
-                // Every sender gone: all threads exited (only possible via
+                // Every sender gone: all workers exited (only possible via
                 // panic before completion); joining below propagates it.
                 Err(RecvTimeoutError::Disconnected) => break,
             }
         }
-        stop.store(true, Ordering::Release);
-        // Unconditional wakes: set every gate's park token so threads
+        run.stop.store(true, Ordering::Release);
+        // Unconditional wakes: set every gate's park token so workers
         // mid-way into a park re-check the stop flag promptly.
-        for gate in &gates {
+        for gate in &run.gates {
             gate.wake();
         }
-        handles.into_iter().map(|h| h.join().expect("node thread panicked")).collect()
+        handles.into_iter().map(|h| h.join().expect("native worker panicked")).collect()
     });
-
-    if timed_out {
-        return Err(HangReport {
-            kind: HangKind::BudgetExceeded,
-            at: clock.now(),
-            in_flight_packets: exits.iter().map(|e| e.input_queue_depth).sum(),
-            events: exits.iter().map(|e| e.events).sum(),
-            nodes: exits
-                .into_iter()
-                .map(|e| NodeHangInfo {
-                    diag: e.diag,
-                    outstanding_calls: e.outstanding_calls,
-                    input_queue_depth: e.input_queue_depth,
-                    main_done: e.main_done,
-                })
-                .collect(),
-        });
-    }
-
-    // Merge exactly like the sharded engine: per-node stats reassembled by
-    // id, method names united, counters summed or maxed, the answer taken
-    // from node 0.
-    let mut per_node: Vec<Option<NodeStats>> = vec![None; nodes];
-    let mut end_time = Time::ZERO;
-    let mut events = 0u64;
-    let mut peak = 0u64;
-    let mut completed = true;
-    let mut answer = None;
-    let mut method_names = BTreeMap::new();
-    let mut engine = EngineCounters::default();
-    for e in exits {
-        end_time = end_time.max(e.end_time);
-        events += e.events;
-        peak = peak.max(e.peak_queue_depth);
-        completed &= e.main_done;
-        per_node[e.node] = Some(e.stats);
-        if let Some(a) = e.answer {
-            answer = Some(a);
-        }
-        method_names.extend(e.method_names);
-        // No epochs on the native backend: only delivery counters, which
-        // sum across node threads.
-        engine.deposits += e.engine.deposits;
-        engine.batches += e.engine.batches;
-        engine.wakes += e.engine.wakes;
-    }
-    assert!(completed, "native run incomplete without a watchdog timeout");
-    let stats =
-        MachineStats::new(per_node.into_iter().map(|s| s.expect("one exit per node")).collect())
-            .with_method_names(method_names)
-            .with_engine(engine);
-    let report = RunReport { end_time, stats, completed, events, peak_queue_depth: peak };
-    Ok((report, answer.expect("node 0 produces the answer")))
+    merge(exits, timed_out.then(|| run.clock.now()))
 }
 
-/// Thread body for one node: build the replica, spawn the main, then
-/// alternate wall-clock event execution with ring service until the
-/// coordinator orders shutdown.
-#[allow(clippy::too_many_arguments)]
-fn run_node<R>(
-    cfg: MachineConfig,
-    node: usize,
-    batch: u32,
+/// A worker's receiving side: its ring ends, indexed by source worker,
+/// and the records already taken off them.
+struct Inbox {
+    rx: Vec<Option<RingRx<CrossMsg>>>,
+    held: Vec<CrossMsg>,
+}
+
+impl Inbox {
+    /// Move every record waiting in the rings to `held`. Besides the
+    /// worker loop, a worker spinning on a full outbound ring does this:
+    /// the peer it waits for may be spinning on a full ring to it.
+    fn hold(&mut self) {
+        for rx in self.rx.iter_mut().flatten() {
+            while let Some(msg) = rx.pop() {
+                self.held.push(msg);
+            }
+        }
+    }
+
+    /// Whether anything waits to be applied, held or still in a ring.
+    fn pending(&self) -> bool {
+        !self.held.is_empty() || self.rx.iter().flatten().any(RingRx::has_records)
+    }
+}
+
+/// What every worker of one native run shares.
+struct Run<'a, S> {
+    cfg: &'a MachineConfig,
+    setup: &'a S,
     clock: Arc<WallClock>,
     stop: Arc<AtomicBool>,
+    /// One wake gate per worker, indexed by worker.
     gates: Vec<Arc<WakeGate>>,
-    tx_row: Vec<Option<RingTx<NativeMsg>>>,
-    mut rx_row: Vec<Option<RingRx<NativeMsg>>>,
-    done_tx: Sender<usize>,
-    setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
-) -> NodeExit<R> {
-    gates[node].register();
-    // Sender-side batchers, one per destination. Shared with the fabric
-    // port's route closure; flushed at the high-water mark (inside
-    // BatchTx) and at the end of every run_wall pass (below).
-    let outbound: Rc<RefCell<Vec<Option<BatchTx<NativeMsg>>>>> = Rc::new(RefCell::new(
-        tx_row
-            .into_iter()
-            .enumerate()
-            .map(|(dst, tx)| tx.map(|tx| BatchTx::new(tx, Arc::clone(&gates[dst]), batch as usize)))
-            .collect(),
-    ));
-    let abandoned = {
-        let stop = Arc::clone(&stop);
-        move || stop.load(Ordering::Acquire)
-    };
-    let port = Rc::new(oam_net::ChannelPort::new({
-        let outbound = Rc::clone(&outbound);
-        let abandoned = abandoned.clone();
-        move |rec: CrossNet| {
-            let dst = rec.dst().index();
-            let mut out = outbound.borrow_mut();
-            out[dst]
-                .as_mut()
-                .expect("fabric never routes to self")
-                .send(NativeMsg::Net(rec), &abandoned);
-        }
-    }));
-    let machine = MachineBuilder::from_config(cfg).build_native(node, Arc::clone(&clock), port);
-    let app = setup(&machine);
-    let ctx = Rc::clone(machine.collectives().shard_ctx());
+}
 
-    let done = Flag::new();
+impl<S> Run<'_, S> {
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
+    }
+
+    /// Worker body: build and set up the replica of this worker's nodes,
+    /// then alternate wall-clock event execution with ring service until
+    /// the coordinator orders shutdown.
+    fn worker<R>(&self, me: usize, (tx_row, rx): RingRow, done: Sender<usize>) -> ReplicaExit<R>
+    where
+        S: Fn(&Machine) -> ShardApp<R>,
     {
-        let env = machine.env(node);
-        let fut = (app.main)(env);
-        let f = done.clone();
-        machine.node(NodeId(node)).spawn(async move {
-            fut.await;
-            f.set();
-        });
-    }
+        let (nodes, workers) = (self.cfg.nodes, self.gates.len());
+        let gate = &self.gates[me];
+        gate.register();
+        // Sender-side batchers, one per peer worker. Shared with the
+        // fabric port's route closure; flushed at the high-water mark
+        // (inside BatchTx) and at the end of every run_wall pass (below).
+        let batch = self.cfg.effective_batch() as usize;
+        let outbound: Rc<RefCell<Vec<Option<BatchTx<CrossMsg>>>>> = Rc::new(RefCell::new(
+            (tx_row.into_iter().zip(&self.gates))
+                .map(|(tx, gate)| tx.map(|tx| BatchTx::new(tx, Arc::clone(gate), batch)))
+                .collect(),
+        ));
+        // Polled while a flush waits on a full ring: keep receiving, and
+        // give up once the run is stopped.
+        let inbox = Rc::new(RefCell::new(Inbox { rx, held: Vec::new() }));
+        let abandoned = {
+            let (stop, inbox) = (Arc::clone(&self.stop), Rc::clone(&inbox));
+            move || {
+                inbox.borrow_mut().hold();
+                stop.load(Ordering::Acquire)
+            }
+        };
+        let port = Rc::new(ChannelPort::new({
+            let (outbound, abandoned) = (Rc::clone(&outbound), abandoned.clone());
+            let owners = partition(nodes, workers);
+            move |rec: CrossNet| {
+                let to = owners[rec.dst().index()];
+                let mut out = outbound.borrow_mut();
+                let tx = out[to].as_mut().expect("the fabric delivers between owned nodes itself");
+                tx.send(CrossMsg::Net(rec), &abandoned);
+            }
+        }));
+        let owned = shard_range(nodes, workers, me);
+        let machine = MachineBuilder::from_config(self.cfg.clone()).build_native(
+            owned,
+            Arc::clone(&self.clock),
+            port,
+        );
+        let replica = Replica::new(machine, self.setup);
+        let (sim, net) = (replica.machine.sim(), replica.machine.network());
 
-    let mut reported = false;
-    loop {
-        let next = machine.sim().run_wall(EVENT_BATCH);
-        {
-            let mut out = outbound.borrow_mut();
-            for rec in ctx.drain_outbox() {
-                for (dst, tx) in out.iter_mut().enumerate() {
-                    if let Some(tx) = tx {
-                        debug_assert_ne!(dst, node);
-                        tx.send(NativeMsg::Reduce(rec.clone()), &abandoned);
+        // Hot-loop buffers, reused for the whole run: drained collective
+        // contributions, received records and their net records.
+        let mut reduce: Vec<ReduceRecord> = Vec::new();
+        let mut received: Vec<CrossMsg> = Vec::new();
+        let mut net_batch: Vec<CrossNet> = Vec::new();
+        let mut reported = false;
+        loop {
+            let next = sim.run_wall(EVENT_BATCH);
+            {
+                let mut out = outbound.borrow_mut();
+                replica.ctx.drain_outbox_into(&mut reduce);
+                for rec in reduce.drain(..) {
+                    for tx in out.iter_mut().flatten() {
+                        tx.send(CrossMsg::Reduce(rec.clone()), &abandoned);
+                    }
+                }
+                // End-of-pass flush boundary: everything this pass
+                // deposited leaves now, one wake signal per peer worker
+                // with records.
+                for tx in out.iter_mut().flatten() {
+                    tx.flush(&abandoned);
+                }
+            }
+            if !reported && replica.mains_done() {
+                reported = true;
+                let _ = done.send(me);
+            }
+            if self.stopped() {
+                break;
+            }
+
+            // Wait for the next due local event or an incoming record,
+            // whichever comes first.
+            let pending = || inbox.borrow().pending();
+            match next {
+                Some(t) => {
+                    let gap = t.saturating_since(self.clock.now());
+                    if gap.is_zero() {
+                        // Batch bound hit with work still due: fall through
+                        // and drain whatever is already here.
+                    } else if gap.as_nanos() <= SPIN_GAP_NS {
+                        while self.clock.now() < t && !pending() && !self.stopped() {
+                            std::hint::spin_loop();
+                        }
+                    } else {
+                        let wait = Duration::from_nanos(gap.as_nanos()).min(MAX_PARK);
+                        gate.park_unless(pending, wait);
+                    }
+                }
+                None => gate.park_unless(pending, MAX_PARK),
+            }
+            // Received records apply in arrival order: net records gather
+            // in the reused batch, which is applied before each collective
+            // contribution and after the last record.
+            {
+                let mut inbox = inbox.borrow_mut();
+                inbox.hold();
+                std::mem::swap(&mut inbox.held, &mut received);
+            }
+            for msg in received.drain(..) {
+                match msg {
+                    CrossMsg::Net(rec) => net_batch.push(rec),
+                    CrossMsg::Reduce(rec) => {
+                        net.apply_cross(&mut net_batch);
+                        replica.ctx.integrate(rec);
                     }
                 }
             }
-            // End-of-pass flush boundary: everything this pass deposited
-            // leaves now, one wake signal per destination with records.
-            for tx in out.iter_mut().flatten() {
-                tx.flush(&abandoned);
-            }
-        }
-        if done.get() && !reported {
-            reported = true;
-            let _ = done_tx.send(node);
-        }
-        if stop.load(Ordering::Acquire) {
-            break;
+            net.apply_cross(&mut net_batch);
         }
 
-        // Wait for the next due local event or an incoming record,
-        // whichever comes first.
-        let pending = || rx_row.iter().flatten().any(RingRx::has_records);
-        match next {
-            Some(t) => {
-                let gap = t.saturating_since(clock.now());
-                if gap.is_zero() {
-                    // Batch bound hit with work still due: fall through
-                    // and drain whatever is already here.
-                } else if gap.as_nanos() <= SPIN_GAP_NS {
-                    while clock.now() < t && !pending() && !stop.load(Ordering::Acquire) {
-                        std::hint::spin_loop();
-                    }
-                } else {
-                    gates[node]
-                        .park_unless(pending, Duration::from_nanos(gap.as_nanos()).min(MAX_PARK));
-                }
-            }
-            None => gates[node].park_unless(pending, MAX_PARK),
+        // Harvest. Trailing idle is folded at the local stop time (the
+        // clock is shared, so end times agree to within shutdown skew).
+        let mut engine = EngineCounters::default();
+        for tx in outbound.borrow().iter().flatten() {
+            engine.deposits += tx.deposits;
+            engine.batches += tx.batches;
         }
-        for rx in rx_row.iter_mut().flatten() {
-            while let Some(m) = rx.pop() {
-                integrate(&machine, &ctx, m);
-            }
-        }
-    }
-
-    // Harvest this replica. Trailing idle is folded at the local stop time
-    // (the clock is shared, so per-node end times agree to within shutdown
-    // skew).
-    let end = machine.sim().now();
-    let stats = machine.harvest().per_node.pop().expect("the replica's one node");
-    let mut engine = EngineCounters::default();
-    for tx in outbound.borrow().iter().flatten() {
-        engine.deposits += tx.deposits;
-        engine.batches += tx.batches;
-    }
-    engine.wakes = gates[node].wakes();
-    NodeExit {
-        node,
-        main_done: done.get(),
-        end_time: end,
-        events: machine.sim().events_executed(),
-        peak_queue_depth: machine.sim().peak_event_queue_depth(),
-        stats,
-        diag: machine.node(NodeId(node)).diagnostics(),
-        outstanding_calls: machine.rpc().outstanding_calls(NodeId(node)),
-        input_queue_depth: machine.network().input_depth(NodeId(node)),
-        method_names: machine.rpc().method_names(),
-        answer: (node == 0).then(|| (app.finish)(&machine)),
-        engine,
+        engine.wakes = gate.wakes();
+        let end = sim.now();
+        replica.exit(end, engine)
     }
 }
 
-/// Apply one incoming record to this node's replica.
-fn integrate(machine: &Machine, ctx: &Rc<crate::collective::ShardCollectives>, msg: NativeMsg) {
-    match msg {
-        NativeMsg::Net(rec) => {
-            machine.network().apply_cross(&mut vec![rec]);
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::HashSet;
+    use std::sync::Mutex;
+
+    #[test]
+    fn the_ring_matrix_has_one_ring_per_directed_worker_pair() {
+        for workers in 1..=4 {
+            let mut rows = ring_matrix(workers, 64);
+            assert_eq!(rows.len(), workers, "one row per worker");
+            let rings: usize = rows.iter().map(|(tx, _)| tx.iter().flatten().count()).sum();
+            assert_eq!(rings, workers * (workers - 1));
+            let ends: usize = rows.iter().map(|(_, rx)| rx.iter().flatten().count()).sum();
+            assert_eq!(ends, rings);
+            for src in 0..workers {
+                assert!(rows[src].0[src].is_none() && rows[src].1[src].is_none(), "no self ring");
+                for dst in (0..workers).filter(|&d| d != src) {
+                    let rec = CrossMsg::Net(CrossNet::Credit {
+                        key: (src * workers + dst) as u64,
+                        at: Time::ZERO,
+                        to: oam_model::NodeId(dst),
+                        from: oam_model::NodeId(src),
+                        credits: 1,
+                    });
+                    assert!(rows[src].0[dst].as_mut().unwrap().push(rec).is_ok());
+                    let got = rows[dst].1[src].as_mut().unwrap().pop();
+                    assert!(
+                        matches!(got, Some(CrossMsg::Net(CrossNet::Credit { key, .. }))
+                            if key == (src * workers + dst) as u64),
+                        "ring {src} -> {dst} reaches worker {dst}"
+                    );
+                }
+            }
         }
-        NativeMsg::Reduce(rec) => ctx.integrate(rec),
+    }
+
+    #[test]
+    fn a_native_run_starts_one_worker_per_core_each_owning_its_range() {
+        for nodes in [1, host_cores() + 1, 2 * host_cores() + 1] {
+            let seen = Arc::new(Mutex::new(Vec::new()));
+            let s = Arc::clone(&seen);
+            let (report, ()) = run_native(MachineConfig::cm5(nodes), move |machine| {
+                s.lock().unwrap().push((std::thread::current().id(), machine.owned()));
+                ShardApp {
+                    main: Box::new(|env| Box::pin(async move { env.barrier().await })),
+                    finish: Box::new(|_| ()),
+                }
+            });
+            assert_eq!(report.stats.nodes(), nodes);
+            let workers = host_cores().min(nodes);
+            let mut seen = seen.lock().unwrap().clone();
+            seen.sort_by_key(|(_, owned)| owned.start);
+            let threads: HashSet<_> = seen.iter().map(|(thread, _)| *thread).collect();
+            assert_eq!(threads.len(), workers, "one thread per worker at {nodes} nodes");
+            let ranges: Vec<_> = seen.into_iter().map(|(_, owned)| owned).collect();
+            let want: Vec<_> = (0..workers).map(|w| shard_range(nodes, workers, w)).collect();
+            assert_eq!(ranges, want, "worker w owns shard_range(nodes, W, w)");
+        }
     }
 }

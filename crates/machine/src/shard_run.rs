@@ -40,67 +40,91 @@
 
 use std::future::Future;
 use std::pin::Pin;
+use std::rc::Rc;
 
-use oam_model::{Backend, Dur, EngineCounters, MachineConfig, MachineStats, NodeStats, Time};
+use oam_model::{Backend, Dur, EngineCounters, MachineConfig, Time};
 use oam_net::CrossNet;
 use oam_sim::{
     default_spin, partition, shard_range, Coordinator, Fence, FencePolicy, Round, ShardPort,
 };
 use oam_threads::Flag;
 
-use crate::collective::ReduceRecord;
-use crate::machine::{Machine, MachineBuilder, NodeEnv, RunReport};
+use crate::collective::{ReduceRecord, ShardCollectives};
+use crate::machine::{merge, Machine, MachineBuilder, NodeEnv, ReplicaExit, RunReport};
 
-/// A boundary record crossing shard threads at an epoch barrier.
+/// A record crossing host threads: at an epoch barrier between shards,
+/// or through an SPSC ring between native workers.
 #[derive(Clone)]
 pub enum CrossMsg {
-    /// A network packet or bulk transfer bound for a node on another shard.
+    /// A network packet or bulk transfer bound for a node another replica
+    /// owns.
     Net(CrossNet),
     /// A collective contribution, broadcast to every replica.
     Reduce(ReduceRecord),
 }
 
-/// What a shard runs: the SPMD node main plus a finalizer that extracts
-/// the application's answer from the machine after the run goes quiet.
-///
-/// Produced per shard by the `setup` closure handed to
-/// [`run_partitioned`]; `setup` also registers handlers on the replica's
-/// own nodes ([`Machine::nodes`]) and creates the reducers, the same ones
-/// in the same order on every shard so collective ids line up.
 /// A boxed SPMD node main: invoked once per owned node, returning that
 /// node's boxed main future.
 pub type NodeMain = Box<dyn Fn(NodeEnv) -> Pin<Box<dyn Future<Output = ()>>>>;
 
 /// A boxed answer extractor: reads the final result out of the (quiet)
-/// shard-0 machine.
+/// machine that owns node 0.
 pub type FinishFn<R> = Box<dyn FnOnce(&Machine) -> R>;
 
-/// The pieces of an application a shard needs: its node main and the
-/// answer extractor. See the module docs for the setup contract.
+/// What a replica runs: the SPMD node main plus a finalizer that extracts
+/// the application's answer from the machine after the run goes quiet.
+///
+/// Produced per replica (a shard, or a native worker's node range) by the
+/// `setup` closure handed to [`run_partitioned`]; `setup` also registers
+/// handlers on the replica's own nodes ([`Machine::nodes`]) and creates
+/// the reducers, the same ones in the same order on every replica so
+/// collective ids line up.
 pub struct ShardApp<R> {
-    /// The node main, boxed so every shard's setup can capture its own
+    /// The node main, boxed so every replica's setup can capture its own
     /// thread-local state.
     pub main: NodeMain,
     /// Reads the final answer out of the (quiet) machine. Only invoked on
-    /// shard 0, whose replica owns node 0 — the node that writes answers
-    /// in every app in this repo.
+    /// the replica that owns node 0 — the node that writes answers in
+    /// every app in this repo — once its mains are done.
     pub finish: FinishFn<R>,
 }
 
-/// Per-shard outcome carried back to the coordinating thread.
-struct ShardResult<R> {
-    end_time: Time,
-    events: u64,
-    peak_queue_depth: u64,
-    completed: bool,
-    /// Stats for the nodes this shard owns, paired with their node ids.
-    per_node: Vec<(usize, NodeStats)>,
-    /// RPC method names registered on this shard's nodes.
-    method_names: std::collections::BTreeMap<u32, String>,
-    /// Epoch counters; identical on every shard by construction.
-    engine: EngineCounters,
-    /// The application answer (shard 0 only).
-    answer: Option<R>,
+/// One replica of a run, on either backend: a machine for a range of
+/// nodes with the application set up on it and every owned node's main
+/// spawned. The epoch engine steps replicas through barriers; a native
+/// worker runs one in real time.
+pub(crate) struct Replica<R> {
+    pub(crate) machine: Machine,
+    pub(crate) ctx: Rc<ShardCollectives>,
+    done: Vec<Flag>,
+    finish: FinishFn<R>,
+}
+
+impl<R> Replica<R> {
+    /// Run `setup` on `machine`, then spawn the main of every node it owns.
+    pub(crate) fn new(machine: Machine, setup: &impl Fn(&Machine) -> ShardApp<R>) -> Self {
+        let app = setup(&machine);
+        let done = machine.spawn_mains(&app.main);
+        let ctx = Rc::clone(machine.collectives().shard_ctx());
+        Replica { machine, ctx, done, finish: app.finish }
+    }
+
+    /// Whether every owned node's main has completed.
+    pub(crate) fn mains_done(&self) -> bool {
+        self.done.iter().all(Flag::get)
+    }
+
+    /// Harvest the replica, trailing idle folded at `end`, with its
+    /// host-engine counters; the replica that owns node 0 also reads the
+    /// answer, once its mains are done.
+    pub(crate) fn exit(self, end: Time, engine: EngineCounters) -> ReplicaExit<R> {
+        let mut exit = self.machine.exit(&self.done, end);
+        exit.engine = engine;
+        if exit.first == 0 && self.mains_done() {
+            exit.answer = Some((self.finish)(&self.machine));
+        }
+        exit
+    }
 }
 
 /// Conservative lookahead for a configuration: the minimum latency of any
@@ -132,8 +156,8 @@ pub fn run_partitioned<R: Send + 'static>(
     setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
 ) -> (RunReport, R) {
     // Backend dispatch: the native host-threads runtime replaces the whole
-    // epoch machinery below (one thread per node, no fences, wall-clock
-    // time); the simulator backends continue here.
+    // epoch machinery below (one worker per host core, no fences,
+    // wall-clock time); the simulator continues here.
     if cfg.backend == Backend::Native {
         return crate::native_run::run_native(cfg, setup);
     }
@@ -159,7 +183,7 @@ pub fn run_partitioned<R: Send + 'static>(
     // Worker 0 runs on the calling thread, whatever the worker count:
     // spawning it would only add a thread, and a malloc arena, that the
     // run does not need.
-    let results: Vec<ShardResult<R>> = std::thread::scope(|scope| {
+    let mut exits: Vec<ReplicaExit<R>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (1..workers)
             .map(|worker| {
                 let cfg = cfg.clone();
@@ -169,68 +193,21 @@ pub fn run_partitioned<R: Send + 'static>(
                 scope.spawn(move || run_worker(cfg, coord, owners, worker, workers, setup))
             })
             .collect();
-        let mut results = run_worker(cfg, &coord, &owners, 0, workers, &setup);
+        let mut exits = run_worker(cfg, &coord, &owners, 0, workers, &setup);
         for h in handles {
-            results.extend(h.join().expect("shard worker panicked"));
+            exits.extend(h.join().expect("shard worker panicked"));
         }
-        results
+        exits
     });
-
-    // Merge: per-node stats reassembled by node id, method names united,
-    // counters summed or maxed, the answer taken from shard 0.
-    let mut per_node: Vec<Option<NodeStats>> = vec![None; nodes];
-    let mut end_time = Time::ZERO;
-    let mut events = 0u64;
-    let mut peak = 0u64;
-    let mut completed = true;
-    let mut answer = None;
-    let mut method_names = std::collections::BTreeMap::new();
-    let mut engine: Option<EngineCounters> = None;
-    for r in results {
-        end_time = end_time.max(r.end_time);
-        events += r.events;
-        peak = peak.max(r.peak_queue_depth);
-        completed &= r.completed;
-        for (i, s) in r.per_node {
-            per_node[i] = Some(s);
-        }
-        if let Some(a) = r.answer {
-            answer = Some(a);
-        }
-        method_names.extend(r.method_names);
-        // Round counters must agree across shards (asserted inside
-        // absorb); delivery counters sum.
-        match engine.as_mut() {
-            Some(e) => e.absorb(r.engine),
-            None => engine = Some(r.engine),
-        }
-    }
-    let mut engine = engine.unwrap_or_default();
-    engine.wakes += coord.wakes();
-    let stats = MachineStats::new(
-        per_node.into_iter().map(|s| s.expect("every node owned by some shard")).collect(),
-    )
-    .with_method_names(method_names)
-    .with_engine(engine);
-    assert!(
-        completed,
-        "partitioned run did not complete: some node main is deadlocked (end time {end_time})"
-    );
-    let report = RunReport { end_time, stats, completed, events, peak_queue_depth: peak };
-    (report, answer.expect("shard 0 produces the answer"))
+    exits[0].engine.wakes += coord.wakes();
+    merge(exits, None).unwrap_or_else(|hang| panic!("partitioned run did not complete:\n{hang}"))
 }
 
-/// One shard replica as driven by a worker thread: its machine, its port,
-/// and its progress through the epoch protocol.
+/// One shard replica as driven by a worker thread: the replica, its
+/// port, and its progress through the epoch protocol.
 struct Lane<'c, R> {
-    shard: usize,
-    machine: Machine,
-    ctx: std::rc::Rc<crate::collective::ShardCollectives>,
+    replica: Replica<R>,
     port: ShardPort<'c, CrossMsg>,
-    /// Completion flags for the mains of this shard's owned nodes.
-    done: Vec<(usize, Flag)>,
-    /// The answer extractor (shard 0 only; consumed at the end).
-    finish: Option<FinishFn<R>>,
     fence: Fence,
 }
 
@@ -245,7 +222,7 @@ fn run_worker<R>(
     worker: usize,
     workers: usize,
     setup: &(impl Fn(&Machine) -> ShardApp<R> + Send + Sync),
-) -> Vec<ShardResult<R>> {
+) -> Vec<ReplicaExit<R>> {
     let nodes = cfg.nodes;
     let shards = coord_shards(owners);
     // Contiguous, balanced assignment of shards to workers — the same
@@ -255,29 +232,10 @@ fn run_worker<R>(
     let mut lanes: Vec<Lane<'_, R>> = my_shards
         .map(|shard| {
             let owned = shard_range(nodes, shards, shard);
-            let machine = MachineBuilder::from_config(cfg.clone()).build_shard(owned.clone());
-            let app = setup(&machine);
-            let ctx = std::rc::Rc::clone(machine.collectives().shard_ctx());
-            let done: Vec<(usize, Flag)> = owned
-                .map(|i| {
-                    let flag = Flag::new();
-                    let env = machine.env(i);
-                    let fut = (app.main)(env);
-                    let f = flag.clone();
-                    machine.node(oam_model::NodeId(i)).spawn(async move {
-                        fut.await;
-                        f.set();
-                    });
-                    (i, flag)
-                })
-                .collect();
+            let machine = MachineBuilder::from_config(cfg.clone()).build_shard(owned);
             Lane {
-                shard,
-                machine,
-                ctx,
+                replica: Replica::new(machine, setup),
                 port: coord.port(shard),
-                done,
-                finish: Some(app.finish),
                 fence: Fence::Before(Time::ZERO),
             }
         })
@@ -298,16 +256,16 @@ fn run_worker<R>(
         for lane in &mut lanes {
             let local_next = match lane.fence {
                 Fence::Before(limit) => {
-                    let (next, ran) = lane.machine.sim().run_before_counted(limit);
+                    let (next, ran) = lane.replica.machine.sim().run_before_counted(limit);
                     if ran {
                         // Only an executed event or polled task can have
                         // put anything in the outboxes; idle windows skip
                         // the scans entirely.
-                        lane.machine.network().drain_cross_into(&mut cross);
+                        lane.replica.machine.network().drain_cross_into(&mut cross);
                         for rec in cross.drain(..) {
                             lane.port.send(owners[rec.dst().index()], CrossMsg::Net(rec));
                         }
-                        lane.ctx.drain_outbox_into(&mut reduce);
+                        lane.replica.ctx.drain_outbox_into(&mut reduce);
                         for rec in reduce.drain(..) {
                             lane.port.broadcast(CrossMsg::Reduce(rec));
                         }
@@ -318,7 +276,7 @@ fn run_worker<R>(
                     // One shard: no peer exists, so run to quiescence. The
                     // fabric owns every node and the collectives have no
                     // one to broadcast to, so nothing crosses.
-                    lane.machine.sim().run();
+                    lane.replica.machine.sim().run();
                     None
                 }
                 Fence::Done => unreachable!("the loop breaks on Done"),
@@ -347,12 +305,12 @@ fn run_worker<R>(
             for lane in &mut lanes {
                 lane.port.drain_incoming(|msg| match msg {
                     CrossMsg::Net(rec) => net_batch.push(rec),
-                    CrossMsg::Reduce(rec) => lane.ctx.integrate(rec),
+                    CrossMsg::Reduce(rec) => lane.replica.ctx.integrate(rec),
                 });
-                lane.machine.network().apply_cross(&mut net_batch);
+                lane.replica.machine.network().apply_cross(&mut net_batch);
                 // Integration may have scheduled events earlier than what
                 // run_before reported, so re-peek before agreeing.
-                let next = lane.machine.sim().next_event_time();
+                let next = lane.replica.machine.sim().next_event_time();
                 lane.port.arrive_agree(next);
             }
             for lane in &mut lanes {
@@ -371,27 +329,13 @@ fn run_worker<R>(
     // windows at the agreed global end so `idle_time` is the same total
     // (end − active) the single-shard engine reports.
     for lane in &mut lanes {
-        lane.port.arrive_finish(lane.machine.sim().now());
+        lane.port.arrive_finish(lane.replica.machine.sim().now());
     }
     lanes
         .into_iter()
         .map(|mut lane| {
             let end = lane.port.complete_finish();
-            for n in lane.machine.nodes() {
-                n.finalize_idle(end);
-            }
-            let stats = lane.machine.harvest();
-            ShardResult {
-                end_time: lane.machine.sim().now(),
-                events: lane.machine.sim().events_executed(),
-                peak_queue_depth: lane.machine.sim().peak_event_queue_depth(),
-                completed: lane.done.iter().all(|(_, f)| f.get()),
-                per_node: lane.machine.owned().zip(stats.per_node).collect(),
-                method_names: lane.machine.rpc().method_names(),
-                engine: lane.port.counters(),
-                answer: (lane.shard == 0)
-                    .then(|| (lane.finish.take().expect("finish consumed once"))(&lane.machine)),
-            }
+            lane.replica.exit(end, lane.port.counters())
         })
         .collect()
 }

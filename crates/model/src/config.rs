@@ -343,8 +343,9 @@ pub struct MachineConfig {
     pub shards: usize,
     /// Execution backend: the discrete-event simulator (virtual time,
     /// bit-deterministic; the default) or the native host-threads runtime
-    /// (one OS thread per node, SPSC rings, wall-clock time —
-    /// answer-deterministic only, and no fault plan).
+    /// (one worker OS thread per host core owning a range of nodes, SPSC
+    /// rings between workers, wall-clock time — answer-deterministic
+    /// only, and no fault plan).
     pub backend: Backend,
     /// Host-engine tuning for the sharded epoch executor (fence policy,
     /// barrier spin budget, delivery batch, worker count). These knobs
@@ -409,10 +410,11 @@ pub enum Backend {
     /// order, bit-identical traces and goldens for a given seed.
     #[default]
     Sim,
-    /// The native host-threads runtime: one OS thread per simulated node,
-    /// channel-delivered packets, wall-clock time. Answers are
-    /// deterministic for data-deterministic programs; timings and traces
-    /// are not.
+    /// The native host-threads runtime: `min(host cores, nodes)` worker
+    /// OS threads, each owning a contiguous range of nodes, with
+    /// ring-delivered packets between workers and wall-clock time. Answers
+    /// are deterministic for data-deterministic programs; timings and
+    /// traces are not.
     Native,
 }
 

@@ -21,18 +21,10 @@ pub trait FabricPort {
     /// re-enter arbitrary routing code.
     fn send(&self, rec: CrossNet);
 
-    /// Take the records batched since the last call. Ports that forward
-    /// records immediately have nothing to hand back.
-    fn drain(&self) -> Vec<CrossNet> {
-        Vec::new()
-    }
-
-    /// As [`FabricPort::drain`], but append into a caller-owned buffer so
-    /// the epoch hot loop reuses one allocation forever. Batching ports
-    /// should override this together with `drain`.
-    fn drain_into(&self, out: &mut Vec<CrossNet>) {
-        out.append(&mut self.drain());
-    }
+    /// Append the records batched since the last call to `out`, a
+    /// caller-owned buffer the epoch hot loop reuses forever. Ports that
+    /// forward records immediately have nothing to hand back.
+    fn drain_into(&self, _out: &mut Vec<CrossNet>) {}
 
     /// Backend label, for diagnostics.
     fn name(&self) -> &'static str;
@@ -56,10 +48,6 @@ impl EpochPort {
 impl FabricPort for EpochPort {
     fn send(&self, rec: CrossNet) {
         self.outbox.borrow_mut().push(rec);
-    }
-
-    fn drain(&self) -> Vec<CrossNet> {
-        std::mem::take(&mut self.outbox.borrow_mut())
     }
 
     fn drain_into(&self, out: &mut Vec<CrossNet>) {
@@ -132,9 +120,13 @@ mod tests {
         port.send(rec(3));
         port.send(rec(1));
         port.send(rec(2));
-        let got: Vec<u64> = port.drain().iter().map(key_of).collect();
-        assert_eq!(got, vec![3, 1, 2], "push order preserved, not key order");
-        assert!(port.drain().is_empty(), "drain takes the batch");
+        let mut out = vec![rec(9)];
+        port.drain_into(&mut out);
+        let got: Vec<u64> = out.iter().map(key_of).collect();
+        assert_eq!(got, vec![9, 3, 1, 2], "appended in push order, not key order");
+        out.clear();
+        port.drain_into(&mut out);
+        assert!(out.is_empty(), "drain takes the batch");
     }
 
     #[test]
@@ -146,7 +138,9 @@ mod tests {
         assert_eq!(seen.get(), 5, "record routed at send time");
         port.send(rec(7));
         assert_eq!(seen.get(), 12);
-        assert!(port.drain().is_empty(), "nothing batched");
+        let mut out = Vec::new();
+        port.drain_into(&mut out);
+        assert!(out.is_empty(), "nothing batched");
         assert_eq!(port.name(), "native-channel");
     }
 }

@@ -261,9 +261,13 @@ impl<T: Send> BatchTx<T> {
     }
 
     /// Buffer one record, flushing if the high-water mark is reached.
-    /// `abandoned` aborts a full-ring wait (the consumer will never drain
-    /// again — shutdown); any unflushed records are dropped, matching the
-    /// lossy-at-shutdown contract of the channel path this replaces.
+    /// `abandoned` is polled on every spin of a full-ring wait, and `true`
+    /// aborts the wait (the consumer will never drain again — shutdown);
+    /// any unflushed records are dropped, matching the lossy-at-shutdown
+    /// contract of the channel path this replaces. A producer that is
+    /// also a consumer should empty its own inbound rings inside
+    /// `abandoned`: two threads each spinning on a full ring to the other
+    /// would otherwise wait for each other forever.
     pub fn send(&mut self, v: T, abandoned: &impl Fn() -> bool) {
         self.buf.push(v);
         self.deposits += 1;

@@ -17,7 +17,7 @@ use optimistic_active_messages::apps::sor::SorParams;
 use optimistic_active_messages::apps::tsp::TspParams;
 use optimistic_active_messages::apps::water::{WaterParams, WaterVariant};
 use optimistic_active_messages::apps::{sor, triangle, tsp, water, System};
-use optimistic_active_messages::model::EngineCounters;
+use optimistic_active_messages::model::{host_cores, EngineCounters};
 use optimistic_active_messages::prelude::*;
 
 /// `MachineConfig::cm5(nodes)` under the CI leg's `OAM_*` overrides.
@@ -27,6 +27,14 @@ fn cm5(nodes: usize) -> MachineConfig {
 
 fn on(backend: Backend, nodes: usize) -> MachineConfig {
     cm5(nodes).with_backend(backend)
+}
+
+/// One node more than the host has cores: a native run starts one worker
+/// per core, so some worker owns two or more nodes. Their traffic takes
+/// the fabric's owned path inside the worker while the rest crosses the
+/// worker rings, and both must give sim's answers.
+fn crowded() -> usize {
+    host_cores() + 1
 }
 
 /// State of the small-AM storm target: a hit counter the receiver's main
@@ -66,11 +74,13 @@ define_rpc_service! {
 
 #[test]
 fn sor_answers_match_across_backends() {
-    let p = SorParams { rows: 16, cols: 8, iters: 3 };
-    let (ck, _) = sor::sequential(p);
-    for backend in [Backend::Sim, Backend::Native] {
-        let out = sor::run_configured(System::Orpc, on(backend, 4), p);
-        assert_eq!(out.answer, ck, "sor answer wrong on {}", backend.label());
+    for nodes in [4, crowded()] {
+        let p = SorParams { rows: 4 * nodes, cols: 8, iters: 3 };
+        let (ck, _) = sor::sequential(p);
+        for backend in [Backend::Sim, Backend::Native] {
+            let out = sor::run_configured(System::Orpc, on(backend, nodes), p);
+            assert_eq!(out.answer, ck, "sor answer wrong on {} at {nodes} nodes", backend.label());
+        }
     }
 }
 
@@ -87,22 +97,44 @@ fn tsp_answers_match_across_backends() {
 #[test]
 fn triangle_answers_match_across_backends() {
     let (sol, pos, _) = triangle::sequential(4);
-    for backend in [Backend::Sim, Backend::Native] {
-        let out = triangle::run_configured(System::Orpc, on(backend, 3), 4, 1);
-        assert_eq!(out.answer, (sol << 40) | pos, "triangle answer wrong on {}", backend.label());
+    for nodes in [3, crowded()] {
+        for backend in [Backend::Sim, Backend::Native] {
+            let out = triangle::run_configured(System::Orpc, on(backend, nodes), 4, 1);
+            let at = format!("{} at {nodes} nodes", backend.label());
+            assert_eq!(out.answer, (sol << 40) | pos, "triangle answer wrong on {at}");
+        }
     }
 }
 
 #[test]
 fn water_answers_match_across_backends() {
-    let p = WaterParams { molecules: 12, iters: 2 };
     let variant = WaterVariant { system: System::Orpc, barrier: true };
-    let sim = water::run_configured(variant, on(Backend::Sim, 4), p).outcome.answer;
-    let native = water::run_configured(variant, on(Backend::Native, 4), p).outcome.answer;
-    // Remote positions and updates are consumed in fixed program order and
-    // the energy reduction is a wrapping u64 sum, so even the float-derived
-    // checksum is exact across backends.
-    assert_eq!(sim, native, "water energy checksum differs across backends");
+    for nodes in [4, crowded()] {
+        let p = WaterParams { molecules: 3 * nodes, iters: 2 };
+        let sim = water::run_configured(variant, on(Backend::Sim, nodes), p).outcome.answer;
+        let native = water::run_configured(variant, on(Backend::Native, nodes), p).outcome.answer;
+        // Remote positions and updates are consumed in fixed program order
+        // and the energy reduction is a wrapping u64 sum, so even the
+        // float-derived checksum is exact across backends.
+        assert_eq!(sim, native, "water energy checksum differs across backends at {nodes} nodes");
+    }
+}
+
+/// Figures 1 (Triangle) and 3 (SOR) at a small size: every system the
+/// figures plot — hand-coded AM, ORPC and TRPC — answers on native as on
+/// sim, with workers owning several nodes.
+#[test]
+fn figures_1_and_3_at_small_size_match_across_backends() {
+    let n = crowded();
+    let p = SorParams { rows: 4 * n, cols: 16, iters: 4 };
+    for system in System::ALL {
+        let sim = triangle::run_configured(system, on(Backend::Sim, n), 4, 1).answer;
+        let native = triangle::run_configured(system, on(Backend::Native, n), 4, 1).answer;
+        assert_eq!(native, sim, "figure 1 ({system:?}) at {n} nodes");
+        let sim = sor::run_configured(system, on(Backend::Sim, n), p).answer;
+        let native = sor::run_configured(system, on(Backend::Native, n), p).answer;
+        assert_eq!(native, sim, "figure 3 ({system:?}) at {n} nodes");
+    }
 }
 
 #[test]
@@ -213,11 +245,12 @@ fn apps_honor_the_backend_environment() {
 }
 
 /// A burst of `rounds` small one-way active messages from node 0 to node
-/// 1 on the native backend at delivery batch size `batch`, then a
-/// count-sum reduction. The receiver blocks until every hit has landed
-/// before reducing, so a lost message or a lost wake is a wrong answer or
-/// a hang. Returns the answer and the machine's delivery counters.
-fn native_am_storm(rounds: u32, batch: u32) -> (u64, EngineCounters) {
+/// 1 (and, if `two_way`, from node 1 to node 0 at the same time) on the
+/// native backend at delivery batch size `batch`, then a count-sum
+/// reduction. Each receiver blocks until every hit has landed before
+/// reducing, so a lost message or a lost wake is a wrong answer or a hang.
+/// Returns the answer and the machine's delivery counters.
+fn native_am_storm(rounds: u32, batch: u32, two_way: bool) -> (u64, EngineCounters) {
     use optimistic_active_messages::machine::{run_partitioned, ShardApp};
     use std::cell::Cell;
     use std::rc::Rc;
@@ -247,24 +280,23 @@ fn native_am_storm(rounds: u32, batch: u32) -> (u64, EngineCounters) {
                 let st = Rc::clone(&states[env.id().index()]);
                 let t = Rc::clone(&t);
                 Box::pin(async move {
-                    let mut mine = 0u64;
-                    match env.id().index() {
-                        0 => {
-                            for _ in 0..rounds {
-                                Storm::hit::send(env.rpc(), env.node(), NodeId(1)).await;
-                            }
+                    let me = env.id().index();
+                    let (sends, receives) = (me == 0 || two_way, me == 1 || two_way);
+                    if sends {
+                        for _ in 0..rounds {
+                            Storm::hit::send(env.rpc(), env.node(), NodeId(1 - me)).await;
                         }
-                        1 => {
-                            let mut g = st.count.lock().await;
-                            while g.with(|c| *c < st.target) {
-                                g = st.done.wait(g).await;
-                            }
-                            mine = g.with(|c| *c);
-                        }
-                        _ => {}
                     }
-                    // Only the target contributes; each native thread has
-                    // its own state, so the sum folds to exactly `rounds`.
+                    let mut mine = 0u64;
+                    if receives {
+                        let mut g = st.count.lock().await;
+                        while g.with(|c| *c < st.target) {
+                            g = st.done.wait(g).await;
+                        }
+                        mine = g.with(|c| *c);
+                    }
+                    // Only targets contribute, each its own count, so the
+                    // sum folds to exactly `rounds` per direction.
                     let got = sum.reduce(env.node(), mine).await;
                     if env.id().index() == 0 {
                         t.set(got);
@@ -282,13 +314,19 @@ fn native_am_storm(rounds: u32, batch: u32) -> (u64, EngineCounters) {
 /// delivery publishes once per deposit; batched delivery publishes at the
 /// high-water mark or earlier at a pass boundary, so its publish count
 /// lies between ⌈deposits / 32⌉ and deposits whatever the host timing.
+/// On a one-core host both nodes share the one worker, so nothing
+/// crosses a ring and only the answer is checked.
 #[test]
 fn small_am_storm_delivers_every_message_at_both_batch_sizes() {
     const ROUNDS: u32 = 8_000;
     for batch in [32u32, 1] {
-        let (answer, engine) = native_am_storm(ROUNDS, batch);
+        let (answer, engine) = native_am_storm(ROUNDS, batch, false);
         let (deposits, batches) = (engine.deposits, engine.batches);
         assert_eq!(answer, ROUNDS as u64, "storm answer at batch {batch}");
+        if host_cores() == 1 {
+            assert_eq!((deposits, batches), (0, 0), "one worker: the storm never leaves it");
+            continue;
+        }
         assert!(deposits >= ROUNDS as u64, "batch {batch}: {deposits} deposits < {ROUNDS} hits");
         if batch == 1 {
             assert_eq!(batches, deposits, "per-message path must publish every deposit");
@@ -298,5 +336,17 @@ fn small_am_storm_delivers_every_message_at_both_batch_sizes() {
                 "batch 32: {batches} publishes for {deposits} deposits"
             );
         }
+    }
+}
+
+/// Both nodes storm each other at once. When they sit on two workers,
+/// both fill the ring to the other; each worker keeps draining its own
+/// inbound ring while it waits for room, so neither waits forever.
+#[test]
+fn a_two_way_storm_between_workers_completes() {
+    const ROUNDS: u32 = 8_000;
+    for batch in [32u32, 1] {
+        let (answer, _) = native_am_storm(ROUNDS, batch, true);
+        assert_eq!(answer, 2 * ROUNDS as u64, "two-way storm answer at batch {batch}");
     }
 }

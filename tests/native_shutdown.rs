@@ -1,8 +1,8 @@
-//! Native-backend shutdown: every node OS thread must join promptly on
+//! Native-backend shutdown: every worker OS thread must join promptly on
 //! clean completion *and* when a handler or main hangs forever — the
-//! real-time watchdog stops the run, the shutdown broadcast wakes threads
-//! parked on their channels, and the per-node thread state comes back in
-//! a [`HangReport`](optimistic_active_messages::machine::HangReport).
+//! real-time watchdog stops the run, the shutdown broadcast wakes workers
+//! parked on their rings, and the per-node thread state comes back in a
+//! [`HangReport`](optimistic_active_messages::machine::HangReport).
 
 use std::time::{Duration, Instant};
 
@@ -33,43 +33,50 @@ fn clean_completion_joins_promptly() {
 
 /// A deliberately hung main: node 1 spins on a flag nobody ever sets. The
 /// watchdog must stop the run at its real-time budget, join every thread,
-/// and report per-node state identifying the stuck node.
+/// and report per-node state identifying the stuck node. At one node more
+/// than the host has cores, worker 0 owns nodes 0 and 1: the hung node
+/// shares its worker with a node that finished.
 #[test]
 fn hung_main_is_diagnosed_and_joined_within_budget() {
-    let cfg = cm5(2).with_backend(Backend::Native);
-    let budget = Time::from_nanos(250_000_000); // 250 ms real
-    let start = Instant::now();
-    let result = try_run_native(cfg, budget, |_machine| ShardApp {
-        main: Box::new(|env: NodeEnv| {
-            Box::pin(async move {
-                if env.id().index() == 1 {
-                    let never = Flag::new();
-                    env.node().spin_on(never).await;
-                }
-            })
-        }),
-        finish: Box::new(|_| 0u64),
-    });
-    let elapsed = start.elapsed();
-    let hang = result.expect_err("a hung main must produce a HangReport");
+    for nodes in [2, optimistic_active_messages::model::host_cores() + 1] {
+        let cfg = cm5(nodes).with_backend(Backend::Native);
+        let budget = Time::from_nanos(250_000_000); // 250 ms real
+        let start = Instant::now();
+        let result = try_run_native(cfg, budget, |_machine| ShardApp {
+            main: Box::new(|env: NodeEnv| {
+                Box::pin(async move {
+                    if env.id().index() == 1 {
+                        let never = Flag::new();
+                        env.node().spin_on(never).await;
+                    }
+                })
+            }),
+            finish: Box::new(|_| 0u64),
+        });
+        let elapsed = start.elapsed();
+        let hang = result.expect_err("a hung main must produce a HangReport");
 
-    assert_eq!(hang.kind, HangKind::BudgetExceeded);
-    assert!(elapsed >= Duration::from_millis(250), "stopped before the budget: {elapsed:?}");
-    // Prompt: budget + shutdown/join slack, nowhere near a second park-
-    // timeout-per-node pile-up.
-    assert!(elapsed < Duration::from_secs(5), "threads took {elapsed:?} to join");
+        assert_eq!(hang.kind, HangKind::BudgetExceeded);
+        assert!(elapsed >= Duration::from_millis(250), "stopped before the budget: {elapsed:?}");
+        // Prompt: budget + shutdown/join slack, nowhere near a second park-
+        // timeout-per-node pile-up.
+        assert!(elapsed < Duration::from_secs(5), "threads took {elapsed:?} to join");
 
-    assert_eq!(hang.nodes.len(), 2, "one snapshot per node");
-    assert!(hang.nodes[0].main_done, "node 0's main completed");
-    assert!(!hang.nodes[1].main_done, "node 1 is the stuck node");
-    assert_eq!(hang.stuck_nodes().count(), 1);
-    assert!(
-        hang.nodes[1].diag.live_threads > 0,
-        "the hung thread is still alive in node 1's scheduler: {:?}",
-        hang.nodes[1].diag
-    );
-    let shown = hang.to_string();
-    assert!(shown.contains("budget-exceeded"), "display names the kind: {shown}");
+        assert_eq!(hang.nodes.len(), nodes, "one snapshot per node");
+        for (i, n) in hang.nodes.iter().enumerate() {
+            assert_eq!(n.diag.node, NodeId(i), "snapshots in node order");
+            assert_eq!(n.main_done, i != 1, "only node 1 is stuck at {nodes} nodes: {hang}");
+        }
+        assert_eq!(hang.stuck_nodes().count(), 1);
+        assert!(
+            hang.nodes[1].diag.live_threads > 0,
+            "the hung thread is still alive in node 1's scheduler: {:?}",
+            hang.nodes[1].diag
+        );
+        let shown = hang.to_string();
+        assert!(shown.contains("budget-exceeded"), "display names the kind: {shown}");
+        assert!(shown.contains("node 1: main STUCK"), "display names node 1: {shown}");
+    }
 }
 
 /// A successful run through the explicit-budget API: barriers and a
