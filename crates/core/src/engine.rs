@@ -2,14 +2,15 @@
 //! one dispatch path.
 //!
 //! A remote procedure is compiled (here: written as an `async` block built
-//! by a *factory*) under two optimistic assumptions: it will not block, and
-//! it will finish quickly. Under [`CallMode::Orpc`] the engine executes it
-//! **inline** in the message handler by polling the future once on the
-//! receiving thread's stack:
+//! by its [`CallBody`]) under two optimistic assumptions: it will not
+//! block, and it will finish quickly. Under [`CallMode::Orpc`] the engine
+//! executes it **inline** in the message handler by polling the future once
+//! on the receiving thread's stack:
 //!
 //! * `Poll::Ready` without suspension → **success**: the call ran as a pure
 //!   Active Message; no thread was ever created (the provisional slot is
-//!   released for free).
+//!   released for free), and no heap was touched either: the future ran in
+//!   its method's recycled box and the packet in the engine's spare `Rc`.
 //! * `Poll::Pending` → the handler attempted to block or ran too long; the
 //!   node's abort-cause cell says why ([`AbortReason`]), and the execution
 //!   **aborts** per the method's resolved [`AbortStrategy`]:
@@ -18,7 +19,7 @@
 //!       abort). No work is redone; the wait-list registrations the handler
 //!       made while blocking carry over to the thread.
 //!     * [`AbortStrategy::Rerun`] — the future is dropped (its `Drop` impls
-//!       deregister from wait lists) and a *fresh* future from the factory
+//!       deregister from wait lists) and a *fresh* future from the call body
 //!       runs as a thread from the beginning. Requires the paper's §3.3
 //!       restriction: the procedure may only mutate shared state once all
 //!       its locks are held and its conditions tested.
@@ -75,7 +76,8 @@
 //! wire format; NACKed calls are forgotten ([`CallEngine::forget_call`])
 //! so the caller's re-issue can execute.
 
-use std::cell::{Cell, RefCell};
+use std::any::{Any, TypeId};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::collections::{BTreeMap, HashMap};
 use std::future::Future;
 use std::ops::Range;
@@ -220,9 +222,106 @@ pub struct OamCall {
     pub pkt: Rc<Packet>,
 }
 
-/// Builds the handler future for a call. Must be re-invocable: the rerun
-/// strategy calls it a second time with the same packet.
-pub type CallFactory = Rc<dyn Fn(&OamCall) -> Pin<Box<dyn Future<Output = ()>>>>;
+/// A handler future as a thread runs it.
+type BoxedCall = Pin<Box<dyn Future<Output = ()>>>;
+
+/// The body of one remote procedure on one node: builds the handler future
+/// for each call, and polls the optimistic attempt in recycled storage.
+///
+/// The closure must be re-invocable: the rerun strategy calls it a second
+/// time with the same packet. Its future type stays concrete inside, so an
+/// attempt refills a recycled box with [`Pin::set`]: a call that completes
+/// inline returns the box for the next call, and a call that aborts and is
+/// promoted keeps it as its thread (the next attempt then boxes afresh).
+/// Reruns and thread-per-call dispatch box a fresh future.
+pub struct CallBody(Box<dyn Body>);
+
+impl CallBody {
+    /// The call body whose handler future `make` builds.
+    pub fn new<F, Fut>(make: F) -> Self
+    where
+        F: Fn(&OamCall) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
+    {
+        CallBody(Box::new(Typed { make, slot: OnceCell::new() }))
+    }
+}
+
+/// Recycled storage for a completed future of one type.
+type Slot<Fut> = Cell<Option<Pin<Box<Fut>>>>;
+
+/// The engine's slots, one per future type, each shared by the sites of
+/// every node that build that type.
+type Slots = Vec<(TypeId, Rc<dyn Any>)>;
+
+/// The object-safe face of a [`CallBody`].
+trait Body {
+    /// Take this body's future type's slot from `slots`, adding it if it is
+    /// the first of its type.
+    fn bind(&self, slots: &mut Slots);
+
+    /// The call's future in fresh storage.
+    fn boxed(&self, call: &OamCall) -> BoxedCall;
+
+    /// Poll the call's future once in the recycled slot: `None` when it
+    /// completed (the box goes back to the slot), else the suspended
+    /// future, which takes the box with it.
+    fn attempt(&self, call: &OamCall, cx: &mut Context<'_>) -> Option<BoxedCall>;
+}
+
+struct Typed<F, Fut> {
+    make: F,
+    /// Shared by one method's sites on all of the engine's nodes, which
+    /// build the same future type: one box serves them all and stays warm
+    /// in cache, where a box per site would not on a machine of many
+    /// nodes. Empty while a future from it is polled, so a call dispatched
+    /// inside that poll (a nested handler) boxes its own.
+    slot: OnceCell<Rc<Slot<Fut>>>,
+}
+
+impl<F, Fut> Body for Typed<F, Fut>
+where
+    F: Fn(&OamCall) -> Fut,
+    Fut: Future<Output = ()> + 'static,
+{
+    fn bind(&self, slots: &mut Slots) {
+        let ty = TypeId::of::<Fut>();
+        let slot = match slots.iter().find(|(t, _)| *t == ty) {
+            Some((_, any)) => {
+                Rc::clone(any).downcast::<Slot<Fut>>().expect("a slot is keyed by its type")
+            }
+            None => {
+                let slot = Rc::new(Slot::<Fut>::new(None));
+                slots.push((ty, slot.clone()));
+                slot
+            }
+        };
+        assert!(self.slot.set(slot).is_ok(), "a call body serves one site");
+    }
+
+    fn boxed(&self, call: &OamCall) -> BoxedCall {
+        Box::pin((self.make)(call))
+    }
+
+    fn attempt(&self, call: &OamCall, cx: &mut Context<'_>) -> Option<BoxedCall> {
+        let slot = self.slot.get().expect("a call body is bound to its engine");
+        let fut = (self.make)(call);
+        let mut boxed = match slot.take() {
+            Some(mut boxed) => {
+                boxed.as_mut().set(fut);
+                boxed
+            }
+            None => Box::pin(fut),
+        };
+        match boxed.as_mut().poll(cx) {
+            Poll::Ready(()) => {
+                slot.set(Some(boxed));
+                None
+            }
+            Poll::Pending => Some(boxed),
+        }
+    }
+}
 
 /// Builds and sends a NACK for a call that aborted under
 /// [`AbortStrategy::Nack`]. Owned by the stub layer, which knows its own
@@ -295,6 +394,12 @@ struct EngineInner {
     /// nothing.
     pending: NodeTable<Rc<Cell<usize>>>,
     shed_nack: RefCell<Option<ShedNackSender>>,
+    /// Recycled future storage of every method this engine serves.
+    slots: RefCell<Slots>,
+    /// The packet storage of the last call that completed inline, unshared
+    /// and with its payload dropped, for the next arrival to refill (the
+    /// `CallSlot` spare idiom of the RPC runtime).
+    spare_pkt: Cell<Option<Rc<Packet>>>,
 }
 
 /// The call engine: owns the server-side call lifecycle for every
@@ -325,6 +430,8 @@ impl CallEngine {
                 admission,
                 pending,
                 shed_nack: RefCell::new(None),
+                slots: RefCell::new(Vec::new()),
+                spare_pkt: Cell::new(None),
             }),
         }
     }
@@ -409,21 +516,17 @@ impl CallEngine {
         self.inner.names.borrow().clone()
     }
 
-    /// Build the registry entry executing calls built by `factory` under
-    /// `policy`. `expects_reply` distinguishes `rpc` from `oneway` methods:
-    /// only reply-bearing calls can be NACKed (the caller is waiting);
-    /// one-way calls resolved as NACK fall back to rerun.
-    pub fn site(
-        &self,
-        policy: ExecPolicy,
-        expects_reply: bool,
-        factory: CallFactory,
-    ) -> MethodSite {
+    /// Build the registry entry executing calls of `body` under `policy`.
+    /// `expects_reply` distinguishes `rpc` from `oneway` methods: only
+    /// reply-bearing calls can be NACKed (the caller is waiting); one-way
+    /// calls resolved as NACK fall back to rerun.
+    pub fn site(&self, policy: ExecPolicy, expects_reply: bool, body: CallBody) -> MethodSite {
         let mut abort = policy.abort.unwrap_or(self.inner.cfg.abort_strategy);
         let nack_fallback = abort == AbortStrategy::Nack && !expects_reply;
         if nack_fallback {
             abort = AbortStrategy::Rerun;
         }
+        body.0.bind(&mut self.inner.slots.borrow_mut());
         let adaptive = policy.adaptive.map(|p| AdaptiveState {
             policy: p,
             mode: Cell::new(policy.mode),
@@ -434,7 +537,7 @@ impl CallEngine {
         });
         MethodSite {
             engine: self.clone(),
-            factory,
+            body: body.0,
             nack: None,
             abort,
             nack_fallback,
@@ -500,13 +603,58 @@ impl CallEngine {
     }
 }
 
+impl CallEngine {
+    /// Whether a cancel frame has marked the call `key` on `sidx`.
+    fn is_cancelled(&self, sidx: usize, key: (NodeId, u32)) -> bool {
+        self.inner.inflight[sidx].borrow().get(&key).is_some_and(|e| e.cancelled)
+    }
+
+    /// Whether a tracked call was cancelled before its body ran.
+    fn cancelled(&self, t: Tracked) -> bool {
+        t.cancellable && self.is_cancelled(t.sidx, t.key)
+    }
+
+    /// Close a tracked call's books once its body is done, or cancelled:
+    /// drop its inflight entry and mark its dedup frame done, so a
+    /// retransmission is answered from the frame instead of re-executing.
+    fn settle(&self, t: Tracked) {
+        if t.cancellable {
+            self.inner.inflight[t.sidx].borrow_mut().remove(&t.key);
+        }
+        if self.inner.dedup_on {
+            if let Some(f) = self.inner.dedup[t.sidx].borrow_mut().get_mut(&t.key) {
+                f.done = true;
+                f.claimed_by = None;
+            }
+        }
+    }
+}
+
+/// What duplicate suppression decided for an arrival.
+#[derive(Clone, Copy)]
+enum Claim {
+    /// A duplicate, already dropped or answered: there is nothing to run.
+    Suppressed,
+    /// Run the body; `Some` names the call whose books close when it ends.
+    Run(Option<Tracked>),
+}
+
+/// A correlated call with a dedup frame or an inflight entry to settle.
+#[derive(Clone, Copy)]
+struct Tracked {
+    sidx: usize,
+    key: (NodeId, u32),
+    /// Registered in the inflight table (a cancellable site).
+    cancellable: bool,
+}
+
 /// Wraps a cancellable call's handler future: each poll first consults the
 /// engine's inflight registry and, once a cancel frame has marked the call,
 /// resolves immediately — dropping the handler future, whose `Drop` impls
 /// deregister it from any wait lists it joined (the same undo mechanism the
 /// rerun abort strategy relies on).
 struct Cancellable {
-    inner: Option<Pin<Box<dyn Future<Output = ()>>>>,
+    inner: Option<BoxedCall>,
     engine: CallEngine,
     sidx: usize,
     key: (NodeId, u32),
@@ -517,11 +665,7 @@ impl Future for Cancellable {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        let cancelled = this.engine.inner.inflight[this.sidx]
-            .borrow()
-            .get(&this.key)
-            .is_some_and(|e| e.cancelled);
-        if cancelled {
+        if this.engine.is_cancelled(this.sidx, this.key) {
             this.inner = None;
             return Poll::Ready(());
         }
@@ -549,7 +693,7 @@ struct AdaptiveState {
 /// ORPC, thread-per-call under TRPC, or adaptively between the two.
 pub struct MethodSite {
     engine: CallEngine,
-    factory: CallFactory,
+    body: Box<dyn Body>,
     nack: Option<NackSender>,
     /// Resolved abort resolution (per-method override, else global).
     abort: AbortStrategy,
@@ -634,21 +778,20 @@ impl MethodSite {
         }
     }
 
-    /// Build the handler future for an arrival, applying duplicate
-    /// suppression first when it is active: a fresh call claims its
-    /// [`CallFrame`] and marks it done on completion; a rerun of the same
-    /// packet instance passes; a retransmitted or fabric-duplicated copy is
-    /// suppressed (dropped mid-execution, answered from the reply cache
-    /// after).
-    fn build_future(&self, call: &OamCall) -> Pin<Box<dyn Future<Output = ()>>> {
+    /// Apply duplicate suppression and cancellation to an arrival before
+    /// its body runs: a fresh call claims its [`CallFrame`]; a
+    /// retransmitted or fabric-duplicated copy is suppressed (dropped while
+    /// the original executes, answered from the reply cache after); a
+    /// cancellable call registers in the inflight table.
+    fn claim(&self, call: &OamCall) -> Claim {
         let eng = &self.engine.inner;
         if !self.correlated || (!eng.dedup_on && !self.cancellable) {
-            return (self.factory)(call);
+            return Claim::Run(None);
         }
         let call_id = peek_call_id(&call.pkt.payload);
         if call_id == ONEWAY_SENTINEL {
             // Unreliable oneway: nothing to correlate or suppress.
-            return (self.factory)(call);
+            return Claim::Run(None);
         }
         let caller = call.pkt.src;
         let key = (caller, call_id);
@@ -680,7 +823,7 @@ impl MethodSite {
                 Decision::Drop => {
                     call.node.stats().borrow_mut().dups_suppressed += 1;
                     call.node.emit(TraceKind::DupSuppressed { caller, call_id });
-                    return Box::pin(async {});
+                    return Claim::Suppressed;
                 }
                 Decision::Resend(reply) => {
                     call.node.stats().borrow_mut().dups_suppressed += 1;
@@ -691,42 +834,43 @@ impl MethodSite {
                         .clone()
                         .expect("duplicate suppression requires a reply resender");
                     resend(call, call_id, reply);
-                    return Box::pin(async {});
+                    return Claim::Suppressed;
                 }
             }
         }
-        let tag = call.pkt.tag;
-        let fut = (self.factory)(call);
-        let engine = self.engine.clone();
-        let dedup_on = eng.dedup_on;
-        if !self.cancellable {
-            return Box::pin(async move {
-                fut.await;
-                if let Some(f) = engine.inner.dedup[sidx].borrow_mut().get_mut(&key) {
-                    f.done = true;
-                    f.claimed_by = None;
-                }
+        if self.cancellable {
+            eng.inflight[sidx].borrow_mut().entry(key).or_insert(InflightCall {
+                cancelled: false,
+                tid: None,
+                tag: call.pkt.tag,
             });
         }
-        // Cancellable: register in the inflight table (an abort-driven rerun
-        // re-enters here with the entry — and any cancelled flag — intact)
-        // and interpose the cancel check on every poll. Completing marks the
-        // dedup frame done even on the cancel path, so retransmissions of a
-        // cancelled call are answered from the frame, not re-executed.
-        engine.inner.inflight[sidx].borrow_mut().entry(key).or_insert(InflightCall {
-            cancelled: false,
-            tid: None,
-            tag,
-        });
+        Claim::Run(Some(Tracked { sidx, key, cancellable: self.cancellable }))
+    }
+
+    /// The future a claimed call runs as a thread: the body's future behind
+    /// the cancel check and the completion bookkeeping that the inline
+    /// path does itself. Completing marks the dedup frame done even on the
+    /// cancel path, so retransmissions of a cancelled call are answered
+    /// from the frame, not re-executed. It holds the packet until then, so
+    /// no later arrival can be stored at the address the frame's claim
+    /// names, whether or not the body keeps the packet.
+    fn tracked(&self, fut: BoxedCall, track: Option<Tracked>, pkt: &Rc<Packet>) -> BoxedCall {
+        let Some(t) = track else { return fut };
+        let engine = self.engine.clone();
+        let claim = Rc::clone(pkt);
+        if !t.cancellable {
+            return Box::pin(async move {
+                fut.await;
+                engine.settle(t);
+                drop(claim);
+            });
+        }
         Box::pin(async move {
-            Cancellable { inner: Some(fut), engine: engine.clone(), sidx, key }.await;
-            engine.inner.inflight[sidx].borrow_mut().remove(&key);
-            if dedup_on {
-                if let Some(f) = engine.inner.dedup[sidx].borrow_mut().get_mut(&key) {
-                    f.done = true;
-                    f.claimed_by = None;
-                }
-            }
+            Cancellable { inner: Some(fut), engine: engine.clone(), sidx: t.sidx, key: t.key }
+                .await;
+            engine.settle(t);
+            drop(claim);
         })
     }
 
@@ -751,6 +895,28 @@ impl MethodSite {
         }
     }
 
+    /// Shared storage for an arriving packet: the spare left by the last
+    /// inline completion, refilled, or a fresh `Rc`.
+    fn packet(&self, pkt: Packet) -> Rc<Packet> {
+        match self.engine.inner.spare_pkt.take() {
+            Some(mut spare) => {
+                *Rc::get_mut(&mut spare).expect("a spare packet is unshared") = pkt;
+                spare
+            }
+            None => Rc::new(pkt),
+        }
+    }
+
+    /// Keep a finished call's packet storage as the spare, if nothing else
+    /// holds it. Its payload drops here, as it would with the packet, so a
+    /// pooled buffer goes back to its pool now.
+    fn recycle(&self, mut pkt: Rc<Packet>) {
+        if let Some(p) = Rc::get_mut(&mut pkt) {
+            p.payload = PayloadBuf::default();
+            self.engine.inner.spare_pkt.set(Some(pkt));
+        }
+    }
+
     /// One optimistic attempt: poll the handler future once on the current
     /// stack, then resolve success or abort.
     fn run_optimistic(
@@ -761,20 +927,22 @@ impl MethodSite {
         admit: Option<AdmitGuard>,
         prio: Priority,
     ) {
-        let cfg = Rc::clone(node.config());
+        let cost = &node.config().cost;
         let tag = pkt.tag;
         {
             let mut st = node.stats().borrow_mut();
             st.oam_attempts += 1;
             st.method_mut(tag).attempts += 1;
         }
-        node.add_pending(cfg.cost.oam_entry);
+        node.add_pending(cost.oam_entry);
 
-        let call = OamCall { am: am.clone(), node: node.clone(), pkt: Rc::new(pkt) };
-        let ikey = self.inflight_key(&call);
-        let sidx = call.node.id().index();
+        let call = OamCall { am: am.clone(), node: node.clone(), pkt: self.packet(pkt) };
         let tid = node.reserve_provisional();
-        let mut fut = self.build_future(&call);
+        let (execute, track) = match self.claim(&call) {
+            Claim::Suppressed => (false, None),
+            Claim::Run(track) => (!track.is_some_and(|t| self.engine.cancelled(t)), track),
+        };
+        let ikey = track.filter(|t| t.cancellable);
 
         // Optimistic inline execution: one poll on the current stack.
         let prev_mode = node.set_mode(ExecMode::Optimistic);
@@ -783,13 +951,16 @@ impl MethodSite {
         node.reset_handler_elapsed();
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
-        let outcome = fut.as_mut().poll(&mut cx);
+        let suspended = if execute { self.body.attempt(&call, &mut cx) } else { None };
         node.set_handler_budget_override(prev_budget);
         node.set_active_provisional_replace(prev_provisional);
         node.set_mode(prev_mode);
 
-        let aborted = match outcome {
-            Poll::Ready(()) => {
+        let aborted = match suspended {
+            None => {
+                if let Some(t) = track {
+                    self.engine.settle(t);
+                }
                 drop(admit);
                 node.release_provisional(tid);
                 {
@@ -798,10 +969,10 @@ impl MethodSite {
                     st.method_mut(tag).inline_ok += 1;
                 }
                 node.emit(TraceKind::OamSuccess { tag });
-                node.add_pending(cfg.cost.oam_commit);
+                node.add_pending(cost.oam_commit);
                 false
             }
-            Poll::Pending => {
+            Some(fut) => {
                 let cause = node
                     .take_abort_cause()
                     .expect("optimistic handler suspended without recording an abort cause");
@@ -811,7 +982,7 @@ impl MethodSite {
                     st.method_mut(tag).aborts[cause.index()] += 1;
                 }
                 node.emit(TraceKind::OamAborted { tag, reason: cause });
-                node.add_pending(cfg.cost.oam_abort_overhead);
+                node.add_pending(cost.oam_abort_overhead);
                 match self.abort {
                     AbortStrategy::Promote => {
                         {
@@ -819,9 +990,9 @@ impl MethodSite {
                             st.oam_promotions += 1;
                             st.method_mut(tag).promotions += 1;
                         }
-                        node.promote(tid, guarded(fut, admit));
-                        if let Some(key) = ikey {
-                            self.record_tid(sidx, key, tid);
+                        node.promote(tid, guarded(self.tracked(fut, track, &call.pkt), admit));
+                        if let Some(t) = ikey {
+                            self.record_tid(t.sidx, t.key, tid);
                         }
                         if needs_immediate_wake(cause) {
                             node.make_runnable(tid, prio.placement());
@@ -841,20 +1012,20 @@ impl MethodSite {
                                 m.reruns += 1;
                             }
                         }
-                        let fresh = self.build_future(&call);
+                        let fresh = self.tracked(self.body.boxed(&call), track, &call.pkt);
                         node.promote(tid, guarded(fresh, admit));
-                        if let Some(key) = ikey {
-                            self.record_tid(sidx, key, tid);
+                        if let Some(t) = ikey {
+                            self.record_tid(t.sidx, t.key, tid);
                         }
                         node.make_runnable(tid, prio.placement());
                     }
                     AbortStrategy::Nack => {
                         drop(fut);
                         drop(admit);
-                        if let Some(key) = ikey {
+                        if let Some(t) = ikey {
                             // The call will be re-issued under a fresh id;
                             // drop its registration with it.
-                            self.engine.inner.inflight[sidx].borrow_mut().remove(&key);
+                            self.engine.inner.inflight[t.sidx].borrow_mut().remove(&t.key);
                         }
                         node.release_provisional(tid);
                         {
@@ -873,6 +1044,10 @@ impl MethodSite {
             }
         };
         self.after_attempt(node, tag, aborted);
+        if !aborted {
+            // Its frame is done, so no claim names this packet's address.
+            self.recycle(call.pkt);
+        }
     }
 
     /// Thread-per-call dispatch (TRPC, or an adaptively demoted method).
@@ -889,7 +1064,10 @@ impl MethodSite {
         node.stats().borrow_mut().method_mut(tag).threaded += 1;
         let call = OamCall { am: am.clone(), node: node.clone(), pkt: Rc::new(pkt) };
         let ikey = self.inflight_key(&call);
-        let fut = self.build_future(&call);
+        let fut = match self.claim(&call) {
+            Claim::Suppressed => Box::pin(async {}),
+            Claim::Run(track) => self.tracked(self.body.boxed(&call), track, &call.pkt),
+        };
         let tid = node.spawn_incoming_at(guarded(fut, admit), prio.placement());
         if let Some(key) = ikey {
             self.record_tid(call.node.id().index(), key, tid);
@@ -1080,10 +1258,7 @@ fn needs_immediate_wake(cause: AbortReason) -> bool {
 
 /// Wrap a handler future so the admission token is released exactly when
 /// the call finishes. No-op (and no allocation) without a token.
-fn guarded(
-    fut: Pin<Box<dyn Future<Output = ()>>>,
-    admit: Option<AdmitGuard>,
-) -> Pin<Box<dyn Future<Output = ()>>> {
+fn guarded(fut: BoxedCall, admit: Option<AdmitGuard>) -> BoxedCall {
     match admit {
         None => fut,
         Some(g) => Box::pin(async move {
@@ -1136,13 +1311,13 @@ mod tests {
         let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2));
         let hits = Rc::new(Cell::new(0u32));
         let h = hits.clone();
-        let factory: CallFactory = Rc::new(move |_call| {
+        let body = CallBody::new(move |_call| {
             let h = h.clone();
-            Box::pin(async move {
+            async move {
                 h.set(h.get() + 1);
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::orpc(), true, factory);
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         send_one(&am, vec![]);
         sim.run();
@@ -1164,16 +1339,16 @@ mod tests {
         let node1 = am.nodes()[1].clone();
         let m = Mutex::new(&node1, 0u32);
         let m2 = m.clone();
-        let factory: CallFactory = Rc::new(move |call| {
+        let body = CallBody::new(move |call| {
             let m = m2.clone();
             let node = call.node.clone();
-            Box::pin(async move {
+            async move {
                 let g = m.lock().await;
                 node.charge(Dur::from_micros(1)).await;
                 g.with_mut(|v| *v += 1);
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::orpc(), true, factory);
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         // A server thread holds the lock while spin-waiting (and therefore
         // polling — the incoming OAM dispatches inline and must abort).
@@ -1212,15 +1387,15 @@ mod tests {
         let pre_lock_executions = Rc::new(Cell::new(0u32));
         let body_executions = Rc::new(Cell::new(0u32));
         let (m2, pre, body) = (m.clone(), pre_lock_executions.clone(), body_executions.clone());
-        let factory: CallFactory = Rc::new(move |_call| {
+        let body = CallBody::new(move |_call| {
             let (m, pre, body) = (m2.clone(), pre.clone(), body.clone());
-            Box::pin(async move {
+            async move {
                 pre.set(pre.get() + 1); // runs again on rerun
                 let _g = m.lock().await;
                 body.set(body.get() + 1);
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::orpc(), true, factory);
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         let release = oam_threads::Flag::new();
         let (n1, mh, rel) = (node1.clone(), m.clone(), release.clone());
@@ -1252,17 +1427,17 @@ mod tests {
         let node1 = am.nodes()[1].clone();
         let m = Mutex::new(&node1, ());
         let m2 = m.clone();
-        let factory: CallFactory = Rc::new(move |_call| {
+        let body = CallBody::new(move |_call| {
             let m = m2.clone();
-            Box::pin(async move {
+            async move {
                 let _g = m.lock().await;
-            })
+            }
         });
         let nack: NackSender = Rc::new(|call: &OamCall| {
             let src = call.pkt.src;
             call.am.send_from_handler(&call.node, src, NACK, vec![]);
         });
-        let site = engine.site(ExecPolicy::orpc(), true, factory).with_nack(nack);
+        let site = engine.site(ExecPolicy::orpc(), true, body).with_nack(nack);
         assert_eq!(site.abort_strategy(), AbortStrategy::Nack);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         let nacks_seen = Rc::new(Cell::new(0u32));
@@ -1292,8 +1467,8 @@ mod tests {
     fn nack_on_oneway_falls_back_to_rerun() {
         let cfg = MachineConfig::cm5(2).with_abort_strategy(AbortStrategy::Nack);
         let (_sim, _am, engine, _stats) = build(2, cfg);
-        let factory: CallFactory = Rc::new(|_call| Box::pin(async {}));
-        let site = engine.site(ExecPolicy::orpc(), false, factory);
+        let body = CallBody::new(|_call| async {});
+        let site = engine.site(ExecPolicy::orpc(), false, body);
         assert_eq!(site.abort_strategy(), AbortStrategy::Rerun);
     }
 
@@ -1308,14 +1483,14 @@ mod tests {
         let m = Mutex::new(&node1, ());
         let body_executions = Rc::new(Cell::new(0u32));
         let (m2, body) = (m.clone(), body_executions.clone());
-        let factory: CallFactory = Rc::new(move |_call| {
+        let body = CallBody::new(move |_call| {
             let (m, body) = (m2.clone(), body.clone());
-            Box::pin(async move {
+            async move {
                 let _g = m.lock().await;
                 body.set(body.get() + 1);
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::orpc(), false, factory);
+        let site = engine.site(ExecPolicy::orpc(), false, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         let release = oam_threads::Flag::new();
         let (n1, mh, rel) = (node1.clone(), m.clone(), release.clone());
@@ -1347,17 +1522,17 @@ mod tests {
         let cv = CondVar::new(&node1);
         let done = Rc::new(Cell::new(false));
         let (m2, cv2, d2) = (m.clone(), cv.clone(), done.clone());
-        let factory: CallFactory = Rc::new(move |_call| {
+        let body = CallBody::new(move |_call| {
             let (m, cv, d) = (m2.clone(), cv2.clone(), d2.clone());
-            Box::pin(async move {
+            async move {
                 let mut g = m.lock().await;
                 while !g.get() {
                     g = cv.wait(g).await;
                 }
                 d.set(true);
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::orpc(), true, factory);
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         // Setter thread spin-waits (polling — the OAM dispatches inline,
         // finds the condition false, aborts), then flips the condition at
@@ -1388,18 +1563,18 @@ mod tests {
         let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2)); // budget 200 µs
         let finished = Rc::new(Cell::new(false));
         let f = finished.clone();
-        let factory: CallFactory = Rc::new(move |call| {
+        let body = CallBody::new(move |call| {
             let node = call.node.clone();
             let f = f.clone();
-            Box::pin(async move {
+            async move {
                 for _ in 0..10 {
                     node.charge(Dur::from_micros(50)).await;
                     node.checkpoint().await;
                 }
                 f.set(true);
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::orpc(), true, factory);
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         send_one(&am, vec![]);
         sim.run();
@@ -1418,19 +1593,19 @@ mod tests {
         let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2));
         let finished = Rc::new(Cell::new(false));
         let f = finished.clone();
-        let factory: CallFactory = Rc::new(move |call| {
+        let body = CallBody::new(move |call| {
             let node = call.node.clone();
             let f = f.clone();
-            Box::pin(async move {
+            async move {
                 for _ in 0..10 {
                     node.charge(Dur::from_micros(50)).await;
                     node.checkpoint().await;
                 }
                 f.set(true);
-            })
+            }
         });
         let policy = ExecPolicy::orpc().with_budget(Dur::from_micros(1_000));
-        let site = engine.site(policy, true, factory);
+        let site = engine.site(policy, true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         send_one(&am, vec![]);
         sim.run();
@@ -1456,15 +1631,15 @@ mod tests {
         // Node 1's optimistic handler fans out 6 messages to node 2; the
         // 1-deep FIFO forces a NetworkFull abort, and the promoted thread
         // finishes the sends with blocking semantics.
-        let factory: CallFactory = Rc::new(move |call| {
+        let body = CallBody::new(move |call| {
             let (am, node) = (call.am.clone(), call.node.clone());
-            Box::pin(async move {
+            async move {
                 for i in 0..6u32 {
                     am.send(&node, NodeId(2), SINK, oam_am::pack_u32(&[i])).await;
                 }
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::orpc(), true, factory);
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         am.register(NodeId(1), FAN, HandlerEntry::Custom(Rc::new(site)));
         am.register(NodeId(2), SINK, HandlerEntry::Inline(Rc::new(move |_t| d.set(d.get() + 1))));
         let node0 = am.nodes()[0].clone();
@@ -1485,13 +1660,13 @@ mod tests {
         let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2));
         let hits = Rc::new(Cell::new(0u32));
         let h = hits.clone();
-        let factory: CallFactory = Rc::new(move |_call| {
+        let body = CallBody::new(move |_call| {
             let h = h.clone();
-            Box::pin(async move {
+            async move {
                 h.set(h.get() + 1);
-            })
+            }
         });
-        let site = engine.site(ExecPolicy::trpc(), true, factory);
+        let site = engine.site(ExecPolicy::trpc(), true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         for _ in 0..3 {
             send_one(&am, vec![]);
@@ -1511,12 +1686,12 @@ mod tests {
         // attempts, re-probe after 3 threaded calls, settle the probe after
         // 2 attempts.
         let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2));
-        let factory: CallFactory = Rc::new(move |call| {
+        let body = CallBody::new(move |call| {
             let node = call.node.clone();
-            Box::pin(async move {
+            async move {
                 node.charge(Dur::from_micros(50)).await;
                 node.checkpoint().await;
-            })
+            }
         });
         let adaptive = AdaptivePolicy {
             window: 2,
@@ -1526,7 +1701,7 @@ mod tests {
             promote_abort_pct: 0,
         };
         let policy = ExecPolicy::adaptive(adaptive).with_budget(Dur::from_micros(10));
-        let site = engine.site(policy, true, factory);
+        let site = engine.site(policy, true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         // 10 sequential calls: 2 attempts (abort, abort) → demote; 3
         // threaded → re-probe; 2 probe attempts (abort, abort) → re-demote;
@@ -1603,17 +1778,15 @@ mod tests {
         let node1 = am.nodes()[1].clone();
         let m = Mutex::new(&node1, 0u32);
         let m2 = m.clone();
-        let factory: CallFactory = Rc::new(move |_call| {
+        let body = CallBody::new(move |_call| {
             let m = m2.clone();
-            Box::pin(async move {
+            async move {
                 let g = m.lock().await;
                 g.with_mut(|v| *v += 1);
-            })
+            }
         });
-        let site = engine
-            .site(ExecPolicy::orpc(), true, factory)
-            .with_call_correlation()
-            .with_cancellation();
+        let site =
+            engine.site(ExecPolicy::orpc(), true, body).with_call_correlation().with_cancellation();
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         // Payload: call_id header only (no admission ⇒ no deadline word).
         send_one(&am, 7u32.to_le_bytes().to_vec());
@@ -1646,5 +1819,161 @@ mod tests {
     fn cancel_of_an_unknown_call_is_a_noop() {
         let (_sim, am, engine, _stats) = build(2, MachineConfig::cm5(2));
         assert!(!engine.cancel_call(&am.nodes()[1].clone(), NodeId(0), 99));
+    }
+
+    /// Send `payloads` from node 0 to `CALL` on node 1, in order, `gap`
+    /// apart.
+    fn send_in_order(am: &Am, gap: Dur, payloads: Vec<Vec<u8>>) {
+        let node0 = am.nodes()[0].clone();
+        let (am2, n0) = (am.clone(), node0.clone());
+        node0.spawn(async move {
+            for payload in payloads {
+                am2.send(&n0, NodeId(1), CALL, payload).await;
+                n0.charge(gap).await;
+            }
+        });
+    }
+
+    /// A server thread on node 1 that holds `m` while spin-waiting
+    /// (polling, so arrivals dispatch inline and find the lock held) until
+    /// `release_at`.
+    fn hold_lock_until<T: 'static>(sim: &Sim, node1: &Node, m: &Mutex<T>, release_at: u64) {
+        let release = oam_threads::Flag::new();
+        let (n1, mh, rel) = (node1.clone(), m.clone(), release.clone());
+        node1.spawn(async move {
+            let _g = mh.lock().await;
+            n1.spin_on(rel).await;
+        });
+        let n1k = node1.clone();
+        sim.schedule_at(oam_model::Time::from_nanos(release_at), move |_| {
+            release.set();
+            n1k.kick();
+        });
+    }
+
+    #[test]
+    fn a_promoted_call_keeps_its_box_while_later_inline_calls_recycle_another() {
+        // Payload [1] takes the lock (held by a server thread, so it aborts
+        // and is promoted); payload [0] never blocks. Each execution
+        // records the address of a value captured in its future, which
+        // lives in the future's box.
+        let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2));
+        let node1 = am.nodes()[1].clone();
+        let m = Mutex::new(&node1, 0u32);
+        let seen: Rc<RefCell<Vec<(u8, usize)>>> = Rc::default();
+        let (m2, s2) = (m.clone(), seen.clone());
+        let body = CallBody::new(move |call| {
+            let (m, seen) = (m2.clone(), s2.clone());
+            let which = call.pkt.payload[0];
+            async move {
+                seen.borrow_mut().push((which, &which as *const u8 as usize));
+                if which == 1 {
+                    let g = m.lock().await;
+                    g.with_mut(|v| *v += 1);
+                }
+            }
+        });
+        let site = engine.site(ExecPolicy::orpc(), true, body);
+        am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
+        hold_lock_until(&sim, &node1, &m, 200_000);
+        send_in_order(&am, Dur::from_micros(20), vec![vec![1], vec![0], vec![0]]);
+        sim.run();
+
+        assert_eq!(m.try_lock().expect("free at end").get(), 1, "the promoted call finished");
+        let seen = seen.borrow();
+        let order: Vec<u8> = seen.iter().map(|&(w, _)| w).collect();
+        assert_eq!(order, [1, 0, 0], "each call ran once, in arrival order");
+        let (promoted, first, second) = (seen[0].1, seen[1].1, seen[2].1);
+        assert_ne!(first, promoted, "an inline call ran in the promoted call's box");
+        assert_eq!(second, first, "an inline completion did not recycle its box");
+        let st = stats[1].borrow();
+        assert_eq!(st.oam_promotions, 1);
+        assert_eq!(st.oam_successes, 2);
+    }
+
+    #[test]
+    fn a_rerun_builds_a_fresh_future_and_the_site_keeps_serving_inline() {
+        // Payload [1] blocks on the held lock and is rerun from the top as
+        // a thread; payload [0] arrives while that thread waits and
+        // completes inline. Each future counts its own polls, so a rerun
+        // that resumed the aborted future (or one left in the slot) would
+        // show a second poll.
+        let cfg = MachineConfig::cm5(2).with_abort_strategy(AbortStrategy::Rerun);
+        let (sim, am, engine, stats) = build(2, cfg);
+        let node1 = am.nodes()[1].clone();
+        let m = Mutex::new(&node1, ());
+        let starts: Rc<RefCell<Vec<u8>>> = Rc::default();
+        let bodies: Rc<RefCell<Vec<u8>>> = Rc::default();
+        let (m2, st2, b2) = (m.clone(), starts.clone(), bodies.clone());
+        let body = CallBody::new(move |call| {
+            let (m, starts, bodies) = (m2.clone(), st2.clone(), b2.clone());
+            let which = call.pkt.payload[0];
+            async move {
+                starts.borrow_mut().push(which);
+                if which == 1 {
+                    let _g = m.lock().await;
+                }
+                bodies.borrow_mut().push(which);
+            }
+        });
+        let site = engine.site(ExecPolicy::orpc(), true, body);
+        am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
+        hold_lock_until(&sim, &node1, &m, 200_000);
+        send_in_order(&am, Dur::from_micros(20), vec![vec![1], vec![0], vec![0]]);
+        sim.run();
+
+        // The attempt and the rerun each started call [1] from the top;
+        // the inline calls finished before the lock came free.
+        assert_eq!(*starts.borrow(), [1, 1, 0, 0]);
+        assert_eq!(*bodies.borrow(), [0, 0, 1]);
+        let st = stats[1].borrow();
+        assert_eq!(st.oam_reruns, 1);
+        assert_eq!(st.oam_successes, 2);
+    }
+
+    #[test]
+    fn duplicates_are_suppressed_while_promoted_and_answered_after_under_recycling() {
+        // Retransmission on: the engine suppresses duplicates by call id,
+        // telling a rerun of the same arrival from a copy by the packet's
+        // address. Recycled packet storage reuses addresses, so every frame
+        // must release its claim when its call completes inline.
+        let mut cfg = MachineConfig::cm5(2);
+        cfg.reliability.retransmit = true;
+        let (sim, am, engine, stats) = build(2, cfg);
+        let resent: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let r2 = resent.clone();
+        engine.set_reply_resender(Rc::new(move |_call, call_id, _reply| {
+            r2.borrow_mut().push(call_id);
+        }));
+        let node1 = am.nodes()[1].clone();
+        let m = Mutex::new(&node1, ());
+        let ran: Rc<RefCell<Vec<u32>>> = Rc::default();
+        let (m2, ran2) = (m.clone(), ran.clone());
+        let body = CallBody::new(move |call| {
+            let (m, ran) = (m2.clone(), ran2.clone());
+            let call_id = peek_call_id(&call.pkt.payload);
+            async move {
+                if call_id == 7 {
+                    let _g = m.lock().await;
+                }
+                ran.borrow_mut().push(call_id);
+            }
+        });
+        let site = engine.site(ExecPolicy::orpc(), true, body).with_call_correlation();
+        am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
+        hold_lock_until(&sim, &node1, &m, 200_000);
+        let id = |call_id: u32| call_id.to_le_bytes().to_vec();
+        // t≈0: call 5 completes inline and its packet storage becomes the
+        // spare; t≈50: its copy arrives in that same storage; t≈100: call
+        // 7 blocks and is promoted; t≈150: a copy of 7 while it runs;
+        // t≈250: a copy of 7 after it finished at the release (200).
+        send_in_order(&am, Dur::from_micros(50), vec![id(5), id(5), id(7), id(7), id(7)]);
+        sim.run();
+
+        assert_eq!(*ran.borrow(), [5, 7], "each call executed exactly once");
+        assert_eq!(*resent.borrow(), [5, 7], "copies after completion are answered");
+        let st = stats[1].borrow();
+        assert_eq!(st.dups_suppressed, 3);
+        assert_eq!(st.oam_promotions, 1);
     }
 }

@@ -18,6 +18,6 @@ pub mod engine;
 
 pub use engine::{
     pack_deadline_word, peek_call_id, peek_deadline_us, peek_priority, unpack_deadline_word,
-    CallEngine, CallFactory, MethodSite, NackSender, OamCall, Priority, ReplyResender,
-    ShedNackSender, DEADLINE_MASK, NO_DEADLINE, ONEWAY_SENTINEL, PRIORITY_SHIFT,
+    CallBody, CallEngine, MethodSite, NackSender, OamCall, Priority, ReplyResender, ShedNackSender,
+    DEADLINE_MASK, NO_DEADLINE, ONEWAY_SENTINEL, PRIORITY_SHIFT,
 };

@@ -620,13 +620,13 @@ mod tests {
             let id = oam_rpc::handler_id_for("test::bump");
             for node in m.nodes() {
                 let h = h.clone();
-                let factory: oam_rpc::CallFactory = Rc::new(move |_call| {
+                let body = oam_rpc::CallBody::new(move |_call| {
                     let h = h.clone();
-                    Box::pin(async move {
+                    async move {
                         h.set(h.get() + 1);
-                    })
+                    }
                 });
-                m.rpc().register(node.id(), id, oam_rpc::RpcMode::Orpc, factory, false);
+                m.rpc().register(node.id(), id, oam_rpc::RpcMode::Orpc, body, false);
             }
             m.run(move |env| async move {
                 if env.id().index() == 0 {
@@ -668,13 +668,13 @@ mod tests {
         let hits = Rc::new(Cell::new(0u32));
         for node in m.nodes() {
             let h = hits.clone();
-            let factory: oam_rpc::CallFactory = Rc::new(move |_call| {
+            let body = oam_rpc::CallBody::new(move |_call| {
                 let h = h.clone();
-                Box::pin(async move {
+                async move {
                     h.set(h.get() + 1);
-                })
+                }
             });
-            m.rpc().register(node.id(), id, oam_rpc::RpcMode::Orpc, factory, false);
+            m.rpc().register(node.id(), id, oam_rpc::RpcMode::Orpc, body, false);
         }
         let report = m.run(move |env| async move {
             if env.id().index() == 0 {
@@ -695,7 +695,7 @@ mod tests {
             NodeId(1),
             "Named::probe",
             oam_rpc::RpcMode::Orpc,
-            Rc::new(|_call| Box::pin(async {})),
+            oam_rpc::CallBody::new(|_call| async {}),
             false,
         );
         let report = m.run(|env| async move {

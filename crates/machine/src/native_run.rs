@@ -69,25 +69,32 @@ const SPIN_GAP_NS: u64 = 200_000;
 /// can get even if a wake signal were lost.
 const MAX_PARK: Duration = Duration::from_millis(20);
 
+/// Most slots one ring gets, however many nodes feed it.
+const RING_SLOTS_MAX: usize = 8192;
+
 /// Ring capacity for one directed worker pair, sized so a full batch plus
-/// in-flight slack fits without producer spins in the common case.
-fn ring_capacity(batch: u32) -> usize {
-    (4 * batch as usize).clamp(64, 1024).next_power_of_two()
+/// in-flight slack from each node the producing worker owns fits without
+/// producer spins in the common case. A worker that owns one node gets
+/// the per-pair size; one that owns many (128 nodes on two cores) would
+/// otherwise spin in `BatchTx::flush` on a ring its own nodes filled.
+fn ring_capacity(batch: u32, producer_nodes: usize) -> usize {
+    let per_node = (4 * batch as usize).clamp(64, 1024);
+    (per_node * producer_nodes.max(1)).min(RING_SLOTS_MAX).next_power_of_two()
 }
 
 /// One worker's ends of the ring matrix: `tx[dst]` and `rx[src]`, `None`
 /// on the diagonal (a worker never routes to itself).
 type RingRow = (Vec<Option<RingTx<CrossMsg>>>, Vec<Option<RingRx<CrossMsg>>>);
 
-/// One bounded SPSC ring per directed worker pair, returned as one row
-/// per worker.
-fn ring_matrix(workers: usize, cap: usize) -> Vec<RingRow> {
+/// One bounded SPSC ring per directed worker pair, of `cap(src)` slots,
+/// returned as one row per worker.
+fn ring_matrix(workers: usize, cap: impl Fn(usize) -> usize) -> Vec<RingRow> {
     let mut rows: Vec<RingRow> = (0..workers)
         .map(|_| ((0..workers).map(|_| None).collect(), (0..workers).map(|_| None).collect()))
         .collect();
     for src in 0..workers {
         for dst in (0..workers).filter(|&dst| dst != src) {
-            let (tx, rx) = spsc(cap);
+            let (tx, rx) = spsc(cap(src));
             rows[src].0[dst] = Some(tx);
             rows[dst].1[src] = Some(rx);
         }
@@ -142,7 +149,10 @@ pub fn try_run_native<R: Send + 'static>(
         stop: Arc::new(AtomicBool::new(false)),
         gates: (0..workers).map(|_| Arc::new(WakeGate::new())).collect(),
     };
-    let rings = ring_matrix(workers, ring_capacity(cfg.effective_batch()));
+    let batch = cfg.effective_batch();
+    let rings = ring_matrix(workers, |src| {
+        ring_capacity(batch, shard_range(cfg.nodes, workers, src).len())
+    });
     let (done_tx, done_rx) = mpsc::channel::<usize>();
 
     let mut timed_out = false;
@@ -364,7 +374,7 @@ mod tests {
     #[test]
     fn the_ring_matrix_has_one_ring_per_directed_worker_pair() {
         for workers in 1..=4 {
-            let mut rows = ring_matrix(workers, 64);
+            let mut rows = ring_matrix(workers, |src| 64 << src);
             assert_eq!(rows.len(), workers, "one row per worker");
             let rings: usize = rows.iter().map(|(tx, _)| tx.iter().flatten().count()).sum();
             assert_eq!(rings, workers * (workers - 1));
@@ -373,6 +383,8 @@ mod tests {
             for src in 0..workers {
                 assert!(rows[src].0[src].is_none() && rows[src].1[src].is_none(), "no self ring");
                 for dst in (0..workers).filter(|&d| d != src) {
+                    let tx = rows[src].0[dst].as_ref().unwrap();
+                    assert_eq!(tx.capacity(), 64 << src, "sized for its producer {src}");
                     let rec = CrossMsg::Net(CrossNet::Credit {
                         key: (src * workers + dst) as u64,
                         at: Time::ZERO,
@@ -390,6 +402,19 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn ring_capacity_scales_with_the_producers_nodes_up_to_a_cap() {
+        // One node per worker (e2ebench's `native_rpc`): the per-pair size.
+        for (batch, slots) in [(1, 64), (16, 64), (32, 128), (100, 512), (256, 1024), (4096, 1024)]
+        {
+            assert_eq!(ring_capacity(batch, 1), slots, "batch {batch}");
+        }
+        let batch = MachineConfig::DEFAULT_BATCH;
+        assert_eq!(ring_capacity(batch, 3), 512);
+        assert_eq!(ring_capacity(batch, 64), RING_SLOTS_MAX, "128 nodes on two workers");
+        assert_eq!(ring_capacity(batch, 10_000), RING_SLOTS_MAX);
     }
 
     #[test]

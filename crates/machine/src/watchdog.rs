@@ -95,24 +95,38 @@ impl fmt::Display for HangReport {
             "machine hang: {} at {} ({} events, {} packets in flight)",
             self.kind, self.at, self.events, self.in_flight_packets
         )?;
-        for n in &self.nodes {
-            let d = &n.diag;
-            writeln!(
-                f,
-                "  node {}: main {}, {} live ({} runnable, {} spinning, {} parked), \
-                 {} outstanding call(s), {} queued input(s){}",
-                d.node.index(),
-                if n.main_done { "done" } else { "STUCK" },
-                d.live_threads,
-                d.runnable,
-                d.spinning,
-                d.parked,
-                n.outstanding_calls,
-                n.input_queue_depth,
-                if d.idle { ", idle" } else { "" },
-            )?;
+        // A run of nodes in the same state prints once: a hung 128-node
+        // run would otherwise print 128 near-identical lines.
+        let states: Vec<(usize, String)> =
+            self.nodes.iter().map(|n| (n.diag.node.index(), n.state())).collect();
+        for run in states.chunk_by(|a, b| a.1 == b.1) {
+            let ((first, state), (last, _)) = (&run[0], &run[run.len() - 1]);
+            if first == last {
+                writeln!(f, "  node {first}: {state}")?;
+            } else {
+                writeln!(f, "  nodes {first}–{last}: {state}")?;
+            }
         }
         Ok(())
+    }
+}
+
+impl NodeHangInfo {
+    /// The report line for this node, without its id.
+    fn state(&self) -> String {
+        let d = &self.diag;
+        format!(
+            "main {}, {} live ({} runnable, {} spinning, {} parked), \
+             {} outstanding call(s), {} queued input(s){}",
+            if self.main_done { "done" } else { "STUCK" },
+            d.live_threads,
+            d.runnable,
+            d.spinning,
+            d.parked,
+            self.outstanding_calls,
+            self.input_queue_depth,
+            if d.idle { ", idle" } else { "" },
+        )
     }
 }
 
@@ -160,5 +174,31 @@ mod tests {
         assert!(text.contains("deadlock"));
         assert!(text.contains("node 0: main STUCK"));
         assert!(text.contains("node 1: main done"));
+    }
+
+    #[test]
+    fn runs_of_nodes_in_the_same_state_print_as_one_line() {
+        let node = |i: usize, main_done: bool| NodeHangInfo {
+            diag: diag(i, usize::from(!main_done)),
+            outstanding_calls: usize::from(!main_done),
+            input_queue_depth: 0,
+            main_done,
+        };
+        let r = HangReport {
+            kind: HangKind::BudgetExceeded,
+            at: Time::from_nanos(1),
+            nodes: (0..128).map(|i| node(i, i != 77)).collect(),
+            in_flight_packets: 0,
+            events: 1,
+        };
+        let text = r.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 4, "header and three runs:\n{text}");
+        assert!(lines[1].starts_with("  nodes 0–76: main done"), "{text}");
+        assert!(
+            lines[2].starts_with("  node 77: main STUCK, 1 live (0 runnable, 1 spinning"),
+            "{text}"
+        );
+        assert!(lines[3].starts_with("  nodes 78–127: main done"), "{text}");
     }
 }

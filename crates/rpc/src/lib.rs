@@ -25,7 +25,7 @@ pub use wire::{
 
 // Re-exports the generated stubs refer to via `$crate::`.
 pub use oam_am::HandlerId;
-pub use oam_core::{CallEngine, CallFactory, MethodSite, OamCall, Priority};
+pub use oam_core::{CallBody, CallEngine, MethodSite, OamCall, Priority};
 pub use oam_model::NodeId;
 pub use oam_net::{BufPool, PayloadBuf, PayloadView};
 pub use oam_threads::Node;

@@ -190,11 +190,11 @@ macro_rules! __rpc_method {
                 __mode: $crate::RpcMode,
             ) {
                 let __rpc_outer = __rpc.clone();
-                let __factory: $crate::CallFactory = ::std::rc::Rc::new(move |__call| {
+                let __body = $crate::CallBody::new(move |__call: &$crate::OamCall| {
                     let __state = ::std::rc::Rc::clone(&__state);
                     let __rpc = __rpc_outer.clone();
                     let __call = __call.clone();
-                    ::std::boxed::Box::pin(async move {
+                    async move {
                         #[allow(unused_variables, unused_parens)]
                         let (__call_id, ($($arg,)*)): (u32, ($($aty,)*)) =
                             __rpc.decode_request(&__call.pkt.payload);
@@ -202,22 +202,22 @@ macro_rules! __rpc_method {
                             __rpc.config().cost.marshal_per_word
                                 .times(__call.pkt.payload.len().div_ceil(4) as u64),
                         );
-                        let __ctx_val = $crate::RpcCtx { call: __call.clone(), rpc: __rpc.clone() };
+                        let __ctx_val = $crate::RpcCtx { call: __call, rpc: __rpc };
                         #[allow(unused_variables)]
                         let $ctx = &__ctx_val;
                         #[allow(unused_variables)]
                         let $st = &*__state;
                         let __result: $crate::__rpc_ret!($($ret)?) = { $body };
                         if __call_id != $crate::ONEWAY_SENTINEL {
-                            __rpc.reply(&__call, __call_id, &__result).await;
+                            __ctx_val.rpc.reply(&__ctx_val.call, __call_id, &__result).await;
                         }
-                    })
+                    }
                 });
                 __rpc.register_named(
                     __node,
                     concat!(stringify!($svc), "::", stringify!($name)),
                     __mode,
-                    __factory,
+                    __body,
                     true,
                 );
             }
@@ -252,11 +252,11 @@ macro_rules! __rpc_method {
                 __mode: $crate::RpcMode,
             ) {
                 let __rpc_outer = __rpc.clone();
-                let __factory: $crate::CallFactory = ::std::rc::Rc::new(move |__call| {
+                let __body = $crate::CallBody::new(move |__call: &$crate::OamCall| {
                     let __state = ::std::rc::Rc::clone(&__state);
                     let __rpc = __rpc_outer.clone();
                     let __call = __call.clone();
-                    ::std::boxed::Box::pin(async move {
+                    async move {
                         #[allow(unused_variables, unused_parens)]
                         let (__call_id, ($($arg,)*)): (u32, ($($aty,)*)) =
                             __rpc.decode_request(&__call.pkt.payload);
@@ -264,7 +264,7 @@ macro_rules! __rpc_method {
                             __rpc.config().cost.marshal_per_word
                                 .times(__call.pkt.payload.len().div_ceil(4) as u64),
                         );
-                        let __ctx_val = $crate::RpcCtx { call: __call.clone(), rpc: __rpc.clone() };
+                        let __ctx_val = $crate::RpcCtx { call: __call, rpc: __rpc };
                         #[allow(unused_variables)]
                         let $ctx = &__ctx_val;
                         #[allow(unused_variables)]
@@ -273,15 +273,15 @@ macro_rules! __rpc_method {
                         // Reliable one-way calls carry a real call id and
                         // expect an empty reply as their delivery ack.
                         if __call_id != $crate::ONEWAY_SENTINEL {
-                            __rpc.reply(&__call, __call_id, &()).await;
+                            __ctx_val.rpc.reply(&__ctx_val.call, __call_id, &()).await;
                         }
-                    })
+                    }
                 });
                 __rpc.register_named(
                     __node,
                     concat!(stringify!($svc), "::", stringify!($name)),
                     __mode,
-                    __factory,
+                    __body,
                     false,
                 );
             }
@@ -332,11 +332,11 @@ macro_rules! __rpc_method {
                 __mode: $crate::RpcMode,
             ) {
                 let __rpc_outer = __rpc.clone();
-                let __factory: $crate::CallFactory = ::std::rc::Rc::new(move |__call| {
+                let __body = $crate::CallBody::new(move |__call: &$crate::OamCall| {
                     let __state = ::std::rc::Rc::clone(&__state);
                     let __rpc = __rpc_outer.clone();
                     let __call = __call.clone();
-                    ::std::boxed::Box::pin(async move {
+                    async move {
                         #[allow(unused_variables, unused_parens)]
                         let (__call_id, ($($arg,)*)): (u32, ($($aty,)*)) =
                             __rpc.decode_request(&__call.pkt.payload);
@@ -344,24 +344,27 @@ macro_rules! __rpc_method {
                             __rpc.config().cost.marshal_per_word
                                 .times(__call.pkt.payload.len().div_ceil(4) as u64),
                         );
-                        let __ctx_val = $crate::RpcCtx { call: __call.clone(), rpc: __rpc.clone() };
+                        let __ctx_val = $crate::RpcCtx { call: __call, rpc: __rpc };
                         #[allow(unused_variables)]
                         let $ctx = &__ctx_val;
                         #[allow(unused_variables)]
                         let $st = &*__state;
-                        let $tx: $crate::StreamTx<$chunk> =
-                            $crate::StreamTx::new(__rpc.clone(), __call.clone(), __call_id);
+                        let $tx: $crate::StreamTx<$chunk> = $crate::StreamTx::new(
+                            __ctx_val.rpc.clone(),
+                            __ctx_val.call.clone(),
+                            __call_id,
+                        );
                         // The body must evaluate to the `StreamClosed`
                         // proof only `StreamTx::close` can produce.
                         let __closed: $crate::StreamClosed = { $body };
                         let _ = __closed;
-                    })
+                    }
                 });
                 __rpc.register_stream_named(
                     __node,
                     concat!(stringify!($svc), "::", stringify!($name)),
                     __mode,
-                    __factory,
+                    __body,
                 );
             }
         }

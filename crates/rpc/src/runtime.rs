@@ -37,7 +37,7 @@ use std::rc::Rc;
 
 use oam_am::{Am, AmToken, HandlerEntry, HandlerId};
 use oam_core::{
-    pack_deadline_word, peek_call_id, CallEngine, CallFactory, NackSender, OamCall, Priority,
+    pack_deadline_word, peek_call_id, CallBody, CallEngine, NackSender, OamCall, Priority,
     NO_DEADLINE,
 };
 use oam_model::{
@@ -403,10 +403,10 @@ impl Rpc {
     /// the method always runs as a successful optimistic execution.
     fn register_chunk_method(&self, node: NodeId) {
         let rpc_outer = self.clone();
-        let factory: CallFactory = Rc::new(move |call: &OamCall| {
+        let body = CallBody::new(move |call: &OamCall| {
             let rpc = rpc_outer.clone();
             let call = call.clone();
-            Box::pin(async move {
+            async move {
                 let (call_id, (session, seq, bytes)): (u32, (u32, u32, Vec<u8>)) =
                     rpc.decode_request(&call.pkt.payload);
                 call.node.add_pending(rpc.marshal_cost(call.pkt.payload.len()));
@@ -430,9 +430,9 @@ impl Rpc {
                 if call_id != ONEWAY_SENTINEL {
                     rpc.reply(&call, call_id, &()).await;
                 }
-            })
+            }
         });
-        self.register_named(node, SESSION_CHUNK_METHOD, RpcMode::Orpc, factory, false);
+        self.register_named(node, SESSION_CHUNK_METHOD, RpcMode::Orpc, body, false);
     }
 
     /// The AM layer underneath.
@@ -1084,7 +1084,7 @@ impl Rpc {
     /// Register a remote procedure on `node`. `mode` is the mode the
     /// service was registered with — a per-method [`ExecPolicy`] in
     /// `MachineConfig::policies` overrides it (and everything else). The
-    /// factory builds the handler future (decode → body → reply).
+    /// call body builds the handler future (decode → body → reply).
     /// `expects_reply` distinguishes `rpc` from `oneway` methods: under
     /// [`AbortStrategy::Nack`] only reply-bearing calls can be NACKed
     /// (the caller is waiting); one-way calls fall back to rerun.
@@ -1093,11 +1093,11 @@ impl Rpc {
         node: NodeId,
         id: HandlerId,
         mode: RpcMode,
-        factory: CallFactory,
+        body: CallBody,
         expects_reply: bool,
     ) {
         let policy = self.inner.engine.policy_for(id.0, mode);
-        self.register_policied(node, id, policy, factory, expects_reply);
+        self.register_policied(node, id, policy, body, expects_reply);
     }
 
     /// As [`Rpc::register`], recording the method's `"Service::method"`
@@ -1109,12 +1109,12 @@ impl Rpc {
         node: NodeId,
         name: &str,
         mode: RpcMode,
-        factory: CallFactory,
+        body: CallBody,
         expects_reply: bool,
     ) -> HandlerId {
         let id = handler_id_for(name);
         self.inner.engine.register_name(id.0, name);
-        self.register(node, id, mode, factory, expects_reply);
+        self.register(node, id, mode, body, expects_reply);
         id
     }
 
@@ -1128,12 +1128,12 @@ impl Rpc {
         node: NodeId,
         name: &str,
         mode: RpcMode,
-        factory: CallFactory,
+        body: CallBody,
     ) -> HandlerId {
         let id = handler_id_for(name);
         self.inner.engine.register_name(id.0, name);
         let policy = self.inner.engine.policy_for(id.0, mode);
-        self.register_policied_opts(node, id, policy, factory, true, true);
+        self.register_policied_opts(node, id, policy, body, true, true);
         id
     }
 
@@ -1142,10 +1142,10 @@ impl Rpc {
         node: NodeId,
         id: HandlerId,
         policy: ExecPolicy,
-        factory: CallFactory,
+        body: CallBody,
         expects_reply: bool,
     ) {
-        self.register_policied_opts(node, id, policy, factory, expects_reply, false);
+        self.register_policied_opts(node, id, policy, body, expects_reply, false);
     }
 
     fn register_policied_opts(
@@ -1153,12 +1153,11 @@ impl Rpc {
         node: NodeId,
         id: HandlerId,
         policy: ExecPolicy,
-        factory: CallFactory,
+        body: CallBody,
         expects_reply: bool,
         cancellable: bool,
     ) {
-        let mut site =
-            self.inner.engine.site(policy, expects_reply, factory).with_call_correlation();
+        let mut site = self.inner.engine.site(policy, expects_reply, body).with_call_correlation();
         if cancellable {
             site = site.with_cancellation();
         }

@@ -27,7 +27,7 @@ pub mod shard;
 pub use executor::{
     event_key, EventId, SeqHasher, Sim, WallClock, KEY_CLASS_COLLECTIVE, KEY_CLASS_NODE,
 };
-pub use mem::{alloc_snapshot, AllocSnapshot, CountingAlloc};
+pub use mem::{alloc_snapshot, thread_alloc_snapshot, AllocSnapshot, CountingAlloc};
 pub use rng::Prng;
 pub use shard::{
     default_spin, partition, shard_range, Coordinator, Fence, FencePolicy, Round, ShardPort,

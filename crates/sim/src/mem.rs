@@ -138,6 +138,19 @@ pub fn alloc_snapshot() -> AllocSnapshot {
     })
 }
 
+/// Read the calling thread's counters alone, so that what other threads
+/// allocate meanwhile (a test harness's bookkeeping, say) does not show.
+/// Exact while at most 64 threads have allocated; past that,
+/// threads share slots round robin, and then their counts.
+pub fn thread_alloc_snapshot() -> AllocSnapshot {
+    let s = slot();
+    AllocSnapshot {
+        allocs: s.allocs.load(Ordering::Relaxed),
+        bytes: s.bytes.load(Ordering::Relaxed),
+        deallocs: s.deallocs.load(Ordering::Relaxed),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -86,7 +86,7 @@ pub use oam_trace as trace;
 /// Everything needed to build and run programs on the simulated machine.
 pub mod prelude {
     pub use oam_am::{AmToken, HandlerEntry, HandlerId};
-    pub use oam_core::{CallEngine, CallFactory, MethodSite, OamCall, Priority};
+    pub use oam_core::{CallBody, CallEngine, MethodSite, OamCall, Priority};
     pub use oam_machine::{Collectives, Machine, MachineBuilder, NodeEnv, Reducer, RunReport};
     pub use oam_model::{
         AbortReason, AbortStrategy, AdaptivePolicy, AdmissionConfig, Backend, CallMode, CostModel,
