@@ -12,7 +12,7 @@ use oam_model::{
     AdaptivePolicy, AdmissionConfig, Backend, Dur, EnvOverlay, ExecPolicy, FaultPlan,
     MachineConfig, NodeId, ReliabilityConfig, Time,
 };
-use oam_rpc::{define_rpc_service, from_bytes, CallError};
+use oam_rpc::{define_rpc_service, from_bytes, CallError, CallOpts};
 use oam_threads::Mutex;
 
 use crate::system::AppOutcome;
@@ -362,14 +362,13 @@ pub fn run(params: ServiceParams) -> ServiceOutcome {
                                 let (dst, stripe, slot) = place(a.key, p2.servers);
                                 let rpc = env2.rpc();
                                 let node = env2.node();
+                                let opts = CallOpts::default().with_deadline(p2.deadline);
                                 if p2.streaming && a.class == CallClass::Heavy {
                                     // Streaming scan: consume the chunks as
                                     // they arrive, then collect the sum
                                     // from the Close. A broken session
                                     // (deadline, NACK budget) cancels —
                                     // the server aborts mid-walk.
-                                    let opts =
-                                        oam_rpc::CallOpts::default().with_deadline(p2.deadline);
                                     let mut h =
                                         Kv::scan_stream::call_with(rpc, node, dst, opts, stripe)
                                             .await;
@@ -386,34 +385,18 @@ pub fn run(params: ServiceParams) -> ServiceOutcome {
                                 }
                                 let res: Result<_, CallError> = match a.class {
                                     CallClass::Heavy => {
-                                        rpc.try_call_args(
-                                            node,
-                                            dst,
-                                            SCAN_ID,
-                                            &(stripe,),
-                                            p2.deadline,
-                                        )
-                                        .await
+                                        rpc.call_args_with(node, dst, SCAN_ID, &(stripe,), opts)
+                                            .await
                                     }
                                     CallClass::Cheap if a.client % 10 < 3 => {
-                                        rpc.try_call_args(
-                                            node,
-                                            dst,
-                                            Kv::put::ID,
-                                            &(stripe, slot as u32, a.client % 7 + 1),
-                                            p2.deadline,
-                                        )
-                                        .await
+                                        let args = (stripe, slot as u32, a.client % 7 + 1);
+                                        rpc.call_args_with(node, dst, Kv::put::ID, &args, opts)
+                                            .await
                                     }
                                     CallClass::Cheap => {
-                                        rpc.try_call_args(
-                                            node,
-                                            dst,
-                                            Kv::get::ID,
-                                            &(stripe, slot as u32),
-                                            p2.deadline,
-                                        )
-                                        .await
+                                        let args = (stripe, slot as u32);
+                                        rpc.call_args_with(node, dst, Kv::get::ID, &args, opts)
+                                            .await
                                     }
                                 };
                                 if let Ok(reply) = res {

@@ -630,7 +630,7 @@ mod tests {
             }
             m.run(move |env| async move {
                 if env.id().index() == 0 {
-                    env.rpc().send_oneway_raw(env.node(), NodeId(1), id, &[]).await;
+                    env.rpc().send_oneway_args(env.node(), NodeId(1), id, &()).await;
                     // Wait for delivery before exiting so the run is quiet.
                     env.barrier().await;
                 } else {
@@ -678,7 +678,7 @@ mod tests {
         }
         let report = m.run(move |env| async move {
             if env.id().index() == 0 {
-                env.rpc().send_oneway_raw(env.node(), NodeId(1), id, &[]).await;
+                env.rpc().send_oneway_args(env.node(), NodeId(1), id, &()).await;
             }
             env.barrier().await;
         });

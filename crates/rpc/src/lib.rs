@@ -15,8 +15,8 @@ pub mod runtime;
 pub mod wire;
 
 pub use runtime::{
-    decode_request, handler_id_for, CallError, CallHandle, CallOpts, RawCallHandle, Rpc, RpcCtx,
-    RpcMode, StreamClosed, StreamHandle, StreamTx, CANCEL_ID, NACK_ID, ONEWAY_SENTINEL, REPLY_ID,
+    decode_request, handler_id_for, CallError, CallHandle, CallOpts, Rpc, RpcCtx, RpcMode,
+    StreamClosed, StreamHandle, StreamTx, CANCEL_ID, NACK_ID, ONEWAY_SENTINEL, REPLY_ID,
     SESSION_CHUNK_ID, SESSION_CHUNK_METHOD,
 };
 pub use wire::{

@@ -137,7 +137,9 @@ macro_rules! __rpc_method {
                 __dst: $crate::NodeId
                 $(, $arg : $aty)*
             ) -> ::std::result::Result<$crate::__rpc_ret!($($ret)?), $crate::CallError> {
-                let __reply = __rpc.call_args(__node, __dst, ID, &($($arg,)*)).await;
+                let __reply = __rpc
+                    .call_args_with(__node, __dst, ID, &($($arg,)*), $crate::CallOpts::default())
+                    .await?;
                 $crate::wire::from_bytes(&__reply).map_err($crate::CallError::ReplyDecode)
             }
 
@@ -164,9 +166,9 @@ macro_rules! __rpc_method {
                 __dst: $crate::NodeId
                 $(, $arg : $aty)*
             ) -> $crate::CallHandle<$crate::__rpc_ret!($($ret)?)> {
-                $crate::CallHandle::from_raw(
-                    __rpc.issue_args(__node, __dst, ID, &($($arg,)*)).await,
-                )
+                __rpc
+                    .issue_args_with(__node, __dst, ID, &($($arg,)*), $crate::CallOpts::default())
+                    .await
             }
 
             /// As [`issue`], with per-call options (deadline, priority).
@@ -177,9 +179,7 @@ macro_rules! __rpc_method {
                 __opts: $crate::CallOpts
                 $(, $arg : $aty)*
             ) -> $crate::CallHandle<$crate::__rpc_ret!($($ret)?)> {
-                $crate::CallHandle::from_raw(
-                    __rpc.issue_args_with(__node, __dst, ID, &($($arg,)*), __opts).await,
-                )
+                __rpc.issue_args_with(__node, __dst, ID, &($($arg,)*), __opts).await
             }
 
             /// Install the server side of this method on `node`.

@@ -10,6 +10,20 @@
 //! threshold (16 bytes on the CM-5) travel through the scopy engine, as the
 //! paper's generated stubs do (§3.2).
 //!
+//! # The caller side
+//!
+//! Every call form is a thin shell over one in-flight record and one
+//! attempt loop, like the paper's single client stub (marshal, send,
+//! spin-wait). `Rpc::begin` charges the caller overhead and issues the
+//! first attempt; `Pending::settle` waits for the attempt's outcome,
+//! integrates a reply, or backs off after a NACK and re-issues under a
+//! fresh call id, or gives up at the deadline; dropping the record
+//! disarms the live attempt's timers and frees its id. A synchronous
+//! call settles in place over its borrowed arguments (no allocation); a
+//! [`CallHandle`] and a [`StreamHandle`] keep the record and the encoded
+//! arguments, and the stream re-keys its session when a re-issue changes
+//! the call id; a reliable one-way issues one attempt its ack releases.
+//!
 //! # Reliability
 //!
 //! `call_id`s are generation-tagged: the low 16 bits index a slot in the
@@ -529,56 +543,16 @@ impl Rpc {
         (call_id, args)
     }
 
-    /// Perform a synchronous RPC with `Wire`-encodable arguments (the
-    /// argument tuple of the generated stubs). Marshals directly into the
-    /// outgoing payload buffer and returns a zero-copy view of the encoded
-    /// reply.
-    pub async fn call_args<A: Wire>(
-        &self,
-        node: &Node,
-        dst: NodeId,
-        id: HandlerId,
-        args: &A,
-    ) -> PayloadView {
-        self.call_inner(node, dst, id, &|w| args.encode(w)).await
-    }
-
-    /// Perform a synchronous RPC with already-encoded argument bytes (for
-    /// dynamically-constructed calls). Returns a zero-copy view of the
-    /// encoded reply.
-    pub async fn call_raw(
-        &self,
-        node: &Node,
-        dst: NodeId,
-        id: HandlerId,
-        args: &[u8],
-    ) -> PayloadView {
-        self.call_inner(node, dst, id, &|w| w.extend_from_slice(args)).await
-    }
-
-    /// Perform a synchronous RPC with a per-call deadline (requires
-    /// [`oam_model::MachineConfig::admission`]). The deadline travels in
-    /// the request header: the server drops the call unexecuted if it
-    /// arrives (or is retransmitted) past it, and the caller gives up
-    /// locally at the same instant — returning
-    /// [`CallError::DeadlineExpired`] — instead of retrying forever.
-    pub async fn try_call_args<A: Wire>(
-        &self,
-        node: &Node,
-        dst: NodeId,
-        id: HandlerId,
-        args: &A,
-        deadline: Dur,
-    ) -> Result<PayloadView, CallError> {
-        let opts = CallOpts { deadline: Some(deadline), ..CallOpts::default() };
-        self.call_inner_opts(node, dst, id, &|w| args.encode(w), opts).await
-    }
-
-    /// Perform a synchronous RPC with per-call options (deadline and/or
-    /// priority). The options travel in the request's header word, so they
-    /// require [`oam_model::MachineConfig::admission`]; on header-free
+    /// Perform a synchronous RPC — the generated `call` and `call_with`
+    /// stubs. Marshals the arguments straight into the outgoing payload
+    /// (again on each NACK re-issue) and returns a zero-copy view of the
+    /// encoded reply. The options travel in the request's header word, so
+    /// they require [`oam_model::MachineConfig::admission`]; on header-free
     /// machines a priority is silently `Normal` and a deadline is
-    /// client-enforced only.
+    /// client-enforced only. Only a deadline-bearing call can fail: the
+    /// server drops it unexecuted if it arrives (or is retransmitted) past
+    /// the deadline, and the caller gives up locally at the same instant
+    /// with [`CallError::DeadlineExpired`] instead of retrying forever.
     pub async fn call_args_with<A: Wire>(
         &self,
         node: &Node,
@@ -587,208 +561,31 @@ impl Rpc {
         args: &A,
         opts: CallOpts,
     ) -> Result<PayloadView, CallError> {
-        self.call_inner_opts(node, dst, id, &|w| args.encode(w), opts).await
-    }
-
-    /// The synchronous-call primitive without a deadline: cannot fail.
-    async fn call_inner(
-        &self,
-        node: &Node,
-        dst: NodeId,
-        id: HandlerId,
-        write_args: &dyn Fn(&mut WireWriter),
-    ) -> PayloadView {
-        match self.call_inner_opts(node, dst, id, write_args, CallOpts::default()).await {
-            Ok(reply) => reply,
-            Err(e) => unreachable!("deadline-free call cannot fail: {e:?}"),
-        }
-    }
-
-    /// Compute the header word for a call issued now against `deadline_abs`:
-    /// the absolute deadline in µs (rounded up so the server never expires
-    /// a call before its caller would), with the priority packed into the
-    /// top bits (a no-op for `Normal`, keeping the legacy word bit-exact).
-    fn deadline_word(&self, deadline_abs: Option<Time>, prio: Priority) -> u32 {
-        let deadline_us = deadline_abs.map_or(NO_DEADLINE, |t| {
-            t.as_nanos().div_ceil(1_000).min(u64::from(NO_DEADLINE) - 1) as u32
-        });
-        pack_deadline_word(deadline_us, prio)
-    }
-
-    /// One issue attempt of a call: allocate a correlation slot, marshal,
-    /// charge the (once-per-call) marshal cost, send, and arm the
-    /// retransmission timer and deadline expiry. The returned slot is live
-    /// until a matching [`Rpc::wait_attempt`] (or manual teardown).
-    #[allow(clippy::too_many_arguments)]
-    async fn issue_attempt(
-        &self,
-        node: &Node,
-        dst: NodeId,
-        id: HandlerId,
-        write_args: &dyn Fn(&mut WireWriter),
-        deadline_word: u32,
-        deadline_abs: Option<Time>,
-        charged: &mut bool,
-    ) -> (u32, Rc<CallSlot>) {
-        let idx = node.id().index();
-        let (call_id, slot) = self.inner.tables[idx].borrow_mut().alloc();
-        let payload = self.marshal_request(node, call_id, deadline_word, write_args);
-        if !*charged {
-            *charged = true;
-            node.add_pending(self.marshal_cost(payload.len() - self.header_len()));
-        }
-        let resend = self.inner.reliable.then(|| payload.clone());
-        self.send_request(node, dst, id, payload).await;
-        if let Some(bytes) = resend {
-            self.arm_timer(node, dst, id, call_id, &slot, bytes);
-        }
-        if let Some(at) = deadline_abs {
-            self.arm_expiry(node, &slot, at);
-        }
-        (call_id, slot)
-    }
-
-    /// Wait for an issued attempt to settle, then tear its slot down and
-    /// release the call id. Returns the settled outcome and (for
-    /// [`Outcome::Replied`]) the reply view.
-    async fn wait_attempt(
-        &self,
-        node: &Node,
-        call_id: u32,
-        slot: Rc<CallSlot>,
-    ) -> (Outcome, PayloadView) {
-        node.spin_on(slot.flag.clone()).await;
-        self.cancel_timer(node.sim(), &slot);
-        self.cancel_expiry(node.sim(), &slot);
-        let outcome = slot.outcome.get();
-        let reply = slot.reply.borrow().clone();
-        drop(slot); // the table must hold the last reference to reuse it
-        self.inner.tables[node.id().index()].borrow_mut().release(call_id);
-        (outcome, reply)
-    }
-
-    /// The synchronous-call primitive: owns correlation, transport, the
-    /// reply wait, retransmission, deadline expiry, and NACK
-    /// back-off/retry. `write_args` appends the encoded arguments
-    /// (re-invoked on NACK retry, which re-marshals under a fresh call
-    /// id).
-    async fn call_inner_opts(
-        &self,
-        node: &Node,
-        dst: NodeId,
-        id: HandlerId,
-        write_args: &dyn Fn(&mut WireWriter),
-        opts: CallOpts,
-    ) -> Result<PayloadView, CallError> {
         node.stats().borrow_mut().rpcs_sync += 1;
-        node.add_pending(self.inner.cfg.cost.rpc_caller_overhead);
-        let issued = node.now();
-        let deadline_abs = opts.deadline.map(|d| issued + d);
-        let deadline_word = self.deadline_word(deadline_abs, opts.priority);
-        let mut attempt = 0u32;
-        let mut charged = false;
-        loop {
-            let (call_id, slot) = self
-                .issue_attempt(node, dst, id, write_args, deadline_word, deadline_abs, &mut charged)
-                .await;
-            let (outcome, reply) = self.wait_attempt(node, call_id, slot).await;
-            match outcome {
-                Outcome::Replied => {
-                    node.add_pending(self.inner.cfg.cost.reply_integrate);
-                    node.add_pending(self.marshal_cost(reply.len()));
-                    if deadline_abs.is_some() {
-                        let mut st = node.stats().borrow_mut();
-                        st.calls_completed += 1;
-                        st.latency.record(node.now().since(issued));
-                    }
-                    return Ok(reply);
-                }
-                Outcome::Nacked { retry_after_us } => {
-                    attempt += 1;
-                    let delay = self.backoff_delay(node, attempt, retry_after_us);
-                    if let Some(at) = deadline_abs {
-                        if node.now() + delay >= at {
-                            // The retry could not complete in time; give up
-                            // now rather than hammer a server that told us
-                            // to wait.
-                            node.stats().borrow_mut().calls_abandoned += 1;
-                            node.emit(TraceKind::CallAbandoned { call_id, dst });
-                            return Err(CallError::DeadlineExpired);
-                        }
-                    }
-                    if retry_after_us > 0 {
-                        node.stats().borrow_mut().retry_after_honored += 1;
-                    }
-                    self.backoff_sleep(node, delay).await;
-                }
-                Outcome::Expired => {
-                    node.stats().borrow_mut().calls_abandoned += 1;
-                    node.emit(TraceKind::CallAbandoned { call_id, dst });
-                    return Err(CallError::DeadlineExpired);
-                }
-                Outcome::Pending => unreachable!("flag set without an outcome"),
-            }
-        }
+        let write_args = |w: &mut WireWriter| args.encode(w);
+        let mut call = self.begin(node, dst, id, opts, &write_args).await;
+        call.finish(&write_args).await
     }
 
     /// Issue a call without waiting for its reply — the pipelining
-    /// primitive. Marshaling and sending happen here; the returned
-    /// [`RawCallHandle`] is awaited later with [`RawCallHandle::wait`],
-    /// letting the caller overlap the next call's marshaling (or any other
-    /// work) with this call's remote execution.
-    pub async fn issue_args<A: Wire>(
-        &self,
-        node: &Node,
-        dst: NodeId,
-        id: HandlerId,
-        args: &A,
-    ) -> RawCallHandle {
-        self.issue_args_with(node, dst, id, args, CallOpts::default()).await
-    }
-
-    /// As [`Rpc::issue_args`], with per-call options.
-    pub async fn issue_args_with<A: Wire>(
+    /// primitive behind the generated `issue` stubs. Marshaling and sending
+    /// happen here; the returned [`CallHandle`] is awaited later, letting
+    /// the caller overlap the next call's marshaling (or any other work)
+    /// with this call's remote execution.
+    pub async fn issue_args_with<A: Wire, T: Wire>(
         &self,
         node: &Node,
         dst: NodeId,
         id: HandlerId,
         args: &A,
         opts: CallOpts,
-    ) -> RawCallHandle {
+    ) -> CallHandle<T> {
         node.stats().borrow_mut().rpcs_sync += 1;
-        node.add_pending(self.inner.cfg.cost.rpc_caller_overhead);
-        let issued = node.now();
-        let deadline_abs = opts.deadline.map(|d| issued + d);
-        let deadline_word = self.deadline_word(deadline_abs, opts.priority);
         // Keep the encoded arguments: a NACKed attempt re-issues them
         // under a fresh call id from inside `wait`.
         let args = crate::wire::to_bytes(args);
-        let mut charged = false;
-        let (call_id, slot) = self
-            .issue_attempt(
-                node,
-                dst,
-                id,
-                &|w| w.extend_from_slice(&args),
-                deadline_word,
-                deadline_abs,
-                &mut charged,
-            )
-            .await;
-        RawCallHandle {
-            rpc: self.clone(),
-            node: node.clone(),
-            dst,
-            id,
-            args,
-            issued,
-            deadline_abs,
-            deadline_word,
-            attempt: 0,
-            charged,
-            call_id,
-            slot: Some(slot),
-        }
+        let call = self.begin(node, dst, id, opts, &|w| w.extend_from_slice(&args)).await;
+        CallHandle { call, args, _ret: PhantomData }
     }
 
     /// Open a typed streaming session against a `stream` method: issues
@@ -803,43 +600,20 @@ impl Rpc {
         args: &A,
         opts: CallOpts,
     ) -> StreamHandle<C, F> {
-        node.add_pending(self.inner.cfg.cost.rpc_caller_overhead);
-        let issued = node.now();
-        let deadline_abs = opts.deadline.map(|d| issued + d);
-        let deadline_word = self.deadline_word(deadline_abs, opts.priority);
         let args = crate::wire::to_bytes(args);
-        let mut charged = false;
-        let (call_id, slot) = self
-            .issue_attempt(
-                node,
-                dst,
-                id,
-                &|w| w.extend_from_slice(&args),
-                deadline_word,
-                deadline_abs,
-                &mut charged,
-            )
-            .await;
+        let call = self.begin(node, dst, id, opts, &|w| w.extend_from_slice(&args)).await;
         let session = Rc::new(SessionState {
             chunks: RefCell::new(BTreeMap::new()),
-            flag: RefCell::new(slot.flag.clone()),
+            flag: RefCell::new(call.flag()),
         });
-        self.inner.sessions[node.id().index()].borrow_mut().insert(call_id, Rc::clone(&session));
+        self.inner.sessions[node.id().index()]
+            .borrow_mut()
+            .insert(call.call_id, Rc::clone(&session));
         node.stats().borrow_mut().sessions_opened += 1;
-        node.emit(TraceKind::SessionOpened { call_id, dst });
+        node.emit(TraceKind::SessionOpened { call_id: call.call_id, dst });
         StreamHandle {
-            rpc: self.clone(),
-            node: node.clone(),
-            dst,
-            id,
+            call,
             args,
-            issued,
-            deadline_abs,
-            deadline_word,
-            attempt: 0,
-            charged,
-            call_id,
-            slot: Some(slot),
             session,
             next_chunk: 0,
             total: None,
@@ -848,19 +622,6 @@ impl Rpc {
             done: false,
             _chunk: PhantomData,
         }
-    }
-
-    /// Send the best-effort cancel frame for one of this node's calls to
-    /// `dst`. Fire-and-forget: no correlation slot, no retransmission — a
-    /// lost cancel just means the server completes the call and the
-    /// client's generation tag drops the stale reply.
-    fn send_cancel(&self, node: &Node, dst: NodeId, call_id: u32) {
-        self.inner.am.send_from_handler(
-            node,
-            dst,
-            CANCEL_ID,
-            PayloadBuf::inline(&call_id.to_le_bytes()),
-        );
     }
 
     /// Perform an asynchronous (one-way) RPC with `Wire`-encodable
@@ -875,36 +636,60 @@ impl Rpc {
         id: HandlerId,
         args: &A,
     ) {
-        self.oneway_inner(node, dst, id, &|w| args.encode(w)).await
+        node.stats().borrow_mut().rpcs_async += 1;
+        let write_args = |w: &mut WireWriter| args.encode(w);
+        if self.inner.reliable {
+            let mut call = self.pending(node, dst, id, CallOpts::default());
+            call.issue(&write_args, true).await;
+            // Nobody waits: the ack releases the slot.
+            call.slot = None;
+        } else {
+            let payload = self.marshal_request(node, ONEWAY_SENTINEL, NO_DEADLINE, &write_args);
+            node.add_pending(self.marshal_cost(payload.len() - self.header_len()));
+            self.send_request(node, dst, id, payload).await;
+        }
     }
 
-    /// As [`Rpc::send_oneway_args`], with already-encoded argument bytes.
-    pub async fn send_oneway_raw(&self, node: &Node, dst: NodeId, id: HandlerId, args: &[u8]) {
-        self.oneway_inner(node, dst, id, &|w| w.extend_from_slice(args)).await
-    }
-
-    async fn oneway_inner(
+    /// Start a two-way call: charge the caller overhead and issue the
+    /// first attempt.
+    async fn begin(
         &self,
         node: &Node,
         dst: NodeId,
         id: HandlerId,
+        opts: CallOpts,
         write_args: &dyn Fn(&mut WireWriter),
-    ) {
-        node.stats().borrow_mut().rpcs_async += 1;
-        if !self.inner.reliable {
-            let payload = self.marshal_request(node, ONEWAY_SENTINEL, NO_DEADLINE, write_args);
-            node.add_pending(self.marshal_cost(payload.len() - self.header_len()));
-            self.send_request(node, dst, id, payload).await;
-            return;
+    ) -> Pending {
+        node.add_pending(self.inner.cfg.cost.rpc_caller_overhead);
+        let mut call = self.pending(node, dst, id, opts);
+        call.issue(write_args, false).await;
+        call
+    }
+
+    /// The record of a call issued now, before its first attempt. The
+    /// header word carries the absolute deadline in µs (rounded up so the
+    /// server never expires a call before its caller would), with the
+    /// priority packed into the top bits (a no-op for `Normal`, keeping
+    /// the legacy word bit-exact).
+    fn pending(&self, node: &Node, dst: NodeId, id: HandlerId, opts: CallOpts) -> Pending {
+        let issued = node.now();
+        let deadline_abs = opts.deadline.map(|d| issued + d);
+        let deadline_us = deadline_abs.map_or(NO_DEADLINE, |t| {
+            t.as_nanos().div_ceil(1_000).min(u64::from(NO_DEADLINE) - 1) as u32
+        });
+        Pending {
+            rpc: self.clone(),
+            node: node.clone(),
+            dst,
+            id,
+            issued,
+            deadline_abs,
+            deadline_word: pack_deadline_word(deadline_us, opts.priority),
+            attempt: 0,
+            charged: false,
+            call_id: 0,
+            slot: None,
         }
-        let idx = node.id().index();
-        let (call_id, slot) = self.inner.tables[idx].borrow_mut().alloc();
-        slot.oneway.set(true);
-        let payload = self.marshal_request(node, call_id, NO_DEADLINE, write_args);
-        node.add_pending(self.marshal_cost(payload.len() - self.header_len()));
-        let bytes = payload.clone();
-        self.send_request(node, dst, id, payload).await;
-        self.arm_timer(node, dst, id, call_id, &slot, bytes);
     }
 
     /// Arm (or re-arm) the retransmission timer for an outstanding call.
@@ -1097,7 +882,7 @@ impl Rpc {
         expects_reply: bool,
     ) {
         let policy = self.inner.engine.policy_for(id.0, mode);
-        self.register_policied(node, id, policy, body, expects_reply);
+        self.register_policied_opts(node, id, policy, body, expects_reply, false);
     }
 
     /// As [`Rpc::register`], recording the method's `"Service::method"`
@@ -1135,17 +920,6 @@ impl Rpc {
         let policy = self.inner.engine.policy_for(id.0, mode);
         self.register_policied_opts(node, id, policy, body, true, true);
         id
-    }
-
-    fn register_policied(
-        &self,
-        node: NodeId,
-        id: HandlerId,
-        policy: ExecPolicy,
-        body: CallBody,
-        expects_reply: bool,
-    ) {
-        self.register_policied_opts(node, id, policy, body, expects_reply, false);
     }
 
     fn register_policied_opts(
@@ -1229,9 +1003,10 @@ impl std::fmt::Display for CallError {
     }
 }
 
-/// Per-call options for the extended call entry points
+/// Per-call options for the two-way call entry points
 /// ([`Rpc::call_args_with`], [`Rpc::issue_args_with`],
-/// [`Rpc::open_stream`] and the generated `call_with` stubs).
+/// [`Rpc::open_stream`] and the generated `call_with` / `issue_with`
+/// stubs; the plain stubs pass the default).
 ///
 /// Both fields travel in the header word that admission-controlled
 /// machines prepend to requests, so they are only *server*-enforced there;
@@ -1262,143 +1037,189 @@ impl CallOpts {
     }
 }
 
-/// An issued, not-yet-awaited call — the pipelining primitive returned by
-/// [`Rpc::issue_args`]. The request is already on the wire; the caller
-/// collects the reply later with [`RawCallHandle::wait`], aborts it with
-/// [`RawCallHandle::cancel`], or just drops it (local teardown only — the
-/// server still executes, and its reply is dropped as stale).
-pub struct RawCallHandle {
+/// One call in flight on the caller side: the record every call form — a
+/// synchronous call, a [`CallHandle`], a [`StreamHandle`]'s open, a
+/// reliable one-way — drives through the same attempt loop.
+/// [`Rpc::begin`] issues it, [`Pending::settle`] waits out one attempt
+/// and backs off and re-issues after a NACK, and dropping it disarms
+/// whatever attempt is still live.
+struct Pending {
     rpc: Rpc,
     node: Node,
     dst: NodeId,
     id: HandlerId,
-    /// Encoded argument bytes, kept for NACK-driven re-issue under a
-    /// fresh call id.
-    args: Vec<u8>,
     issued: Time,
     deadline_abs: Option<Time>,
+    /// The request's header word (deadline and priority), fixed at issue.
     deadline_word: u32,
+    /// NACKs so far (drives the blind back-off exponent).
     attempt: u32,
+    /// The once-per-call marshal cost has been charged.
     charged: bool,
+    /// The live attempt's correlation id (fresh on each re-issue).
     call_id: u32,
+    /// The live attempt's slot; `None` once settled.
     slot: Option<Rc<CallSlot>>,
 }
 
-impl RawCallHandle {
-    /// The call's current correlation id (changes on NACK re-issue).
-    pub fn call_id(&self) -> u32 {
-        self.call_id
+impl Pending {
+    /// Issue one attempt: allocate a correlation slot, marshal, charge the
+    /// (once-per-call) marshal cost, send, and arm the retransmission timer
+    /// and deadline expiry. A `oneway` slot is released by its ack.
+    async fn issue(&mut self, write_args: &dyn Fn(&mut WireWriter), oneway: bool) {
+        let rpc = &self.rpc;
+        let (call_id, slot) = rpc.inner.tables[self.node.id().index()].borrow_mut().alloc();
+        slot.oneway.set(oneway);
+        self.call_id = call_id;
+        let slot = self.slot.insert(slot);
+        let payload = rpc.marshal_request(&self.node, call_id, self.deadline_word, write_args);
+        if !self.charged {
+            self.charged = true;
+            self.node.add_pending(rpc.marshal_cost(payload.len() - rpc.header_len()));
+        }
+        let resend = rpc.inner.reliable.then(|| payload.clone());
+        rpc.send_request(&self.node, self.dst, self.id, payload).await;
+        if let Some(bytes) = resend {
+            rpc.arm_timer(&self.node, self.dst, self.id, call_id, slot, bytes);
+        }
+        if let Some(at) = self.deadline_abs {
+            rpc.arm_expiry(&self.node, slot, at);
+        }
     }
 
-    /// Wait for the reply, driving NACK back-off/retry and deadline expiry
-    /// exactly like a synchronous call would. Consumes the handle.
-    pub async fn wait(mut self) -> Result<PayloadView, CallError> {
-        let rpc = self.rpc.clone();
-        let node = self.node.clone();
-        let args = std::mem::take(&mut self.args);
-        loop {
-            let slot = self.slot.take().expect("handle waited with a live slot");
-            let call_id = self.call_id;
-            let (outcome, reply) = rpc.wait_attempt(&node, call_id, slot).await;
-            match outcome {
-                Outcome::Replied => {
-                    node.add_pending(rpc.inner.cfg.cost.reply_integrate);
-                    node.add_pending(rpc.marshal_cost(reply.len()));
-                    if self.deadline_abs.is_some() {
-                        let mut st = node.stats().borrow_mut();
-                        st.calls_completed += 1;
-                        st.latency.record(node.now().since(self.issued));
-                    }
-                    return Ok(reply);
-                }
-                Outcome::Nacked { retry_after_us } => {
-                    self.attempt += 1;
-                    let delay = rpc.backoff_delay(&node, self.attempt, retry_after_us);
-                    if let Some(at) = self.deadline_abs {
-                        if node.now() + delay >= at {
-                            node.stats().borrow_mut().calls_abandoned += 1;
-                            node.emit(TraceKind::CallAbandoned { call_id, dst: self.dst });
-                            return Err(CallError::DeadlineExpired);
-                        }
-                    }
+    /// The live attempt's wake flag.
+    fn flag(&self) -> Flag {
+        self.slot.as_ref().expect("a live attempt").flag.clone()
+    }
+
+    /// Whether the live attempt has an outcome for [`Pending::settle`].
+    fn has_outcome(&self) -> bool {
+        self.slot.as_ref().is_some_and(|s| s.outcome.get() != Outcome::Pending)
+    }
+
+    /// Wait for the live attempt's outcome and act on it: a reply is
+    /// integrated (charged) and returned; a NACK backs off and re-issues
+    /// under a fresh call id, returning `None` (the call is live again),
+    /// unless the back-off would overrun the deadline; a local expiry
+    /// gives up. `write_args` re-marshals the arguments for the re-issue.
+    async fn settle(
+        &mut self,
+        write_args: &dyn Fn(&mut WireWriter),
+    ) -> Option<Result<PayloadView, CallError>> {
+        self.node.spin_on(self.flag()).await;
+        let (outcome, reply) = self.release().expect("waited on a live attempt");
+        match outcome {
+            Outcome::Replied => {
+                self.node.add_pending(self.rpc.inner.cfg.cost.reply_integrate);
+                self.node.add_pending(self.rpc.marshal_cost(reply.len()));
+                return Some(Ok(reply));
+            }
+            Outcome::Nacked { retry_after_us } => {
+                self.attempt += 1;
+                let delay = self.rpc.backoff_delay(&self.node, self.attempt, retry_after_us);
+                // A retry that could not complete in time gives up now
+                // rather than hammer a server that told us to wait.
+                if self.deadline_abs.is_none_or(|at| self.node.now() + delay < at) {
                     if retry_after_us > 0 {
-                        node.stats().borrow_mut().retry_after_honored += 1;
+                        self.node.stats().borrow_mut().retry_after_honored += 1;
                     }
-                    rpc.backoff_sleep(&node, delay).await;
-                    let mut charged = self.charged;
-                    let (ncid, nslot) = rpc
-                        .issue_attempt(
-                            &node,
-                            self.dst,
-                            self.id,
-                            &|w| w.extend_from_slice(&args),
-                            self.deadline_word,
-                            self.deadline_abs,
-                            &mut charged,
-                        )
-                        .await;
-                    self.charged = charged;
-                    self.call_id = ncid;
-                    self.slot = Some(nslot);
+                    self.rpc.backoff_sleep(&self.node, delay).await;
+                    self.issue(write_args, false).await;
+                    return None;
                 }
-                Outcome::Expired => {
-                    node.stats().borrow_mut().calls_abandoned += 1;
-                    node.emit(TraceKind::CallAbandoned { call_id, dst: self.dst });
-                    return Err(CallError::DeadlineExpired);
+            }
+            Outcome::Expired => {}
+            Outcome::Pending => unreachable!("flag set without an outcome"),
+        }
+        self.node.stats().borrow_mut().calls_abandoned += 1;
+        self.node.emit(TraceKind::CallAbandoned { call_id: self.call_id, dst: self.dst });
+        Some(Err(CallError::DeadlineExpired))
+    }
+
+    /// Settle until the call ends: the whole client stub's wait.
+    async fn finish(
+        &mut self,
+        write_args: &dyn Fn(&mut WireWriter),
+    ) -> Result<PayloadView, CallError> {
+        loop {
+            if let Some(end) = self.settle(write_args).await {
+                if end.is_ok() {
+                    self.complete();
                 }
-                Outcome::Pending => unreachable!("flag set without an outcome"),
+                return end;
             }
         }
     }
 
-    /// Cancel the call: tells the server to abort the in-flight execution
-    /// (best-effort) and tears the local correlation down (via `Drop`).
-    pub fn cancel(self) {
-        self.rpc.send_cancel(&self.node, self.dst, self.call_id);
+    /// Count a deadline-bearing call completed, with its latency.
+    fn complete(&self) {
+        if self.deadline_abs.is_some() {
+            let mut st = self.node.stats().borrow_mut();
+            st.calls_completed += 1;
+            st.latency.record(self.node.now().since(self.issued));
+        }
+    }
+
+    /// Tear the live attempt down — disarm both timers and release its id,
+    /// so a late reply is dropped as stale — returning its outcome and
+    /// reply. `None` if no attempt is live.
+    fn release(&mut self) -> Option<(Outcome, PayloadView)> {
+        let slot = self.slot.take()?;
+        let sim = self.node.sim();
+        self.rpc.cancel_timer(sim, &slot);
+        self.rpc.cancel_expiry(sim, &slot);
+        let settled = (slot.outcome.get(), slot.reply.borrow().clone());
+        drop(slot); // the table must hold the last reference to reuse it
+        self.rpc.inner.tables[self.node.id().index()].borrow_mut().release(self.call_id);
+        Some(settled)
+    }
+
+    /// Send the best-effort cancel frame for the current call id.
+    /// Fire-and-forget: no correlation slot, no retransmission — a lost
+    /// cancel just means the server completes the call and the client's
+    /// generation tag drops the stale reply.
+    fn send_cancel(&self) {
+        let payload = PayloadBuf::inline(&self.call_id.to_le_bytes());
+        self.rpc.inner.am.send_from_handler(&self.node, self.dst, CANCEL_ID, payload);
     }
 }
 
-/// A [`RawCallHandle`] with a typed return value — what the generated
-/// `issue` stubs hand back. [`CallHandle::wait`] decodes the reply as `T`.
+impl Drop for Pending {
+    fn drop(&mut self) {
+        self.release();
+    }
+}
+
+/// An issued, not-yet-awaited call — the pipelining primitive the
+/// generated `issue` stubs return. The request is already on the wire;
+/// the caller collects the reply later with [`CallHandle::wait`], aborts
+/// it with [`CallHandle::cancel`], or just drops it (local teardown only —
+/// the server still executes, and its reply is dropped as stale).
 pub struct CallHandle<T: Wire> {
-    raw: RawCallHandle,
+    call: Pending,
+    /// Encoded argument bytes, kept for NACK-driven re-issue.
+    args: Vec<u8>,
     _ret: PhantomData<T>,
 }
 
 impl<T: Wire> CallHandle<T> {
-    /// Wrap a raw handle. Used by the generated stubs.
-    #[doc(hidden)]
-    pub fn from_raw(raw: RawCallHandle) -> Self {
-        CallHandle { raw, _ret: PhantomData }
-    }
-
-    /// The call's current correlation id.
+    /// The call's current correlation id (changes on NACK re-issue).
     pub fn call_id(&self) -> u32 {
-        self.raw.call_id()
+        self.call.call_id
     }
 
-    /// Wait for the reply and decode it as `T`.
-    pub async fn wait(self) -> Result<T, CallError> {
-        let reply = self.raw.wait().await?;
+    /// Wait for the reply and decode it as `T`. NACK back-off/retry and
+    /// deadline expiry run through the synchronous call's own loop.
+    pub async fn wait(mut self) -> Result<T, CallError> {
+        let args = &self.args;
+        let reply = self.call.finish(&|w| w.extend_from_slice(args)).await?;
         crate::wire::from_bytes(&reply).map_err(CallError::ReplyDecode)
     }
 
-    /// Cancel the call (see [`RawCallHandle::cancel`]).
+    /// Cancel the call: tells the server to abort the in-flight execution
+    /// (best-effort) and tears the local correlation down (on drop).
     pub fn cancel(self) {
-        self.raw.cancel();
-    }
-}
-
-impl Drop for RawCallHandle {
-    fn drop(&mut self) {
-        // `wait` consumed the slot → nothing to tear down. Otherwise the
-        // call is still correlated: disarm its timers and free the id so a
-        // late reply is dropped as stale.
-        let Some(slot) = self.slot.take() else { return };
-        self.rpc.cancel_timer(self.node.sim(), &slot);
-        self.rpc.cancel_expiry(self.node.sim(), &slot);
-        drop(slot);
-        self.rpc.inner.tables[self.node.id().index()].borrow_mut().release(self.call_id);
+        self.call.send_cancel();
     }
 }
 
@@ -1409,18 +1230,10 @@ impl Drop for RawCallHandle {
 /// [`StreamHandle::cancel`]. Dropping the handle without finishing counts
 /// the session as cancelled.
 pub struct StreamHandle<C: Wire, F: Wire> {
-    rpc: Rpc,
-    node: Node,
-    dst: NodeId,
-    id: HandlerId,
+    /// The open call; its current id is the session id.
+    call: Pending,
+    /// Encoded open arguments, kept for NACK-driven re-issue.
     args: Vec<u8>,
-    issued: Time,
-    deadline_abs: Option<Time>,
-    deadline_word: u32,
-    attempt: u32,
-    charged: bool,
-    call_id: u32,
-    slot: Option<Rc<CallSlot>>,
     session: Rc<SessionState>,
     /// Next chunk sequence number to hand out.
     next_chunk: u32,
@@ -1437,7 +1250,7 @@ pub struct StreamHandle<C: Wire, F: Wire> {
 impl<C: Wire, F: Wire> StreamHandle<C, F> {
     /// The session id (= the open call's current correlation id).
     pub fn session_id(&self) -> u32 {
-        self.call_id
+        self.call.call_id
     }
 
     /// Receive the next chunk in sequence, waiting for it to arrive if
@@ -1468,7 +1281,7 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
                 // Closed but a declared chunk is still in flight
                 // (reordered or being retransmitted): keep waiting.
             }
-            if self.slot.as_ref().is_some_and(|s| s.outcome.get() != Outcome::Pending) {
+            if self.call.has_outcome() {
                 self.advance_outcome().await;
                 continue;
             }
@@ -1477,24 +1290,21 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
             // any set flag was for state already consumed.
             let flag = self.session.flag.borrow().clone();
             flag.clear();
-            self.node.spin_on(flag).await;
+            self.call.node.spin_on(flag).await;
         }
     }
 
-    /// Drive the settled open call forward: decode the Close reply, or
-    /// back off and re-issue after a NACK (re-keying the session under
-    /// the fresh call id), or surface deadline expiry.
+    /// Drive the settled open call one step through the shared attempt
+    /// loop: decode the Close reply, surface deadline expiry, or re-key the
+    /// session under the re-issued open's fresh call id (the shed open
+    /// never executed, so no chunks are lost).
     async fn advance_outcome(&mut self) {
-        let slot = self.slot.take().expect("outcome checked on a live slot");
-        let call_id = self.call_id;
-        let (outcome, reply) = self.rpc.wait_attempt(&self.node, call_id, slot).await;
-        match outcome {
-            Outcome::Replied => {
-                self.node.add_pending(self.rpc.inner.cfg.cost.reply_integrate);
-                self.node.add_pending(self.rpc.marshal_cost(reply.len()));
+        let old_id = self.call.call_id;
+        let args = &self.args;
+        match self.call.settle(&|w| w.extend_from_slice(args)).await {
+            Some(Ok(reply)) => {
                 let mut rd = WireReader::new(&reply);
-                let decoded = u32::decode(&mut rd).and_then(|n| F::decode(&mut rd).map(|f| (n, f)));
-                match decoded {
+                match u32::decode(&mut rd).and_then(|n| F::decode(&mut rd).map(|f| (n, f))) {
                     Ok((count, fin)) => {
                         self.total = Some(count);
                         self.fin = Some(fin);
@@ -1502,52 +1312,14 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
                     Err(e) => self.error = Some(CallError::ReplyDecode(e)),
                 }
             }
-            Outcome::Nacked { retry_after_us } => {
-                self.attempt += 1;
-                let delay = self.rpc.backoff_delay(&self.node, self.attempt, retry_after_us);
-                if let Some(at) = self.deadline_abs {
-                    if self.node.now() + delay >= at {
-                        self.node.stats().borrow_mut().calls_abandoned += 1;
-                        self.node.emit(TraceKind::CallAbandoned { call_id, dst: self.dst });
-                        self.error = Some(CallError::DeadlineExpired);
-                        return;
-                    }
-                }
-                if retry_after_us > 0 {
-                    self.node.stats().borrow_mut().retry_after_honored += 1;
-                }
-                self.rpc.backoff_sleep(&self.node, delay).await;
-                // Re-issue under a fresh call id and re-key the session:
-                // the shed open never executed, so no chunks are lost.
-                let idx = self.node.id().index();
-                self.rpc.inner.sessions[idx].borrow_mut().remove(&call_id);
-                let args = std::mem::take(&mut self.args);
-                let mut charged = self.charged;
-                let (ncid, nslot) = self
-                    .rpc
-                    .issue_attempt(
-                        &self.node,
-                        self.dst,
-                        self.id,
-                        &|w| w.extend_from_slice(&args),
-                        self.deadline_word,
-                        self.deadline_abs,
-                        &mut charged,
-                    )
-                    .await;
-                self.args = args;
-                self.charged = charged;
-                *self.session.flag.borrow_mut() = nslot.flag.clone();
-                self.rpc.inner.sessions[idx].borrow_mut().insert(ncid, Rc::clone(&self.session));
-                self.call_id = ncid;
-                self.slot = Some(nslot);
+            Some(Err(e)) => self.error = Some(e),
+            None => {
+                let idx = self.call.node.id().index();
+                let mut sessions = self.call.rpc.inner.sessions[idx].borrow_mut();
+                sessions.remove(&old_id);
+                sessions.insert(self.call.call_id, Rc::clone(&self.session));
+                *self.session.flag.borrow_mut() = self.call.flag();
             }
-            Outcome::Expired => {
-                self.node.stats().borrow_mut().calls_abandoned += 1;
-                self.node.emit(TraceKind::CallAbandoned { call_id, dst: self.dst });
-                self.error = Some(CallError::DeadlineExpired);
-            }
-            Outcome::Pending => unreachable!("advance_outcome called on a settled slot"),
         }
     }
 
@@ -1558,7 +1330,7 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
     pub async fn finish(mut self) -> Result<F, CallError> {
         loop {
             if let Some(e) = self.error.take() {
-                self.rpc.send_cancel(&self.node, self.dst, self.call_id);
+                self.call.send_cancel();
                 return Err(e);
             }
             if self.total.is_some() {
@@ -1566,20 +1338,20 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
                 self.retire_closed();
                 return Ok(fin);
             }
-            if self.slot.as_ref().is_some_and(|s| s.outcome.get() != Outcome::Pending) {
+            if self.call.has_outcome() {
                 self.advance_outcome().await;
                 continue;
             }
             let flag = self.session.flag.borrow().clone();
             flag.clear();
-            self.node.spin_on(flag).await;
+            self.call.node.spin_on(flag).await;
         }
     }
 
     /// Cancel the session: tells the server to abort the in-flight stream
     /// body (best-effort) and retires the session locally (via `Drop`).
     pub fn cancel(self) {
-        self.rpc.send_cancel(&self.node, self.dst, self.call_id);
+        self.call.send_cancel();
     }
 
     /// Retire a cleanly-closed session: the one path that counts
@@ -1588,18 +1360,12 @@ impl<C: Wire, F: Wire> StreamHandle<C, F> {
     /// handle retirement.
     fn retire_closed(&mut self) {
         self.done = true;
-        let idx = self.node.id().index();
-        self.rpc.inner.sessions[idx].borrow_mut().remove(&self.call_id);
+        let node = &self.call.node;
+        self.call.rpc.inner.sessions[node.id().index()].borrow_mut().remove(&self.call.call_id);
+        node.stats().borrow_mut().sessions_closed += 1;
+        self.call.complete();
         let chunks = self.total.unwrap_or(0);
-        {
-            let mut st = self.node.stats().borrow_mut();
-            st.sessions_closed += 1;
-            if self.deadline_abs.is_some() {
-                st.calls_completed += 1;
-                st.latency.record(self.node.now().since(self.issued));
-            }
-        }
-        self.node.emit(TraceKind::SessionClosed { call_id: self.call_id, chunks });
+        node.emit(TraceKind::SessionClosed { call_id: self.call.call_id, chunks });
     }
 }
 
@@ -1610,17 +1376,12 @@ impl<C: Wire, F: Wire> Drop for StreamHandle<C, F> {
         }
         // Local teardown only — no wire traffic from a destructor. An
         // explicit `cancel` already sent the frame; a bare drop lets the
-        // generation tag absorb whatever the server still sends.
-        let idx = self.node.id().index();
-        self.rpc.inner.sessions[idx].borrow_mut().remove(&self.call_id);
-        if let Some(slot) = self.slot.take() {
-            self.rpc.cancel_timer(self.node.sim(), &slot);
-            self.rpc.cancel_expiry(self.node.sim(), &slot);
-            drop(slot);
-            self.rpc.inner.tables[idx].borrow_mut().release(self.call_id);
-        }
-        self.node.stats().borrow_mut().sessions_cancelled += 1;
-        self.node.emit(TraceKind::SessionCancelled { call_id: self.call_id, dst: self.dst });
+        // generation tag absorb whatever the server still sends. The open's
+        // live attempt, if any, is torn down when `call` drops.
+        let (node, call_id) = (&self.call.node, self.call.call_id);
+        self.call.rpc.inner.sessions[node.id().index()].borrow_mut().remove(&call_id);
+        node.stats().borrow_mut().sessions_cancelled += 1;
+        node.emit(TraceKind::SessionCancelled { call_id, dst: self.call.dst });
     }
 }
 

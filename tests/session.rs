@@ -337,3 +337,76 @@ fn session_runs_are_deterministic_across_backends_and_shards() {
     assert_eq!(a.1, b.1);
     assert_eq!(a.2, b.2, "identical per-node statistics, counter for counter");
 }
+
+#[test]
+fn an_issued_call_waited_at_once_settles_exactly_like_a_sync_call() {
+    // Shedding, NACK back-off, abandoning a retry that cannot beat the
+    // deadline and local expiry all run in one attempt loop whichever stub
+    // drives it. A budget of one pending call and a server that holds the
+    // gate for 400 µs make every path fire: the admitted `enter` parks on
+    // the gate until its caller's deadline expires, the calls shed behind
+    // it back off on the retry-after hint until the next back-off would
+    // overrun the deadline, and the calls after the gate opens complete.
+    const CALLS: usize = 12;
+    let run = |piped: bool| {
+        let cfg = MachineConfig::cm5(4)
+            .with_admission(AdmissionConfig { pending_budget: 1, ..Default::default() });
+        let machine = MachineBuilder::from_config(cfg).build();
+        let states: Vec<Rc<SessState>> = machine
+            .nodes()
+            .iter()
+            .map(|node| {
+                Rc::new(SessState { order: RefCell::new(Vec::new()), gate: Mutex::new(node, ()) })
+            })
+            .collect();
+        for (node, st) in machine.nodes().iter().zip(&states) {
+            Sess::register_all(machine.rpc(), node.id(), Rc::clone(st), RpcMode::Orpc);
+        }
+        let states = Rc::new(states);
+        let answers: Rc<RefCell<Vec<(usize, Result<u32, CallError>)>>> = Rc::default();
+        let (st, out) = (Rc::clone(&states), Rc::clone(&answers));
+        let report = machine.run(move |env| {
+            let (st, out) = (Rc::clone(&st), Rc::clone(&out));
+            async move {
+                let me = env.id().index();
+                if me == 0 {
+                    let g = st[0].gate.lock().await;
+                    env.barrier().await;
+                    for _ in 0..20 {
+                        env.charge(Dur::from_micros(10)).await;
+                        env.poll().await;
+                    }
+                    drop(g);
+                } else {
+                    env.barrier().await;
+                    let opts = CallOpts::default().with_deadline(Dur::from_micros(60));
+                    for _ in 0..CALLS {
+                        let (rpc, node) = (env.rpc(), env.node());
+                        let r = if piped {
+                            Sess::enter::issue_with(rpc, node, NodeId(0), opts).await.wait().await
+                        } else {
+                            Sess::enter::call_with(rpc, node, NodeId(0), opts).await
+                        };
+                        out.borrow_mut().push((me, r));
+                    }
+                }
+                env.barrier().await;
+            }
+        });
+        let answers = answers.borrow().clone();
+        (answers, report.end_time, report.stats)
+    };
+    let sync = run(false);
+    let piped = run(true);
+    for (name, (answers, _, stats)) in [("call_with", &sync), ("issue_with", &piped)] {
+        let t = stats.total();
+        assert_eq!(answers.len(), 3 * CALLS, "{name}");
+        assert!(answers.iter().any(|(_, r)| r == &Ok(7)), "{name}: some calls complete");
+        assert!(t.nacks_received > 0, "{name}: the budget sheds calls");
+        assert!(t.calls_abandoned > 0, "{name}: deadlines give calls up");
+        assert!(t.retry_after_honored > 0, "{name}: shed calls back off and retry");
+    }
+    assert_eq!(sync.0, piped.0, "the same answers in the same order");
+    assert_eq!(sync.1, piped.1, "the same end time");
+    assert_eq!(sync.2, piped.2, "identical per-node statistics, counter for counter");
+}
