@@ -60,21 +60,33 @@
 //! tested — is exactly what makes that replay safe: all observable effects
 //! happen in the post-synchronization suffix, which runs once.
 //!
-//! # Reliability: duplicate suppression
+//! # One frame per call: duplicates, cancels, NACKs
 //!
-//! When the fabric can deliver duplicates (retransmission enabled, or a
-//! fault plan that duplicates packets), the engine keeps a per-server-node
-//! table of `CallFrame`s keyed on `(caller, call_id)`. A request is
-//! *fresh* the first time its key is seen; an abort-driven rerun of the
-//! same packet instance (by `Rc` address) is allowed through; any other
-//! copy is a duplicate — dropped while the original is still executing,
-//! answered from the frame's cached reply once it has finished. So a call
-//! body may be attempted several times on one arrival but is **executed to
-//! completion at most once per call id**, no matter how many copies of the
-//! request the fabric delivers. The RPC layer injects the reply-resend
-//! hook ([`CallEngine::set_reply_resender`]) because it owns the reply
-//! wire format; NACKed calls are forgotten ([`CallEngine::forget_call`])
-//! so the caller's re-issue can execute.
+//! Requests start with a `call_id` header word (and a deadline word on
+//! machines with admission control). The engine keeps one per-server-node
+//! table of `CallFrame`s keyed on `(caller, call_id)`, used by two
+//! features and by nothing else — the inline success path of a plain
+//! method on a lossless machine never touches it:
+//!
+//! * **Duplicate suppression**, when the fabric can deliver duplicates
+//!   (retransmission enabled, or a fault plan). A request is *fresh* the
+//!   first time its key is seen; an abort-driven rerun of the same packet
+//!   instance (by `Rc` address) is allowed through; any other copy is a
+//!   duplicate — dropped while the original is still executing, answered
+//!   from the frame's cached reply once it has finished. So a call body
+//!   may be attempted several times on one arrival but is **executed to
+//!   completion at most once per call id**, no matter how many copies of
+//!   the request the fabric delivers. The frame outlives its call.
+//! * **Cancellation** of streaming methods ([`MethodSite::with_cancellation`]):
+//!   the frame records the cancel and the executing thread, which a
+//!   cancel frame wakes. Without duplicate suppression the frame goes
+//!   when the call settles.
+//!
+//! The engine sends the protocol frames that need no handler body itself:
+//! the cached reply to a duplicate ([`REPLY_ID`]), and the NACK
+//! ([`NACK_ID`]) for a call shed by admission control or aborted under
+//! [`AbortStrategy::Nack`], with a retry-after hint under admission. A
+//! NACKed call's frame is dropped, so the caller's re-issue can execute.
 
 use std::any::{Any, TypeId};
 use std::cell::{Cell, OnceCell, RefCell};
@@ -85,7 +97,7 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use oam_am::{Am, PacketHandler};
+use oam_am::{Am, HandlerId, PacketHandler};
 use oam_model::{
     AbortReason, AbortStrategy, AdaptivePolicy, AdmissionConfig, CallMode, Dur, ExecPolicy,
     MachineConfig, NodeId, NodeTable, TraceKind,
@@ -96,6 +108,17 @@ use oam_threads::{ExecMode, Node, Placement, ThreadId};
 /// `call_id` marking a one-way (asynchronous) RPC: nothing to correlate,
 /// suppress, or reply to.
 pub const ONEWAY_SENTINEL: u32 = u32::MAX;
+
+/// Reserved handler id for call replies: payload `[call_id][result...]`.
+/// The engine sends one itself when it answers a duplicate of a finished
+/// call from the call's frame.
+pub const REPLY_ID: HandlerId = HandlerId(0xFFFF_0001);
+
+/// Reserved handler id for NACKs: payload `[call_id]`, or
+/// `[call_id][retry_after_us]` on machines with [`AdmissionConfig`] set.
+/// The engine sends both kinds: for a call shed by admission and for a
+/// call aborted under [`AbortStrategy::Nack`].
+pub const NACK_ID: HandlerId = HandlerId(0xFFFF_0002);
 
 /// Deadline-header value marking a call with no deadline. Requests carry a
 /// deadline word only on machines with admission control configured.
@@ -192,22 +215,12 @@ pub fn peek_call_id(payload: &[u8]) -> u32 {
     u32::from_le_bytes(bytes)
 }
 
-fn peek_deadline_word(payload: &[u8]) -> u32 {
+/// Decode the deadline header word (second word, little-endian) from a
+/// request payload into `(deadline_us, priority)`. Only meaningful on
+/// machines with [`AdmissionConfig`] set — without it the word is absent.
+fn peek_deadline_word(payload: &[u8]) -> (u32, Priority) {
     let bytes: [u8; 4] = payload[4..8].try_into().expect("request deadline");
-    u32::from_le_bytes(bytes)
-}
-
-/// Decode the deadline (second header word, little-endian, absolute
-/// virtual microseconds) from a request payload, with any priority bits
-/// stripped. Only meaningful on machines with [`AdmissionConfig`] set —
-/// without it the word is absent.
-pub fn peek_deadline_us(payload: &[u8]) -> u32 {
-    unpack_deadline_word(peek_deadline_word(payload)).0
-}
-
-/// Decode the per-call priority from a request payload's deadline word.
-pub fn peek_priority(payload: &[u8]) -> Priority {
-    unpack_deadline_word(peek_deadline_word(payload)).1
+    unpack_deadline_word(u32::from_le_bytes(bytes))
 }
 
 /// The context an optimistic call executes in: everything a handler body
@@ -323,26 +336,10 @@ where
     }
 }
 
-/// Builds and sends a NACK for a call that aborted under
-/// [`AbortStrategy::Nack`]. Owned by the stub layer, which knows its own
-/// wire format.
-pub type NackSender = Rc<dyn Fn(&OamCall)>;
-
-/// Re-sends the cached (or synthesized) reply for a suppressed duplicate
-/// of an already-completed call. Owned by the stub layer, which knows the
-/// reply wire format.
-pub type ReplyResender = Rc<dyn Fn(&OamCall, u32, Option<PayloadBuf>)>;
-
-/// Builds and sends the NACK for a call shed by admission control, with
-/// the retry-after hint (microseconds) to carry. Owned by the stub layer,
-/// which knows the NACK wire format.
-pub type ShedNackSender = Rc<dyn Fn(&OamCall, u32)>;
-
 /// Server-side record of one logical call, keyed `(caller, call_id)` in
-/// the engine's dedup table. Carries the reliability state that used to be
-/// scattered through the RPC runtime: which packet instance claimed the
-/// call (so reruns pass and retransmissions don't), the cached reply for
-/// answering duplicates, and completion.
+/// the engine's frame table: which packet instance claimed the call (so
+/// reruns pass and retransmissions don't), the cached reply for answering
+/// duplicates, completion, and the cancel state of a cancellable call.
 struct CallFrame {
     /// While executing, the packet instance (by `Rc` address) that claimed
     /// the call — so an abort-driven *rerun* of the same arrival is allowed
@@ -353,12 +350,8 @@ struct CallFrame {
     /// reply's buffer — caching is a refcount bump.
     reply: Option<PayloadBuf>,
     done: bool,
-}
-
-/// Server-side cancellation record for one in-flight cancellable call,
-/// keyed `(caller, call_id)`. Registered when the call's future is built,
-/// removed when it completes (normally or by cancel).
-struct InflightCall {
+    /// A client cancel frame can abort the call (a streaming method).
+    cancellable: bool,
     /// A cancel frame arrived; the call's wrapper future resolves on its
     /// next poll without touching the handler body again.
     cancelled: bool,
@@ -371,21 +364,17 @@ struct InflightCall {
 
 struct EngineInner {
     cfg: Rc<MachineConfig>,
-    /// Per-server-node duplicate suppression; only consulted when faults or
-    /// retransmission make duplicates possible.
-    dedup: NodeTable<RefCell<HashMap<(NodeId, u32), CallFrame>>>,
-    /// Per-server-node registry of in-flight *cancellable* calls (methods
-    /// registered with [`MethodSite::with_cancellation`] — streaming
-    /// sessions). Plain single-shot methods never touch it, keeping the
-    /// legacy hot path allocation-free.
-    inflight: NodeTable<RefCell<HashMap<(NodeId, u32), InflightCall>>>,
+    /// Per-server-node call frames. With duplicate suppression on, a frame
+    /// outlives its call (`done`) to answer retransmissions; without it,
+    /// only cancellable calls get one, removed when the call settles.
+    /// Plain single-shot methods on a lossless machine never touch it.
+    frames: NodeTable<RefCell<HashMap<(NodeId, u32), CallFrame>>>,
     /// Duplicate suppression enabled (retransmission on, or a fault plan
     /// that can duplicate/redeliver packets).
     dedup_on: bool,
     /// Registered method names by handler id — collision detection at
     /// registration time plus human-readable report labels.
     names: RefCell<BTreeMap<u32, String>>,
-    resend_reply: RefCell<Option<ReplyResender>>,
     /// Overload control, copied out of the config for cheap access.
     admission: Option<AdmissionConfig>,
     /// Per-node count of engine-admitted calls still in flight (inline,
@@ -393,7 +382,6 @@ struct EngineInner {
     /// `admission` is set; empty otherwise so existing workloads pay
     /// nothing.
     pending: NodeTable<Rc<Cell<usize>>>,
-    shed_nack: RefCell<Option<ShedNackSender>>,
     /// Recycled future storage of every method this engine serves.
     slots: RefCell<Slots>,
     /// The packet storage of the last call that completed inline, unshared
@@ -422,14 +410,11 @@ impl CallEngine {
         CallEngine {
             inner: Rc::new(EngineInner {
                 cfg,
-                dedup: NodeTable::new(owned.clone(), |_| RefCell::new(HashMap::new())),
-                inflight: NodeTable::new(owned, |_| RefCell::new(HashMap::new())),
+                frames: NodeTable::new(owned, |_| RefCell::new(HashMap::new())),
                 dedup_on,
                 names: RefCell::new(BTreeMap::new()),
-                resend_reply: RefCell::new(None),
                 admission,
                 pending,
-                shed_nack: RefCell::new(None),
                 slots: RefCell::new(Vec::new()),
                 spare_pkt: Cell::new(None),
             }),
@@ -439,46 +424,6 @@ impl CallEngine {
     /// Machine configuration.
     pub fn config(&self) -> &Rc<MachineConfig> {
         &self.inner.cfg
-    }
-
-    /// Whether duplicate suppression is active on this machine.
-    pub fn dedup_enabled(&self) -> bool {
-        self.inner.dedup_on
-    }
-
-    /// Install the hook that answers a suppressed duplicate of a completed
-    /// call (required before duplicates can arrive; the RPC layer installs
-    /// it because it owns the reply wire format).
-    pub fn set_reply_resender(&self, f: ReplyResender) {
-        *self.inner.resend_reply.borrow_mut() = Some(f);
-    }
-
-    /// Install the hook that NACKs a call shed by admission control
-    /// (required when [`MachineConfig::admission`] is set; the RPC layer
-    /// installs it because it owns the NACK wire format).
-    pub fn set_shed_nack(&self, f: ShedNackSender) {
-        *self.inner.shed_nack.borrow_mut() = Some(f);
-    }
-
-    /// The machine's admission-control configuration, if overload control
-    /// is on.
-    pub fn admission(&self) -> Option<AdmissionConfig> {
-        self.inner.admission
-    }
-
-    /// Engine-admitted calls currently in flight on `node` (0 when
-    /// admission control is off — the counter is only maintained under it).
-    pub fn pending_calls(&self, node: usize) -> usize {
-        self.inner.admission.map_or(0, |_| self.inner.pending[node].get())
-    }
-
-    /// Whether the dedup table already tracks `(caller, call_id)` on
-    /// `server` — i.e. the call is executing or has completed there.
-    /// Retransmitted copies of such calls must bypass admission and
-    /// deadline checks and fall through to duplicate suppression, or a
-    /// shed retransmission would break exactly-once execution.
-    pub fn knows_call(&self, server: usize, caller: NodeId, call_id: u32) -> bool {
-        self.inner.dedup_on && self.inner.dedup[server].borrow().contains_key(&(caller, call_id))
     }
 
     /// The execution policy for method `id`: the per-method entry from
@@ -517,9 +462,11 @@ impl CallEngine {
     }
 
     /// Build the registry entry executing calls of `body` under `policy`.
-    /// `expects_reply` distinguishes `rpc` from `oneway` methods: only
-    /// reply-bearing calls can be NACKed (the caller is waiting); one-way
-    /// calls resolved as NACK fall back to rerun.
+    /// Payloads start with the `call_id` header (and the deadline word on
+    /// machines with admission control). `expects_reply` distinguishes
+    /// `rpc` from `oneway` methods: only reply-bearing calls can be NACKed
+    /// (the caller is waiting); one-way calls resolved as NACK fall back to
+    /// rerun.
     pub fn site(&self, policy: ExecPolicy, expects_reply: bool, body: CallBody) -> MethodSite {
         let mut abort = policy.abort.unwrap_or(self.inner.cfg.abort_strategy);
         let nack_fallback = abort == AbortStrategy::Nack && !expects_reply;
@@ -538,36 +485,27 @@ impl CallEngine {
         MethodSite {
             engine: self.clone(),
             body: body.0,
-            nack: None,
             abort,
             nack_fallback,
             budget: policy.handler_budget,
             static_mode: policy.mode,
-            correlated: false,
             expects_reply,
             cancellable: false,
             adaptive,
         }
     }
 
-    /// Cache the encoded reply for `(caller, call_id)` on `server` so a
-    /// retransmitted request can be answered without re-executing.
-    pub fn cache_reply(&self, server: usize, caller: NodeId, call_id: u32, payload: PayloadBuf) {
-        if self.inner.dedup_on {
-            if let Some(f) = self.inner.dedup[server].borrow_mut().get_mut(&(caller, call_id)) {
-                f.reply = Some(payload);
-            }
+    /// Cache the encoded reply to `call` in its frame, when duplicate
+    /// suppression is on, so a retransmitted request is answered without
+    /// re-executing.
+    pub fn cache_reply(&self, call: &OamCall, call_id: u32, payload: &PayloadBuf) {
+        if !self.inner.dedup_on || call_id == ONEWAY_SENTINEL {
+            return;
         }
-    }
-
-    /// Forget a call frame after a NACK: the server rejected the call
-    /// without executing it, and the caller will re-issue it (under a fresh
-    /// call id), so a retransmission of *this* id must be free to execute.
-    pub fn forget_call(&self, server: usize, caller: NodeId, call_id: u32) {
-        if self.inner.dedup_on {
-            self.inner.dedup[server].borrow_mut().remove(&(caller, call_id));
+        let mut frames = self.inner.frames[call.node.id().index()].borrow_mut();
+        if let Some(f) = frames.get_mut(&(call.pkt.src, call_id)) {
+            f.reply = Some(payload.clone());
         }
-        self.inner.inflight[server].borrow_mut().remove(&(caller, call_id));
     }
 
     /// Abort the in-flight execution of `(caller, call_id)` on `node` in
@@ -582,13 +520,12 @@ impl CallEngine {
     /// best-effort by design — a lost or late cancel means the server runs
     /// the call to completion and the client drops the stale results.
     pub fn cancel_call(&self, node: &Node, caller: NodeId, call_id: u32) -> bool {
-        let sidx = node.id().index();
         let hit = {
-            let mut map = self.inner.inflight[sidx].borrow_mut();
-            match map.get_mut(&(caller, call_id)) {
-                Some(e) if !e.cancelled => {
-                    e.cancelled = true;
-                    Some((e.tid, e.tag))
+            let mut frames = self.inner.frames[node.id().index()].borrow_mut();
+            match frames.get_mut(&(caller, call_id)) {
+                Some(f) if f.cancellable && !f.cancelled && !f.done => {
+                    f.cancelled = true;
+                    Some((f.tid, f.tag))
                 }
                 _ => None,
             }
@@ -604,29 +541,63 @@ impl CallEngine {
 }
 
 impl CallEngine {
-    /// Whether a cancel frame has marked the call `key` on `sidx`.
-    fn is_cancelled(&self, sidx: usize, key: (NodeId, u32)) -> bool {
-        self.inner.inflight[sidx].borrow().get(&key).is_some_and(|e| e.cancelled)
-    }
-
-    /// Whether a tracked call was cancelled before its body ran.
+    /// Whether a cancel frame has marked the tracked call.
     fn cancelled(&self, t: Tracked) -> bool {
-        t.cancellable && self.is_cancelled(t.sidx, t.key)
+        t.cancellable && self.inner.frames[t.sidx].borrow().get(&t.key).is_some_and(|f| f.cancelled)
     }
 
-    /// Close a tracked call's books once its body is done, or cancelled:
-    /// drop its inflight entry and mark its dedup frame done, so a
-    /// retransmission is answered from the frame instead of re-executing.
-    fn settle(&self, t: Tracked) {
+    /// Record the thread now executing a tracked cancellable call, so a
+    /// cancel frame can wake it.
+    fn record_tid(&self, t: Tracked, tid: ThreadId) {
         if t.cancellable {
-            self.inner.inflight[t.sidx].borrow_mut().remove(&t.key);
-        }
-        if self.inner.dedup_on {
-            if let Some(f) = self.inner.dedup[t.sidx].borrow_mut().get_mut(&t.key) {
-                f.done = true;
-                f.claimed_by = None;
+            if let Some(f) = self.inner.frames[t.sidx].borrow_mut().get_mut(&t.key) {
+                f.tid = Some(tid);
             }
         }
+    }
+
+    /// Close a tracked call's frame once its body is done, or cancelled.
+    /// With duplicate suppression on the frame stays, marked done, so a
+    /// retransmission is answered from it instead of re-executing;
+    /// otherwise it goes.
+    fn settle(&self, t: Tracked) {
+        let mut frames = self.inner.frames[t.sidx].borrow_mut();
+        if !self.inner.dedup_on {
+            frames.remove(&t.key);
+        } else if let Some(f) = frames.get_mut(&t.key) {
+            f.done = true;
+            f.claimed_by = None;
+        }
+    }
+
+    /// The retry-after hint a NACK leaving `sidx` carries on a machine
+    /// with admission control: the admitted pending-call depth scaled by
+    /// the NACK back-off base, capped by the configured ceiling. It
+    /// deliberately ignores the NI input backlog: that snapshot depends on
+    /// same-timestamp event micro-order, which the host-parallel engine
+    /// does not reproduce, and a hint on the wire must be
+    /// partition-invariant. `None` without admission control.
+    fn retry_after_us(&self, sidx: usize) -> Option<u32> {
+        let adm = self.inner.admission?;
+        let depth = self.inner.pending[sidx].get() as u64;
+        let base_ns = self.inner.cfg.cost.nack_backoff_base.as_nanos();
+        let hint_ns = depth.saturating_mul(base_ns).min(adm.retry_after_cap.as_nanos());
+        Some((hint_ns / 1_000).max(1) as u32)
+    }
+
+    /// NACK `call_id` back to `caller`: `[call_id]`, or
+    /// `[call_id][retry_after_us]` when a hint is given.
+    fn send_nack(&self, am: &Am, node: &Node, caller: NodeId, call_id: u32, hint: Option<u32>) {
+        let mut bytes = [0u8; 8];
+        bytes[..4].copy_from_slice(&call_id.to_le_bytes());
+        let len = match hint {
+            Some(us) => {
+                bytes[4..].copy_from_slice(&us.to_le_bytes());
+                8
+            }
+            None => 4,
+        };
+        am.send_from_handler(node, caller, NACK_ID, PayloadBuf::inline(&bytes[..len]));
     }
 }
 
@@ -635,41 +606,68 @@ impl CallEngine {
 enum Claim {
     /// A duplicate, already dropped or answered: there is nothing to run.
     Suppressed,
-    /// Run the body; `Some` names the call whose books close when it ends.
+    /// Run the body; `Some` names the call whose frame closes when it ends.
     Run(Option<Tracked>),
 }
 
-/// A correlated call with a dedup frame or an inflight entry to settle.
+/// A call with a frame to settle.
 #[derive(Clone, Copy)]
 struct Tracked {
     sidx: usize,
     key: (NodeId, u32),
-    /// Registered in the inflight table (a cancellable site).
+    /// The site is cancellable: a cancel frame can mark the call.
     cancellable: bool,
 }
 
-/// Wraps a cancellable call's handler future: each poll first consults the
-/// engine's inflight registry and, once a cancel frame has marked the call,
-/// resolves immediately — dropping the handler future, whose `Drop` impls
-/// deregister it from any wait lists it joined (the same undo mechanism the
-/// rerun abort strategy relies on).
-struct Cancellable {
-    inner: Option<BoxedCall>,
+/// A call off the inline path — promoted, rerun, or run as a thread —
+/// behind one future. Before each poll of the body it checks for a
+/// cancel; once one has come it resolves without polling the body again,
+/// dropping it (its `Drop` impls deregister it from any wait lists it
+/// joined, the undo the rerun strategy relies on too). When the body ends,
+/// or is cancelled, it closes the call's frame, so retransmissions of a
+/// cancelled call are answered from the frame, not re-executed, then lets
+/// go of the packet and the admission token. Holding the packet until the
+/// frame closes means no later arrival can be stored at the address the
+/// frame's claim names, whether or not the body keeps the packet.
+struct Offline {
+    body: Option<BoxedCall>,
     engine: CallEngine,
-    sidx: usize,
-    key: (NodeId, u32),
+    /// The call's frame and the packet that claimed it.
+    frame: Option<(Tracked, Rc<Packet>)>,
+    admit: Option<AdmitGuard>,
 }
 
-impl Future for Cancellable {
+impl Offline {
+    fn new(
+        site: &MethodSite,
+        body: Option<BoxedCall>,
+        track: Option<Tracked>,
+        pkt: &Rc<Packet>,
+        admit: Option<AdmitGuard>,
+    ) -> Self {
+        let frame = track.map(|t| (t, Rc::clone(pkt)));
+        Offline { body, engine: site.engine.clone(), frame, admit }
+    }
+}
+
+impl Future for Offline {
     type Output = ();
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if this.engine.is_cancelled(this.sidx, this.key) {
-            this.inner = None;
-            return Poll::Ready(());
+        if let Some(body) = &mut this.body {
+            let cancelled = this.frame.as_ref().is_some_and(|(t, _)| this.engine.cancelled(*t));
+            if !cancelled && body.as_mut().poll(cx).is_pending() {
+                return Poll::Pending;
+            }
+            this.body = None;
         }
-        this.inner.as_mut().expect("cancellable call polled after completion").as_mut().poll(cx)
+        if let Some((t, pkt)) = this.frame.take() {
+            this.engine.settle(t);
+            drop(pkt);
+        }
+        this.admit = None;
+        Poll::Ready(())
     }
 }
 
@@ -694,7 +692,6 @@ struct AdaptiveState {
 pub struct MethodSite {
     engine: CallEngine,
     body: Box<dyn Body>,
-    nack: Option<NackSender>,
     /// Resolved abort resolution (per-method override, else global).
     abort: AbortStrategy,
     /// The policy asked for [`AbortStrategy::Nack`] on a one-way method;
@@ -704,17 +701,14 @@ pub struct MethodSite {
     /// Per-method optimistic run-length budget override.
     budget: Option<Dur>,
     static_mode: CallMode,
-    /// Payloads start with a `call_id` correlation header (RPC framing),
-    /// enabling duplicate suppression.
-    correlated: bool,
     /// The method replies (an `rpc`, not a `oneway`): only these calls are
     /// subject to admission control and deadlines — their caller can see
     /// the NACK or give up.
     expects_reply: bool,
-    /// Executions register in the engine's inflight table so a client
-    /// cancel frame can abort them mid-flight (streaming sessions). Off by
-    /// default: single-shot calls keep the registration-free hot path and a
-    /// cancel aimed at them is a no-op on the server.
+    /// Executions get a call frame so a client cancel frame can abort them
+    /// mid-flight (streaming sessions). Off by default: single-shot calls
+    /// keep the frame-free hot path and a cancel aimed at them is a no-op
+    /// on the server.
     cancellable: bool,
     adaptive: Option<AdaptiveState>,
 }
@@ -743,23 +737,9 @@ impl Drop for AdmitGuard {
 }
 
 impl MethodSite {
-    /// Provide the NACK constructor (required if the method resolves to
-    /// [`AbortStrategy::Nack`]).
-    pub fn with_nack(mut self, nack: NackSender) -> Self {
-        self.nack = Some(nack);
-        self
-    }
-
-    /// Mark payloads as carrying the RPC `call_id` correlation header,
-    /// enabling duplicate suppression on lossy fabrics.
-    pub fn with_call_correlation(mut self) -> Self {
-        self.correlated = true;
-        self
-    }
-
-    /// Register executions of this method in the engine's inflight table so
-    /// [`CallEngine::cancel_call`] can abort them. Requires call
-    /// correlation; the stub layer sets it on streaming (session) methods.
+    /// Give executions of this method a call frame so
+    /// [`CallEngine::cancel_call`] can abort them; the stub layer sets it
+    /// on streaming (session) methods.
     pub fn with_cancellation(mut self) -> Self {
         self.cancellable = true;
         self
@@ -779,13 +759,12 @@ impl MethodSite {
     }
 
     /// Apply duplicate suppression and cancellation to an arrival before
-    /// its body runs: a fresh call claims its [`CallFrame`]; a
-    /// retransmitted or fabric-duplicated copy is suppressed (dropped while
-    /// the original executes, answered from the reply cache after); a
-    /// cancellable call registers in the inflight table.
+    /// its body runs: a fresh call claims a [`CallFrame`]; a retransmitted
+    /// or fabric-duplicated copy is suppressed (dropped while the original
+    /// executes, answered from the frame's cached reply after).
     fn claim(&self, call: &OamCall) -> Claim {
         let eng = &self.engine.inner;
-        if !self.correlated || (!eng.dedup_on && !self.cancellable) {
+        if !eng.dedup_on && !self.cancellable {
             return Claim::Run(None);
         }
         let call_id = peek_call_id(&call.pkt.payload);
@@ -794,105 +773,49 @@ impl MethodSite {
             return Claim::Run(None);
         }
         let caller = call.pkt.src;
-        let key = (caller, call_id);
-        let sidx = call.node.id().index();
-        if eng.dedup_on {
-            enum Decision {
-                Run,
-                Drop,
-                Resend(Option<PayloadBuf>),
-            }
-            let pkt_ptr = Rc::as_ptr(&call.pkt) as usize;
-            let decision = {
-                let mut map = eng.dedup[sidx].borrow_mut();
-                match map.get(&key) {
-                    None => {
-                        map.insert(
-                            key,
-                            CallFrame { claimed_by: Some(pkt_ptr), reply: None, done: false },
-                        );
-                        Decision::Run
-                    }
-                    Some(f) if f.done => Decision::Resend(f.reply.clone()),
-                    Some(f) if f.claimed_by == Some(pkt_ptr) => Decision::Run,
-                    Some(_) => Decision::Drop,
+        let track = Tracked {
+            sidx: call.node.id().index(),
+            key: (caller, call_id),
+            cancellable: self.cancellable,
+        };
+        let pkt_ptr = Rc::as_ptr(&call.pkt) as usize;
+        // `None`: run the body. `Some(None)`: a copy of a call still
+        // executing, dropped. `Some(Some(reply))`: a copy of a finished
+        // call, answered with its reply.
+        let duplicate = {
+            let mut frames = eng.frames[track.sidx].borrow_mut();
+            match frames.get(&track.key) {
+                Some(f) if eng.dedup_on && f.done => {
+                    Some(Some(f.reply.clone().unwrap_or_else(|| {
+                        // Acks cache too, so this should not happen: an
+                        // empty reply still lets the caller progress.
+                        PayloadBuf::inline(&call_id.to_le_bytes())
+                    })))
                 }
-            };
-            match decision {
-                Decision::Run => {}
-                Decision::Drop => {
-                    call.node.stats().borrow_mut().dups_suppressed += 1;
-                    call.node.emit(TraceKind::DupSuppressed { caller, call_id });
-                    return Claim::Suppressed;
-                }
-                Decision::Resend(reply) => {
-                    call.node.stats().borrow_mut().dups_suppressed += 1;
-                    call.node.emit(TraceKind::DupSuppressed { caller, call_id });
-                    let resend = eng
-                        .resend_reply
-                        .borrow()
-                        .clone()
-                        .expect("duplicate suppression requires a reply resender");
-                    resend(call, call_id, reply);
-                    return Claim::Suppressed;
+                Some(f) if eng.dedup_on && f.claimed_by != Some(pkt_ptr) => Some(None),
+                Some(_) => None,
+                None => {
+                    let frame = CallFrame {
+                        claimed_by: Some(pkt_ptr),
+                        reply: None,
+                        done: false,
+                        cancellable: self.cancellable,
+                        cancelled: false,
+                        tid: None,
+                        tag: call.pkt.tag,
+                    };
+                    frames.insert(track.key, frame);
+                    None
                 }
             }
+        };
+        let Some(resend) = duplicate else { return Claim::Run(Some(track)) };
+        call.node.stats().borrow_mut().dups_suppressed += 1;
+        call.node.emit(TraceKind::DupSuppressed { caller, call_id });
+        if let Some(reply) = resend {
+            call.am.send_from_handler(&call.node, caller, REPLY_ID, reply);
         }
-        if self.cancellable {
-            eng.inflight[sidx].borrow_mut().entry(key).or_insert(InflightCall {
-                cancelled: false,
-                tid: None,
-                tag: call.pkt.tag,
-            });
-        }
-        Claim::Run(Some(Tracked { sidx, key, cancellable: self.cancellable }))
-    }
-
-    /// The future a claimed call runs as a thread: the body's future behind
-    /// the cancel check and the completion bookkeeping that the inline
-    /// path does itself. Completing marks the dedup frame done even on the
-    /// cancel path, so retransmissions of a cancelled call are answered
-    /// from the frame, not re-executed. It holds the packet until then, so
-    /// no later arrival can be stored at the address the frame's claim
-    /// names, whether or not the body keeps the packet.
-    fn tracked(&self, fut: BoxedCall, track: Option<Tracked>, pkt: &Rc<Packet>) -> BoxedCall {
-        let Some(t) = track else { return fut };
-        let engine = self.engine.clone();
-        let claim = Rc::clone(pkt);
-        if !t.cancellable {
-            return Box::pin(async move {
-                fut.await;
-                engine.settle(t);
-                drop(claim);
-            });
-        }
-        Box::pin(async move {
-            Cancellable { inner: Some(fut), engine: engine.clone(), sidx: t.sidx, key: t.key }
-                .await;
-            engine.settle(t);
-            drop(claim);
-        })
-    }
-
-    /// The inflight-table key this arrival registers under, when it is a
-    /// cancellable, correlated call.
-    fn inflight_key(&self, call: &OamCall) -> Option<(NodeId, u32)> {
-        if !self.cancellable || !self.correlated {
-            return None;
-        }
-        let call_id = peek_call_id(&call.pkt.payload);
-        if call_id == ONEWAY_SENTINEL {
-            return None;
-        }
-        Some((call.pkt.src, call_id))
-    }
-
-    /// Record the thread now executing a cancellable call so a cancel frame
-    /// can wake it.
-    fn record_tid(&self, sidx: usize, key: (NodeId, u32), tid: ThreadId) {
-        if let Some(e) = self.engine.inner.inflight[sidx].borrow_mut().get_mut(&key) {
-            e.tid = Some(tid);
-        }
+        Claim::Suppressed
     }
 
     /// Shared storage for an arriving packet: the spare left by the last
@@ -942,7 +865,6 @@ impl MethodSite {
             Claim::Suppressed => (false, None),
             Claim::Run(track) => (!track.is_some_and(|t| self.engine.cancelled(t)), track),
         };
-        let ikey = track.filter(|t| t.cancellable);
 
         // Optimistic inline execution: one poll on the current stack.
         let prev_mode = node.set_mode(ExecMode::Optimistic);
@@ -956,98 +878,90 @@ impl MethodSite {
         node.set_active_provisional_replace(prev_provisional);
         node.set_mode(prev_mode);
 
-        let aborted = match suspended {
-            None => {
-                if let Some(t) = track {
-                    self.engine.settle(t);
+        let Some(fut) = suspended else {
+            if let Some(t) = track {
+                self.engine.settle(t);
+            }
+            drop(admit);
+            node.release_provisional(tid);
+            {
+                let mut st = node.stats().borrow_mut();
+                st.oam_successes += 1;
+                st.method_mut(tag).inline_ok += 1;
+            }
+            node.emit(TraceKind::OamSuccess { tag });
+            node.add_pending(cost.oam_commit);
+            self.after_attempt(node, tag, false);
+            // Its frame is done, so no claim names this packet's address.
+            self.recycle(call.pkt);
+            return;
+        };
+        let cause = node
+            .take_abort_cause()
+            .expect("optimistic handler suspended without recording an abort cause");
+        {
+            let mut st = node.stats().borrow_mut();
+            st.record_abort(cause);
+            st.method_mut(tag).aborts[cause.index()] += 1;
+        }
+        node.emit(TraceKind::OamAborted { tag, reason: cause });
+        node.add_pending(cost.oam_abort_overhead);
+        let thread = match self.abort {
+            AbortStrategy::Promote => {
+                let mut st = node.stats().borrow_mut();
+                st.oam_promotions += 1;
+                st.method_mut(tag).promotions += 1;
+                fut
+            }
+            AbortStrategy::Rerun => {
+                // Undo: dropping the future deregisters it from any wait
+                // lists it joined.
+                drop(fut);
+                {
+                    let mut st = node.stats().borrow_mut();
+                    st.oam_reruns += 1;
+                    let m = st.method_mut(tag);
+                    if self.nack_fallback {
+                        m.nack_fallback_reruns += 1;
+                    } else {
+                        m.reruns += 1;
+                    }
                 }
+                self.body.boxed(&call)
+            }
+            AbortStrategy::Nack => {
+                drop(fut);
                 drop(admit);
+                if let Some(t) = track {
+                    // The caller re-issues the call under a fresh id, so a
+                    // retransmission of this one must be free to execute.
+                    self.engine.inner.frames[t.sidx].borrow_mut().remove(&t.key);
+                }
                 node.release_provisional(tid);
                 {
                     let mut st = node.stats().borrow_mut();
-                    st.oam_successes += 1;
-                    st.method_mut(tag).inline_ok += 1;
+                    st.oam_nacks_sent += 1;
+                    st.method_mut(tag).nacks_sent += 1;
                 }
-                node.emit(TraceKind::OamSuccess { tag });
-                node.add_pending(cost.oam_commit);
-                false
-            }
-            Some(fut) => {
-                let cause = node
-                    .take_abort_cause()
-                    .expect("optimistic handler suspended without recording an abort cause");
-                {
-                    let mut st = node.stats().borrow_mut();
-                    st.record_abort(cause);
-                    st.method_mut(tag).aborts[cause.index()] += 1;
-                }
-                node.emit(TraceKind::OamAborted { tag, reason: cause });
-                node.add_pending(cost.oam_abort_overhead);
-                match self.abort {
-                    AbortStrategy::Promote => {
-                        {
-                            let mut st = node.stats().borrow_mut();
-                            st.oam_promotions += 1;
-                            st.method_mut(tag).promotions += 1;
-                        }
-                        node.promote(tid, guarded(self.tracked(fut, track, &call.pkt), admit));
-                        if let Some(t) = ikey {
-                            self.record_tid(t.sidx, t.key, tid);
-                        }
-                        if needs_immediate_wake(cause) {
-                            node.make_runnable(tid, prio.placement());
-                        }
-                    }
-                    AbortStrategy::Rerun => {
-                        // Undo: dropping the future deregisters it from any
-                        // wait lists it joined.
-                        drop(fut);
-                        {
-                            let mut st = node.stats().borrow_mut();
-                            st.oam_reruns += 1;
-                            let m = st.method_mut(tag);
-                            if self.nack_fallback {
-                                m.nack_fallback_reruns += 1;
-                            } else {
-                                m.reruns += 1;
-                            }
-                        }
-                        let fresh = self.tracked(self.body.boxed(&call), track, &call.pkt);
-                        node.promote(tid, guarded(fresh, admit));
-                        if let Some(t) = ikey {
-                            self.record_tid(t.sidx, t.key, tid);
-                        }
-                        node.make_runnable(tid, prio.placement());
-                    }
-                    AbortStrategy::Nack => {
-                        drop(fut);
-                        drop(admit);
-                        if let Some(t) = ikey {
-                            // The call will be re-issued under a fresh id;
-                            // drop its registration with it.
-                            self.engine.inner.inflight[t.sidx].borrow_mut().remove(&t.key);
-                        }
-                        node.release_provisional(tid);
-                        {
-                            let mut st = node.stats().borrow_mut();
-                            st.oam_nacks_sent += 1;
-                            st.method_mut(tag).nacks_sent += 1;
-                        }
-                        let nack = self
-                            .nack
-                            .as_ref()
-                            .expect("AbortStrategy::Nack requires a NACK sender on the site");
-                        nack(&call);
-                    }
-                }
-                true
+                let call_id = peek_call_id(&call.pkt.payload);
+                debug_assert_ne!(call_id, ONEWAY_SENTINEL);
+                // Under admission an abort NACK carries the same queue-
+                // derived hint as a shed NACK, so aborted callers back off
+                // proportionally too.
+                let hint = self.engine.retry_after_us(node.id().index());
+                self.engine.send_nack(am, node, call.pkt.src, call_id, hint);
+                self.after_attempt(node, tag, true);
+                return;
             }
         };
-        self.after_attempt(node, tag, aborted);
-        if !aborted {
-            // Its frame is done, so no claim names this packet's address.
-            self.recycle(call.pkt);
+        node.promote(tid, Offline::new(self, Some(thread), track, &call.pkt, admit));
+        if let Some(t) = track {
+            self.engine.record_tid(t, tid);
         }
+        if self.abort == AbortStrategy::Rerun || needs_immediate_wake(cause) {
+            node.make_runnable(tid, prio.placement());
+        }
+        self.after_attempt(node, tag, true);
     }
 
     /// Thread-per-call dispatch (TRPC, or an adaptively demoted method).
@@ -1063,14 +977,17 @@ impl MethodSite {
         node.add_pending(node.config().cost.trpc_dispatch);
         node.stats().borrow_mut().method_mut(tag).threaded += 1;
         let call = OamCall { am: am.clone(), node: node.clone(), pkt: Rc::new(pkt) };
-        let ikey = self.inflight_key(&call);
-        let fut = match self.claim(&call) {
-            Claim::Suppressed => Box::pin(async {}),
-            Claim::Run(track) => self.tracked(self.body.boxed(&call), track, &call.pkt),
+        let (body, track) = match self.claim(&call) {
+            Claim::Suppressed => (None, None),
+            Claim::Run(track) => (Some(self.body.boxed(&call)), track),
         };
-        let tid = node.spawn_incoming_at(guarded(fut, admit), prio.placement());
-        if let Some(key) = ikey {
-            self.record_tid(call.node.id().index(), key, tid);
+        let thread = Offline::new(self, body, track, &call.pkt, admit);
+        let tid = node.spawn_incoming_at(thread, prio.placement());
+        // Only an arrival that claimed its frame names the thread: the
+        // empty thread of a suppressed duplicate must not take over the
+        // executing call's cancel wake.
+        if let Some(t) = track {
+            self.engine.record_tid(t, tid);
         }
         if let Some(a) = &self.adaptive {
             let served = a.trpc_calls.get() + 1;
@@ -1125,13 +1042,15 @@ impl MethodSite {
 }
 
 impl MethodSite {
-    /// Overload-control gate, run before dispatch on machines with
-    /// admission configured. Returns `Err(())` when the arrival was
-    /// consumed (expired or shed); `Ok(guard)` hands the admission token to
-    /// the dispatch path.
+    /// Overload-control gate, run before dispatch. Returns `None` when the
+    /// arrival was consumed (expired or shed); otherwise the admission
+    /// token, if the call took one, and the dispatch priority. The
+    /// priority is read from the deadline header word, which only
+    /// reply-bearing calls carry, and only on machines with admission
+    /// control; every other arrival passes at `Normal`.
     ///
     /// Order matters:
-    /// 1. calls the dedup table already tracks bypass every check — a
+    /// 1. calls the frame table already tracks bypass every check — a
     ///    retransmitted copy of an executing or completed call must reach
     ///    duplicate suppression, or shedding it would make the caller
     ///    re-issue under a fresh id and execute the body twice;
@@ -1149,30 +1068,28 @@ impl MethodSite {
         am: &Am,
         node: &Node,
         pkt: &Packet,
-        prio: Priority,
-    ) -> Result<Option<AdmitGuard>, ()> {
+    ) -> Option<(Option<AdmitGuard>, Priority)> {
         let eng = &self.engine.inner;
-        let Some(adm) = eng.admission else { return Ok(None) };
-        if !self.correlated || !self.expects_reply {
-            return Ok(None);
-        }
+        let Some(adm) = eng.admission.filter(|_| self.expects_reply) else {
+            return Some((None, Priority::Normal));
+        };
         let call_id = peek_call_id(&pkt.payload);
         if call_id == ONEWAY_SENTINEL {
-            return Ok(None);
+            return Some((None, Priority::Normal));
         }
+        let (deadline_us, prio) = peek_deadline_word(&pkt.payload);
         let caller = pkt.src;
         let sidx = node.id().index();
         let tag = pkt.tag;
-        if self.engine.knows_call(sidx, caller, call_id) {
-            // Executing or completed: fall through to dedup handling with
-            // no second admission token.
-            return Ok(None);
+        if eng.dedup_on && eng.frames[sidx].borrow().contains_key(&(caller, call_id)) {
+            // Executing or completed: fall through to duplicate
+            // suppression with no second admission token.
+            return Some((None, prio));
         }
-        let deadline_us = peek_deadline_us(&pkt.payload);
         if deadline_us != NO_DEADLINE && node.now().as_nanos() > u64::from(deadline_us) * 1_000 {
             node.stats().borrow_mut().calls_expired += 1;
             node.emit(TraceKind::CallExpired { tag, caller, call_id });
-            return Err(());
+            return None;
         }
         let pending = &eng.pending[sidx];
         if let Some(a) = &self.adaptive {
@@ -1192,57 +1109,24 @@ impl MethodSite {
             Priority::Low => (adm.pending_budget / 2).max(1),
         };
         if pending.get() >= budget {
-            // The hint is derived from the admitted-call depth only. The NI
-            // input backlog would sharpen it, but that snapshot is
-            // sensitive to same-timestamp event micro-order, which the
-            // host-parallel engine does not reproduce — and the hint goes
-            // out on the wire, so it must be partition-invariant.
-            let depth = pending.get();
-            let base_ns = node.config().cost.nack_backoff_base.as_nanos();
-            let hint_ns =
-                (depth as u64).saturating_mul(base_ns).min(adm.retry_after_cap.as_nanos());
-            let retry_after_us = (hint_ns / 1_000).max(1) as u32;
+            let hint = self.engine.retry_after_us(sidx);
+            let retry_after_us = hint.expect("admission control is on");
             {
                 let mut st = node.stats().borrow_mut();
                 st.calls_shed += 1;
                 st.method_mut(tag).shed += 1;
             }
             node.emit(TraceKind::CallShed { tag, caller, call_id, retry_after_us });
-            let call = OamCall { am: am.clone(), node: node.clone(), pkt: Rc::new(pkt.clone()) };
-            let shed = eng
-                .shed_nack
-                .borrow()
-                .clone()
-                .expect("admission control requires a shed-NACK sender on the engine");
-            shed(&call, retry_after_us);
-            return Err(());
+            self.engine.send_nack(am, node, caller, call_id, hint);
+            return None;
         }
-        Ok(Some(AdmitGuard::new(pending, node)))
-    }
-}
-
-impl MethodSite {
-    /// The arrival's dispatch priority: read from the deadline header word,
-    /// which only exists on admission-configured machines for correlated,
-    /// reply-bearing calls. Everything else is `Normal`.
-    fn arrival_priority(&self, pkt: &Packet) -> Priority {
-        if self.engine.inner.admission.is_none() || !self.correlated || !self.expects_reply {
-            return Priority::Normal;
-        }
-        if peek_call_id(&pkt.payload) == ONEWAY_SENTINEL {
-            return Priority::Normal;
-        }
-        peek_priority(&pkt.payload)
+        Some((Some(AdmitGuard::new(pending, node)), prio))
     }
 }
 
 impl PacketHandler for MethodSite {
     fn handle(&self, am: &Am, node: &Node, pkt: Packet) {
-        let prio = self.arrival_priority(&pkt);
-        let admit = match self.admission_gate(am, node, &pkt, prio) {
-            Ok(admit) => admit,
-            Err(()) => return,
-        };
+        let Some((admit, prio)) = self.admission_gate(am, node, &pkt) else { return };
         match self.current_mode() {
             CallMode::Orpc => self.run_optimistic(am, node, pkt, admit, prio),
             CallMode::Trpc => self.run_threaded(am, node, pkt, admit, prio),
@@ -1254,18 +1138,6 @@ impl PacketHandler for MethodSite {
 /// rerun thread must be made runnable explicitly.
 fn needs_immediate_wake(cause: AbortReason) -> bool {
     matches!(cause, AbortReason::NetworkFull | AbortReason::RanTooLong)
-}
-
-/// Wrap a handler future so the admission token is released exactly when
-/// the call finishes. No-op (and no allocation) without a token.
-fn guarded(fut: BoxedCall, admit: Option<AdmitGuard>) -> BoxedCall {
-    match admit {
-        None => fut,
-        Some(g) => Box::pin(async move {
-            let _g = g;
-            fut.await;
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -1423,7 +1295,6 @@ mod tests {
     fn nack_strategy_notifies_the_sender() {
         let cfg = MachineConfig::cm5(2).with_abort_strategy(AbortStrategy::Nack);
         let (sim, am, engine, stats) = build(2, cfg);
-        const NACK: HandlerId = HandlerId(11);
         let node1 = am.nodes()[1].clone();
         let m = Mutex::new(&node1, ());
         let m2 = m.clone();
@@ -1433,16 +1304,17 @@ mod tests {
                 let _g = m.lock().await;
             }
         });
-        let nack: NackSender = Rc::new(|call: &OamCall| {
-            let src = call.pkt.src;
-            call.am.send_from_handler(&call.node, src, NACK, vec![]);
-        });
-        let site = engine.site(ExecPolicy::orpc(), true, body).with_nack(nack);
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         assert_eq!(site.abort_strategy(), AbortStrategy::Nack);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
-        let nacks_seen = Rc::new(Cell::new(0u32));
+        // The engine sends the NACK itself: `[call_id]` without admission.
+        let nacks_seen: Rc<RefCell<Vec<Vec<u8>>>> = Rc::default();
         let ns = nacks_seen.clone();
-        am.register(NodeId(0), NACK, HandlerEntry::Inline(Rc::new(move |_t| ns.set(ns.get() + 1))));
+        am.register(
+            NodeId(0),
+            NACK_ID,
+            HandlerEntry::Inline(Rc::new(move |t| ns.borrow_mut().push(t.payload().to_vec()))),
+        );
         let release = oam_threads::Flag::new();
         let (n1, mh, rel) = (node1.clone(), m.clone(), release.clone());
         node1.spawn(async move {
@@ -1454,9 +1326,9 @@ mod tests {
             release.set();
             n1k.kick();
         });
-        send_one(&am, vec![]);
+        send_one(&am, 9u32.to_le_bytes().to_vec());
         sim.run();
-        assert_eq!(nacks_seen.get(), 1);
+        assert_eq!(*nacks_seen.borrow(), [9u32.to_le_bytes().to_vec()]);
         let st = stats[1].borrow();
         assert_eq!(st.oam_nacks_sent, 1);
         assert_eq!(st.per_method[&CALL.0].nacks_sent, 1);
@@ -1785,8 +1657,7 @@ mod tests {
                 g.with_mut(|v| *v += 1);
             }
         });
-        let site =
-            engine.site(ExecPolicy::orpc(), true, body).with_call_correlation().with_cancellation();
+        let site = engine.site(ExecPolicy::orpc(), true, body).with_cancellation();
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         // Payload: call_id header only (no admission ⇒ no deadline word).
         send_one(&am, 7u32.to_le_bytes().to_vec());
@@ -1942,9 +1813,11 @@ mod tests {
         let (sim, am, engine, stats) = build(2, cfg);
         let resent: Rc<RefCell<Vec<u32>>> = Rc::default();
         let r2 = resent.clone();
-        engine.set_reply_resender(Rc::new(move |_call, call_id, _reply| {
-            r2.borrow_mut().push(call_id);
-        }));
+        am.register(
+            NodeId(0),
+            REPLY_ID,
+            HandlerEntry::Inline(Rc::new(move |t| r2.borrow_mut().push(peek_call_id(t.payload())))),
+        );
         let node1 = am.nodes()[1].clone();
         let m = Mutex::new(&node1, ());
         let ran: Rc<RefCell<Vec<u32>>> = Rc::default();
@@ -1959,7 +1832,7 @@ mod tests {
                 ran.borrow_mut().push(call_id);
             }
         });
-        let site = engine.site(ExecPolicy::orpc(), true, body).with_call_correlation();
+        let site = engine.site(ExecPolicy::orpc(), true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         hold_lock_until(&sim, &node1, &m, 200_000);
         let id = |call_id: u32| call_id.to_le_bytes().to_vec();
@@ -1975,5 +1848,59 @@ mod tests {
         let st = stats[1].borrow();
         assert_eq!(st.dups_suppressed, 3);
         assert_eq!(st.oam_promotions, 1);
+    }
+
+    /// Records the virtual time it is dropped at.
+    struct DropClock {
+        node: Node,
+        at: Rc<Cell<Option<oam_model::Time>>>,
+    }
+
+    impl Drop for DropClock {
+        fn drop(&mut self) {
+            self.at.set(Some(self.node.now()));
+        }
+    }
+
+    #[test]
+    fn a_suppressed_duplicate_does_not_take_over_the_cancel_wake() {
+        // Retransmission on: a cancellable call parks on a lock the server
+        // holds until 5 ms, and three copies of its request arrive while
+        // it waits, each suppressed. A cancel at 1.5 ms must wake the
+        // thread running the call, under TRPC too, where each suppressed
+        // copy gets an empty thread of its own: the body is dropped long
+        // before the lock comes free.
+        for policy in [ExecPolicy::orpc(), ExecPolicy::trpc()] {
+            let mode = policy.mode;
+            let mut cfg = MachineConfig::cm5(2);
+            cfg.reliability.retransmit = true;
+            let (sim, am, engine, stats) = build(2, cfg);
+            let node1 = am.nodes()[1].clone();
+            let m = Mutex::new(&node1, ());
+            let dropped_at: Rc<Cell<Option<oam_model::Time>>> = Rc::default();
+            let (m2, d2) = (m.clone(), dropped_at.clone());
+            let body = CallBody::new(move |call| {
+                let m = m2.clone();
+                let clock = DropClock { node: call.node.clone(), at: d2.clone() };
+                async move {
+                    let _clock = clock;
+                    let _g = m.lock().await;
+                }
+            });
+            let site = engine.site(policy, true, body).with_cancellation();
+            am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
+            hold_lock_until(&sim, &node1, &m, 5_000_000);
+            send_in_order(&am, Dur::from_micros(50), vec![7u32.to_le_bytes().to_vec(); 4]);
+            let (eng2, n1c) = (engine.clone(), node1.clone());
+            sim.schedule_at(oam_model::Time::from_nanos(1_500_000), move |_| {
+                assert!(eng2.cancel_call(&n1c, NodeId(0), 7), "call was in flight");
+            });
+            sim.run();
+            let at = dropped_at.get().expect("the cancelled body was dropped").as_nanos();
+            assert!(at < 2_000_000, "{mode:?}: body dropped at {at} ns, not soon after the cancel");
+            let st = stats[1].borrow();
+            assert_eq!(st.dups_suppressed, 3, "{mode:?}");
+            assert_eq!(st.per_method[&CALL.0].cancels, 1, "{mode:?}");
+        }
     }
 }

@@ -17,7 +17,7 @@
 pub mod engine;
 
 pub use engine::{
-    pack_deadline_word, peek_call_id, peek_deadline_us, peek_priority, unpack_deadline_word,
-    CallBody, CallEngine, MethodSite, NackSender, OamCall, Priority, ReplyResender, ShedNackSender,
-    DEADLINE_MASK, NO_DEADLINE, ONEWAY_SENTINEL, PRIORITY_SHIFT,
+    pack_deadline_word, peek_call_id, unpack_deadline_word, CallBody, CallEngine, MethodSite,
+    OamCall, Priority, DEADLINE_MASK, NACK_ID, NO_DEADLINE, ONEWAY_SENTINEL, PRIORITY_SHIFT,
+    REPLY_ID,
 };

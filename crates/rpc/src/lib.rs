@@ -15,9 +15,9 @@ pub mod runtime;
 pub mod wire;
 
 pub use runtime::{
-    decode_request, handler_id_for, CallError, CallHandle, CallOpts, Rpc, RpcCtx, RpcMode,
-    StreamClosed, StreamHandle, StreamTx, CANCEL_ID, NACK_ID, ONEWAY_SENTINEL, REPLY_ID,
-    SESSION_CHUNK_ID, SESSION_CHUNK_METHOD,
+    handler_id_for, CallError, CallHandle, CallOpts, Rpc, RpcCtx, RpcMode, StreamClosed,
+    StreamHandle, StreamTx, CANCEL_ID, NACK_ID, ONEWAY_SENTINEL, REPLY_ID, SESSION_CHUNK_ID,
+    SESSION_CHUNK_METHOD,
 };
 pub use wire::{
     from_bytes, to_bytes, to_payload, RawTail, Wire, WireError, WireReader, WireWriter,

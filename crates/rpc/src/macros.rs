@@ -182,44 +182,9 @@ macro_rules! __rpc_method {
                 __rpc.issue_args_with(__node, __dst, ID, &($($arg,)*), __opts).await
             }
 
-            /// Install the server side of this method on `node`.
-            pub fn register(
-                __rpc: &$crate::Rpc,
-                __node: $crate::NodeId,
-                __state: ::std::rc::Rc<$state>,
-                __mode: $crate::RpcMode,
-            ) {
-                let __rpc_outer = __rpc.clone();
-                let __body = $crate::CallBody::new(move |__call: &$crate::OamCall| {
-                    let __state = ::std::rc::Rc::clone(&__state);
-                    let __rpc = __rpc_outer.clone();
-                    let __call = __call.clone();
-                    async move {
-                        #[allow(unused_variables, unused_parens)]
-                        let (__call_id, ($($arg,)*)): (u32, ($($aty,)*)) =
-                            __rpc.decode_request(&__call.pkt.payload);
-                        __call.node.add_pending(
-                            __rpc.config().cost.marshal_per_word
-                                .times(__call.pkt.payload.len().div_ceil(4) as u64),
-                        );
-                        let __ctx_val = $crate::RpcCtx { call: __call, rpc: __rpc };
-                        #[allow(unused_variables)]
-                        let $ctx = &__ctx_val;
-                        #[allow(unused_variables)]
-                        let $st = &*__state;
-                        let __result: $crate::__rpc_ret!($($ret)?) = { $body };
-                        if __call_id != $crate::ONEWAY_SENTINEL {
-                            __ctx_val.rpc.reply(&__ctx_val.call, __call_id, &__result).await;
-                        }
-                    }
-                });
-                __rpc.register_named(
-                    __node,
-                    concat!(stringify!($svc), "::", stringify!($name)),
-                    __mode,
-                    __body,
-                    true,
-                );
+            $crate::__rpc_method! {
+                @register [$state] $svc $name ($ctx, $st $(, $arg : $aty)*)
+                ($crate::__rpc_ret!($($ret)?)) true $body
             }
         }
     };
@@ -244,47 +209,51 @@ macro_rules! __rpc_method {
                 __rpc.send_oneway_args(__node, __dst, ID, &($($arg,)*)).await;
             }
 
-            /// Install the server side of this method on `node`.
-            pub fn register(
-                __rpc: &$crate::Rpc,
-                __node: $crate::NodeId,
-                __state: ::std::rc::Rc<$state>,
-                __mode: $crate::RpcMode,
-            ) {
-                let __rpc_outer = __rpc.clone();
-                let __body = $crate::CallBody::new(move |__call: &$crate::OamCall| {
-                    let __state = ::std::rc::Rc::clone(&__state);
-                    let __rpc = __rpc_outer.clone();
-                    let __call = __call.clone();
-                    async move {
-                        #[allow(unused_variables, unused_parens)]
-                        let (__call_id, ($($arg,)*)): (u32, ($($aty,)*)) =
-                            __rpc.decode_request(&__call.pkt.payload);
-                        __call.node.add_pending(
-                            __rpc.config().cost.marshal_per_word
-                                .times(__call.pkt.payload.len().div_ceil(4) as u64),
-                        );
-                        let __ctx_val = $crate::RpcCtx { call: __call, rpc: __rpc };
-                        #[allow(unused_variables)]
-                        let $ctx = &__ctx_val;
-                        #[allow(unused_variables)]
-                        let $st = &*__state;
-                        let _: () = { $body };
-                        // Reliable one-way calls carry a real call id and
-                        // expect an empty reply as their delivery ack.
-                        if __call_id != $crate::ONEWAY_SENTINEL {
-                            __ctx_val.rpc.reply(&__ctx_val.call, __call_id, &()).await;
-                        }
-                    }
-                });
-                __rpc.register_named(
-                    __node,
-                    concat!(stringify!($svc), "::", stringify!($name)),
-                    __mode,
-                    __body,
-                    false,
-                );
+            $crate::__rpc_method! {
+                @register [$state] $svc $name ($ctx, $st $(, $arg : $aty)*) (()) false $body
             }
+        }
+    };
+
+    // The server side of an `rpc` or `oneway` method: decode, run the
+    // body, reply unless the call is an unreliable one-way. Reliable
+    // one-way calls carry a real call id and expect an empty reply as
+    // their delivery ack.
+    (@register [$state:ty] $svc:ident $name:ident ($ctx:ident, $st:ident $(, $arg:ident : $aty:ty)*) ($ret:ty) $expects_reply:literal $body:block) => {
+        /// Install the server side of this method on `node`.
+        pub fn register(
+            __rpc: &$crate::Rpc,
+            __node: $crate::NodeId,
+            __state: ::std::rc::Rc<$state>,
+            __mode: $crate::RpcMode,
+        ) {
+            let __rpc_outer = __rpc.clone();
+            let __body = $crate::CallBody::new(move |__call: &$crate::OamCall| {
+                let __state = ::std::rc::Rc::clone(&__state);
+                let __rpc = __rpc_outer.clone();
+                let __call = __call.clone();
+                async move {
+                    #[allow(unused_variables, unused_parens)]
+                    let (__call_id, ($($arg,)*)): (u32, ($($aty,)*)) =
+                        __rpc.accept_request(&__call);
+                    let __ctx_val = $crate::RpcCtx { call: __call, rpc: __rpc };
+                    #[allow(unused_variables)]
+                    let $ctx = &__ctx_val;
+                    #[allow(unused_variables)]
+                    let $st = &*__state;
+                    let __result: $ret = { $body };
+                    if __call_id != $crate::ONEWAY_SENTINEL {
+                        __ctx_val.rpc.reply(&__ctx_val.call, __call_id, &__result).await;
+                    }
+                }
+            });
+            __rpc.register_named(
+                __node,
+                concat!(stringify!($svc), "::", stringify!($name)),
+                __mode,
+                __body,
+                $expects_reply,
+            );
         }
     };
 
@@ -339,11 +308,7 @@ macro_rules! __rpc_method {
                     async move {
                         #[allow(unused_variables, unused_parens)]
                         let (__call_id, ($($arg,)*)): (u32, ($($aty,)*)) =
-                            __rpc.decode_request(&__call.pkt.payload);
-                        __call.node.add_pending(
-                            __rpc.config().cost.marshal_per_word
-                                .times(__call.pkt.payload.len().div_ceil(4) as u64),
-                        );
+                            __rpc.accept_request(&__call);
                         let __ctx_val = $crate::RpcCtx { call: __call, rpc: __rpc };
                         #[allow(unused_variables)]
                         let $ctx = &__ctx_val;

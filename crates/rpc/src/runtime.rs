@@ -3,12 +3,25 @@
 //! in ORPC or TRPC mode, and — when the machine is configured for it —
 //! end-to-end reliability over a lossy fabric.
 //!
-//! Request payload: `[call_id: u32][args...]`. A `call_id` of
+//! Request payload: `[call_id: u32][args...]`, with a deadline word after
+//! the call id on machines with admission control. A `call_id` of
 //! [`ONEWAY_SENTINEL`] marks an asynchronous RPC (no reply). Replies and
 //! NACKs are delivered to two reserved inline handlers that complete the
 //! caller's spin-wait. Payloads whose *data* exceeds the machine's bulk
 //! threshold (16 bytes on the CM-5) travel through the scopy engine, as the
 //! paper's generated stubs do (§3.2).
+//!
+//! # The server side
+//!
+//! A generated server stub is a [`CallBody`] the [`CallEngine`] runs:
+//! [`Rpc::accept_request`] decodes the request and charges its unmarshal
+//! cost, the method body runs, and [`Rpc::reply`] marshals the result and
+//! caches it in the call's frame when duplicate suppression is on.
+//! Everything else about a server-side call is the engine's: the inline
+//! attempt, abort resolution, the frame per call, and the protocol frames
+//! no handler body sends — the NACK for a shed or aborted call (with the
+//! retry-after hint under admission) and the cached reply to a duplicate
+//! ([`NACK_ID`], [`REPLY_ID`]).
 //!
 //! # The caller side
 //!
@@ -37,12 +50,12 @@
 //! (including one-way sends, which are then acknowledged with an empty
 //! reply) arms a per-call timer. On expiry the original request bytes are
 //! retransmitted and the timer re-arms with exponential back-off plus
-//! jitter derived from `nack_backoff_base`. Servers keep a per-caller
-//! duplicate-suppression table keyed on `(caller, call_id)` — the
-//! generation tag acts as the epoch — so a retransmitted request either
-//! re-sends the cached reply (call already executed) or is dropped (call
-//! still executing): **at-most-once execution** under arbitrary loss,
-//! duplication, and delay.
+//! jitter derived from `nack_backoff_base`. The server's call engine keeps
+//! a frame per call keyed on `(caller, call_id)` — the generation tag acts
+//! as the epoch — so a retransmitted request either gets the cached reply
+//! re-sent (call already executed) or is dropped (call still executing):
+//! **at-most-once execution** under arbitrary loss, duplication, and
+//! delay.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
@@ -50,26 +63,18 @@ use std::marker::PhantomData;
 use std::rc::Rc;
 
 use oam_am::{Am, AmToken, HandlerEntry, HandlerId};
-use oam_core::{
-    pack_deadline_word, peek_call_id, CallBody, CallEngine, NackSender, OamCall, Priority,
-    NO_DEADLINE,
-};
-use oam_model::{
-    AbortStrategy, Dur, ExecPolicy, MachineConfig, NodeId, NodeTable, Time, TraceKind,
-};
+use oam_core::{pack_deadline_word, CallBody, CallEngine, OamCall, Priority, NO_DEADLINE};
+use oam_model::{Dur, ExecPolicy, MachineConfig, NodeId, NodeTable, Time, TraceKind};
 use oam_net::{Packet, PayloadBuf, PayloadView};
 use oam_sim::{EventId, Sim};
 use oam_threads::{Flag, Node};
 
 use crate::wire::{Wire, WireReader, WireWriter};
 
-/// `call_id` marking a one-way (asynchronous) RPC (engine re-export).
-pub use oam_core::ONEWAY_SENTINEL;
+/// The one-way `call_id` and the reply and NACK handler ids (engine
+/// re-exports: the engine sends replies to duplicates and NACKs itself).
+pub use oam_core::{NACK_ID, ONEWAY_SENTINEL, REPLY_ID};
 
-/// Reserved handler id for RPC replies.
-pub const REPLY_ID: HandlerId = HandlerId(0xFFFF_0001);
-/// Reserved handler id for RPC NACKs.
-pub const NACK_ID: HandlerId = HandlerId(0xFFFF_0002);
 /// Reserved handler id for call-cancel frames: payload `[call_id]`, sent
 /// by a client tearing down a pipelined call or a streaming session. The
 /// server aborts the matching in-flight execution (if any) through
@@ -298,34 +303,6 @@ impl Rpc {
         let owned = am.owned();
         let reliable = cfg.reliability.retransmit;
         let engine = CallEngine::new(Rc::clone(&cfg), owned.clone());
-        // The engine answers suppressed duplicates of completed calls with
-        // the frame's cached reply; a frame that somehow completed without
-        // one (acks cache too, so this should not happen) gets an empty
-        // reply synthesized so the caller can still make progress.
-        let am2 = am.clone();
-        engine.set_reply_resender(Rc::new(
-            move |call: &OamCall, call_id: u32, cached: Option<PayloadBuf>| {
-                let payload = match cached {
-                    Some(r) => r,
-                    None => PayloadBuf::inline(&call_id.to_le_bytes()),
-                };
-                am2.send_from_handler(&call.node, call.pkt.src, REPLY_ID, payload);
-            },
-        ));
-        // Admission control sheds arrivals with an extended NACK carrying
-        // the engine-computed retry-after hint.
-        if engine.admission().is_some() {
-            let am3 = am.clone();
-            engine.set_shed_nack(Rc::new(move |call: &OamCall, retry_after_us: u32| {
-                let call_id = peek_call_id(&call.pkt.payload);
-                am3.send_from_handler(
-                    &call.node,
-                    call.pkt.src,
-                    NACK_ID,
-                    nack_payload(call_id, retry_after_us),
-                );
-            }));
-        }
         let rpc = Rpc {
             inner: Rc::new(RpcInner {
                 am,
@@ -422,8 +399,7 @@ impl Rpc {
             let call = call.clone();
             async move {
                 let (call_id, (session, seq, bytes)): (u32, (u32, u32, Vec<u8>)) =
-                    rpc.decode_request(&call.pkt.payload);
-                call.node.add_pending(rpc.marshal_cost(call.pkt.payload.len()));
+                    rpc.accept_request(&call);
                 let state =
                     rpc.inner.sessions[call.node.id().index()].borrow().get(&session).cloned();
                 match state {
@@ -530,10 +506,19 @@ impl Rpc {
         w.finish()
     }
 
+    /// The server stub's prologue: decode the arriving request and charge
+    /// its unmarshal cost (the whole payload, header included). Returns
+    /// `(call_id, args)`. Used by the generated stubs.
+    pub fn accept_request<A: Wire>(&self, call: &OamCall) -> (u32, A) {
+        let decoded = self.decode_request(&call.pkt.payload);
+        call.node.add_pending(self.marshal_cost(call.pkt.payload.len()));
+        decoded
+    }
+
     /// Decode the call header and argument tuple from a request payload,
     /// skipping the deadline word on admission-controlled machines.
-    /// Returns `(call_id, args)`. Used by the generated stubs.
-    pub fn decode_request<A: Wire>(&self, payload: &[u8]) -> (u32, A) {
+    /// Returns `(call_id, args)`.
+    fn decode_request<A: Wire>(&self, payload: &[u8]) -> (u32, A) {
         let mut rd = WireReader::new(payload);
         let call_id = u32::decode(&mut rd).expect("request call id");
         if self.inner.cfg.admission.is_some() {
@@ -850,14 +835,7 @@ impl Rpc {
     async fn reply_payload(&self, call: &OamCall, call_id: u32, payload: PayloadBuf) {
         let node = &call.node;
         node.add_pending(self.marshal_cost(payload.len() - 4));
-        if self.inner.engine.dedup_enabled() && call_id != ONEWAY_SENTINEL {
-            self.inner.engine.cache_reply(
-                node.id().index(),
-                call.pkt.src,
-                call_id,
-                payload.clone(),
-            );
-        }
+        self.inner.engine.cache_reply(call, call_id, &payload);
         let dst = call.pkt.src;
         if payload.len() > self.inner.cfg.bulk_threshold {
             self.inner.am.send_bulk(node, dst, REPLY_ID, payload);
@@ -871,8 +849,9 @@ impl Rpc {
     /// `MachineConfig::policies` overrides it (and everything else). The
     /// call body builds the handler future (decode → body → reply).
     /// `expects_reply` distinguishes `rpc` from `oneway` methods: under
-    /// [`AbortStrategy::Nack`] only reply-bearing calls can be NACKed
-    /// (the caller is waiting); one-way calls fall back to rerun.
+    /// [`AbortStrategy::Nack`](oam_model::AbortStrategy::Nack) only
+    /// reply-bearing calls can be NACKed (the caller is waiting); one-way
+    /// calls fall back to rerun.
     pub fn register(
         &self,
         node: NodeId,
@@ -931,54 +910,12 @@ impl Rpc {
         expects_reply: bool,
         cancellable: bool,
     ) {
-        let mut site = self.inner.engine.site(policy, expects_reply, body).with_call_correlation();
+        let mut site = self.inner.engine.site(policy, expects_reply, body);
         if cancellable {
             site = site.with_cancellation();
         }
-        if site.abort_strategy() == AbortStrategy::Nack {
-            let am = self.inner.am.clone();
-            let engine = self.inner.engine.clone();
-            let rpc = self.clone();
-            let nack: NackSender = Rc::new(move |call: &OamCall| {
-                let call_id = peek_call_id(&call.pkt.payload);
-                debug_assert_ne!(call_id, ONEWAY_SENTINEL);
-                engine.forget_call(call.node.id().index(), call.pkt.src, call_id);
-                // On admission-controlled machines abort NACKs carry the
-                // same queue-derived retry-after hint as shed NACKs, so
-                // aborted callers back off proportionally too.
-                let payload = match rpc.retry_after_hint_us(&call.node) {
-                    Some(hint) => nack_payload(call_id, hint),
-                    None => PayloadBuf::inline(&call_id.to_le_bytes()),
-                };
-                am.send_from_handler(&call.node, call.pkt.src, NACK_ID, payload);
-            });
-            site = site.with_nack(nack);
-        }
         self.inner.am.register(node, id, HandlerEntry::Custom(Rc::new(site)));
     }
-
-    /// The retry-after hint for a NACK leaving `node`: the admitted
-    /// pending-call depth scaled by the NACK back-off base, capped by the
-    /// configured ceiling. Deliberately ignores the NI input backlog — its
-    /// instantaneous depth depends on same-timestamp event micro-order,
-    /// which the host-parallel engine does not reproduce, and a wire-borne
-    /// hint must be partition-invariant. `None` when the machine has no
-    /// admission control (legacy hint-free NACKs).
-    fn retry_after_hint_us(&self, node: &Node) -> Option<u32> {
-        let adm = self.inner.engine.admission()?;
-        let depth = self.inner.engine.pending_calls(node.id().index());
-        let base_ns = self.inner.cfg.cost.nack_backoff_base.as_nanos();
-        let hint_ns = (depth as u64).saturating_mul(base_ns).min(adm.retry_after_cap.as_nanos());
-        Some((hint_ns / 1_000).max(1) as u32)
-    }
-}
-
-/// Encode the extended NACK payload `[call_id][retry_after_us]`.
-fn nack_payload(call_id: u32, retry_after_us: u32) -> PayloadBuf {
-    let mut bytes = [0u8; 8];
-    bytes[..4].copy_from_slice(&call_id.to_le_bytes());
-    bytes[4..].copy_from_slice(&retry_after_us.to_le_bytes());
-    PayloadBuf::inline(&bytes)
 }
 
 /// Why a call returned without a usable reply.
@@ -1498,15 +1435,6 @@ impl RpcCtx {
     }
 }
 
-/// Decode the call header and argument tuple from a request payload.
-/// Returns `(call_id, args)`. Used by the generated stubs.
-pub fn decode_request<A: Wire>(payload: &[u8]) -> (u32, A) {
-    let mut rd = WireReader::new(payload);
-    let call_id = u32::decode(&mut rd).expect("request call id");
-    let args = A::decode(&mut rd).expect("request arguments");
-    (call_id, args)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1551,15 +1479,36 @@ mod tests {
         assert!(t.get(id0).is_none(), "a late reply for id0 is dropped, not misdelivered");
     }
 
+    /// The RPC runtime of a two-node simulated machine built from `cfg`.
+    fn rpc_on(cfg: MachineConfig) -> (Sim, Rpc) {
+        use oam_model::NodeStats;
+        use oam_net::{NetConfig, Network};
+        let sim = Sim::new(5);
+        let cfg = Rc::new(cfg);
+        let stats: Vec<_> = (0..2).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
+        let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
+        let nodes: Vec<Node> = (0..2)
+            .map(|i| Node::new(&sim, NodeId(i), 2, Rc::clone(&cfg), Rc::clone(&stats[i])))
+            .collect();
+        let rpc = Rpc::new(Am::new(net, cfg, nodes));
+        (sim, rpc)
+    }
+
     #[test]
-    fn decode_request_splits_header_and_args() {
-        let mut p = WireWriter::new();
-        7u32.encode(&mut p);
-        (3u32, 4.5f64).encode(&mut p);
-        let p = p.into_vec();
-        let (cid, (a, b)): (u32, (u32, f64)) = decode_request(&p);
-        assert_eq!(cid, 7);
-        assert_eq!(a, 3);
-        assert_eq!(b, 4.5);
+    fn decode_request_splits_header_and_args_with_and_without_admission() {
+        // With admission control on, a deadline word follows the call id;
+        // decoding must skip it rather than read it as the first argument.
+        for admission in [false, true] {
+            let mut cfg = MachineConfig::cm5(2);
+            if admission {
+                cfg = cfg.with_admission(oam_model::AdmissionConfig::default());
+            }
+            let (_sim, rpc) = rpc_on(cfg);
+            let node = rpc.nodes()[0].clone();
+            let p = rpc.marshal_request(&node, 7, 12_345, &|w| (3u32, 4.5f64).encode(w));
+            assert_eq!(p.len(), rpc.header_len() + 12, "admission {admission}");
+            let (cid, (a, b)): (u32, (u32, f64)) = rpc.decode_request(&p);
+            assert_eq!((cid, a, b), (7, 3, 4.5), "admission {admission}");
+        }
     }
 }
