@@ -10,7 +10,7 @@ use oam_machine::{
 };
 use oam_model::{
     AdaptivePolicy, AdmissionConfig, Backend, Dur, EnvOverlay, ExecPolicy, FaultPlan,
-    MachineConfig, NodeId, ReliabilityConfig, Time,
+    MachineConfig, NodeId, ReliabilityConfig,
 };
 use oam_rpc::{define_rpc_service, from_bytes, CallError, CallOpts};
 use oam_threads::Mutex;
@@ -424,13 +424,7 @@ pub fn run(params: ServiceParams) -> ServiceOutcome {
         ShardApp { main: Box::new(main), finish: Box::new(move |_| answer_out.get()) }
     });
 
-    let app = AppOutcome {
-        elapsed: report.end_time.since(Time::ZERO),
-        answer,
-        stats: report.stats,
-        events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-    };
+    let app = AppOutcome::new(report, answer);
     let total = app.stats.total();
     let mode_switches = total.per_method.values().map(|m| m.mode_switches).sum();
     let elapsed_s = app.elapsed.as_secs_f64();

@@ -143,13 +143,7 @@ pub fn run_configured(system: System, cfg: oam_model::MachineConfig, p: SorParam
     assert!(cfg.nodes <= p.rows, "at least one row per node");
     let (report, answer) = run_partitioned(cfg, move |machine| app(system, p, machine));
 
-    AppOutcome {
-        elapsed: report.end_time.since(oam_model::Time::ZERO),
-        answer,
-        stats: report.stats,
-        events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-    }
+    AppOutcome::new(report, answer)
 }
 
 /// Build the SOR application for one machine replica: state and handlers

@@ -2,7 +2,8 @@
 //! (§4 of the paper): hand-coded Active Messages, Optimistic RPC, and
 //! Traditional RPC.
 
-use oam_model::{Dur, MachineStats};
+use oam_machine::RunReport;
+use oam_model::{Dur, MachineStats, Time};
 use oam_rpc::RpcMode;
 
 /// Which communication system an application variant uses.
@@ -64,6 +65,18 @@ pub struct AppOutcome {
 }
 
 impl AppOutcome {
+    /// The outcome of a run that ended with `report` and computed
+    /// `answer`.
+    pub fn new(report: RunReport, answer: u64) -> Self {
+        AppOutcome {
+            elapsed: report.end_time.since(Time::ZERO),
+            answer,
+            stats: report.stats,
+            events: report.events,
+            peak_queue_depth: report.peak_queue_depth,
+        }
+    }
+
     /// Speedup relative to a sequential baseline time.
     pub fn speedup(&self, sequential: Dur) -> f64 {
         sequential.as_secs_f64() / self.elapsed.as_secs_f64()

@@ -355,13 +355,7 @@ pub fn run_configured(
         ShardApp { main: Box::new(main), finish: Box::new(move |_| answer_out.get()) }
     });
 
-    AppOutcome {
-        elapsed: report.end_time.since(oam_model::Time::ZERO),
-        answer,
-        stats: report.stats,
-        events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-    }
+    AppOutcome::new(report, answer)
 }
 
 #[cfg(test)]

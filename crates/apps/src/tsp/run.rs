@@ -136,13 +136,7 @@ pub fn run(system: System, slaves: usize, p: TspParams) -> AppOutcome {
 pub fn run_configured(system: System, cfg: oam_model::MachineConfig, p: TspParams) -> AppOutcome {
     assert!(cfg.nodes >= 2);
     let (report, answer) = run_partitioned(cfg, move |machine| app(system, p, machine, false));
-    AppOutcome {
-        elapsed: report.end_time.since(oam_model::Time::ZERO),
-        answer,
-        stats: report.stats,
-        events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-    }
+    AppOutcome::new(report, answer)
 }
 
 /// As [`run`], but the slaves *pipeline* their job fetches: each slave
@@ -160,13 +154,7 @@ pub fn run_pipelined(system: System, slaves: usize, p: TspParams) -> AppOutcome 
     );
     let cfg = oam_model::MachineConfig::cm5(slaves + 1);
     let (report, answer) = run_partitioned(cfg, move |machine| app(system, p, machine, true));
-    AppOutcome {
-        elapsed: report.end_time.since(oam_model::Time::ZERO),
-        answer,
-        stats: report.stats,
-        events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-    }
+    AppOutcome::new(report, answer)
 }
 
 /// As [`run_configured`], invoking `hook` on the freshly built machine
@@ -186,13 +174,7 @@ pub fn run_hooked(
     let ShardApp { main, finish } = app(system, p, &machine, false);
     let report = machine.run(&main);
     let answer = finish(&machine);
-    AppOutcome {
-        elapsed: report.end_time.since(oam_model::Time::ZERO),
-        answer,
-        stats: report.stats,
-        events: report.events,
-        peak_queue_depth: report.peak_queue_depth,
-    }
+    AppOutcome::new(report, answer)
 }
 
 /// Build the TSP application for one machine (or shard replica): per-node

@@ -448,16 +448,7 @@ pub fn run_configured(
         }
     });
 
-    WaterOutcome {
-        outcome: AppOutcome {
-            elapsed: report.end_time.since(Time::ZERO),
-            answer,
-            stats: report.stats,
-            events: report.events,
-            peak_queue_depth: report.peak_queue_depth,
-        },
-        after_first_iter,
-    }
+    WaterOutcome { outcome: AppOutcome::new(report, answer), after_first_iter }
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use oam_am::{AmToken, HandlerId};
-use oam_apps::System;
+use oam_apps::{AppOutcome, System};
 use oam_machine::MachineBuilder;
 use oam_model::{Dur, NodeId};
 use oam_rpc::define_rpc_service;
@@ -96,19 +96,11 @@ pub fn payload_rpc_roundtrip(
     rounds: u32,
     payload_bytes: usize,
 ) -> Dur {
-    micro_rpc(MicroParams {
-        system,
-        load,
-        rounds,
-        payload_bytes,
-        background_threads: 0,
-        cfg: oam_model::MachineConfig::cm5(2),
-        warmup: true,
-        initial_offset: Dur::ZERO,
-    })
+    micro_rpc(MicroParams::roundtrip(system, load, rounds, payload_bytes)).mean
 }
 
 /// Full-control microbenchmark parameters.
+#[derive(Debug, Clone)]
 pub struct MicroParams {
     /// Communication system under test.
     pub system: System,
@@ -132,8 +124,33 @@ pub struct MicroParams {
     pub initial_offset: Dur,
 }
 
+impl MicroParams {
+    /// The steady-state round trip of Table 1 and §4.1.2: a two-node CM-5,
+    /// one warm-up call, no background threads.
+    pub fn roundtrip(system: System, load: ServerLoad, rounds: u32, payload_bytes: usize) -> Self {
+        MicroParams {
+            system,
+            load,
+            rounds,
+            payload_bytes,
+            background_threads: 0,
+            cfg: oam_model::MachineConfig::cm5(2),
+            warmup: true,
+            initial_offset: Dur::ZERO,
+        }
+    }
+}
+
+/// One microbenchmark run.
+pub struct MicroOutcome {
+    /// Mean measured round trip.
+    pub mean: Dur,
+    /// The whole run; its answer is the server's counter.
+    pub run: AppOutcome,
+}
+
 /// Run the microbenchmark with full control over the configuration.
-pub fn micro_rpc(params: MicroParams) -> Dur {
+pub fn micro_rpc(params: MicroParams) -> MicroOutcome {
     let MicroParams {
         system,
         load,
@@ -201,11 +218,12 @@ pub fn micro_rpc(params: MicroParams) -> Dur {
         }
     }
 
+    let server = Rc::clone(&states[1]);
     let states = Rc::new(states);
     let measured = Rc::new(Cell::new(Dur::ZERO));
     let out = Rc::clone(&measured);
     let rf = Rc::clone(&reply_flag);
-    machine.run(move |env| {
+    let report = machine.run(move |env| {
         let states = Rc::clone(&states);
         let out = Rc::clone(&out);
         let reply_flag = Rc::clone(&rf);
@@ -318,5 +336,5 @@ pub fn micro_rpc(params: MicroParams) -> Dur {
             }
         }
     });
-    measured.get()
+    MicroOutcome { mean: measured.get(), run: AppOutcome::new(report, server.counter.get()) }
 }

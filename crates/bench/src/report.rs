@@ -1,8 +1,13 @@
-//! Table/CSV reporting shared by the experiment harnesses.
+//! Tables and the JSON row report shared by the `paper` and `perfsuite`
+//! binaries.
 
-use std::fs;
-use std::io::{self, Write};
-use std::path::PathBuf;
+use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+
+use oam_apps::AppOutcome;
+use oam_model::Dur;
+use oam_sim::AllocSnapshot;
 
 /// The workspace root, resolved from this crate's manifest directory
 /// (`crates/bench/` sits two levels below it). Canonicalized so harnesses
@@ -14,31 +19,155 @@ pub fn workspace_root() -> PathBuf {
     root.canonicalize().unwrap_or(root)
 }
 
-/// Directory where harnesses drop their CSVs: `<target>/experiments/`,
-/// where `<target>` honors `CARGO_TARGET_DIR` (resolved against the
-/// workspace root when relative, matching cargo's own interpretation) and
-/// defaults to `target/` at the workspace root.
-///
-/// Creates the directory; returns the error instead of panicking so
-/// harnesses can report a usable message (read-only checkouts, exotic
-/// `CARGO_TARGET_DIR` values) and still print their tables.
-pub fn experiments_dir() -> io::Result<PathBuf> {
-    let target = match std::env::var_os("CARGO_TARGET_DIR") {
-        Some(t) => {
-            let t = PathBuf::from(t);
-            if t.is_absolute() {
-                t
-            } else {
-                // Cargo resolves a relative CARGO_TARGET_DIR against the
-                // workspace root, not the process CWD.
-                workspace_root().join(t)
+/// The report path from the command line: `--out PATH`, else `default`
+/// at the workspace root. The binaries take no other flag.
+pub fn out_path(bin: &str, default: &str) -> PathBuf {
+    let mut out = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        match a.as_str() {
+            "--out" => out = Some(PathBuf::from(args.next().expect("--out needs a path"))),
+            "--help" | "-h" => {
+                println!("usage: {bin} [--out PATH]   (default: {default} at the workspace root)");
+                std::process::exit(0);
+            }
+            other => {
+                eprintln!("unknown flag {other}; try --help");
+                std::process::exit(2);
             }
         }
-        None => workspace_root().join("target"),
-    };
-    let dir = target.join("experiments");
-    fs::create_dir_all(&dir)?;
-    Ok(dir)
+    }
+    out.unwrap_or_else(|| workspace_root().join(default))
+}
+
+/// One measured row of a report: a paper row, a sequential baseline or a
+/// perfsuite suite.
+pub struct Row {
+    /// Unique row name; `bench_check` matches baseline and result rows by it.
+    pub name: String,
+    /// Which gates `bench_check` applies when the row sits in a baseline:
+    /// `"full"` (every deterministic column, the sim rows) or `"answer"`
+    /// (answer only: native rows, whose counters follow host timing).
+    pub gates: &'static str,
+    /// The row's virtual time: a run's elapsed time, a sequential
+    /// baseline's time, or a microbenchmark's mean round trip.
+    pub virtual_time: Dur,
+    /// Application answer (tour length, solution count, checksum...).
+    pub answer: u64,
+    /// The simulated run behind the row; `None` for a sequential baseline.
+    pub run: Option<AppOutcome>,
+    /// Host wall-clock, for information only: no gate reads it.
+    pub wall: Option<Duration>,
+    /// Heap allocations during the row, where the binary counts them.
+    pub alloc: Option<AllocSnapshot>,
+    /// Row-specific columns, written after the common ones.
+    pub extra: Vec<(&'static str, String)>,
+}
+
+impl Row {
+    /// A row for one application run, timed by its elapsed virtual time.
+    pub fn app(name: impl Into<String>, out: AppOutcome) -> Row {
+        Row::new(name, out.elapsed, out.answer, Some(out))
+    }
+
+    /// A row with an explicit virtual time and answer.
+    pub fn new(
+        name: impl Into<String>,
+        virtual_time: Dur,
+        answer: u64,
+        run: Option<AppOutcome>,
+    ) -> Row {
+        Row {
+            name: name.into(),
+            gates: "full",
+            virtual_time,
+            answer,
+            run,
+            wall: None,
+            alloc: None,
+            extra: Vec::new(),
+        }
+    }
+
+    /// The run behind the row.
+    ///
+    /// # Panics
+    /// Panics for a sequential baseline, which has none.
+    pub fn outcome(&self) -> &AppOutcome {
+        self.run.as_ref().unwrap_or_else(|| panic!("{} is a sequential baseline", self.name))
+    }
+
+    /// Simulated events per host second, when both are known.
+    pub fn events_per_sec(&self) -> Option<f64> {
+        Some(self.run.as_ref()?.events as f64 / self.wall?.as_secs_f64().max(1e-9))
+    }
+}
+
+/// The JSON report: `{"schema", "mode", "suites": [...]}`, one flat
+/// object per row. Columns a row does not have are left out, so
+/// `bench_check` sees them absent on both sides.
+pub fn json_report(mode: &str, rows: &[Row]) -> String {
+    let mut fields: Vec<(&str, String)> = Vec::new();
+    let mut s = format!("{{\n  \"schema\": 1,\n  \"mode\": \"{mode}\",\n  \"suites\": [\n");
+    for (i, r) in rows.iter().enumerate() {
+        fields.clear();
+        fields.push(("name", format!("\"{}\"", r.name)));
+        fields.push(("gates", format!("\"{}\"", r.gates)));
+        if let Some(wall) = r.wall {
+            fields.push(("wall_ms", format!("{:.3}", wall.as_secs_f64() * 1e3)));
+        }
+        if let Some(eps) = r.events_per_sec() {
+            fields.push(("events_per_sec", format!("{eps:.0}")));
+        }
+        fields.push(("virtual_us", format!("{:.3}", r.virtual_time.as_micros_f64())));
+        fields.push(("answer", r.answer.to_string()));
+        if let Some(a) = &r.alloc {
+            fields.push(("allocs", a.allocs.to_string()));
+            fields.push(("alloc_bytes", a.bytes.to_string()));
+        }
+        if let Some(out) = &r.run {
+            if out.elapsed != r.virtual_time {
+                fields.push(("run_us", format!("{:.3}", out.elapsed.as_micros_f64())));
+            }
+            let (t, e) = (out.stats.total(), &out.stats.engine);
+            fields.extend([
+                ("events", out.events.to_string()),
+                ("peak_queue_depth", out.peak_queue_depth.to_string()),
+                ("epochs", e.epochs.to_string()),
+                ("deposits", e.deposits.to_string()),
+                ("batches", e.batches.to_string()),
+                ("wakes", e.wakes.to_string()),
+                ("msgs_per_batch", format!("{:.3}", e.msgs_per_batch())),
+                ("messages_sent", t.messages_sent.to_string()),
+                ("oam_attempts", t.oam_attempts.to_string()),
+                ("oam_successes", t.oam_successes.to_string()),
+                ("oam_promotions", t.oam_promotions.to_string()),
+                ("oam_reruns", t.oam_reruns.to_string()),
+                ("oam_nacks_sent", t.oam_nacks_sent.to_string()),
+                ("retransmits", t.retransmits.to_string()),
+            ]);
+        }
+        fields.extend(r.extra.iter().cloned());
+        s.push_str("    {\n");
+        for (j, (k, v)) in fields.iter().enumerate() {
+            let sep = if j + 1 < fields.len() { "," } else { "" };
+            let _ = writeln!(s, "      \"{k}\": {v}{sep}");
+        }
+        s.push_str(if i + 1 < rows.len() { "    },\n" } else { "    }\n" });
+    }
+    s.push_str("  ]\n}\n");
+    s
+}
+
+/// Write [`json_report`] to `path`, exiting with status 1 on failure.
+pub fn write_report(path: &Path, mode: &str, rows: &[Row]) {
+    match std::fs::write(path, json_report(mode, rows)) {
+        Ok(()) => println!("\n[json] {}", path.display()),
+        Err(e) => {
+            eprintln!("failed to write {}: {e}", path.display());
+            std::process::exit(1);
+        }
+    }
 }
 
 /// Column headers matching [`per_method_rows`].
@@ -106,25 +235,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     }
 }
 
-/// Write the same data as CSV under `<experiments_dir>/<name>.csv` and
-/// return the path written. Errors (directory creation, file write) are
-/// returned for the harness to surface.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> io::Result<PathBuf> {
-    let path = experiments_dir()?.join(format!("{name}.csv"));
-    let mut f = fs::File::create(&path)?;
-    writeln!(f, "{}", headers.join(","))?;
-    for row in rows {
-        writeln!(f, "{}", row.join(","))?;
-    }
-    println!("[csv] {}", path.display());
-    Ok(path)
-}
-
-/// Is the quick (CI-sized) mode requested?
-pub fn quick_mode() -> bool {
-    std::env::var("OAM_QUICK").map(|v| v != "0").unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,10 +246,10 @@ mod tests {
     }
 
     #[test]
-    fn experiments_dir_is_created_and_absolute() {
-        let dir = experiments_dir().expect("experiments dir");
-        assert!(dir.is_dir());
-        assert!(dir.is_absolute());
-        assert!(dir.ends_with("experiments"));
+    fn a_sequential_row_writes_only_its_time_and_answer() {
+        let json = json_report("paper", &[Row::new("seq", Dur::from_micros(2), 7, None)]);
+        assert!(json.contains("\"virtual_us\": 2.000,\n"), "{json}");
+        assert!(json.contains("\"answer\": 7\n"), "{json}");
+        assert!(!json.contains("events"), "{json}");
     }
 }

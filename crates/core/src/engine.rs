@@ -630,6 +630,7 @@ struct Tracked {
 /// frame closes means no later arrival can be stored at the address the
 /// frame's claim names, whether or not the body keeps the packet.
 struct Offline {
+    /// `None` once the body has finished or been dropped on a cancel.
     body: Option<BoxedCall>,
     engine: CallEngine,
     /// The call's frame and the packet that claimed it.
@@ -640,13 +641,13 @@ struct Offline {
 impl Offline {
     fn new(
         site: &MethodSite,
-        body: Option<BoxedCall>,
+        body: BoxedCall,
         track: Option<Tracked>,
         pkt: &Rc<Packet>,
         admit: Option<AdmitGuard>,
     ) -> Self {
         let frame = track.map(|t| (t, Rc::clone(pkt)));
-        Offline { body, engine: site.engine.clone(), frame, admit }
+        Offline { body: Some(body), engine: site.engine.clone(), frame, admit }
     }
 }
 
@@ -841,7 +842,8 @@ impl MethodSite {
     }
 
     /// One optimistic attempt: poll the handler future once on the current
-    /// stack, then resolve success or abort.
+    /// stack, then resolve success or abort. A suppressed duplicate pays
+    /// the entry charge and is answered by the claim; it is no attempt.
     fn run_optimistic(
         &self,
         am: &Am,
@@ -852,19 +854,19 @@ impl MethodSite {
     ) {
         let cost = &node.config().cost;
         let tag = pkt.tag;
+        node.add_pending(cost.oam_entry);
+        let call = OamCall { am: am.clone(), node: node.clone(), pkt: self.packet(pkt) };
+        let Claim::Run(track) = self.claim(&call) else {
+            // No frame names a suppressed copy's packet.
+            self.recycle(call.pkt);
+            return;
+        };
         {
             let mut st = node.stats().borrow_mut();
             st.oam_attempts += 1;
             st.method_mut(tag).attempts += 1;
         }
-        node.add_pending(cost.oam_entry);
-
-        let call = OamCall { am: am.clone(), node: node.clone(), pkt: self.packet(pkt) };
         let tid = node.reserve_provisional();
-        let (execute, track) = match self.claim(&call) {
-            Claim::Suppressed => (false, None),
-            Claim::Run(track) => (!track.is_some_and(|t| self.engine.cancelled(t)), track),
-        };
 
         // Optimistic inline execution: one poll on the current stack.
         let prev_mode = node.set_mode(ExecMode::Optimistic);
@@ -873,7 +875,7 @@ impl MethodSite {
         node.reset_handler_elapsed();
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
-        let suspended = if execute { self.body.attempt(&call, &mut cx) } else { None };
+        let suspended = self.body.attempt(&call, &mut cx);
         node.set_handler_budget_override(prev_budget);
         node.set_active_provisional_replace(prev_provisional);
         node.set_mode(prev_mode);
@@ -954,7 +956,7 @@ impl MethodSite {
                 return;
             }
         };
-        node.promote(tid, Offline::new(self, Some(thread), track, &call.pkt, admit));
+        node.promote(tid, Offline::new(self, thread, track, &call.pkt, admit));
         if let Some(t) = track {
             self.engine.record_tid(t, tid);
         }
@@ -964,7 +966,9 @@ impl MethodSite {
         self.after_attempt(node, tag, true);
     }
 
-    /// Thread-per-call dispatch (TRPC, or an adaptively demoted method).
+    /// Thread-per-call dispatch (TRPC, or an adaptively demoted method). A
+    /// suppressed duplicate pays the dispatch charge and is answered by the
+    /// claim; it gets no thread.
     fn run_threaded(
         &self,
         am: &Am,
@@ -975,17 +979,11 @@ impl MethodSite {
     ) {
         let tag = pkt.tag;
         node.add_pending(node.config().cost.trpc_dispatch);
-        node.stats().borrow_mut().method_mut(tag).threaded += 1;
         let call = OamCall { am: am.clone(), node: node.clone(), pkt: Rc::new(pkt) };
-        let (body, track) = match self.claim(&call) {
-            Claim::Suppressed => (None, None),
-            Claim::Run(track) => (Some(self.body.boxed(&call)), track),
-        };
-        let thread = Offline::new(self, body, track, &call.pkt, admit);
+        let Claim::Run(track) = self.claim(&call) else { return };
+        node.stats().borrow_mut().method_mut(tag).threaded += 1;
+        let thread = Offline::new(self, self.body.boxed(&call), track, &call.pkt, admit);
         let tid = node.spawn_incoming_at(thread, prio.placement());
-        // Only an arrival that claimed its frame names the thread: the
-        // empty thread of a suppressed duplicate must not take over the
-        // executing call's cancel wake.
         if let Some(t) = track {
             self.engine.record_tid(t, tid);
         }
@@ -1848,6 +1846,61 @@ mod tests {
         let st = stats[1].borrow();
         assert_eq!(st.dups_suppressed, 3);
         assert_eq!(st.oam_promotions, 1);
+        assert_eq!((st.oam_attempts, st.oam_successes), (2, 1), "copies are no attempts");
+    }
+
+    /// Retransmission on, `copies` arrivals of call 7 on a `policy` site
+    /// whose body waits for a lock the server holds until 200 µs, one
+    /// every 100 µs: a copy arriving while the call waits is dropped, a
+    /// later one is answered from the frame. Returns node 1's stats and
+    /// how many bodies ran.
+    fn run_copies(policy: ExecPolicy, copies: usize) -> (NodeStats, u32) {
+        let mut cfg = MachineConfig::cm5(2);
+        cfg.reliability.retransmit = true;
+        let (sim, am, engine, stats) = build(2, cfg);
+        am.register(NodeId(0), REPLY_ID, HandlerEntry::Inline(Rc::new(|_| {})));
+        let node1 = am.nodes()[1].clone();
+        let m = Mutex::new(&node1, ());
+        let ran = Rc::new(Cell::new(0u32));
+        let (m2, r2) = (m.clone(), ran.clone());
+        let body = CallBody::new(move |_call| {
+            let (m, ran) = (m2.clone(), r2.clone());
+            async move {
+                let _g = m.lock().await;
+                ran.set(ran.get() + 1);
+            }
+        });
+        let site = engine.site(policy, true, body);
+        am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
+        hold_lock_until(&sim, &node1, &m, 200_000);
+        send_in_order(&am, Dur::from_micros(100), vec![7u32.to_le_bytes().to_vec(); copies]);
+        sim.run();
+        let st = stats[1].borrow().clone();
+        (st, ran.get())
+    }
+
+    #[test]
+    fn a_suppressed_duplicate_is_not_an_optimistic_attempt() {
+        let (st, ran) = run_copies(ExecPolicy::orpc(), 4);
+        assert_eq!(ran, 1);
+        assert_eq!(st.dups_suppressed, 3);
+        assert_eq!(st.oam_attempts, u64::from(ran), "attempts equal bodies run");
+        assert_eq!((st.oam_successes, st.oam_promotions), (0, 1));
+        let m = &st.per_method[&CALL.0];
+        assert_eq!((m.attempts, m.inline_ok, m.promotions), (1, 0, 1));
+        // The lock holder and the promoted call.
+        assert_eq!(st.threads_created, 2);
+    }
+
+    #[test]
+    fn a_suppressed_duplicate_gets_no_thread_under_trpc() {
+        let (st, ran) = run_copies(ExecPolicy::trpc(), 4);
+        assert_eq!(ran, 1);
+        assert_eq!(st.dups_suppressed, 3);
+        // The lock holder and the one call.
+        assert_eq!(st.threads_created, 2);
+        assert_eq!(st.per_method[&CALL.0].threaded, 1);
+        assert_eq!(st.oam_attempts, 0);
     }
 
     /// Records the virtual time it is dropped at.
@@ -1867,8 +1920,7 @@ mod tests {
         // Retransmission on: a cancellable call parks on a lock the server
         // holds until 5 ms, and three copies of its request arrive while
         // it waits, each suppressed. A cancel at 1.5 ms must wake the
-        // thread running the call, under TRPC too, where each suppressed
-        // copy gets an empty thread of its own: the body is dropped long
+        // thread running the call, under TRPC too: the body is dropped long
         // before the lock comes free.
         for policy in [ExecPolicy::orpc(), ExecPolicy::trpc()] {
             let mode = policy.mode;

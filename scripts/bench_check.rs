@@ -1,13 +1,16 @@
 //! Benchmark gates, one per clock.
 //!
-//! **Deterministic gate.** Compares a fresh `BENCH_results.json` (written
-//! by the `perfsuite` binary) against the committed `BENCH_baseline.json`.
-//! Every gated column is a pure function of the workload, so any drift is
-//! a real change: sim rows (`"gates": "full"`) must reproduce `answer`,
-//! `events`, `virtual_us`, `peak_queue_depth`, `epochs`, `deposits` and
-//! `batches` exactly, and may grow `allocs` by at most 20% and `p99_us`
-//! by at most 25%; native rows (`"gates": "answer"`) must reproduce their
-//! answer. Host wall time is not read.
+//! **Deterministic gate.** Compares a fresh row report against its
+//! committed baseline: `BENCH_results.json` (written by the `perfsuite`
+//! binary) against `BENCH_baseline.json`, or `PAPER_results.json` (written
+//! by the `paper` binary) against `PAPER_rows.json`. Every gated column is
+//! a pure function of the workload, so any drift is a real change: sim
+//! rows (`"gates": "full"`) must reproduce `answer`, `events`,
+//! `virtual_us`, `run_us`, `peak_queue_depth`, `epochs`, `deposits`,
+//! `batches` and the OAM counters (attempts, successes, promotions,
+//! reruns, NACKs sent) exactly, and may grow `allocs` by at most 20% and
+//! `p99_us` by at most 25%; native rows (`"gates": "answer"`) must
+//! reproduce their answer. Host wall time is not read.
 //!
 //! **Host-time pairs.** `pairs <parent-rev>` builds e2ebench at the
 //! parent revision (a detached worktree under `.bench_build/`) and in the
@@ -24,20 +27,39 @@
 //! ```sh
 //! rustc -O --edition 2021 scripts/bench_check.rs -o bench_check
 //! ./bench_check BENCH_baseline.json BENCH_results.json
+//! ./bench_check PAPER_rows.json PAPER_results.json
 //! ./bench_check pairs origin/main        # from the repository root
+//! rustc --test --edition 2021 scripts/bench_check.rs -o bench_check_test && ./bench_check_test
 //! ```
 //!
-//! The parser handles exactly the JSON subset `perfsuite`, e2ebench and
-//! `BENCHMARK.json` use (flat string/number fields, arrays of flat
+//! The parser handles exactly the JSON subset the row reports, e2ebench
+//! and `BENCHMARK.json` use (flat string/number fields, arrays of flat
 //! objects) — it is not a general JSON parser and does not try to be.
+
+// The unit tests reach only the deterministic gate.
+#![cfg_attr(test, allow(dead_code))]
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
 /// Columns a `"full"` row must reproduce exactly. Native rows' peak queue
-/// depth follows thread timing, so only sim rows gate it.
-const EXACT_FULL: [&str; 7] =
-    ["answer", "events", "virtual_us", "peak_queue_depth", "epochs", "deposits", "batches"];
+/// depth follows thread timing, so only sim rows gate it. A column absent
+/// from both rows (a sequential baseline has no events) passes.
+const EXACT_FULL: [&str; 13] = [
+    "answer",
+    "events",
+    "virtual_us",
+    "run_us",
+    "peak_queue_depth",
+    "epochs",
+    "deposits",
+    "batches",
+    "oam_attempts",
+    "oam_successes",
+    "oam_promotions",
+    "oam_reruns",
+    "oam_nacks_sent",
+];
 
 /// One-sided growth bands on `"full"` rows: (column, max growth as a
 /// fraction of the baseline). Allocation counts differ by a handful
@@ -137,9 +159,13 @@ fn check_row(name: &str, gates: &str, base: &str, new: &str) -> Vec<String> {
 }
 
 fn deterministic_gate(base_path: &str, new_path: &str) -> Result<Vec<String>, String> {
-    let (base_json, new_json) = (read(base_path)?, read(new_path)?);
-    let base = array_bodies(&base_json, "suites");
-    let new = array_bodies(&new_json, "suites");
+    gate(&read(base_path)?, &read(new_path)?)
+}
+
+/// The deterministic gate over two row reports' contents.
+fn gate(base_json: &str, new_json: &str) -> Result<Vec<String>, String> {
+    let base = array_bodies(base_json, "suites");
+    let new = array_bodies(new_json, "suites");
     if base.is_empty() || new.is_empty() {
         return Err(format!("no suites parsed (baseline: {}, new: {})", base.len(), new.len()));
     }
@@ -423,13 +449,24 @@ fn compare(
     Ok(failures)
 }
 
+/// The binary that writes a row report: `paper` for the `PAPER_*` files,
+/// `perfsuite` for the rest.
+fn writer_of(path: &str) -> &'static str {
+    let file = Path::new(path).file_name().map(|f| f.to_string_lossy());
+    if file.is_some_and(|f| f.starts_with("PAPER")) {
+        "paper"
+    } else {
+        "perfsuite"
+    }
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
         ["pairs", parent] => pairs(parent),
         [base, new] if base != "pairs" => deterministic_gate(base, new),
         _ => {
-            eprintln!("usage: bench_check BENCH_baseline.json BENCH_results.json");
+            eprintln!("usage: bench_check BASELINE.json RESULTS.json   (BENCH_* or PAPER_* files)");
             eprintln!("       bench_check pairs <parent-rev>   (from the repository root)");
             return ExitCode::from(2);
         }
@@ -448,13 +485,96 @@ fn main() -> ExitCode {
             for f in &failures {
                 eprintln!("  - {f}");
             }
-            if args.len() == 2 && args[0] != "pairs" {
+            if let [base, _] = &args[..] {
                 eprintln!(
-                    "if intentional, re-record with `cargo run --release -p oam-bench --bin \
-                     perfsuite -- --quick --out BENCH_baseline.json`"
+                    "if intentional, re-record with `cargo run --release -p oam-bench --bin {} \
+                     -- --out {base}`",
+                    writer_of(base)
                 );
             }
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A `"full"` row body with `virtual_us` and `allocs` as given.
+    fn row(virtual_us: &str, allocs: u64) -> String {
+        format!(
+            "\"name\": \"r\", \"gates\": \"full\", \"virtual_us\": {virtual_us}, \
+             \"answer\": 7, \"allocs\": {allocs}"
+        )
+    }
+
+    fn report(rows: &[&str]) -> String {
+        let bodies: Vec<String> = rows.iter().map(|r| format!("{{{r}}}")).collect();
+        format!("{{\"schema\": 1, \"suites\": [{}]}}", bodies.join(", "))
+    }
+
+    #[test]
+    fn an_unchanged_row_passes() {
+        assert!(check_row("r", "full", &row("1.500", 10), &row("1.500", 10)).is_empty());
+    }
+
+    #[test]
+    fn a_moved_exact_column_fails() {
+        let failures = check_row("r", "full", &row("1.500", 10), &row("1.501", 10));
+        assert_eq!(failures, ["r: virtual_us 1.500 (baseline) vs 1.501 (result)"]);
+    }
+
+    #[test]
+    fn a_column_absent_on_both_sides_passes() {
+        // Neither row has `events` or the OAM counters: a sequential baseline.
+        let base = "\"name\": \"seq\", \"gates\": \"full\", \"virtual_us\": 2.000, \"answer\": 1";
+        assert!(check_row("seq", "full", base, base).is_empty());
+    }
+
+    #[test]
+    fn a_column_present_on_one_side_fails() {
+        let with = format!("{}, \"oam_reruns\": 0", row("1.500", 10));
+        let failures = check_row("r", "full", &with, &row("1.500", 10));
+        assert_eq!(failures, ["r: oam_reruns 0 (baseline) vs absent (result)"]);
+    }
+
+    #[test]
+    fn an_unknown_gates_level_fails() {
+        let failures = check_row("r", "exact", &row("1.500", 10), &row("1.500", 10));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].contains("unknown gates level \"exact\""), "{failures:?}");
+    }
+
+    #[test]
+    fn an_allocation_band_breach_fails_and_growth_within_it_passes() {
+        assert!(check_row("r", "full", &row("1.500", 100), &row("1.500", 120)).is_empty());
+        let failures = check_row("r", "full", &row("1.500", 100), &row("1.500", 121));
+        assert_eq!(failures.len(), 1);
+        assert!(failures[0].starts_with("r: allocs 100 (baseline) vs 121 (result)"), "{failures:?}");
+    }
+
+    #[test]
+    fn an_unknown_result_row_fails_the_gate() {
+        let base = report(&[&row("1.500", 10)]);
+        let extra = row("1.500", 10).replace("\"r\"", "\"new_row\"");
+        let new = report(&[&row("1.500", 10), &extra]);
+        let failures = gate(&base, &new).expect("both reports parse");
+        assert_eq!(failures, ["new_row: present in results but missing from the baseline"]);
+    }
+
+    #[test]
+    fn a_row_missing_from_the_results_fails_the_gate() {
+        let base = report(&[&row("1.500", 10)]);
+        let other = row("1.500", 10).replace("\"r\"", "\"other\"");
+        let failures = gate(&base, &report(&[&other])).expect("both reports parse");
+        assert!(failures.contains(&"r: missing from new results".to_string()), "{failures:?}");
+    }
+
+    #[test]
+    fn the_hint_names_the_writer_of_the_file() {
+        assert_eq!(writer_of("PAPER_rows.json"), "paper");
+        assert_eq!(writer_of("some/dir/PAPER_rows.json"), "paper");
+        assert_eq!(writer_of("BENCH_baseline.json"), "perfsuite");
     }
 }

@@ -60,10 +60,10 @@ fn trace_bytes(rec: &Recorder) -> Vec<u8> {
     buf.into_bytes()
 }
 
-const GOLDEN_TRACE_HASH: u64 = 0x958a_bdc7_0f8c_2a17;
+const GOLDEN_TRACE_HASH: u64 = 0x14bf_6a18_7eda_b5ff;
 const GOLDEN_ANSWER: u64 = 3187;
-const GOLDEN_END_NS: u64 = 294_721_862;
-const GOLDEN_EVENTS: u64 = 7607;
+const GOLDEN_END_NS: u64 = 294_735_204;
+const GOLDEN_EVENTS: u64 = 7581;
 
 #[test]
 fn fixed_seed_tsp_chaos_trace_is_byte_identical_to_the_pre_swap_golden() {
@@ -162,7 +162,7 @@ fn chaos_bulk() -> (Recorder, u64, u64, u64) {
     (rec, answer.get(), report.end_time.as_nanos(), report.events)
 }
 
-const GOLDEN_BULK_TRACE_HASH: u64 = 0x7c60_80e9_33c3_4516;
+const GOLDEN_BULK_TRACE_HASH: u64 = 0xd461_1ca6_950f_94c0;
 const GOLDEN_BULK_ANSWER: u64 = 20_478_066;
 const GOLDEN_BULK_END_NS: u64 = 49_768_450;
 const GOLDEN_BULK_EVENTS: u64 = 1107;
