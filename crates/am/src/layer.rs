@@ -28,6 +28,10 @@ use oam_threads::{Dispatcher, ExecMode, Flag, Node};
 
 use crate::handler::{AmToken, HandlerEntry, HandlerId, PacketHandler};
 
+/// Maximum nesting depth of inline handler dispatch on one node: handlers
+/// that send drain the network, which can run further handlers.
+const MAX_DISPATCH_DEPTH: usize = 8;
+
 struct AmInner {
     net: Network,
     cfg: Rc<MachineConfig>,
@@ -297,7 +301,7 @@ impl Am {
 
     /// May this node drain (dispatch) more deeply right now?
     fn can_drain(&self, idx: usize) -> bool {
-        self.inner.depth[idx].get() < self.inner.cfg.max_dispatch_depth
+        self.inner.depth[idx].get() < MAX_DISPATCH_DEPTH
     }
 }
 
@@ -372,7 +376,6 @@ impl Future for SendShort {
 mod tests {
     use super::*;
     use oam_model::NodeStats;
-    use oam_net::NetConfig;
     use oam_sim::Sim;
 
     pub(crate) fn build(
@@ -383,7 +386,7 @@ mod tests {
         let cfg = Rc::new(cfg);
         let stats: Vec<Rc<RefCell<NodeStats>>> =
             (0..nprocs).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
+        let net = Network::new(&sim, &cfg, stats.clone());
         let nodes: Vec<Node> = (0..nprocs)
             .map(|i| Node::new(&sim, NodeId(i), nprocs, Rc::clone(&cfg), Rc::clone(&stats[i])))
             .collect();

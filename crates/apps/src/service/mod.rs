@@ -21,6 +21,5 @@
 pub mod run;
 
 pub use run::{
-    run, sequential_capacity, ServiceOutcome, ServiceParams, ServiceVariant, KV_KEYS,
-    PENDING_BUDGET, SCAN_ID,
+    run, ServiceOutcome, ServiceParams, ServiceVariant, KV_KEYS, PENDING_BUDGET, SCAN_ID,
 };

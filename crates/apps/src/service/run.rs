@@ -8,10 +8,7 @@ use oam_machine::{
     arrivals_for, pace_until, run_partitioned, CallClass, OpenLoopConfig, OpenLoopTracker, Reducer,
     ShardApp,
 };
-use oam_model::{
-    AdaptivePolicy, AdmissionConfig, Backend, Dur, EnvOverlay, ExecPolicy, FaultPlan,
-    MachineConfig, NodeId, ReliabilityConfig,
-};
+use oam_model::{AdaptivePolicy, AdmissionConfig, Dur, ExecPolicy, MachineConfig, NodeId};
 use oam_rpc::{define_rpc_service, from_bytes, CallError, CallOpts};
 use oam_threads::Mutex;
 
@@ -162,24 +159,11 @@ pub struct ServiceParams {
     pub arrivals: u32,
     /// Per-request deadline.
     pub deadline: Dur,
-    /// Machine seed (drives both the fabric and the arrival schedules).
-    pub seed: u64,
     /// Serve heavy requests through the streaming scan (`Kv::scan_stream`
     /// sessions: chunked replies, cancel-on-expiry) instead of the
     /// single-shot `Kv::scan`. Off by default — the default wire traffic
     /// stays byte-identical to the legacy single-shot protocol.
     pub streaming: bool,
-    /// Optional fault plan (chaos testing). When set, retransmission is
-    /// turned on as well, so every surviving effect stays exactly-once.
-    pub fault: Option<FaultPlan>,
-    /// The host-parallel engine's shard count (`0` keeps the machine
-    /// default, one shard).
-    pub shards: usize,
-    /// The execution backend (`None` keeps the machine default, the
-    /// simulator).
-    pub backend: Option<Backend>,
-    /// The delivery batch size (`None` keeps the machine default).
-    pub batch: Option<u32>,
 }
 
 impl Default for ServiceParams {
@@ -192,31 +176,14 @@ impl Default for ServiceParams {
             load_x100: 100,
             arrivals: 192,
             deadline: Dur::from_micros(5_000),
-            seed: 0x5e41_11ce,
             streaming: false,
-            fault: None,
-            shards: 0,
-            backend: None,
-            batch: None,
         }
     }
 }
 
 impl ServiceParams {
-    /// These parameters with `env`'s overrides: its shard count (clamped
-    /// to the node count, like [`EnvOverlay::apply`]), backend and batch
-    /// size replace the ones set here.
-    pub fn with_env(self, env: EnvOverlay) -> Self {
-        let nodes = self.servers + self.drivers;
-        ServiceParams {
-            shards: env.shards.map_or(self.shards, |s| s.min(nodes)),
-            backend: env.backend.or(self.backend),
-            batch: env.batch.or(self.batch),
-            ..self
-        }
-    }
-
-    fn open_loop(&self) -> OpenLoopConfig {
+    /// The arrival process, its schedule drawn from the machine `seed`.
+    fn open_loop(&self, seed: u64) -> OpenLoopConfig {
         OpenLoopConfig {
             arrivals: self.arrivals,
             keys: KV_KEYS,
@@ -224,7 +191,7 @@ impl ServiceParams {
             // knee of one server under this mix (promoted scans plus the
             // stripe-lock convoys behind them dominate).
             mean_gap: Dur::from_micros(1_000),
-            seed: self.seed ^ 0x6f70_656e_6c6f_6f70,
+            seed: seed ^ 0x6f70_656e_6c6f_6f70,
             ..OpenLoopConfig::default()
         }
         .at_load_x100(self.load_x100)
@@ -264,55 +231,26 @@ pub struct ServiceOutcome {
     pub goodput_per_sec: f64,
 }
 
-/// A rough capacity figure for sanity checks: virtual time one server
-/// needs to execute one driver's request mix sequentially.
-pub fn sequential_capacity(params: &ServiceParams) -> Dur {
-    let arr = arrivals_for(&params.open_loop(), 0);
-    let mut t = Dur::ZERO;
-    let slots = (KV_KEYS as usize).div_ceil(params.servers * STRIPES as usize) + 1;
-    for a in &arr {
-        t += match a.class {
-            CallClass::Heavy => SCAN_SLOT_COST.times(slots as u64),
-            CallClass::Cheap if a.client % 10 < 3 => PUT_COST,
-            CallClass::Cheap => GET_COST,
-        };
-    }
-    t
-}
-
-/// Run the open-loop service experiment.
-pub fn run(params: ServiceParams) -> ServiceOutcome {
-    let nprocs = params.servers + params.drivers;
+/// Run the open-loop service experiment on `cfg`, which must have
+/// `servers + drivers` nodes. Its seed also draws the arrival schedules. A
+/// chaos run sets a fault plan and turns retransmission on in `cfg`, so
+/// every surviving effect stays exactly-once; the service adds its
+/// admission control and, for the adaptive variant, its method policies.
+pub fn run(cfg: MachineConfig, params: ServiceParams) -> ServiceOutcome {
     assert!(params.servers > 0 && params.drivers > 0);
+    assert_eq!(cfg.nodes, params.servers + params.drivers, "one node per server and driver");
+    let seed = cfg.seed;
     let admission = if params.admission {
         // Tighter than the library default: the budget bounds the admitted
         // queue to roughly what the deadline can absorb at this scale.
-        AdmissionConfig {
-            pending_budget: PENDING_BUDGET,
-            overload_demote_depth: 6,
-            ..AdmissionConfig::default()
-        }
+        AdmissionConfig { pending_budget: PENDING_BUDGET, overload_demote_depth: 6 }
     } else {
         // Unbounded admission: the deadline header and expiry checks stay
         // active (so the comparison measures the same SLO), but nothing is
         // ever shed and the overload signal is off.
-        AdmissionConfig {
-            pending_budget: usize::MAX / 2,
-            overload_demote_depth: 0,
-            ..AdmissionConfig::default()
-        }
+        AdmissionConfig { pending_budget: usize::MAX / 2, overload_demote_depth: 0 }
     };
-    let mut cfg = MachineConfig::cm5(nprocs).with_seed(params.seed).with_admission(admission);
-    if let Some(plan) = params.fault.clone() {
-        cfg = cfg.with_fault_plan(plan).with_reliability(ReliabilityConfig::retransmitting());
-    }
-    if params.shards > 0 {
-        cfg = cfg.with_shards(params.shards);
-    }
-    if let Some(b) = params.backend {
-        cfg = cfg.with_backend(b);
-    }
-    cfg.tuning.batch = params.batch;
+    let mut cfg = cfg.with_admission(admission);
     if params.variant == ServiceVariant::Adaptive {
         for id in [Kv::get::ID, Kv::put::ID, Kv::scan::ID, Kv::scan_stream::ID] {
             cfg = cfg.with_policy(id.0, ExecPolicy::adaptive(AdaptivePolicy::default()));
@@ -350,7 +288,7 @@ pub fn run(params: ServiceParams) -> ServiceOutcome {
                         // issue one deadline-bearing call per arrival
                         // without waiting for the previous one.
                         let tracker = OpenLoopTracker::new();
-                        let arrivals = arrivals_for(&p.open_loop(), me - p.servers);
+                        let arrivals = arrivals_for(&p.open_loop(seed), me - p.servers);
                         for a in arrivals {
                             pace_until(env.node(), t0 + a.at).await;
                             tracker.begin();
@@ -453,14 +391,20 @@ pub fn run(params: ServiceParams) -> ServiceOutcome {
 mod tests {
     use super::*;
 
+    /// The four-node machine at the seed the service's tests were
+    /// recorded with.
+    fn machine() -> MachineConfig {
+        MachineConfig::cm5(4).with_seed(0x5e41_11ce)
+    }
+
     fn small() -> ServiceParams {
         ServiceParams { arrivals: 96, ..ServiceParams::default() }
     }
 
     #[test]
     fn service_runs_and_answers_deterministically() {
-        let a = run(small());
-        let b = run(small());
+        let a = run(machine(), small());
+        let b = run(machine(), small());
         assert_eq!(a.app.answer, b.app.answer);
         assert_eq!(a.app.elapsed, b.app.elapsed);
         assert_eq!(a.completed, b.completed);
@@ -477,8 +421,8 @@ mod tests {
     #[test]
     fn streaming_scan_mode_is_deterministic_and_retires_every_session() {
         let p = ServiceParams { streaming: true, ..small() };
-        let a = run(p.clone());
-        let b = run(p.clone());
+        let a = run(machine(), p.clone());
+        let b = run(machine(), p.clone());
         assert_eq!(a.app.answer, b.app.answer);
         assert_eq!(a.app.elapsed, b.app.elapsed);
         assert!(a.sessions_opened > 0, "heavy arrivals open sessions");
@@ -499,7 +443,7 @@ mod tests {
 
     #[test]
     fn latency_quantiles_are_ordered() {
-        let o = run(small());
+        let o = run(machine(), small());
         assert!(o.p50 <= o.p99);
         assert!(o.p99 <= o.p999);
         assert!(o.p50 > Dur::ZERO);
@@ -508,8 +452,8 @@ mod tests {
 
     #[test]
     fn overload_without_admission_blows_the_tail() {
-        let adm = run(ServiceParams { load_x100: 200, ..small() });
-        let raw = run(ServiceParams { load_x100: 200, admission: false, ..small() });
+        let adm = run(machine(), ServiceParams { load_x100: 200, ..small() });
+        let raw = run(machine(), ServiceParams { load_x100: 200, admission: false, ..small() });
         assert_eq!(raw.shed, 0, "unbounded admission never sheds");
         // The admission-controlled run bounds what the servers accept; the
         // raw run lets queues grow and pays for it in tail latency or
@@ -527,7 +471,7 @@ mod tests {
     #[test]
     fn variants_run_on_all_dispatch_modes() {
         for v in [ServiceVariant::Orpc, ServiceVariant::Trpc, ServiceVariant::Adaptive] {
-            let o = run(ServiceParams { variant: v, ..small() });
+            let o = run(machine(), ServiceParams { variant: v, ..small() });
             assert!(o.completed > 0, "{}", v.label());
             if v == ServiceVariant::Trpc {
                 assert_eq!(o.app.stats.total().oam_attempts, 0);

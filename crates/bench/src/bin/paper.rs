@@ -542,8 +542,11 @@ define_rpc_service! {
 /// latency. The row's time is the mean probe round trip; its run's
 /// elapsed time is the whole run.
 fn handler_budget_run(budget_us: u64, chunks: u32) -> Row {
-    let m =
-        MachineBuilder::new(3).tweak(|c| c.handler_budget = Dur::from_micros(budget_us)).build();
+    let m = MachineBuilder::from_config(MachineConfig {
+        handler_budget: Dur::from_micros(budget_us),
+        ..MachineConfig::cm5(3)
+    })
+    .build();
     for node in m.nodes() {
         Work::register_all(m.rpc(), node.id(), Rc::new(WorkState), System::Orpc.rpc_mode());
     }

@@ -25,7 +25,7 @@ use oam_apps::water::{WaterParams, WaterVariant};
 use oam_apps::{sor, tsp, water, AppOutcome, System};
 use oam_bench::report::{out_path, write_report, Row};
 use oam_machine::MachineBuilder;
-use oam_model::{Backend, Dur, FaultPlan, MachineConfig, NodeId, ReliabilityConfig};
+use oam_model::{Backend, Dur, FaultPlan, MachineConfig, NodeId};
 use oam_rpc::define_rpc_service;
 use oam_sim::{alloc_snapshot, CountingAlloc};
 
@@ -102,9 +102,7 @@ fn service_row(o: service::ServiceOutcome) -> (AppOutcome, Vec<(&'static str, St
 
 fn chaos_cfg(nodes: usize, p: f64) -> MachineConfig {
     let plan = FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20));
-    MachineConfig::cm5(nodes)
-        .with_fault_plan(plan)
-        .with_reliability(ReliabilityConfig::retransmitting())
+    MachineConfig::cm5(nodes).with_fault_plan(plan).with_retransmission()
 }
 
 /// Run `body` once, bracketing it with allocator snapshots. Every gated
@@ -237,7 +235,8 @@ fn run_suites() -> Vec<Row> {
         // Close frames). The latency quantiles are virtual-time, hence
         // deterministic; bench_check gates p99 drift.
         measure("service_stream_scan", "full", || {
-            service::run(ServiceParams { arrivals: 96, streaming: true, ..Default::default() })
+            let cfg = MachineConfig::cm5(4).with_seed(0x5e41_11ce);
+            service::run(cfg, ServiceParams { arrivals: 96, streaming: true, ..Default::default() })
                 .into()
         }),
         // Native host-threads backend rows: modeled compute charges pace

@@ -29,11 +29,12 @@
 //! Under [`CallMode::Trpc`] every call is dispatched straight to a fresh
 //! thread — Traditional RPC, the paper's comparison baseline (§3.2).
 //!
-//! Which of the two a method uses, how aborts resolve, and how long the
-//! optimistic attempt may run are all per-method knobs carried by
-//! [`ExecPolicy`] (`MachineConfig::policies`, falling back to the global
-//! defaults), so one [`MethodSite`] registry entry serves both modes — the
-//! old `OptimisticEntry`/`ThreadedEntry` split is gone.
+//! Which of the two a method uses, and whether it adapts, is a per-method
+//! [`ExecPolicy`] (`MachineConfig::policies`, falling back to the mode the
+//! method registered with); how aborts resolve and how long the optimistic
+//! attempt may run are machine-wide (`MachineConfig::abort_strategy`,
+//! `MachineConfig::handler_budget`). One [`MethodSite`] registry entry
+//! serves both modes.
 //!
 //! # Adaptive dispatch
 //!
@@ -102,7 +103,7 @@ use oam_model::{
     AbortReason, AbortStrategy, AdaptivePolicy, AdmissionConfig, CallMode, Dur, ExecPolicy,
     MachineConfig, NodeId, NodeTable, TraceKind,
 };
-use oam_net::{Packet, PayloadBuf};
+use oam_net::{Packet, PayloadBuf, SHORT_PAYLOAD_MAX};
 use oam_threads::{ExecMode, Node, Placement, ThreadId};
 
 /// `call_id` marking a one-way (asynchronous) RPC: nothing to correlate,
@@ -403,7 +404,7 @@ impl CallEngine {
     /// Build the engine serving the server nodes `owned` (the nodes this
     /// machine replica executes).
     pub fn new(cfg: Rc<MachineConfig>, owned: Range<usize>) -> Self {
-        let dedup_on = cfg.reliability.retransmit || cfg.fault_plan.is_some();
+        let dedup_on = cfg.retransmit || cfg.fault_plan.is_some();
         let admission = cfg.admission;
         let counted = if admission.is_some() { owned.clone() } else { owned.start..owned.start };
         let pending = NodeTable::new(counted, |_| Rc::new(Cell::new(0)));
@@ -468,7 +469,7 @@ impl CallEngine {
     /// (the caller is waiting); one-way calls resolved as NACK fall back to
     /// rerun.
     pub fn site(&self, policy: ExecPolicy, expects_reply: bool, body: CallBody) -> MethodSite {
-        let mut abort = policy.abort.unwrap_or(self.inner.cfg.abort_strategy);
+        let mut abort = self.inner.cfg.abort_strategy;
         let nack_fallback = abort == AbortStrategy::Nack && !expects_reply;
         if nack_fallback {
             abort = AbortStrategy::Rerun;
@@ -487,7 +488,6 @@ impl CallEngine {
             body: body.0,
             abort,
             nack_fallback,
-            budget: policy.handler_budget,
             static_mode: policy.mode,
             expects_reply,
             cancellable: false,
@@ -570,18 +570,21 @@ impl CallEngine {
         }
     }
 
+    /// Upper bound on the retry-after hint a NACK may carry.
+    const RETRY_AFTER_CAP: Dur = Dur::from_micros(500);
+
     /// The retry-after hint a NACK leaving `sidx` carries on a machine
     /// with admission control: the admitted pending-call depth scaled by
-    /// the NACK back-off base, capped by the configured ceiling. It
+    /// the NACK back-off base, capped at [`Self::RETRY_AFTER_CAP`]. It
     /// deliberately ignores the NI input backlog: that snapshot depends on
     /// same-timestamp event micro-order, which the host-parallel engine
     /// does not reproduce, and a hint on the wire must be
     /// partition-invariant. `None` without admission control.
     fn retry_after_us(&self, sidx: usize) -> Option<u32> {
-        let adm = self.inner.admission?;
+        self.inner.admission?;
         let depth = self.inner.pending[sidx].get() as u64;
         let base_ns = self.inner.cfg.cost.nack_backoff_base.as_nanos();
-        let hint_ns = depth.saturating_mul(base_ns).min(adm.retry_after_cap.as_nanos());
+        let hint_ns = depth.saturating_mul(base_ns).min(Self::RETRY_AFTER_CAP.as_nanos());
         Some((hint_ns / 1_000).max(1) as u32)
     }
 
@@ -693,14 +696,13 @@ struct AdaptiveState {
 pub struct MethodSite {
     engine: CallEngine,
     body: Box<dyn Body>,
-    /// Resolved abort resolution (per-method override, else global).
+    /// Resolved abort resolution: the machine-wide strategy, with
+    /// [`AbortStrategy::Nack`] falling back to rerun on one-way methods.
     abort: AbortStrategy,
-    /// The policy asked for [`AbortStrategy::Nack`] on a one-way method;
-    /// the resolution fell back to rerun (no caller to NACK) and aborts
+    /// The machine asks for [`AbortStrategy::Nack`] and this method is
+    /// one-way: the resolution fell back to rerun (no caller to NACK) and aborts
     /// count as [`oam_model::MethodStats::nack_fallback_reruns`].
     nack_fallback: bool,
-    /// Per-method optimistic run-length budget override.
-    budget: Option<Dur>,
     static_mode: CallMode,
     /// The method replies (an `rpc`, not a `oneway`): only these calls are
     /// subject to admission control and deadlines — their caller can see
@@ -814,7 +816,11 @@ impl MethodSite {
         call.node.stats().borrow_mut().dups_suppressed += 1;
         call.node.emit(TraceKind::DupSuppressed { caller, call_id });
         if let Some(reply) = resend {
-            call.am.send_from_handler(&call.node, caller, REPLY_ID, reply);
+            if reply.len() > SHORT_PAYLOAD_MAX {
+                call.am.send_bulk(&call.node, caller, REPLY_ID, reply);
+            } else {
+                call.am.send_from_handler(&call.node, caller, REPLY_ID, reply);
+            }
         }
         Claim::Suppressed
     }
@@ -871,12 +877,10 @@ impl MethodSite {
         // Optimistic inline execution: one poll on the current stack.
         let prev_mode = node.set_mode(ExecMode::Optimistic);
         let prev_provisional = node.set_active_provisional_replace(Some(tid));
-        let prev_budget = node.set_handler_budget_override(self.budget);
         node.reset_handler_elapsed();
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
         let suspended = self.body.attempt(&call, &mut cx);
-        node.set_handler_budget_override(prev_budget);
         node.set_active_provisional_replace(prev_provisional);
         node.set_mode(prev_mode);
 
@@ -1143,7 +1147,7 @@ mod tests {
     use super::*;
     use oam_am::{HandlerEntry, HandlerId};
     use oam_model::{Dur, MachineConfig, NodeId, NodeStats};
-    use oam_net::{NetConfig, Network};
+    use oam_net::Network;
     use oam_sim::Sim;
     use oam_threads::{CondVar, Mutex};
     use std::cell::{Cell, RefCell};
@@ -1156,7 +1160,7 @@ mod tests {
         let cfg = Rc::new(cfg);
         let stats: Vec<Rc<RefCell<NodeStats>>> =
             (0..nprocs).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
+        let net = Network::new(&sim, &cfg, stats.clone());
         let nodes: Vec<Node> = (0..nprocs)
             .map(|i| Node::new(&sim, NodeId(i), nprocs, Rc::clone(&cfg), Rc::clone(&stats[i])))
             .collect();
@@ -1456,37 +1460,6 @@ mod tests {
     }
 
     #[test]
-    fn per_method_budget_override_lets_long_handlers_finish_inline() {
-        // Same 500 µs handler as the too-long test, but the method's policy
-        // raises the budget above the machine's 200 µs default: every
-        // checkpoint passes and the call completes inline.
-        let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2));
-        let finished = Rc::new(Cell::new(false));
-        let f = finished.clone();
-        let body = CallBody::new(move |call| {
-            let node = call.node.clone();
-            let f = f.clone();
-            async move {
-                for _ in 0..10 {
-                    node.charge(Dur::from_micros(50)).await;
-                    node.checkpoint().await;
-                }
-                f.set(true);
-            }
-        });
-        let policy = ExecPolicy::orpc().with_budget(Dur::from_micros(1_000));
-        let site = engine.site(policy, true, body);
-        am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
-        send_one(&am, vec![]);
-        sim.run();
-        assert!(finished.get());
-        let st = stats[1].borrow();
-        assert_eq!(st.oam_successes, 1);
-        assert_eq!(st.total_aborts(), 0);
-        assert_eq!(st.threads_created, 0);
-    }
-
-    #[test]
     fn network_full_aborts_when_auto_drain_disabled() {
         let mut cfg = MachineConfig::cm5(3);
         cfg.auto_drain_on_handler_send = false;
@@ -1551,11 +1524,13 @@ mod tests {
 
     #[test]
     fn adaptive_site_demotes_reprobes_and_redemotes_deterministically() {
-        // Handler always trips RanTooLong under a tiny per-method budget, so
-        // every optimistic attempt aborts. Adaptive windows: demote after 2
-        // attempts, re-probe after 3 threaded calls, settle the probe after
-        // 2 attempts.
-        let (sim, am, engine, stats) = build(2, MachineConfig::cm5(2));
+        // Handler always trips RanTooLong under a tiny machine-wide budget,
+        // so every optimistic attempt aborts. Adaptive windows: demote
+        // after 2 attempts, re-probe after 3 threaded calls, settle the
+        // probe after 2 attempts.
+        let mut cfg = MachineConfig::cm5(2);
+        cfg.handler_budget = Dur::from_micros(10);
+        let (sim, am, engine, stats) = build(2, cfg);
         let body = CallBody::new(move |call| {
             let node = call.node.clone();
             async move {
@@ -1570,7 +1545,7 @@ mod tests {
             probe_window: 2,
             promote_abort_pct: 0,
         };
-        let policy = ExecPolicy::adaptive(adaptive).with_budget(Dur::from_micros(10));
+        let policy = ExecPolicy::adaptive(adaptive);
         let site = engine.site(policy, true, body);
         am.register(NodeId(1), CALL, HandlerEntry::Custom(Rc::new(site)));
         // 10 sequential calls: 2 attempts (abort, abort) → demote; 3
@@ -1807,7 +1782,7 @@ mod tests {
         // address. Recycled packet storage reuses addresses, so every frame
         // must release its claim when its call completes inline.
         let mut cfg = MachineConfig::cm5(2);
-        cfg.reliability.retransmit = true;
+        cfg.retransmit = true;
         let (sim, am, engine, stats) = build(2, cfg);
         let resent: Rc<RefCell<Vec<u32>>> = Rc::default();
         let r2 = resent.clone();
@@ -1856,7 +1831,7 @@ mod tests {
     /// how many bodies ran.
     fn run_copies(policy: ExecPolicy, copies: usize) -> (NodeStats, u32) {
         let mut cfg = MachineConfig::cm5(2);
-        cfg.reliability.retransmit = true;
+        cfg.retransmit = true;
         let (sim, am, engine, stats) = build(2, cfg);
         am.register(NodeId(0), REPLY_ID, HandlerEntry::Inline(Rc::new(|_| {})));
         let node1 = am.nodes()[1].clone();
@@ -1925,7 +1900,7 @@ mod tests {
         for policy in [ExecPolicy::orpc(), ExecPolicy::trpc()] {
             let mode = policy.mode;
             let mut cfg = MachineConfig::cm5(2);
-            cfg.reliability.retransmit = true;
+            cfg.retransmit = true;
             let (sim, am, engine, stats) = build(2, cfg);
             let node1 = am.nodes()[1].clone();
             let m = Mutex::new(&node1, ());

@@ -8,10 +8,9 @@ use std::rc::Rc;
 
 use oam_am::Am;
 use oam_model::{
-    AbortStrategy, CostModel, Dur, EngineCounters, ExecPolicy, MachineConfig, MachineStats, NodeId,
-    NodeStats, NodeTable, QueuePolicy, Time,
+    Dur, EngineCounters, MachineConfig, MachineStats, NodeId, NodeStats, NodeTable, Time,
 };
-use oam_net::{EpochPort, NetConfig, Network};
+use oam_net::{EpochPort, Network};
 use oam_rpc::Rpc;
 use oam_sim::Sim;
 use oam_threads::{Flag, Node};
@@ -23,8 +22,9 @@ use crate::watchdog::{HangKind, HangReport, NodeHangInfo};
 ///
 /// ```
 /// use oam_machine::MachineBuilder;
+/// use oam_model::MachineConfig;
 ///
-/// let machine = MachineBuilder::new(4).seed(7).build();
+/// let machine = MachineBuilder::from_config(MachineConfig::cm5(4).with_seed(7)).build();
 /// let report = machine.run(|env| async move {
 ///     env.charge_micros(10).await;
 ///     env.barrier().await;
@@ -41,53 +41,9 @@ impl MachineBuilder {
         MachineBuilder { cfg: MachineConfig::cm5(nodes) }
     }
 
-    /// An Alewife-like machine (shallow network buffering).
-    pub fn alewife_like(nodes: usize) -> Self {
-        MachineBuilder { cfg: MachineConfig::alewife_like(nodes) }
-    }
-
     /// Start from an explicit configuration.
     pub fn from_config(cfg: MachineConfig) -> Self {
         MachineBuilder { cfg }
-    }
-
-    /// Seed for all deterministic randomness.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Run-queue placement for incoming RPC threads.
-    pub fn queue_policy(mut self, p: QueuePolicy) -> Self {
-        self.cfg.queue_policy = p;
-        self
-    }
-
-    /// Resolution of aborted optimistic executions.
-    pub fn abort_strategy(mut self, s: AbortStrategy) -> Self {
-        self.cfg.abort_strategy = s;
-        self
-    }
-
-    /// Attach a per-method execution policy: mode, abort resolution,
-    /// optimistic run-length budget, adaptive switching. Overrides the mode
-    /// the service registers with; methods without a policy keep the global
-    /// defaults.
-    pub fn policy(mut self, method: oam_am::HandlerId, p: ExecPolicy) -> Self {
-        self.cfg.policies.insert(method.0, p);
-        self
-    }
-
-    /// Replace the cost model.
-    pub fn cost_model(mut self, c: CostModel) -> Self {
-        self.cfg.cost = c;
-        self
-    }
-
-    /// Mutate the configuration in place (escape hatch for experiments).
-    pub fn tweak(mut self, f: impl FnOnce(&mut MachineConfig)) -> Self {
-        f(&mut self.cfg);
-        self
     }
 
     /// Build the machine: simulation, network, node runtimes, AM layer,
@@ -134,7 +90,7 @@ impl MachineBuilder {
         );
         let cfg = Rc::new(self.cfg);
         let stats = NodeTable::new(owned.clone(), |_| Rc::new(RefCell::new(NodeStats::new())));
-        let net = Network::new_backend(&sim, NetConfig::from_machine(&cfg), stats.clone(), port);
+        let net = Network::new_backend(&sim, &cfg, stats.clone(), port);
         let nodes = NodeTable::new(owned.clone(), |id| {
             Node::new(&sim, id, cfg.nodes, Rc::clone(&cfg), Rc::clone(&stats[id.index()]))
         });
@@ -562,6 +518,7 @@ impl NodeEnv {
 mod tests {
     use super::*;
     use crate::collective::Reducer;
+    use oam_model::{ExecPolicy, QueuePolicy};
     use std::cell::Cell;
 
     #[test]
@@ -598,7 +555,7 @@ mod tests {
     #[test]
     fn identical_seeds_reproduce_identical_runs() {
         fn run_once() -> (Time, u64) {
-            let m = MachineBuilder::new(4).seed(99).build();
+            let m = MachineBuilder::from_config(MachineConfig::cm5(4).with_seed(99)).build();
             let r = m.run(|env| async move {
                 for i in 0..3u64 {
                     env.charge_micros(7 + i + env.id().index() as u64).await;
@@ -613,7 +570,8 @@ mod tests {
     #[test]
     fn rpc_through_env_works_under_both_policies() {
         for policy in [QueuePolicy::Front, QueuePolicy::Back] {
-            let m = MachineBuilder::new(2).queue_policy(policy).build();
+            let cfg = MachineConfig::cm5(2).with_queue_policy(policy);
+            let m = MachineBuilder::from_config(cfg).build();
             let hits = Rc::new(Cell::new(0u32));
             let h = hits.clone();
             // Register a raw ORPC handler via the runtime primitives.
@@ -661,10 +619,11 @@ mod tests {
 
     #[test]
     fn per_method_policy_overrides_registration_mode() {
-        // Registered as ORPC, but the builder forces this method to TRPC:
+        // Registered as ORPC, but the config forces this method to TRPC:
         // the call must never be attempted optimistically.
         let id = oam_rpc::handler_id_for("test::forced");
-        let m = MachineBuilder::new(2).policy(id, ExecPolicy::trpc()).build();
+        let cfg = MachineConfig::cm5(2).with_policy(id.0, ExecPolicy::trpc());
+        let m = MachineBuilder::from_config(cfg).build();
         let hits = Rc::new(Cell::new(0u32));
         for node in m.nodes() {
             let h = hits.clone();
@@ -702,12 +661,5 @@ mod tests {
             env.charge_micros(1).await;
         });
         assert_eq!(report.stats.method_name(id.0), "Named::probe");
-    }
-
-    #[test]
-    fn builder_tweak_applies() {
-        let m = MachineBuilder::new(2).tweak(|c| c.ni_out_capacity = 9).build();
-        assert_eq!(m.config().ni_out_capacity, 9);
-        assert_eq!(m.nodes().len(), 2);
     }
 }

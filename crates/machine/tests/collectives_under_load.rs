@@ -6,7 +6,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use oam_machine::{MachineBuilder, Reducer};
-use oam_model::{AbortStrategy, NodeId, QueuePolicy};
+use oam_model::{AbortStrategy, MachineConfig, NodeId, QueuePolicy};
 use oam_rpc::{define_rpc_service, RpcMode};
 
 pub struct PokeState {
@@ -96,8 +96,9 @@ fn every_config_combination_completes_a_mixed_workload() {
     for policy in [QueuePolicy::Front, QueuePolicy::Back] {
         for strategy in [AbortStrategy::Promote, AbortStrategy::Rerun, AbortStrategy::Nack] {
             for mode in [RpcMode::Orpc, RpcMode::Trpc] {
-                let m =
-                    MachineBuilder::new(4).queue_policy(policy).abort_strategy(strategy).build();
+                let cfg =
+                    MachineConfig::cm5(4).with_queue_policy(policy).with_abort_strategy(strategy);
+                let m = MachineBuilder::from_config(cfg).build();
                 let states = setup_mode(&m, mode);
                 let st = Rc::clone(&states);
                 let report = m.try_run(move |env| {
@@ -121,7 +122,7 @@ fn every_config_combination_completes_a_mixed_workload() {
 
 #[test]
 fn alewife_like_machines_run_the_same_workload() {
-    let m = MachineBuilder::alewife_like(4).build();
+    let m = MachineBuilder::from_config(MachineConfig::alewife_like(4)).build();
     let states = setup(&m);
     let st = Rc::clone(&states);
     m.run(move |env| {

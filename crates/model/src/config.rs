@@ -131,31 +131,26 @@ impl AdaptivePolicy {
     }
 }
 
-/// Per-method execution policy: everything the call engine needs to decide
-/// how one remote procedure runs. `None` fields inherit the machine-wide
-/// configuration, so a default policy built from a registration mode is
-/// behaviourally identical to the pre-policy runtime.
+/// Per-method execution policy: the dispatch mode one remote procedure
+/// starts in, and whether it adapts. Abort resolution and the optimistic
+/// run-length budget are machine-wide ([`MachineConfig::abort_strategy`],
+/// [`MachineConfig::handler_budget`]), so a default policy built from a
+/// registration mode is behaviourally identical to the pre-policy runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExecPolicy {
     /// Initial dispatch mode.
     pub mode: CallMode,
-    /// Abort resolution; `None` inherits [`MachineConfig::abort_strategy`].
-    pub abort: Option<AbortStrategy>,
-    /// Optimistic run-length budget; `None` inherits
-    /// [`MachineConfig::handler_budget`].
-    pub handler_budget: Option<Dur>,
     /// Adaptive ORPC→TRPC demotion; `None` keeps the mode fixed.
     pub adaptive: Option<AdaptivePolicy>,
 }
 
 impl ExecPolicy {
-    /// The default policy for a registration in `mode`: inherit every
-    /// machine-wide setting, no adaptation.
+    /// The default policy for a registration in `mode`: no adaptation.
     pub fn for_mode(mode: CallMode) -> Self {
-        ExecPolicy { mode, abort: None, handler_budget: None, adaptive: None }
+        ExecPolicy { mode, adaptive: None }
     }
 
-    /// Optimistic execution with inherited abort strategy and budget.
+    /// Optimistic execution.
     pub fn orpc() -> Self {
         Self::for_mode(CallMode::Orpc)
     }
@@ -168,18 +163,6 @@ impl ExecPolicy {
     /// Optimistic execution with adaptive demotion to TRPC.
     pub fn adaptive(a: AdaptivePolicy) -> Self {
         ExecPolicy { adaptive: Some(a), ..Self::orpc() }
-    }
-
-    /// Builder-style abort-strategy override.
-    pub fn with_abort(mut self, s: AbortStrategy) -> Self {
-        self.abort = Some(s);
-        self
-    }
-
-    /// Builder-style handler-budget override.
-    pub fn with_budget(mut self, d: Dur) -> Self {
-        self.handler_budget = Some(d);
-        self
     }
 
     /// Validate internal consistency.
@@ -211,8 +194,6 @@ pub struct AdmissionConfig {
     /// promoted, rerun, or queued as threads). Arrivals beyond this are
     /// shed with a NACK.
     pub pending_budget: usize,
-    /// Upper bound on the retry-after hint a shed NACK may carry.
-    pub retry_after_cap: Dur,
     /// Adaptive methods demote to TRPC as soon as the node's pending-call
     /// depth reaches this threshold (demote *before* the abort storm, not
     /// after). `0` disables the overload signal and leaves demotion purely
@@ -222,11 +203,7 @@ pub struct AdmissionConfig {
 
 impl Default for AdmissionConfig {
     fn default() -> Self {
-        AdmissionConfig {
-            pending_budget: 64,
-            retry_after_cap: Dur::from_micros(500),
-            overload_demote_depth: 48,
-        }
+        AdmissionConfig { pending_budget: 64, overload_demote_depth: 48 }
     }
 }
 
@@ -236,48 +213,7 @@ impl AdmissionConfig {
         if self.pending_budget == 0 {
             return Err("admission pending budget must be at least 1 call".into());
         }
-        if self.retry_after_cap == Dur::ZERO {
-            return Err("retry-after cap must be positive".into());
-        }
         Ok(())
-    }
-}
-
-/// End-to-end RPC reliability policy: what the client stubs do about lost
-/// requests and replies.
-///
-/// Off by default so fault-free runs reproduce the paper's protocol
-/// exactly (no timers, no acks, identical message counts). Turn it on when
-/// a [`FaultPlan`] can lose packets; with it on, two-way calls retransmit
-/// on a per-call timeout with exponential back-off, one-way calls are
-/// acknowledged and retransmitted the same way, and servers suppress the
-/// resulting duplicates so every call still executes at most once.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReliabilityConfig {
-    /// Enable per-call timeout + retransmission (and oneway acks).
-    pub retransmit: bool,
-    /// Base per-call timeout before the first retransmission. Subsequent
-    /// timeouts back off exponentially from this base plus jitter derived
-    /// from [`CostModel::nack_backoff_base`].
-    pub retransmit_timeout: Dur,
-    /// Cap on the back-off exponent (delay grows as `2^min(attempt, cap)`).
-    pub max_backoff_exp: u32,
-}
-
-impl Default for ReliabilityConfig {
-    fn default() -> Self {
-        ReliabilityConfig {
-            retransmit: false,
-            retransmit_timeout: Dur::from_micros(200),
-            max_backoff_exp: 6,
-        }
-    }
-}
-
-impl ReliabilityConfig {
-    /// Retransmission enabled with default timing.
-    pub fn retransmitting() -> Self {
-        ReliabilityConfig { retransmit: true, ..Default::default() }
     }
 }
 
@@ -309,13 +245,6 @@ pub struct MachineConfig {
     /// Virtual-time budget for an optimistic handler before a `checkpoint()`
     /// triggers a [`crate::stats::AbortReason::RanTooLong`] abort.
     pub handler_budget: Dur,
-    /// Encoded payloads (including the RPC call header) strictly larger
-    /// than this use the bulk-transfer mechanism instead of a short
-    /// active message (the CM-5's four argument words = 16 bytes, §4.1.2).
-    pub bulk_threshold: usize,
-    /// Maximum nesting depth of inline handler dispatch (handlers that send
-    /// drain the network, which can run further handlers).
-    pub max_dispatch_depth: usize,
     /// CM-5 behaviour (§3.3): sends from inside a message handler
     /// automatically drain the network, so a full NI never forces a
     /// handler to abort — staged packets flush as space frees. Disable to
@@ -325,8 +254,15 @@ pub struct MachineConfig {
     /// Fault-injection plan for the data network; `None` (the default)
     /// reproduces the paper's lossless CM-5 fabric.
     pub fault_plan: Option<FaultPlan>,
-    /// End-to-end RPC reliability policy (timeouts, retransmission, acks).
-    pub reliability: ReliabilityConfig,
+    /// End-to-end RPC reliability: what the client stubs do about lost
+    /// requests and replies. Off by default so fault-free runs reproduce
+    /// the paper's protocol exactly (no timers, no acks, identical message
+    /// counts). Turn it on next to a [`FaultPlan`] that can lose packets:
+    /// two-way calls then retransmit on a per-call timeout with
+    /// exponential back-off, one-way calls are acknowledged and
+    /// retransmitted the same way, and servers suppress the resulting
+    /// duplicates so every call still executes at most once.
+    pub retransmit: bool,
     /// Per-node overload control (admission budget, shed NACKs with
     /// retry-after, per-call deadlines). `None` (the default) disables
     /// overload control entirely and keeps the wire format header-free.
@@ -447,11 +383,9 @@ impl MachineConfig {
             ni_in_capacity: 16,
             fabric_capacity: 512,
             handler_budget: Dur::from_micros(200),
-            bulk_threshold: 16,
-            max_dispatch_depth: 8,
             auto_drain_on_handler_send: true,
             fault_plan: None,
-            reliability: ReliabilityConfig::default(),
+            retransmit: false,
             admission: None,
             policies: BTreeMap::new(),
             shards: 1,
@@ -498,10 +432,10 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style reliability override (most often
-    /// [`ReliabilityConfig::retransmitting`] next to a lossy fault plan).
-    pub fn with_reliability(mut self, r: ReliabilityConfig) -> Self {
-        self.reliability = r;
+    /// Turn on retransmission (see [`MachineConfig::retransmit`]), most
+    /// often next to a lossy fault plan.
+    pub fn with_retransmission(mut self) -> Self {
+        self.retransmit = true;
         self
     }
 
@@ -565,14 +499,8 @@ impl MachineConfig {
         if self.fabric_capacity == 0 {
             return Err("fabric must buffer at least one packet".into());
         }
-        if self.max_dispatch_depth == 0 {
-            return Err("dispatch depth must be at least 1".into());
-        }
         if let Some(plan) = &self.fault_plan {
             plan.validate()?;
-        }
-        if self.reliability.retransmit && self.reliability.retransmit_timeout == Dur::ZERO {
-            return Err("retransmit timeout must be positive".into());
         }
         if let Some(a) = &self.admission {
             a.validate()?;
@@ -618,7 +546,6 @@ mod tests {
         let c = MachineConfig::cm5(128);
         assert!(c.validate().is_ok());
         assert!(c.fabric_capacity >= 256);
-        assert_eq!(c.bulk_threshold, 16);
         assert_eq!(c.queue_policy, QueuePolicy::Front);
     }
 
@@ -673,11 +600,9 @@ mod tests {
     fn exec_policy_defaults_inherit_machine_config() {
         let p = ExecPolicy::orpc();
         assert_eq!(p.mode, CallMode::Orpc);
-        assert!(p.abort.is_none() && p.handler_budget.is_none() && p.adaptive.is_none());
+        assert!(p.adaptive.is_none());
         assert!(p.validate().is_ok());
-        let p = ExecPolicy::trpc().with_abort(AbortStrategy::Rerun);
-        assert_eq!(p.mode, CallMode::Trpc);
-        assert_eq!(p.abort, Some(AbortStrategy::Rerun));
+        assert_eq!(ExecPolicy::trpc().mode, CallMode::Trpc);
         assert_eq!(CallMode::Orpc.label(), "ORPC");
         assert_eq!(CallMode::Trpc.label(), "TRPC");
     }
@@ -722,9 +647,6 @@ mod tests {
         assert!(cfg.validate().is_ok());
         let bad = MachineConfig::cm5(2)
             .with_admission(AdmissionConfig { pending_budget: 0, ..Default::default() });
-        assert!(bad.validate().is_err());
-        let bad = MachineConfig::cm5(2)
-            .with_admission(AdmissionConfig { retry_after_cap: Dur::ZERO, ..Default::default() });
         assert!(bad.validate().is_err());
         // overload_demote_depth 0 is legal: it just disables the signal.
         let cfg = MachineConfig::cm5(2)

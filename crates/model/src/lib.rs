@@ -19,7 +19,7 @@ pub mod trace;
 
 pub use config::{
     AbortStrategy, AdaptivePolicy, AdmissionConfig, Backend, CallMode, ExecPolicy, MachineConfig,
-    QueuePolicy, ReliabilityConfig, ShardTuning,
+    QueuePolicy, ShardTuning,
 };
 pub use cost::CostModel;
 pub use env::EnvOverlay;

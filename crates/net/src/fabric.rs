@@ -114,47 +114,6 @@ pub enum InjectError {
     OutputFull,
 }
 
-/// Network timing and capacity parameters.
-#[derive(Debug, Clone)]
-pub struct NetConfig {
-    /// Number of nodes.
-    pub nodes: usize,
-    /// One-way latency of a short packet.
-    pub wire_latency: Dur,
-    /// Link occupation per short packet at each endpoint.
-    pub packet_gap: Dur,
-    /// Bulk-engine transfer time per byte.
-    pub scopy_per_byte: Dur,
-    /// Output FIFO capacity (packets).
-    pub ni_out_capacity: usize,
-    /// Input FIFO capacity (packets).
-    pub ni_in_capacity: usize,
-    /// Fabric buffering per directed link (packets): the credits a sender
-    /// holds for each destination.
-    pub fabric_capacity: usize,
-    /// Fault-injection plan; `None` keeps the fabric lossless.
-    pub fault_plan: Option<FaultPlan>,
-    /// Seed of the per-packet fault draws.
-    pub seed: u64,
-}
-
-impl NetConfig {
-    /// Extract the network parameters from a full machine configuration.
-    pub fn from_machine(cfg: &MachineConfig) -> Self {
-        NetConfig {
-            nodes: cfg.nodes,
-            wire_latency: cfg.cost.wire_latency,
-            packet_gap: cfg.cost.packet_gap,
-            scopy_per_byte: cfg.cost.scopy_per_byte,
-            ni_out_capacity: cfg.ni_out_capacity,
-            ni_in_capacity: cfg.ni_in_capacity,
-            fabric_capacity: cfg.fabric_capacity,
-            fault_plan: cfg.fault_plan.clone(),
-            seed: cfg.seed,
-        }
-    }
-}
-
 type ArrivalHook = Rc<dyn Fn(&Sim)>;
 
 /// Observer for injected faults: `(node the event is attributed to, event)`.
@@ -266,7 +225,9 @@ fn draw_faults(
 }
 
 struct NetInner {
-    cfg: NetConfig,
+    /// Held by value: the timing and capacity fields are read on every
+    /// packet, and an inline copy keeps each read one load.
+    cfg: MachineConfig,
     /// Fabric state of the nodes this instance executes; its range is the
     /// ownership test for every destination.
     nodes: NodeTable<NodeNet>,
@@ -291,7 +252,7 @@ pub struct Network {
 impl Network {
     /// Build a network that executes every node. `stats` must hold one
     /// counter block per node.
-    pub fn new(sim: &Sim, cfg: NetConfig, stats: Vec<Rc<RefCell<NodeStats>>>) -> Self {
+    pub fn new(sim: &Sim, cfg: &MachineConfig, stats: Vec<Rc<RefCell<NodeStats>>>) -> Self {
         assert_eq!(stats.len(), cfg.nodes, "one NodeStats per node required");
         Network::new_backend(sim, cfg, stats.into(), Rc::new(EpochPort::new()))
     }
@@ -304,7 +265,7 @@ impl Network {
     /// backend).
     pub fn new_backend(
         sim: &Sim,
-        cfg: NetConfig,
+        cfg: &MachineConfig,
         stats: NodeTable<Rc<RefCell<NodeStats>>>,
         port: Rc<dyn FabricPort>,
     ) -> Self {
@@ -319,7 +280,13 @@ impl Network {
         let pools = Rc::new(NodeTable::new(owned, |_| BufPool::new()));
         let net = Network {
             sim: sim.clone(),
-            inner: Rc::new(RefCell::new(NetInner { cfg, nodes, stats, fault_hook: None, port })),
+            inner: Rc::new(RefCell::new(NetInner {
+                cfg: cfg.clone(),
+                nodes,
+                stats,
+                fault_hook: None,
+                port,
+            })),
             pools,
         };
         // A stalled node may have gone idle with packets already waiting in
@@ -506,7 +473,7 @@ impl Network {
         let (arrive, dur) = {
             let mut inner = self.inner.borrow_mut();
             let now = self.sim.now() + delay;
-            let dur = inner.cfg.scopy_per_byte.times(payload.len() as u64);
+            let dur = inner.cfg.cost.scopy_per_byte.times(payload.len() as u64);
             // The transfer is packetized with fabric buffering in between:
             // the sender's link and the receiver's link are occupied for
             // the transfer duration *independently* (coupling them would
@@ -520,7 +487,7 @@ impl Network {
                 st.bulk_transfers_sent += 1;
                 st.bytes_sent += payload.len() as u64;
             }
-            (send_start + inner.cfg.wire_latency, dur)
+            (send_start + inner.cfg.cost.wire_latency, dur)
         };
         let key = self.sim.alloc_key_for(src.index() as u32);
         if self.owns(dst.index()) {
@@ -586,7 +553,7 @@ impl Network {
         let mut inner = self.inner.borrow_mut();
         let now = self.sim.now();
         let cap = inner.cfg.fabric_capacity as u32;
-        let gap = inner.cfg.packet_gap;
+        let gap = inner.cfg.cost.packet_gap;
         let n = &mut inner.nodes[src];
         n.pump_scheduled = false;
         let Some((launch, dst)) = n.out_fifo.front().map(|(l, p)| (*l, p.dst.index())) else {
@@ -633,7 +600,7 @@ impl Network {
             Some(owed) if copies > 0 => std::mem::take(owed),
             _ => 0,
         };
-        let ready = now + inner.cfg.wire_latency + extra;
+        let ready = now + inner.cfg.cost.wire_latency + extra;
         let local = inner.nodes.owned().contains(&dst);
         let hook = if faults.is_empty() { None } else { inner.fault_hook.clone() };
         drop(inner);
@@ -815,7 +782,7 @@ impl Network {
         let (hook, refund) = {
             let mut inner = self.inner.borrow_mut();
             let now = self.sim.now();
-            let gap = inner.cfg.packet_gap;
+            let gap = inner.cfg.cost.packet_gap;
             let nodes = inner.cfg.nodes;
             let batch = (inner.cfg.fabric_capacity as u32).div_ceil(2);
             let src = pkt.src.index();
@@ -830,7 +797,7 @@ impl Network {
             (n.arrival_hook.clone(), refund)
         };
         if let Some((src, credits)) = refund {
-            let at = self.sim.now() + self.inner.borrow().cfg.wire_latency;
+            let at = self.sim.now() + self.inner.borrow().cfg.cost.wire_latency;
             let key = self.sim.alloc_key_for(dst as u32);
             if self.owns(src) {
                 self.schedule_credit(at, key, src as u32, dst as u32, credits);
@@ -872,12 +839,12 @@ mod tests {
     use super::*;
     use std::cell::Cell;
 
-    fn mk(nodes: usize, cfg_mut: impl FnOnce(&mut NetConfig)) -> (Sim, Network) {
+    fn mk(nodes: usize, cfg_mut: impl FnOnce(&mut MachineConfig)) -> (Sim, Network) {
         let sim = Sim::new(7);
-        let mut cfg = NetConfig::from_machine(&MachineConfig::cm5(nodes));
+        let mut cfg = MachineConfig::cm5(nodes);
         cfg_mut(&mut cfg);
         let stats = (0..nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new(&sim, cfg, stats);
+        let net = Network::new(&sim, &cfg, stats);
         (sim, net)
     }
 
@@ -966,7 +933,7 @@ mod tests {
             c.ni_out_capacity = 1;
             c.fabric_capacity = 1;
         });
-        let wire = NetConfig::from_machine(&MachineConfig::cm5(2)).wire_latency;
+        let wire = MachineConfig::cm5(2).cost.wire_latency;
         let arrivals: Rc<RefCell<Vec<Time>>> = Rc::default();
         let a = arrivals.clone();
         net.set_arrival_hook(NodeId(1), move |sim| a.borrow_mut().push(sim.now()));
@@ -1153,12 +1120,12 @@ mod tests {
     fn identical_seeds_make_identical_fault_decisions() {
         fn run_once() -> (u64, u64, u64) {
             let sim = Sim::new(42);
-            let mut cfg = NetConfig::from_machine(&MachineConfig::cm5(2));
+            let mut cfg = MachineConfig::cm5(2);
             cfg.fault_plan =
                 Some(FaultPlan::drop_only(0.3).with_dup(0.2).with_delay(0.2, Dur::from_micros(5)));
             let stats: Vec<Rc<RefCell<NodeStats>>> =
                 (0..2).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-            let net = Network::new(&sim, cfg, stats.clone());
+            let net = Network::new(&sim, &cfg, stats.clone());
             for i in 0..200u32 {
                 net.try_inject(Packet::short(NodeId(0), NodeId(1), i, vec![])).unwrap();
                 sim.run();

@@ -13,7 +13,7 @@ pub mod pool;
 pub mod ring;
 
 pub use backend::{ChannelPort, EpochPort, FabricPort};
-pub use fabric::{CrossNet, InjectError, NetConfig, Network};
+pub use fabric::{CrossNet, InjectError, Network};
 pub use packet::{CrossPayload, Packet, PacketKind, PayloadBuf, PayloadView, SHORT_PAYLOAD_MAX};
 pub use pool::{BufPool, PoolStats};
 pub use ring::{spsc, BatchTx, RingRx, RingTx, WakeGate};

@@ -6,15 +6,15 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use oam_model::{Dur, MachineConfig, NodeId, NodeStats, Time};
-use oam_net::{NetConfig, Network, Packet, PacketKind};
+use oam_net::{Network, Packet, PacketKind};
 use oam_sim::Sim;
 
-fn mk(nodes: usize, tweak: impl FnOnce(&mut NetConfig)) -> (Sim, Network) {
+fn mk(nodes: usize, tweak: impl FnOnce(&mut MachineConfig)) -> (Sim, Network) {
     let sim = Sim::new(77);
-    let mut cfg = NetConfig::from_machine(&MachineConfig::cm5(nodes));
+    let mut cfg = MachineConfig::cm5(nodes);
     tweak(&mut cfg);
     let stats = (0..nodes).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-    (sim.clone(), Network::new(&sim, cfg, stats))
+    (sim.clone(), Network::new(&sim, &cfg, stats))
 }
 
 #[test]

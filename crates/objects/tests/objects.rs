@@ -5,7 +5,7 @@ use std::cell::Cell;
 use std::rc::Rc;
 
 use oam_machine::MachineBuilder;
-use oam_model::NodeId;
+use oam_model::{MachineConfig, NodeId};
 use oam_objects::{ObjId, ObjectClass, Objects, Placement};
 use oam_rpc::RpcMode;
 
@@ -134,7 +134,7 @@ fn orpc_object_invocations_run_in_handlers() {
 #[test]
 fn deterministic_across_runs() {
     let run_once = || {
-        let m = MachineBuilder::new(4).seed(5).build();
+        let m = MachineBuilder::from_config(MachineConfig::cm5(4).with_seed(5)).build();
         let objects = Objects::new(m.rpc(), RpcMode::Orpc);
         objects.create(
             ObjId(9),

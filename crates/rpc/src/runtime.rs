@@ -46,7 +46,7 @@
 //! (counted in `stale_replies_dropped`) instead of completing the wrong
 //! call.
 //!
-//! With [`oam_model::ReliabilityConfig::retransmit`] enabled, every call
+//! With [`oam_model::MachineConfig::retransmit`] enabled, every call
 //! (including one-way sends, which are then acknowledged with an empty
 //! reply) arms a per-call timer. On expiry the original request bytes are
 //! retransmitted and the timer re-arms with exponential back-off plus
@@ -65,7 +65,7 @@ use std::rc::Rc;
 use oam_am::{Am, AmToken, HandlerEntry, HandlerId};
 use oam_core::{pack_deadline_word, CallBody, CallEngine, OamCall, Priority, NO_DEADLINE};
 use oam_model::{Dur, ExecPolicy, MachineConfig, NodeId, NodeTable, Time, TraceKind};
-use oam_net::{Packet, PayloadBuf, PayloadView};
+use oam_net::{Packet, PayloadBuf, PayloadView, SHORT_PAYLOAD_MAX};
 use oam_sim::{EventId, Sim};
 use oam_threads::{Flag, Node};
 
@@ -95,6 +95,15 @@ pub const SESSION_CHUNK_ID: HandlerId = handler_id_for(SESSION_CHUNK_METHOD);
 /// generation.
 const CALL_INDEX_BITS: u32 = 16;
 const CALL_INDEX_MASK: u32 = (1 << CALL_INDEX_BITS) - 1;
+
+/// Per-call timeout before the first retransmission. Later timeouts back
+/// off exponentially from it, plus jitter drawn from the cost model's
+/// `nack_backoff_base`.
+const RETRANSMIT_TIMEOUT: Dur = Dur::from_micros(200);
+
+/// Cap on the retransmission back-off exponent: the delay grows as
+/// `2^min(attempt, cap)` times [`RETRANSMIT_TIMEOUT`].
+const MAX_BACKOFF_EXP: u32 = 6;
 
 /// Compile-time FNV-1a hash used to derive handler ids from
 /// `"Service::method"` names. The top bit is cleared so generated ids never
@@ -301,7 +310,7 @@ impl Rpc {
     pub fn new(am: Am) -> Self {
         let cfg = Rc::clone(am.config());
         let owned = am.owned();
-        let reliable = cfg.reliability.retransmit;
+        let reliable = cfg.retransmit;
         let engine = CallEngine::new(Rc::clone(&cfg), owned.clone());
         let rpc = Rpc {
             inner: Rc::new(RpcInner {
@@ -477,7 +486,7 @@ impl Rpc {
     /// bytes including the call header) goes as a short active message,
     /// everything else through the scopy engine.
     async fn send_request(&self, node: &Node, dst: NodeId, id: HandlerId, payload: PayloadBuf) {
-        if payload.len() > self.inner.cfg.bulk_threshold {
+        if payload.len() > SHORT_PAYLOAD_MAX {
             self.inner.am.send_bulk(node, dst, id, payload);
         } else {
             self.inner.am.send(node, dst, id, payload).await;
@@ -693,13 +702,12 @@ impl Rpc {
         if slot.outcome.get() != Outcome::Pending {
             return; // completed while the request was still being sent
         }
-        let rel = &self.inner.cfg.reliability;
-        let exp = slot.attempts.get().min(rel.max_backoff_exp);
+        let exp = slot.attempts.get().min(MAX_BACKOFF_EXP);
         let src = node.id().index() as u32;
         let jitter = node.sim().with_rng_for(src, |r| {
             r.gen_inclusive(0, self.inner.cfg.cost.nack_backoff_base.as_nanos())
         });
-        let delay = rel.retransmit_timeout.times(1u64 << exp) + Dur::from_nanos(jitter);
+        let delay = RETRANSMIT_TIMEOUT.times(1u64 << exp) + Dur::from_nanos(jitter);
         let rpc = self.clone();
         let node2 = node.clone();
         let slot2 = Rc::clone(slot);
@@ -734,7 +742,7 @@ impl Rpc {
         // the back-off timer tries again. Oversized requests re-run the
         // bulk engine. The resend copies are refcounted views of the
         // original request buffer, not byte copies.
-        if bytes.len() > self.inner.cfg.bulk_threshold {
+        if bytes.len() > SHORT_PAYLOAD_MAX {
             self.inner.am.send_bulk(node, dst, handler, bytes.clone());
             node.stats().borrow_mut().retransmits += 1;
             node.emit(TraceKind::CallRetransmit { call_id, dst, attempt });
@@ -837,7 +845,7 @@ impl Rpc {
         node.add_pending(self.marshal_cost(payload.len() - 4));
         self.inner.engine.cache_reply(call, call_id, &payload);
         let dst = call.pkt.src;
-        if payload.len() > self.inner.cfg.bulk_threshold {
+        if payload.len() > SHORT_PAYLOAD_MAX {
             self.inner.am.send_bulk(node, dst, REPLY_ID, payload);
         } else {
             self.inner.am.send(node, dst, REPLY_ID, payload).await;
@@ -846,9 +854,9 @@ impl Rpc {
 
     /// Register a remote procedure on `node`. `mode` is the mode the
     /// service was registered with — a per-method [`ExecPolicy`] in
-    /// `MachineConfig::policies` overrides it (and everything else). The
-    /// call body builds the handler future (decode → body → reply).
-    /// `expects_reply` distinguishes `rpc` from `oneway` methods: under
+    /// `MachineConfig::policies` overrides it. The call body builds the
+    /// handler future (decode → body → reply). `expects_reply`
+    /// distinguishes `rpc` from `oneway` methods: under
     /// [`AbortStrategy::Nack`](oam_model::AbortStrategy::Nack) only
     /// reply-bearing calls can be NACKed (the caller is waiting); one-way
     /// calls fall back to rerun.
@@ -1482,11 +1490,11 @@ mod tests {
     /// The RPC runtime of a two-node simulated machine built from `cfg`.
     fn rpc_on(cfg: MachineConfig) -> (Sim, Rpc) {
         use oam_model::NodeStats;
-        use oam_net::{NetConfig, Network};
+        use oam_net::Network;
         let sim = Sim::new(5);
         let cfg = Rc::new(cfg);
         let stats: Vec<_> = (0..2).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
+        let net = Network::new(&sim, &cfg, stats.clone());
         let nodes: Vec<Node> = (0..2)
             .map(|i| Node::new(&sim, NodeId(i), 2, Rc::clone(&cfg), Rc::clone(&stats[i])))
             .collect();

@@ -7,8 +7,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use oam_am::Am;
-use oam_model::{MachineConfig, NodeId, NodeStats};
-use oam_net::{NetConfig, Network};
+use oam_model::{FaultPlan, MachineConfig, NodeId, NodeStats};
+use oam_net::Network;
 use oam_rpc::{define_rpc_service, Rpc, RpcMode};
 use oam_sim::Sim;
 use oam_threads::Node;
@@ -19,7 +19,7 @@ fn build(cfg: MachineConfig) -> (Sim, Rpc, Vec<Rc<RefCell<NodeStats>>>) {
     let cfg = Rc::new(cfg);
     let stats: Vec<Rc<RefCell<NodeStats>>> =
         (0..nprocs).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-    let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
+    let net = Network::new(&sim, &cfg, stats.clone());
     let nodes: Vec<Node> = (0..nprocs)
         .map(|i| Node::new(&sim, NodeId(i), nprocs, Rc::clone(&cfg), Rc::clone(&stats[i])))
         .collect();
@@ -53,10 +53,12 @@ define_rpc_service! {
             }
         }
 
-        /// Return a payload big enough to force a bulk-transfer reply.
-        rpc big(ctx, st, n: u32) -> Vec<u64> {
-            let _ = (ctx, st);
-            (0..n as u64).collect()
+        /// Return `n` bytes; `pad` sizes the request. A request is
+        /// `[call_id][pad len][pad][n]`, 12 bytes plus the pad, and a reply
+        /// `[call_id][len][bytes]`, 8 bytes plus `n`.
+        rpc big(ctx, st, pad: Vec<u8>, n: u32) -> Vec<u8> {
+            let _ = (ctx, st, pad);
+            (0..n).map(|i| i as u8).collect()
         }
     }
 }
@@ -111,24 +113,55 @@ fn nested_calls_also_work_under_trpc() {
     assert_eq!(*got.borrow(), vec![1, 2, 0, 1]);
 }
 
-#[test]
-fn bulk_reply_roundtrips_large_data() {
-    let (sim, rpc, stats) = build(MachineConfig::cm5(2));
+/// Call `big` from node 0 on node 1 `calls` times, checking each reply.
+fn call_big(cfg: MachineConfig, pad: usize, n: u32, calls: u32) -> Vec<NodeStats> {
+    let (sim, rpc, stats) = build(cfg);
     setup(&rpc, RpcMode::Orpc);
     let node0 = rpc.nodes()[0].clone();
     let (r, n0) = (rpc.clone(), node0.clone());
-    let ok = Rc::new(RefCell::new(false));
+    let ok = Rc::new(RefCell::new(0));
     let okc = ok.clone();
     node0.spawn(async move {
-        let v = Chain::big::call(&r, &n0, NodeId(1), 10_000).await.expect("reply decode");
-        assert_eq!(v.len(), 10_000);
-        assert_eq!(v[9_999], 9_999);
-        *okc.borrow_mut() = true;
+        for _ in 0..calls {
+            let v = Chain::big::call(&r, &n0, NodeId(1), vec![7; pad], n).await.expect("decode");
+            assert_eq!(v.len(), n as usize);
+            assert_eq!(v.last().copied(), n.checked_sub(1).map(|i| i as u8));
+            *okc.borrow_mut() += 1;
+        }
     });
     sim.run();
-    assert!(*ok.borrow());
-    // The reply (80 KB) went through the bulk engine.
-    assert_eq!(stats[1].borrow().bulk_transfers_sent, 1);
+    assert_eq!(*ok.borrow(), calls, "every call answered");
+    let out = stats.iter().map(|s| s.borrow().clone()).collect();
+    out
+}
+
+#[test]
+fn bulk_reply_roundtrips_large_data() {
+    // A payload of 16 bytes with its call header fits the CM-5's four
+    // argument words and goes as a short message; 17 bytes go through the
+    // bulk engine, requests (counted on the caller) and replies (counted
+    // on the server) alike. The last row's reply is 80 KB.
+    for (pad, n, request_bulk, reply_bulk) in
+        [(4, 8, 0, 0), (5, 8, 1, 0), (4, 9, 0, 1), (0, 80_000, 0, 1)]
+    {
+        let stats = call_big(MachineConfig::cm5(2), pad, n, 1);
+        let row = format!("request {} bytes, reply {} bytes", 12 + pad, 8 + n);
+        assert_eq!(stats[0].bulk_transfers_sent, request_bulk, "{row}");
+        assert_eq!(stats[1].bulk_transfers_sent, reply_bulk, "{row}");
+    }
+}
+
+#[test]
+fn a_retransmitted_17_byte_request_goes_bulk_again() {
+    // Lost replies make the caller retransmit; every copy of a 17-byte
+    // request goes through the bulk engine (bulk transfers are not
+    // dropped, so each call's first copy arrives).
+    let cfg =
+        MachineConfig::cm5(2).with_fault_plan(FaultPlan::drop_only(0.5)).with_retransmission();
+    let stats = call_big(cfg, 5, 8, 8);
+    let caller = &stats[0];
+    assert!(caller.retransmits > 0, "the plan dropped replies");
+    assert_eq!(caller.bulk_transfers_sent, 8 + caller.retransmits);
 }
 
 #[test]

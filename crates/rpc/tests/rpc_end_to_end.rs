@@ -7,7 +7,7 @@ use std::rc::Rc;
 
 use oam_am::Am;
 use oam_model::{AbortStrategy, MachineConfig, NodeId, NodeStats};
-use oam_net::{NetConfig, Network};
+use oam_net::Network;
 use oam_rpc::{define_rpc_service, Rpc, RpcMode};
 use oam_sim::Sim;
 use oam_threads::{CondVar, Flag, Mutex, Node};
@@ -18,7 +18,7 @@ fn build(cfg: MachineConfig) -> (Sim, Rpc, Vec<Rc<RefCell<NodeStats>>>) {
     let cfg = Rc::new(cfg);
     let stats: Vec<Rc<RefCell<NodeStats>>> =
         (0..nprocs).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-    let net = Network::new(&sim, NetConfig::from_machine(&cfg), stats.clone());
+    let net = Network::new(&sim, &cfg, stats.clone());
     let nodes: Vec<Node> = (0..nprocs)
         .map(|i| Node::new(&sim, NodeId(i), nprocs, Rc::clone(&cfg), Rc::clone(&stats[i])))
         .collect();

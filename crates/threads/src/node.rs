@@ -111,10 +111,6 @@ pub(crate) struct NodeInner {
     /// Virtual time consumed so far by the inline handler being executed
     /// (drives "ran too long" detection at `checkpoint()`s).
     handler_elapsed: Cell<Dur>,
-    /// Per-method handler-budget override installed by the call engine for
-    /// the duration of one optimistic attempt; `None` falls back to the
-    /// machine-wide `handler_budget`.
-    handler_budget_override: Cell<Option<Dur>>,
     /// The provisional thread id of the optimistic execution in progress.
     active_provisional: Cell<Option<ThreadId>>,
     dispatcher: RefCell<Option<Rc<dyn Dispatcher>>>,
@@ -160,7 +156,6 @@ impl Node {
                 block_kind: RefCell::new(None),
                 abort_cause: Cell::new(None),
                 handler_elapsed: Cell::new(Dur::ZERO),
-                handler_budget_override: Cell::new(None),
                 active_provisional: Cell::new(None),
                 dispatcher: RefCell::new(None),
                 stepping: Cell::new(false),
@@ -321,19 +316,6 @@ impl Node {
         self.inner.handler_elapsed.get()
     }
 
-    /// Install (or clear) a per-method handler-budget override, returning
-    /// the previous one so nested dispatches can restore it.
-    pub fn set_handler_budget_override(&self, budget: Option<Dur>) -> Option<Dur> {
-        self.inner.handler_budget_override.replace(budget)
-    }
-
-    /// The run-length budget the current optimistic attempt is checked
-    /// against: the per-method override if one is installed, else the
-    /// machine-wide `handler_budget`.
-    pub fn effective_handler_budget(&self) -> Dur {
-        self.inner.handler_budget_override.get().unwrap_or(self.inner.cfg.handler_budget)
-    }
-
     // ---- thread management ----
 
     /// Spawn an application thread (queued at the back). Returns a handle
@@ -396,35 +378,22 @@ impl Node {
         (handle, tid)
     }
 
-    /// Reserve a provisional thread slot for an optimistic execution. If
-    /// the handler completes without blocking the slot is released for
-    /// free; if it must abort, the slot becomes a real thread via
-    /// [`Node::promote`].
+    /// Reserve a thread id for an optimistic execution. The id enters the
+    /// slot table only if the handler aborts and [`Node::promote`] turns
+    /// it into a real thread; until then a wake for it is remembered
+    /// beside the table. A handler that completes without blocking is
+    /// released for free: nothing is inserted or removed.
     pub fn reserve_provisional(&self) -> ThreadId {
-        let mut sched = self.inner.sched.borrow_mut();
-        let tid = sched.alloc_id();
-        sched.slots.insert(
-            tid.0,
-            ThreadSlot {
-                fut: None,
-                state: SlotState::Provisional { woken: false },
-                never_ran: true,
-            },
-        );
-        tid
+        self.inner.sched.borrow_mut().begin_attempt()
     }
 
-    /// Release a provisional slot after a successful optimistic execution.
+    /// Release a provisional id after a successful optimistic execution. A
+    /// later wake for it is a no-op.
     pub fn release_provisional(&self, tid: ThreadId) {
-        let mut sched = self.inner.sched.borrow_mut();
-        let slot = sched.slots.remove(&tid.0).expect("release of unknown provisional slot");
-        debug_assert!(
-            matches!(slot.state, SlotState::Provisional { .. }),
-            "release_provisional on a promoted slot"
-        );
+        self.inner.sched.borrow_mut().end_attempt(tid);
     }
 
-    /// Promote a provisional slot into a real thread running `fut` — the
+    /// Promote a provisional id into a real thread running `fut` — the
     /// lazy thread creation at the heart of OAM. If a wake already arrived
     /// (e.g. the contended lock was released while the abort was being
     /// processed) the thread is immediately runnable; otherwise it stays
@@ -432,14 +401,11 @@ impl Node {
     pub fn promote(&self, tid: ThreadId, fut: impl Future<Output = ()> + 'static) {
         let woken = {
             let mut sched = self.inner.sched.borrow_mut();
-            let slot = sched.slots.get_mut(&tid.0).expect("promote of unknown slot");
-            let woken = match slot.state {
-                SlotState::Provisional { woken } => woken,
-                _ => panic!("promote of non-provisional slot"),
-            };
-            slot.fut = Some(Box::pin(fut));
-            slot.state = if woken { SlotState::Runnable } else { SlotState::Parked };
-            slot.never_ran = true;
+            let woken = sched.end_attempt(tid);
+            let state = if woken { SlotState::Runnable } else { SlotState::Parked };
+            sched
+                .slots
+                .insert(tid.0, ThreadSlot { fut: Some(Box::pin(fut)), state, never_ran: true });
             sched.live_threads += 1;
             woken
         };
@@ -479,18 +445,20 @@ impl Node {
         self.inner.active_provisional.replace(tid)
     }
 
-    /// Make a parked (or provisional) thread runnable. Idempotent for
-    /// already-runnable threads.
+    /// Make a parked thread runnable, or remember the wake of a
+    /// provisional id until its promotion. Idempotent for already-runnable
+    /// threads.
     pub fn make_runnable(&self, tid: ThreadId, place: Placement) {
         let enqueue = {
             let mut sched = self.inner.sched.borrow_mut();
             match sched.slots.get_mut(&tid.0) {
-                None => false, // completed meanwhile (e.g. spurious wake)
+                // A provisional id, or one that completed or was released
+                // meanwhile (e.g. a spurious wake).
+                None => {
+                    sched.wake_attempt(tid);
+                    false
+                }
                 Some(slot) => match slot.state {
-                    SlotState::Provisional { .. } => {
-                        slot.state = SlotState::Provisional { woken: true };
-                        false
-                    }
                     SlotState::Parked => {
                         slot.state = SlotState::Runnable;
                         true
@@ -905,7 +873,7 @@ impl Future for Checkpoint {
         }
         match this.node.mode() {
             ExecMode::Optimistic => {
-                if this.node.handler_elapsed() > this.node.effective_handler_budget() {
+                if this.node.handler_elapsed() > this.node.config().handler_budget {
                     this.tripped = true;
                     this.node.set_abort_cause(AbortReason::RanTooLong);
                     Poll::Pending

@@ -100,10 +100,6 @@ pub(crate) enum BlockKind {
 
 /// Lifecycle state of a thread slot.
 pub(crate) enum SlotState {
-    /// Reserved for an optimistic handler execution that has not (and may
-    /// never) become a real thread. `woken` records a wake that arrived
-    /// before promotion.
-    Provisional { woken: bool },
     /// In the run queue.
     Runnable,
     /// Currently being executed.
@@ -189,8 +185,15 @@ pub(crate) struct Sched {
     pub spinners: Vec<(ThreadId, Flag)>,
     pub stack_state: StackState,
     pub next_id: u64,
-    /// Count of live (not Done, not Provisional) threads.
+    /// Count of live threads (slots in the table).
     pub live_threads: usize,
+    /// Optimistic executions in progress (they nest). None of them has a
+    /// slot until it is promoted.
+    pub attempts: usize,
+    /// Ids without a slot that were woken while an attempt was in
+    /// progress: a promotion finds its early wake here. Cleared when the
+    /// last attempt ends, so a stale wake is dropped then.
+    pub early_wakes: Vec<ThreadId>,
 }
 
 impl Sched {
@@ -203,6 +206,8 @@ impl Sched {
             stack_state: StackState::Pristine,
             next_id: 0,
             live_threads: 0,
+            attempts: 0,
+            early_wakes: Vec::new(),
         }
     }
 
@@ -210,6 +215,34 @@ impl Sched {
         let id = self.next_id;
         self.next_id += 1;
         ThreadId(id)
+    }
+
+    /// Start an optimistic execution under a fresh id.
+    pub fn begin_attempt(&mut self) -> ThreadId {
+        self.attempts += 1;
+        self.alloc_id()
+    }
+
+    /// End the optimistic execution `tid`, returning whether a wake
+    /// arrived for it.
+    pub fn end_attempt(&mut self, tid: ThreadId) -> bool {
+        debug_assert!(self.attempts > 0, "no optimistic execution in progress");
+        self.attempts -= 1;
+        let woken = self.early_wakes.contains(&tid);
+        if self.attempts == 0 {
+            self.early_wakes.clear();
+        } else if woken {
+            self.early_wakes.retain(|&t| t != tid);
+        }
+        woken
+    }
+
+    /// Remember a wake for `tid`, which has no slot, if an attempt is in
+    /// progress: `tid` may be that attempt or one it is nested in.
+    pub fn wake_attempt(&mut self, tid: ThreadId) {
+        if self.attempts > 0 && !self.early_wakes.contains(&tid) {
+            self.early_wakes.push(tid);
+        }
     }
 
     /// Remove spinners whose flag is set and append them to `ready`, in

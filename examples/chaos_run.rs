@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use optimistic_active_messages::apps::tsp::TspParams;
 use optimistic_active_messages::apps::{triangle, tsp, AppOutcome, System};
-use optimistic_active_messages::model::{Dur, FaultPlan, MachineConfig, ReliabilityConfig};
+use optimistic_active_messages::model::{Dur, FaultPlan, MachineConfig};
 use optimistic_active_messages::sim::{alloc_snapshot, CountingAlloc};
 
 #[global_allocator]
@@ -33,7 +33,7 @@ fn cm5(nodes: usize) -> MachineConfig {
 
 fn faulted(nodes: usize, p: f64) -> MachineConfig {
     let plan = FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20));
-    cm5(nodes).with_fault_plan(plan).with_reliability(ReliabilityConfig::retransmitting())
+    cm5(nodes).with_fault_plan(plan).with_retransmission()
 }
 
 fn row(label: &str, out: &AppOutcome, wall: Duration) {

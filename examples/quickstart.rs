@@ -44,7 +44,7 @@ define_rpc_service! {
 fn run(mode: RpcMode) {
     // A 8-node CM-5-like machine: calibrated cost model, deep network
     // buffering, front-of-queue scheduling, promote-on-abort.
-    let machine = MachineBuilder::new(8).seed(42).build();
+    let machine = MachineBuilder::from_config(MachineConfig::cm5(8).with_seed(42)).build();
     for node in machine.nodes() {
         let state = Rc::new(CounterState { value: Mutex::new(node, 0) });
         Counter::register_all(machine.rpc(), node.id(), state, mode);

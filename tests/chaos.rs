@@ -4,16 +4,14 @@
 //! stay bit-deterministic per seed; and with recovery disabled the machine
 //! must *diagnose* the resulting hang instead of panicking or spinning.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use optimistic_active_messages::apps::service::ServiceParams;
 use optimistic_active_messages::apps::tsp::TspParams;
 use optimistic_active_messages::apps::{triangle, tsp, System};
-use optimistic_active_messages::machine::{HangKind, MachineBuilder};
-use optimistic_active_messages::model::{
-    Dur, FaultPlan, MachineConfig, NodeId, ReliabilityConfig, Time,
-};
+use optimistic_active_messages::machine::{run_partitioned, HangKind, MachineBuilder, ShardApp};
+use optimistic_active_messages::model::{Dur, FaultPlan, MachineConfig, NodeId, Time};
 use optimistic_active_messages::prelude::*;
 
 /// `MachineConfig::cm5(nodes)` under the CI leg's `OAM_*` overrides, on
@@ -23,11 +21,10 @@ fn cm5(nodes: usize) -> MachineConfig {
     MachineConfig::cm5(nodes).apply_env().expect("OAM_* overrides").with_backend(Backend::Sim)
 }
 
-/// Default service parameters under the CI leg's `OAM_*` overrides, on
-/// the simulator.
-fn env_params() -> ServiceParams {
-    let env = EnvOverlay::read().expect("OAM_* overrides");
-    ServiceParams { backend: Some(Backend::Sim), ..ServiceParams::default().with_env(env) }
+/// The service's four nodes under the CI leg's `OAM_*` overrides, on the
+/// simulator, with a fault plan and retransmission.
+fn service_cfg(plan: FaultPlan) -> MachineConfig {
+    cm5(4).with_seed(0x5e41_11ce).with_fault_plan(plan).with_retransmission()
 }
 
 fn chaos_plan(drop: f64) -> FaultPlan {
@@ -35,9 +32,7 @@ fn chaos_plan(drop: f64) -> FaultPlan {
 }
 
 fn reliable_cfg(nodes: usize, drop: f64) -> MachineConfig {
-    cm5(nodes)
-        .with_fault_plan(chaos_plan(drop))
-        .with_reliability(ReliabilityConfig::retransmitting())
+    cm5(nodes).with_fault_plan(chaos_plan(drop)).with_retransmission()
 }
 
 pub struct EchoState;
@@ -51,6 +46,12 @@ define_rpc_service! {
         rpc echo(ctx, st, x: u64) -> u64 {
             let _ = (ctx, st);
             x + 1
+        }
+
+        /// Four words back: a 36-byte reply, too wide for a short message.
+        rpc wide(ctx, st, x: u64) -> (u64, u64, u64, u64) {
+            let _ = (ctx, st);
+            (x, x + 1, x + 2, x + 3)
         }
     }
 }
@@ -101,7 +102,7 @@ fn tsp_chaos_survives_a_mid_run_node_stall() {
         Time::from_nanos(2_000_000),
         Time::from_nanos(32_000_000),
     );
-    let cfg = cm5(4).with_fault_plan(plan).with_reliability(ReliabilityConfig::retransmitting());
+    let cfg = cm5(4).with_fault_plan(plan).with_retransmission();
     let out = tsp::run_configured(System::Orpc, cfg, params);
     assert_eq!(out.answer, best as u64);
     assert!(out.stats.total().retransmits > 0);
@@ -184,9 +185,8 @@ fn a_live_but_unfinished_run_reports_budget_exceeded() {
     // Retransmission ON under certain loss: timers fire forever, so the
     // machine is live at any budget — the watchdog must say so rather than
     // claim deadlock.
-    let cfg = MachineConfig::cm5(2)
-        .with_fault_plan(FaultPlan::drop_only(1.0))
-        .with_reliability(ReliabilityConfig::retransmitting());
+    let cfg =
+        MachineConfig::cm5(2).with_fault_plan(FaultPlan::drop_only(1.0)).with_retransmission();
     let machine = MachineBuilder::from_config(cfg).build();
     for node in machine.nodes() {
         Echo::register_all(machine.rpc(), node.id(), Rc::new(EchoState), RpcMode::Orpc);
@@ -202,6 +202,45 @@ fn a_live_but_unfinished_run_reports_budget_exceeded() {
         .expect_err("certain loss cannot complete even with retransmission");
     assert_eq!(report.kind, HangKind::BudgetExceeded);
     assert!(report.total_outstanding_calls() >= 1);
+}
+
+#[test]
+fn a_duplicate_of_a_call_with_a_wide_reply_is_answered_in_bulk() {
+    // Every request arrives twice. The copy of a finished call is answered
+    // from its frame, and a reply past the short-message size must take
+    // the bulk engine then too, as the first reply did.
+    let run_wide = |cfg: MachineConfig| {
+        run_partitioned(cfg, |machine| {
+            for i in machine.owned() {
+                Echo::register_all(machine.rpc(), NodeId(i), Rc::new(EchoState), RpcMode::Orpc);
+            }
+            let replies = Rc::new(RefCell::new(Vec::new()));
+            let r = Rc::clone(&replies);
+            ShardApp {
+                main: Box::new(move |env| {
+                    let r = Rc::clone(&r);
+                    Box::pin(async move {
+                        if env.id().index() == 0 {
+                            for x in 0..8 {
+                                let reply = Echo::wide::call(env.rpc(), env.node(), NodeId(1), x)
+                                    .await
+                                    .expect("reply decode");
+                                r.borrow_mut().push(reply);
+                            }
+                        }
+                        env.barrier().await;
+                    })
+                }),
+                finish: Box::new(move |_| replies.take()),
+            }
+        })
+    };
+    let (_, clean) = run_wide(cm5(2));
+    assert_eq!((clean.len(), clean[7]), (8, (7, 8, 9, 10)));
+    let dup_plan = FaultPlan::drop_only(0.0).with_dup(1.0);
+    let (report, dup) = run_wide(cm5(2).with_fault_plan(dup_plan).with_retransmission());
+    assert_eq!(dup, clean, "duplicates change nothing the caller sees");
+    assert!(report.stats.total().dups_suppressed > 0, "the copies met the call's frame");
 }
 
 pub struct BumpState {
@@ -229,17 +268,15 @@ fn overloaded_service_survives_chaos_and_a_server_stall() {
     // window forces caller-side expiries, and the thaw-time backlog forces
     // admission shedding. Every arrival must still resolve exactly once,
     // and the whole story must replay bit-for-bit from the seed.
-    let params = || ServiceParams {
-        load_x100: 200,
-        arrivals: 96,
-        fault: Some(chaos_plan(0.05).with_stall(
+    let cfg = || {
+        service_cfg(chaos_plan(0.05).with_stall(
             NodeId(0),
             Time::from_nanos(2_000_000),
             Time::from_nanos(8_000_000),
-        )),
-        ..env_params()
+        ))
     };
-    let a = run(params());
+    let params = || ServiceParams { load_x100: 200, arrivals: 96, ..Default::default() };
+    let a = run(cfg(), params());
     let t = a.app.stats.total();
     assert!(t.packets_dropped > 0, "the plan did bite");
     assert!(t.retransmits > 0, "losses were recovered by retransmission");
@@ -253,7 +290,7 @@ fn overloaded_service_survives_chaos_and_a_server_stall() {
     );
     // Deterministic shedding: the same seed replays the same overload
     // story, shed for shed, counter for counter.
-    let b = run(params());
+    let b = run(cfg(), params());
     assert_eq!(a.app.answer, b.app.answer);
     assert_eq!(a.app.elapsed, b.app.elapsed);
     assert_eq!(
@@ -272,14 +309,9 @@ fn streaming_scans_survive_5pct_chaos_and_retire_every_session() {
     // must come out whole: every opened session ends in exactly one Close
     // or exactly one Cancel, and the chunk totals match what the Close
     // frames promised.
-    let params = || ServiceParams {
-        load_x100: 150,
-        arrivals: 64,
-        streaming: true,
-        fault: Some(chaos_plan(0.05)),
-        ..env_params()
-    };
-    let a = run(params());
+    let params =
+        || ServiceParams { load_x100: 150, arrivals: 64, streaming: true, ..Default::default() };
+    let a = run(service_cfg(chaos_plan(0.05)), params());
     let t = a.app.stats.total();
     assert!(t.packets_dropped > 0, "the plan did bite");
     assert!(t.retransmits > 0, "losses were recovered by retransmission");
@@ -293,7 +325,7 @@ fn streaming_scans_survive_5pct_chaos_and_retire_every_session() {
     let arrivals = (params().drivers as u64) * u64::from(params().arrivals);
     assert_eq!(a.completed + a.abandoned, arrivals, "every arrival resolves exactly once");
     // And the whole streaming story replays bit-for-bit from the seed.
-    let b = run(params());
+    let b = run(service_cfg(chaos_plan(0.05)), params());
     assert_eq!(a.app.answer, b.app.answer);
     assert_eq!(a.app.elapsed, b.app.elapsed);
     assert_eq!(
@@ -340,18 +372,13 @@ fn chaos_outcomes_are_shard_count_invariant() {
         tsp::run_configured(System::Orpc, cfg, TspParams::default())
     };
     let service_at = |shards: usize| {
-        run(ServiceParams {
-            load_x100: 200,
-            arrivals: 96,
-            fault: Some(chaos_plan(0.05).with_stall(
-                NodeId(0),
-                Time::from_nanos(2_000_000),
-                Time::from_nanos(8_000_000),
-            )),
-            shards,
-            ..env_params()
-        })
-        .app
+        let plan = chaos_plan(0.05).with_stall(
+            NodeId(0),
+            Time::from_nanos(2_000_000),
+            Time::from_nanos(8_000_000),
+        );
+        let params = ServiceParams { load_x100: 200, arrivals: 96, ..Default::default() };
+        run(service_cfg(plan).with_shards(shards), params).app
     };
     for (name, at) in [
         ("tsp", &tsp_at as &dyn Fn(usize) -> optimistic_active_messages::apps::AppOutcome),

@@ -166,14 +166,14 @@ fn adaptive_policy_works_on_native() {
 #[test]
 fn service_invariants_hold_across_backends() {
     for backend in [Backend::Sim, Backend::Native] {
-        let env = EnvOverlay::read().expect("OAM_* overrides");
-        let params = ServiceParams {
-            arrivals: 48,
-            backend: Some(backend),
-            ..ServiceParams::default().with_env(env)
-        };
+        let cfg = MachineConfig::cm5(4)
+            .apply_env()
+            .expect("OAM_* overrides")
+            .with_seed(0x5e41_11ce)
+            .with_backend(backend);
+        let params = ServiceParams { arrivals: 48, ..ServiceParams::default() };
         let arrivals = (params.arrivals as u64) * (params.drivers as u64);
-        let o = service::run(params);
+        let o = service::run(cfg, params);
         assert_eq!(
             o.completed + o.abandoned,
             arrivals,

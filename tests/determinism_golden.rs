@@ -16,7 +16,7 @@ use std::rc::Rc;
 use optimistic_active_messages::apps::tsp::{self, TspParams};
 use optimistic_active_messages::apps::System;
 use optimistic_active_messages::machine::MachineBuilder;
-use optimistic_active_messages::model::{Dur, FaultPlan, MachineConfig, NodeId, ReliabilityConfig};
+use optimistic_active_messages::model::{Dur, FaultPlan, MachineConfig, NodeId};
 use optimistic_active_messages::rpc::define_rpc_service;
 use optimistic_active_messages::trace::Recorder;
 
@@ -37,7 +37,7 @@ fn chaos_tsp() -> (Recorder, tsp::TspParams, optimistic_active_messages::apps::A
     let p = 0.05;
     let cfg = MachineConfig::cm5(5)
         .with_fault_plan(FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20)))
-        .with_reliability(ReliabilityConfig::retransmitting());
+        .with_retransmission();
     let params = TspParams { ncities: 10, prefix_len: 4, ..Default::default() };
     let rec = Recorder::new();
     let rec2 = rec.clone();
@@ -126,7 +126,7 @@ fn chaos_bulk() -> (Recorder, u64, u64, u64) {
     let p = 0.05;
     let cfg = MachineConfig::cm5(2)
         .with_fault_plan(FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20)))
-        .with_reliability(ReliabilityConfig::retransmitting());
+        .with_retransmission();
     let machine = MachineBuilder::from_config(cfg).build();
     for i in 0..2 {
         Sink::register_all(

@@ -3,13 +3,24 @@
 //! unbounded-admission baseline degrades; adaptive demotion must be
 //! deterministic; deadlines must actually bound request latency.
 
-use oam_apps::service::{run, ServiceParams, ServiceVariant};
-use oam_model::{Dur, EnvOverlay};
+use oam_apps::service::{self, ServiceOutcome, ServiceParams, ServiceVariant};
+use oam_model::{Dur, MachineConfig};
 
-/// The suite's service parameters under the CI leg's `OAM_*` overrides.
+/// The suite's service parameters.
 fn base() -> ServiceParams {
-    let env = EnvOverlay::read().expect("OAM_* overrides");
-    ServiceParams { arrivals: 192, ..ServiceParams::default().with_env(env) }
+    ServiceParams { arrivals: 192, ..ServiceParams::default() }
+}
+
+/// Run the service on its four nodes at `seed`, under the CI leg's `OAM_*`
+/// overrides.
+fn run_at(seed: u64, params: ServiceParams) -> ServiceOutcome {
+    let cfg = MachineConfig::cm5(4).apply_env().expect("OAM_* overrides").with_seed(seed);
+    service::run(cfg, params)
+}
+
+/// Run the service at the seed the suite was recorded with.
+fn run(params: ServiceParams) -> ServiceOutcome {
+    run_at(0x5e41_11ce, params)
 }
 
 #[test]
@@ -64,10 +75,10 @@ fn adaptive_demotion_is_deterministic_per_seed() {
     let b = run(ServiceParams { load_x100: 200, ..base() });
     assert_eq!(a.mode_switches, b.mode_switches, "same seed, same switch count");
     assert_eq!(a.app.answer, b.app.answer);
-    let c = run(ServiceParams { load_x100: 200, seed: 0xdead_beef, ..base() });
+    let c = run_at(0xdead_beef, ServiceParams { load_x100: 200, ..base() });
     // A different seed is allowed a different count — but must itself be
     // reproducible.
-    let d = run(ServiceParams { load_x100: 200, seed: 0xdead_beef, ..base() });
+    let d = run_at(0xdead_beef, ServiceParams { load_x100: 200, ..base() });
     assert_eq!(c.mode_switches, d.mode_switches);
 }
 

@@ -12,7 +12,7 @@ use optimistic_active_messages::apps::service::{self, ServiceParams};
 use optimistic_active_messages::apps::triangle::Board;
 use optimistic_active_messages::machine::MachineBuilder;
 use optimistic_active_messages::model::{Dur, MachineConfig, NodeId, NodeStats, Time};
-use optimistic_active_messages::net::{BufPool, NetConfig, Network, Packet, PayloadBuf};
+use optimistic_active_messages::net::{BufPool, Network, Packet, PayloadBuf};
 use optimistic_active_messages::rpc::{define_rpc_service, from_bytes, to_bytes, to_payload};
 use optimistic_active_messages::sim::{event_key, EventId, Prng, Sim, KEY_CLASS_NODE};
 use optimistic_active_messages::threads::{Mutex, Node};
@@ -322,12 +322,12 @@ fn network_delivers_exactly_once_in_order() {
             .map(|_| (r.gen_below(4) as usize, r.gen_below(4) as usize, r.gen_below(8) as usize))
             .collect();
         let sim = Sim::new(9);
-        let mut cfg = NetConfig::from_machine(&MachineConfig::cm5(4));
+        let mut cfg = MachineConfig::cm5(4);
         cfg.ni_out_capacity = 1 + r.gen_below(5) as usize;
         cfg.ni_in_capacity = 1 + r.gen_below(5) as usize;
         cfg.fabric_capacity = 1 + r.gen_below(7) as usize;
         let stats: Vec<_> = (0..4).map(|_| Rc::new(RefCell::new(NodeStats::new()))).collect();
-        let net = Network::new(&sim, cfg, stats);
+        let net = Network::new(&sim, &cfg, stats);
         let mut accepted: Vec<Vec<u32>> = vec![Vec::new(); 16]; // per (src,dst) tags in send order
         let mut delivered: Vec<Vec<u32>> = vec![Vec::new(); 16];
         let drain = |delivered: &mut Vec<Vec<u32>>| {
@@ -627,13 +627,9 @@ fn admission_budget_holds_and_every_shed_call_nacks_exactly_once() {
         let seed = r.next_u64();
         let mut per_shard = Vec::new();
         for shards in [1usize, 2] {
-            let o = service::run(ServiceParams {
-                load_x100: 250,
-                arrivals: 48,
-                seed,
-                shards,
-                ..ServiceParams::default()
-            });
+            let cfg = MachineConfig::cm5(4).with_seed(seed).with_shards(shards);
+            let params = ServiceParams { load_x100: 250, arrivals: 48, ..ServiceParams::default() };
+            let o = service::run(cfg, params);
             let t = o.app.stats.total();
             for n in &o.app.stats.per_node {
                 assert!(
