@@ -20,11 +20,15 @@
 //! produced: answers of data-deterministic programs are reproducible,
 //! traces and timings are not (see DESIGN.md §14).
 //!
-//! Workers wait with the same spin-then-park discipline as the epoch
-//! barrier: short gaps to the next due event spin-poll the rings, longer
-//! waits publish a parked state and re-check before parking (the
-//! no-lost-wake Dekker protocol in `oam_net::ring`), bounded by
-//! `MAX_PARK` so a thread's view of the stop flag never goes stale.
+//! An idle worker polls before it sleeps, as an Active Messages node
+//! polls its network interface: it spin-polls its rings and the stop
+//! flag until its next local event is due or for a spin budget of
+//! `SPIN_GAP_NS`, whichever comes first, so a record that arrives within
+//! the budget costs no wake. Only then, with nothing due or pending, it
+//! publishes a parked state and re-checks before parking (the
+//! no-lost-wake Dekker protocol in `oam_net::ring`) until the event is
+//! due or a producer wakes it, at most `MAX_PARK` at a time so its view
+//! of the stop flag never goes stale.
 //!
 //! Termination is a two-phase protocol. Each worker reports to the
 //! coordinator (the caller's thread) once all its nodes' mains have
@@ -60,9 +64,9 @@ const DEFAULT_BUDGET: Time = Time::from_nanos(30_000_000_000);
 /// loop re-checks its rings and the stop flag.
 const EVENT_BATCH: u64 = 4096;
 
-/// Gaps to the next due event shorter than this are spin-waited (polling
-/// the rings) instead of parking — park granularity is far coarser than
-/// the microsecond-scale charges being paced.
+/// Spin budget of an idle worker: it polls its rings this long before it
+/// parks. Park granularity and an unpark's futex wake are far coarser
+/// than the microsecond-scale charges and round trips being paced.
 const SPIN_GAP_NS: u64 = 200_000;
 
 /// Longest single park: bounds how stale a thread's view of the stop flag
@@ -218,6 +222,23 @@ impl Inbox {
     }
 }
 
+/// An idle worker's wait for its next local event, due at `due`
+/// (`Time::MAX` when it has none), or for `ready` (a record pending, or
+/// the run stopped). It spin-polls `ready` until `due` or for
+/// `SPIN_GAP_NS`, whichever comes first; then, only if the event is still
+/// not due and nothing is ready, it calls `park` with the time left,
+/// at most `MAX_PARK`.
+fn idle_wait(clock: &WallClock, due: Time, ready: impl Fn() -> bool, park: impl FnOnce(Duration)) {
+    let spin_end = due.min(Time::from_nanos(clock.now().as_nanos().saturating_add(SPIN_GAP_NS)));
+    while clock.now() < spin_end && !ready() {
+        std::hint::spin_loop();
+    }
+    let left = due.saturating_since(clock.now());
+    if !left.is_zero() && !ready() {
+        park(Duration::from_nanos(left.as_nanos()).min(MAX_PARK));
+    }
+}
+
 /// What every worker of one native run shares.
 struct Run<'a, S> {
     cfg: &'a MachineConfig,
@@ -315,23 +336,9 @@ impl<S> Run<'_, S> {
             // Wait for the next due local event or an incoming record,
             // whichever comes first.
             let pending = || inbox.borrow().pending();
-            match next {
-                Some(t) => {
-                    let gap = t.saturating_since(self.clock.now());
-                    if gap.is_zero() {
-                        // Batch bound hit with work still due: fall through
-                        // and drain whatever is already here.
-                    } else if gap.as_nanos() <= SPIN_GAP_NS {
-                        while self.clock.now() < t && !pending() && !self.stopped() {
-                            std::hint::spin_loop();
-                        }
-                    } else {
-                        let wait = Duration::from_nanos(gap.as_nanos()).min(MAX_PARK);
-                        gate.park_unless(pending, wait);
-                    }
-                }
-                None => gate.park_unless(pending, MAX_PARK),
-            }
+            let ready = || pending() || self.stopped();
+            let due = next.unwrap_or(Time::MAX);
+            idle_wait(&self.clock, due, ready, |wait| gate.park_unless(pending, wait));
             // Received records apply in arrival order: net records gather
             // in the reused batch, which is applied before each collective
             // contribution and after the last record.
@@ -415,6 +422,70 @@ mod tests {
         assert_eq!(ring_capacity(batch, 3), 512);
         assert_eq!(ring_capacity(batch, 64), RING_SLOTS_MAX, "128 nodes on two workers");
         assert_eq!(ring_capacity(batch, 10_000), RING_SLOTS_MAX);
+    }
+
+    /// The `park` of a wait that must not park.
+    fn no_park(wait: Duration) {
+        panic!("parked for {wait:?} with work ready or due");
+    }
+
+    #[test]
+    fn an_idle_wait_returns_without_parking_when_a_record_is_pending_or_the_run_stopped() {
+        let clock = WallClock::start();
+        let (mut tx, rx) = spsc::<u32>(4);
+        tx.push(7).unwrap();
+        idle_wait(&clock, Time::MAX, || rx.has_records(), no_park);
+        let stop = AtomicBool::new(true);
+        idle_wait(&clock, Time::MAX, || stop.load(Ordering::Acquire), no_park);
+    }
+
+    #[test]
+    fn an_idle_wait_returns_by_an_event_due_inside_the_spin_budget() {
+        let clock = WallClock::start();
+        for gap in [0, 1_000, SPIN_GAP_NS / 2, SPIN_GAP_NS] {
+            let due = Time::from_nanos(clock.now().as_nanos() + gap);
+            idle_wait(&clock, due, || false, no_park);
+            assert!(clock.now() >= due, "returned before the event {gap} ns out was due");
+        }
+    }
+
+    #[test]
+    fn an_idle_wait_with_nothing_due_parks_once_after_the_spin_budget() {
+        let clock = WallClock::start();
+        let mut parks = Vec::new();
+        idle_wait(&clock, Time::MAX, || false, |wait| parks.push(wait));
+        assert!(clock.now().as_nanos() >= SPIN_GAP_NS, "parked before the spin budget ran out");
+        assert_eq!(parks, [MAX_PARK]);
+    }
+
+    #[test]
+    fn a_parked_idle_wait_is_released_by_a_producers_notify() {
+        let (clock, gate) = (WallClock::start(), WakeGate::new());
+        let (mut tx, mut rx) = spsc::<u32>(4);
+        let parking = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let consumer = s.spawn(|| {
+                gate.register();
+                let pending = || rx.has_records();
+                // A park that times out before the record lands waits again.
+                while !pending() {
+                    idle_wait(&clock, Time::MAX, pending, |wait| {
+                        parking.store(true, Ordering::Release);
+                        gate.park_unless(pending, wait);
+                    });
+                }
+                rx.pop()
+            });
+            // Publish only once the consumer has spun past its budget and
+            // gone to park.
+            while !parking.load(Ordering::Acquire) {
+                std::thread::yield_now();
+            }
+            tx.push(7).unwrap();
+            gate.notify();
+            assert_eq!(consumer.join().unwrap(), Some(7), "the consumer sees the record");
+        });
+        assert!(gate.wakes() <= 1, "one notify wakes at most once");
     }
 
     #[test]

@@ -8,12 +8,12 @@
 //!   separate non-cloneable handles taking `&mut self`, so the SPSC
 //!   contract is enforced by the type system rather than by convention.
 //! * [`WakeGate`] — the consumer's park wait. The gate itself never
-//!   spins; the only consumer-side spin is the native node loop's poll
-//!   of due gaps up to 200 µs (`oam_machine::native_run`), and longer
-//!   waits come here. The no-lost-wake argument is a Dekker store/load
-//!   pair: the consumer publishes `PARKED`, fences, then re-checks its
-//!   rings before parking; the producer publishes its ring tail, fences,
-//!   then reads the gate state.
+//!   spins; the only consumer-side spin is the native worker's idle
+//!   wait, which polls its rings for up to 200 µs before it comes here
+//!   (`oam_machine::native_run`). The no-lost-wake argument is a Dekker
+//!   store/load pair: the consumer publishes `PARKED`, fences, then
+//!   re-checks its rings before parking; the producer publishes its ring
+//!   tail, fences, then reads the gate state.
 //!   Whatever interleaving the hardware picks, either the consumer sees
 //!   the new tail (and skips the park) or the producer sees `PARKED` (and
 //!   unparks) — a deposit can never slip between the check and the park.

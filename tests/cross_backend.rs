@@ -17,6 +17,7 @@ use optimistic_active_messages::apps::sor::SorParams;
 use optimistic_active_messages::apps::tsp::TspParams;
 use optimistic_active_messages::apps::water::{WaterParams, WaterVariant};
 use optimistic_active_messages::apps::{sor, triangle, tsp, water, System};
+use optimistic_active_messages::machine::HangReport;
 use optimistic_active_messages::model::{host_cores, EngineCounters};
 use optimistic_active_messages::prelude::*;
 
@@ -244,20 +245,66 @@ fn apps_honor_the_backend_environment() {
     assert_eq!(out.answer, (sol << 40) | pos);
 }
 
+/// Real-time budget of one storm run: a run past it is a hang.
+const STORM_BUDGET: Time = Time::from_nanos(30_000_000_000);
+
+/// The two-node storm machine at delivery batch size `batch`.
+fn storm_config(batch: u32) -> MachineConfig {
+    on(Backend::Native, 2).with_tuning(ShardTuning { batch: Some(batch), ..ShardTuning::default() })
+}
+
+/// The CM-5 cost model with every charge 1 ns and every per-byte or
+/// per-word cost 0: wall time is transport, not modeled pacing.
+fn transport_costs() -> CostModel {
+    let one = Dur::from_nanos(1);
+    CostModel {
+        am_send: one,
+        wire_latency: one,
+        packet_gap: one,
+        poll_dispatch: one,
+        poll_empty: one,
+        poll_wakeup_lag: one,
+        scopy_setup_send: one,
+        scopy_setup_recv: one,
+        scopy_per_byte: Dur::ZERO,
+        copy_per_byte: Dur::ZERO,
+        marshal_per_word: Dur::ZERO,
+        thread_create_direct: one,
+        context_switch: one,
+        thread_exit: one,
+        enqueue_runnable: one,
+        yield_cost: one,
+        mutex_op: one,
+        condvar_wait_setup: one,
+        condvar_signal: one,
+        rpc_caller_overhead: one,
+        trpc_dispatch: one,
+        oam_entry: one,
+        oam_commit: one,
+        oam_abort_overhead: one,
+        reply_integrate: one,
+        nack_backoff_base: one,
+        barrier_latency: one,
+        reduction_latency: one,
+    }
+}
+
 /// A burst of `rounds` small one-way active messages from node 0 to node
 /// 1 (and, if `two_way`, from node 1 to node 0 at the same time) on the
-/// native backend at delivery batch size `batch`, then a count-sum
-/// reduction. Each receiver blocks until every hit has landed before
-/// reducing, so a lost message or a lost wake is a wrong answer or a hang.
-/// Returns the answer and the machine's delivery counters.
-fn native_am_storm(rounds: u32, batch: u32, two_way: bool) -> (u64, EngineCounters) {
-    use optimistic_active_messages::machine::{run_partitioned, ShardApp};
+/// native machine `cfg`, then a count-sum reduction, under a real-time
+/// budget of [`STORM_BUDGET`]. Each receiver blocks until every hit has
+/// landed before reducing, so a lost message is a wrong answer and a lost
+/// wake is a hang. Returns the answer and the machine's delivery counters.
+fn native_am_storm(
+    cfg: MachineConfig,
+    rounds: u32,
+    two_way: bool,
+) -> Result<(u64, EngineCounters), HangReport> {
+    use optimistic_active_messages::machine::{try_run_native, ShardApp};
     use std::cell::Cell;
     use std::rc::Rc;
 
-    let cfg = on(Backend::Native, 2)
-        .with_tuning(ShardTuning { batch: Some(batch), ..ShardTuning::default() });
-    let (report, answer) = run_partitioned(cfg, move |machine| {
+    let (report, answer) = try_run_native(cfg, STORM_BUDGET, move |machine| {
         // Each native replica builds only its own node: state and handlers
         // go on that node, under its global id.
         let states = NodeTable::new(machine.owned(), |id| {
@@ -305,8 +352,8 @@ fn native_am_storm(rounds: u32, batch: u32, two_way: bool) -> (u64, EngineCounte
             }),
             finish: Box::new(move |_| total.get()),
         }
-    });
-    (answer, report.stats.engine)
+    })?;
+    Ok((answer, report.stats.engine))
 }
 
 /// The small-AM storm under the batched (`batch = 32`) and per-message
@@ -320,7 +367,7 @@ fn native_am_storm(rounds: u32, batch: u32, two_way: bool) -> (u64, EngineCounte
 fn small_am_storm_delivers_every_message_at_both_batch_sizes() {
     const ROUNDS: u32 = 8_000;
     for batch in [32u32, 1] {
-        let (answer, engine) = native_am_storm(ROUNDS, batch, false);
+        let (answer, engine) = native_am_storm(storm_config(batch), ROUNDS, false).unwrap();
         let (deposits, batches) = (engine.deposits, engine.batches);
         assert_eq!(answer, ROUNDS as u64, "storm answer at batch {batch}");
         if host_cores() == 1 {
@@ -346,7 +393,26 @@ fn small_am_storm_delivers_every_message_at_both_batch_sizes() {
 fn a_two_way_storm_between_workers_completes() {
     const ROUNDS: u32 = 8_000;
     for batch in [32u32, 1] {
-        let (answer, _) = native_am_storm(ROUNDS, batch, true);
+        let (answer, _) = native_am_storm(storm_config(batch), ROUNDS, true).unwrap();
         assert_eq!(answer, 2 * ROUNDS as u64, "two-way storm answer at batch {batch}");
+    }
+}
+
+/// The one-way burst with every charge at 1 ns, repeated at batch 32 and
+/// at batch 1: nothing paces the sender, so the receiving worker spends
+/// the storm between its rings and its idle wait. Each repetition must
+/// complete inside the real-time budget with every hit counted.
+#[test]
+fn a_transport_bound_one_way_storm_completes_every_repetition() {
+    const ROUNDS: u32 = 20_000;
+    const REPEATS: u32 = 4;
+    for batch in [32u32, 1] {
+        for rep in 0..REPEATS {
+            let mut cfg = storm_config(batch);
+            cfg.cost = transport_costs();
+            let (answer, _) = native_am_storm(cfg, ROUNDS, false)
+                .unwrap_or_else(|hang| panic!("batch {batch}, repetition {rep} hung:\n{hang}"));
+            assert_eq!(answer, ROUNDS as u64, "batch {batch}, repetition {rep}");
+        }
     }
 }
