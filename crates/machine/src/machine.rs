@@ -65,14 +65,15 @@ impl MachineBuilder {
     }
 
     /// Build the replica one native (host-threads) worker drives: the
-    /// nodes `owned`, on a wall-clock simulator sharing `clock` with every
-    /// other worker, with a fabric that delivers between owned nodes
-    /// itself and hands every other record to `port` immediately: a shard
-    /// replica in real time. Used by [`crate::native_run`].
+    /// nodes `owned`, on a wall-clock simulator reading a copy of the
+    /// `clock` every other worker reads, with a fabric that delivers
+    /// between owned nodes itself and hands every other record to `port`
+    /// immediately: a shard replica in real time. Used by
+    /// [`crate::native_run`].
     pub fn build_native(
         self,
         owned: Range<usize>,
-        clock: std::sync::Arc<oam_sim::WallClock>,
+        clock: oam_sim::WallClock,
         port: Rc<dyn oam_net::FabricPort>,
     ) -> Machine {
         assert!(self.cfg.fault_plan.is_none(), "the native backend requires a lossless fabric");
