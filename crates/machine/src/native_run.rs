@@ -1,7 +1,9 @@
 //! Native (host-threads) machine execution: the sharded layout in real
-//! time. One worker OS thread per host core (never more than there are
-//! nodes) owns a contiguous range of nodes, lock-free SPSC rings carry
-//! packets between workers, and wall-clock time replaces virtual time.
+//! time. One worker per host core (never more than there are nodes) owns
+//! a contiguous range of nodes, lock-free SPSC rings carry packets
+//! between workers, and wall-clock time replaces virtual time. Worker 0
+//! runs on the calling thread, as an epoch run's does, so W workers start
+//! W−1 OS threads and a one-worker run starts none.
 //!
 //! Worker *w* of W builds the replica of `shard_range(nodes, W, w)` on a
 //! wall-clock [`Sim`](oam_sim::Sim) and drives it like an epoch shard
@@ -38,21 +40,29 @@
 //! due or a producer wakes it, at most `MAX_PARK` at a time so its view
 //! of the stop flag never goes stale.
 //!
-//! Termination is a two-phase protocol. Each worker reports to the
-//! coordinator (the caller's thread) once all its nodes' mains have
-//! completed; once every worker has reported — or a *real-time* watchdog
-//! budget expires — the coordinator raises a stop flag and wakes every
-//! gate, so workers parked on empty rings exit promptly. Workers then
+//! No thread only coordinates: the workers end the run themselves. Each
+//! counts itself done once all its nodes' mains have completed. From the
+//! count that reaches W on, the run ends as a simulator run does, at
+//! quiescence: a worker with no event pending and no record waiting
+//! publishes itself idle with the records it has sent and received, and
+//! the run is quiet once every worker is idle and the totals agree (two
+//! collects with no state change between them). The worker that sees it
+//! raises a stop flag and wakes every gate, so workers parked on empty
+//! rings exit promptly. So a request or cancel still in flight when the
+//! last main returns is served, as the simulator serves it. Each worker
+//! also checks the *real-time* watchdog budget against the reading its
+//! `run_wall` pass already took (a parked worker passes at least every
+//! `MAX_PARK`); the first to find it spent marks the run timed out and
+//! stops it the same way, as does a worker that panics. Workers then
 //! harvest their replicas and join, and the exits merge exactly as the
 //! epoch engine's do; on timeout they become a [`HangReport`] with one
 //! snapshot per node.
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, Sender};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use oam_model::{host_cores, Backend, EngineCounters, MachineConfig, Time};
 use oam_net::{spsc, BatchTx, ChannelPort, CrossNet, RingRx, RingTx, WakeGate};
@@ -60,7 +70,7 @@ use oam_sim::{partition, shard_range, WallClock};
 
 use crate::collective::ReduceRecord;
 use crate::machine::{merge, Machine, MachineBuilder, ReplicaExit, RunReport};
-use crate::shard_run::{CrossMsg, Replica, ShardApp};
+use crate::shard_run::{run_workers, CrossMsg, Replica, ShardApp};
 use crate::watchdog::HangReport;
 
 /// Real-time watchdog budget of [`run_native`]. Generous because wall
@@ -78,7 +88,8 @@ const EVENT_BATCH: u64 = 4096;
 const SPIN_GAP_NS: u64 = 200_000;
 
 /// Longest single park: bounds how stale a thread's view of the stop flag
-/// can get even if a wake signal were lost.
+/// can get even if a wake signal were lost, and how long a parked worker
+/// goes without checking the watchdog budget.
 const MAX_PARK: Duration = Duration::from_millis(20);
 
 /// Most slots one ring gets, however many nodes feed it.
@@ -114,19 +125,23 @@ fn ring_matrix(workers: usize, cap: impl Fn(usize) -> usize) -> Vec<RingRow> {
     rows
 }
 
-/// Run an application on the native backend: one worker OS thread per
-/// host core, at most one per node, each owning a contiguous range of
-/// nodes; ring-delivered packets between workers, wall-clock pacing. Same
+/// Run an application on the native backend: one worker per host core,
+/// at most one per node, each owning a contiguous range of nodes, worker 0
+/// on the calling thread and the rest on OS threads of their own;
+/// ring-delivered packets between workers, wall-clock pacing. Same
 /// contract as [`crate::run_partitioned`] (which delegates here when
 /// `cfg.backend` is native): `setup` runs once per worker against that
 /// worker's replica, registers handlers on the replica's own nodes and
 /// creates the same reducers in the same order everywhere; the answer
-/// comes from the replica that owns node 0. `cfg.shards` and
+/// comes from the replica that owns node 0. As on the simulator, the run
+/// ends at quiescence once every main is done. `cfg.shards` and
 /// `cfg.tuning.workers` are epoch-engine settings and are not read.
 ///
 /// # Panics
 /// Panics if `cfg` is invalid, or with the [`HangReport`] display if the
-/// run does not complete within a real-time watchdog budget of 30 s.
+/// run does not complete within a real-time watchdog budget of 30 s. A
+/// panic in `setup` or a node main ends the run at once and resumes on
+/// the caller.
 pub fn run_native<R: Send + 'static>(
     cfg: MachineConfig,
     setup: impl Fn(&Machine) -> ShardApp<R> + Send + Sync,
@@ -138,14 +153,16 @@ pub fn run_native<R: Send + 'static>(
 }
 
 /// As [`run_native`], but with an explicit *real-time* budget, returning
-/// the hang diagnosis instead of panicking. All worker threads are joined
-/// before this returns, whichever way the run ends: the shutdown wake
-/// reaches even workers parked on empty rings, so a hung handler leaks
-/// nothing. Runs on the native backend whatever `cfg.backend` says.
+/// the hang diagnosis instead of panicking. The workers check the budget
+/// themselves; all worker threads are joined before this returns,
+/// whichever way the run ends: the shutdown wake reaches even workers
+/// parked on empty rings, so a hung handler leaks nothing. Runs on the
+/// native backend whatever `cfg.backend` says.
 ///
 /// # Panics
 /// Panics if `cfg` is invalid, a fault plan included: the native backend
-/// cannot inject faults.
+/// cannot inject faults. A worker's panic stops the run, and it resumes
+/// here once every worker has been joined.
 pub fn try_run_native<R: Send + 'static>(
     cfg: MachineConfig,
     budget: Time,
@@ -158,51 +175,25 @@ pub fn try_run_native<R: Send + 'static>(
         cfg: &cfg,
         setup: &setup,
         clock: WallClock::start(),
+        budget,
         stop: Arc::new(AtomicBool::new(false)),
+        done: AtomicUsize::new(0),
+        timed_out: AtomicBool::new(false),
         gates: (0..workers).map(|_| Arc::new(WakeGate::new())).collect(),
+        idle: (0..workers).map(|_| IdleSlot::default()).collect(),
     };
     let batch = cfg.effective_batch();
     let rings = ring_matrix(workers, |src| {
         ring_capacity(batch, shard_range(cfg.nodes, workers, src).len())
     });
-    let (done_tx, done_rx) = mpsc::channel::<usize>();
-
-    let mut timed_out = false;
-    let exits: Vec<ReplicaExit<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rings
-            .into_iter()
-            .enumerate()
-            .map(|(worker, row)| {
-                let (run, done_tx) = (&run, done_tx.clone());
-                scope.spawn(move || run.worker(worker, row, done_tx))
-            })
-            .collect();
-        drop(done_tx);
-
-        // Coordinator: wait for every worker's mains against the
-        // real-time budget.
-        let deadline = Instant::now() + Duration::from_nanos(budget.as_nanos());
-        for _ in 0..workers {
-            match done_rx.recv_timeout(deadline.saturating_duration_since(Instant::now())) {
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => {
-                    timed_out = true;
-                    break;
-                }
-                // Every sender gone: all workers exited (only possible via
-                // panic before completion); joining below propagates it.
-                Err(RecvTimeoutError::Disconnected) => break,
-            }
-        }
-        run.stop.store(true, Ordering::Release);
-        // Unconditional wakes: set every gate's park token so workers
-        // mid-way into a park re-check the stop flag promptly.
-        for gate in &run.gates {
-            gate.wake();
-        }
-        handles.into_iter().map(|h| h.join().expect("native worker panicked")).collect()
-    });
-    merge(exits, timed_out.then(|| run.clock.now()))
+    let exits: Vec<ReplicaExit<R>> = run_workers(
+        rings.into_iter().enumerate(),
+        |(worker, row)| run.worker(worker, row),
+        || {
+            run.halt();
+        },
+    );
+    merge(exits, run.timed_out.load(Ordering::Relaxed).then(|| run.clock.now()))
 }
 
 /// A worker's receiving side: its ring ends, indexed by source worker,
@@ -210,6 +201,8 @@ pub fn try_run_native<R: Send + 'static>(
 struct Inbox {
     rx: Vec<Option<RingRx<CrossMsg>>>,
     held: Vec<CrossMsg>,
+    /// Records ever taken off the rings.
+    taken: u64,
 }
 
 impl Inbox {
@@ -220,6 +213,7 @@ impl Inbox {
         for rx in self.rx.iter_mut().flatten() {
             while let Some(msg) = rx.pop() {
                 self.held.push(msg);
+                self.taken += 1;
             }
         }
     }
@@ -257,14 +251,49 @@ fn idle_wait(clock: &WallClock, due: Time, ready: impl Fn() -> bool, park: impl 
     }
 }
 
+/// A worker's published idle state, read by [`Run::quiescent`]. Written
+/// only once every main is done, so the hot loop never touches it. A
+/// worker publishes itself idle when it has no event pending and no record
+/// waiting, and busy again before any record it takes afterwards takes
+/// effect, so a worker published idle has sent nothing since.
+#[derive(Default)]
+struct IdleSlot {
+    /// Odd while the worker is idle; bumped on every change, so it only
+    /// grows.
+    epoch: AtomicU64,
+    /// Records the worker had sent and taken when it last went idle.
+    sent: AtomicU64,
+    taken: AtomicU64,
+}
+
+impl IdleSlot {
+    /// Publish the worker idle (`Some((sent, taken))`) or busy again
+    /// (`None`), alternately.
+    fn publish(&self, idle: Option<(u64, u64)>) {
+        if let Some((sent, taken)) = idle {
+            self.sent.store(sent, Ordering::SeqCst);
+            self.taken.store(taken, Ordering::SeqCst);
+        }
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
 /// What every worker of one native run shares.
 struct Run<'a, S> {
     cfg: &'a MachineConfig,
     setup: &'a S,
     clock: WallClock,
+    /// The real-time watchdog budget, as a reading of `clock`.
+    budget: Time,
     stop: Arc<AtomicBool>,
+    /// Workers whose mains have all completed.
+    done: AtomicUsize,
+    /// Whether the budget ran out before the run stopped otherwise.
+    timed_out: AtomicBool,
     /// One wake gate per worker, indexed by worker.
     gates: Vec<Arc<WakeGate>>,
+    /// One idle slot per worker, indexed by worker.
+    idle: Vec<IdleSlot>,
 }
 
 impl<S> Run<'_, S> {
@@ -272,10 +301,49 @@ impl<S> Run<'_, S> {
         self.stop.load(Ordering::Acquire)
     }
 
+    /// Raise the stop flag and, if this call raised it, wake every gate:
+    /// unconditional wakes set each gate's park token, so workers mid-way
+    /// into a park re-check the flag promptly. Returns whether this call
+    /// raised it.
+    fn halt(&self) -> bool {
+        let first = !self.stop.swap(true, Ordering::AcqRel);
+        if first {
+            self.wake_all();
+        }
+        first
+    }
+
+    fn wake_all(&self) {
+        for gate in &self.gates {
+            gate.wake();
+        }
+    }
+
+    /// Whether the run is quiet: every worker idle, with as many records
+    /// taken as sent, and no worker's state changed while the counts were
+    /// read. Epochs only grow, so an unchanged sum means every epoch is
+    /// unchanged. A worker published idle has sent nothing since, so
+    /// equal totals mean no record is in flight and none was taken without
+    /// its taker turning busy. The last worker to go idle always sees the
+    /// others' publications (SeqCst on both sides), so a quiet run is not
+    /// missed.
+    fn quiescent(&self) -> bool {
+        let collect = || {
+            let mut epochs = self.idle.iter().map(|slot| slot.epoch.load(Ordering::SeqCst));
+            epochs.try_fold(0u64, |sum, epoch| (epoch % 2 == 1).then_some(sum + epoch))
+        };
+        let Some(before) = collect() else { return false };
+        let (sent, taken) = self.idle.iter().fold((0, 0), |(sent, taken), slot| {
+            (sent + slot.sent.load(Ordering::SeqCst), taken + slot.taken.load(Ordering::SeqCst))
+        });
+        sent == taken && collect() == Some(before)
+    }
+
     /// Worker body: build and set up the replica of this worker's nodes,
     /// then alternate wall-clock event execution with ring service until
-    /// the coordinator orders shutdown.
-    fn worker<R>(&self, me: usize, (tx_row, rx): RingRow, done: Sender<usize>) -> ReplicaExit<R>
+    /// the run stops: quiet after every main is done, the budget spent, or
+    /// a worker panicked.
+    fn worker<R>(&self, me: usize, (tx_row, rx): RingRow) -> ReplicaExit<R>
     where
         S: Fn(&Machine) -> ShardApp<R>,
     {
@@ -293,7 +361,7 @@ impl<S> Run<'_, S> {
         ));
         // Polled while a flush waits on a full ring: keep receiving, and
         // give up once the run is stopped.
-        let inbox = Rc::new(RefCell::new(Inbox { rx, held: Vec::new() }));
+        let inbox = Rc::new(RefCell::new(Inbox { rx, held: Vec::new(), taken: 0 }));
         let abandoned = {
             let (stop, inbox) = (Arc::clone(&self.stop), Rc::clone(&inbox));
             move || {
@@ -322,9 +390,9 @@ impl<S> Run<'_, S> {
         let mut reduce: Vec<ReduceRecord> = Vec::new();
         let mut received: Vec<CrossMsg> = Vec::new();
         let mut net_batch: Vec<CrossNet> = Vec::new();
-        let mut reported = false;
+        let (mut reported, mut idle) = (false, false);
         loop {
-            let next = sim.run_wall(EVENT_BATCH);
+            let (next, now) = sim.run_wall(EVENT_BATCH);
             {
                 let mut out = outbound.borrow_mut();
                 replica.ctx.drain_outbox_into(&mut reduce);
@@ -342,7 +410,26 @@ impl<S> Run<'_, S> {
             }
             if !reported && replica.mains_done() {
                 reported = true;
-                let _ = done.send(me);
+                if self.done.fetch_add(1, Ordering::AcqRel) + 1 == workers {
+                    // Every main is done: parked peers publish their idle
+                    // state now, not a park later.
+                    self.wake_all();
+                }
+            }
+            // The budget check reuses the pass's clock reading.
+            if now >= self.budget && self.halt() {
+                self.timed_out.store(true, Ordering::Relaxed);
+            }
+            // Once every main is done, the run ends when it is quiet.
+            if self.done.load(Ordering::Acquire) == workers {
+                if !idle && next.is_none() && !inbox.borrow().pending() {
+                    idle = true;
+                    let sent = outbound.borrow().iter().flatten().map(|tx| tx.deposits).sum();
+                    self.idle[me].publish(Some((sent, inbox.borrow().taken)));
+                }
+                if idle && self.quiescent() {
+                    self.halt();
+                }
             }
             if self.stopped() {
                 break;
@@ -361,6 +448,12 @@ impl<S> Run<'_, S> {
                 let mut inbox = inbox.borrow_mut();
                 inbox.hold();
                 std::mem::swap(&mut inbox.held, &mut received);
+            }
+            if idle && !received.is_empty() {
+                // Busy again before a received record takes effect: only
+                // records end an idle worker's idleness.
+                idle = false;
+                self.idle[me].publish(None);
             }
             for msg in received.drain(..) {
                 match msg {
@@ -521,6 +614,7 @@ mod tests {
             seen.sort_by_key(|(_, owned)| owned.start);
             let threads: HashSet<_> = seen.iter().map(|(thread, _)| *thread).collect();
             assert_eq!(threads.len(), workers, "one thread per worker at {nodes} nodes");
+            assert_eq!(seen[0].0, std::thread::current().id(), "worker 0 runs on the caller");
             let ranges: Vec<_> = seen.into_iter().map(|(_, owned)| owned).collect();
             let want: Vec<_> = (0..workers).map(|w| shard_range(nodes, workers, w)).collect();
             assert_eq!(ranges, want, "worker w owns shard_range(nodes, W, w)");

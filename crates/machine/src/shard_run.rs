@@ -30,7 +30,12 @@
 //! the epoch engine is host-schedule invariant by construction.
 //!
 //! Worker 0 always runs on the calling thread; only workers `1..workers`
-//! are spawned, so a one-worker run creates no thread at all. The host
+//! are spawned, so a one-worker run creates no thread at all. The native
+//! backend starts its workers the same way, through the same helper
+//! (`run_workers`), which also turns a worker's panic into a prompt end
+//! of the run: the unwinding worker poisons the epoch [`Coordinator`] (or
+//! stops the native run), so its peers stop waiting for it, and the panic
+//! resumes on the caller once every worker has been joined. The host
 //! core count behind the defaults is probed once per process
 //! ([`oam_model::host_cores`]).
 //!
@@ -39,8 +44,10 @@
 //! size of 1 selects the per-message reference path.
 
 use std::future::Future;
+use std::panic::{self, AssertUnwindSafe};
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use oam_model::{Backend, Dur, EngineCounters, MachineConfig, Time};
 use oam_net::CrossNet;
@@ -180,27 +187,82 @@ pub fn run_partitioned<R: Send + 'static>(
         .with_spin(spin)
         .with_batched(batched);
 
-    // Worker 0 runs on the calling thread, whatever the worker count:
-    // spawning it would only add a thread, and a malloc arena, that the
-    // run does not need.
-    let mut exits: Vec<ReplicaExit<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (1..workers)
-            .map(|worker| {
-                let cfg = cfg.clone();
-                let coord = &coord;
-                let owners = &owners;
-                let setup = &setup;
-                scope.spawn(move || run_worker(cfg, coord, owners, worker, workers, setup))
-            })
-            .collect();
-        let mut exits = run_worker(cfg, &coord, &owners, 0, workers, &setup);
-        for h in handles {
-            exits.extend(h.join().expect("shard worker panicked"));
-        }
-        exits
-    });
+    let mut exits: Vec<ReplicaExit<R>> = run_workers(
+        0..workers,
+        |worker| run_worker(cfg.clone(), &coord, &owners, worker, workers, &setup),
+        || coord.poison(),
+    )
+    .into_iter()
+    .flatten()
+    .collect();
     exits[0].engine.wakes += coord.wakes();
     merge(exits, None).unwrap_or_else(|hang| panic!("partitioned run did not complete:\n{hang}"))
+}
+
+/// Start one worker per input and return their results in worker order.
+/// Worker 0 runs on the calling thread, whatever the worker count:
+/// spawning it would only add a thread, and a malloc arena, that the run
+/// does not need. Workers `1..` run on scoped threads, joined in order.
+///
+/// A worker that panics calls `on_panic` on its own thread as it unwinds,
+/// which must make every other worker return (or unwind) promptly. Once
+/// all are joined, the panic of the first worker to unwind resumes on the
+/// caller: a peer that unwound only because it was told to does not mask
+/// the cause.
+pub(crate) fn run_workers<I: Send, T: Send>(
+    inputs: impl IntoIterator<Item = I>,
+    work: impl Fn(I) -> T + Sync,
+    on_panic: impl Fn() + Sync,
+) -> Vec<T> {
+    let first_panic = AtomicUsize::new(usize::MAX);
+    let guarded = |worker: usize, input: I| {
+        let _guard = PanicGuard { worker, first_panic: &first_panic, on_panic: &on_panic };
+        work(input)
+    };
+    let mut inputs = inputs.into_iter();
+    let first = inputs.next().expect("a run has at least one worker");
+    let mut results: Vec<std::thread::Result<T>> = std::thread::scope(|scope| {
+        let guarded = &guarded;
+        let handles: Vec<_> = inputs
+            .enumerate()
+            .map(|(i, input)| scope.spawn(move || guarded(i + 1, input)))
+            .collect();
+        let mut results = vec![panic::catch_unwind(AssertUnwindSafe(|| guarded(0, first)))];
+        results.extend(handles.into_iter().map(|h| h.join()));
+        results
+    });
+    let cause = first_panic.into_inner();
+    if cause != usize::MAX {
+        // The guard fires only while its worker unwinds, so that worker's
+        // join returned its panic.
+        if let Err(payload) = results.swap_remove(cause) {
+            panic::resume_unwind(payload);
+        }
+    }
+    results.into_iter().map(|r| r.expect("no worker unwound")).collect()
+}
+
+/// Armed for the whole of one worker's body by [`run_workers`]: if the
+/// worker unwinds, it records itself as the cause unless a peer unwound
+/// first, then calls the run's `on_panic`.
+struct PanicGuard<'a, F: Fn()> {
+    worker: usize,
+    first_panic: &'a AtomicUsize,
+    on_panic: &'a F,
+}
+
+impl<F: Fn()> Drop for PanicGuard<'_, F> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.first_panic.compare_exchange(
+                usize::MAX,
+                self.worker,
+                Ordering::AcqRel,
+                Ordering::Relaxed,
+            );
+            (self.on_panic)();
+        }
+    }
 }
 
 /// One shard replica as driven by a worker thread: the replica, its

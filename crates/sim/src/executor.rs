@@ -623,7 +623,8 @@ impl Sim {
     /// dense event stream still get back regularly to check stop flags and
     /// incoming channels. Returns the earliest pending event time (which
     /// may already be due if the batch bound was hit), or `None` when the
-    /// queue is empty.
+    /// queue is empty, and the pass's last clock reading, which callers
+    /// check deadlines against without reading the clock again.
     ///
     /// The pass reads the clock once when it starts and fires every event
     /// due at that reading. Only when the queue head is later than the
@@ -632,20 +633,20 @@ impl Sim {
     /// fires, as with one read per event (the old rate, 36–56 ns each
     /// against ~177 ns for the event itself); a pass of k due events now
     /// costs one read, two when it ends on a head that is not yet due.
-    pub fn run_wall(&self, max_events: u64) -> Option<Time> {
+    pub fn run_wall(&self, max_events: u64) -> (Option<Time>, Time) {
         let clock = self.inner.borrow().wall.expect("run_wall requires a native-mode sim");
         let mut now = clock.now();
         let mut fired = 0u64;
         loop {
-            let t = self.peek_event_time()?;
+            let Some(t) = self.peek_event_time() else { return (None, now) };
             if t > now {
                 now = clock.now();
                 if t > now {
-                    return Some(t);
+                    return (Some(t), now);
                 }
             }
             if fired >= max_events {
-                return Some(t);
+                return (Some(t), now);
             }
             self.fire_next_event();
             fired += 1;
@@ -1099,7 +1100,7 @@ mod tests {
             });
         });
         wait_past(&clock, Time::from_nanos(1_000));
-        assert_eq!(sim.run_wall(u64::MAX), None, "the pass drained the queue");
+        assert_eq!(sim.run_wall(u64::MAX).0, None, "the pass drained the queue");
         assert_eq!(*log.borrow(), [0, 1, 2, 3, 4, 5, 6, 106, 7, 107, 8, 9]);
         assert_eq!(sim.events_executed(), 13);
     }
@@ -1113,7 +1114,7 @@ mod tests {
         let far = Time::from_nanos(1_000_000_000);
         sim.schedule_at(far, move |_| f2.set(f2.get() + 10));
         wait_past(&clock, Time::from_nanos(1_000));
-        assert_eq!(sim.run_wall(u64::MAX), Some(far));
+        assert_eq!(sim.run_wall(u64::MAX).0, Some(far));
         assert_eq!(fired.get(), 1, "only the due event fired");
         assert_eq!(sim.event_queue_depth(), 1);
     }
@@ -1125,17 +1126,28 @@ mod tests {
             sim.schedule_at(Time::from_nanos(i), |_| {});
         }
         wait_past(&clock, Time::from_nanos(1_000));
-        assert_eq!(sim.run_wall(4), Some(Time::from_nanos(4)), "the due head is returned");
+        assert_eq!(sim.run_wall(4).0, Some(Time::from_nanos(4)), "the due head is returned");
         assert_eq!(sim.events_executed(), 4);
-        assert_eq!(sim.run_wall(4), Some(Time::from_nanos(8)));
-        assert_eq!(sim.run_wall(4), None);
+        assert_eq!(sim.run_wall(4).0, Some(Time::from_nanos(8)));
+        assert_eq!(sim.run_wall(4).0, None);
         assert_eq!(sim.events_executed(), 10);
+    }
+
+    #[test]
+    fn a_wall_pass_returns_its_last_clock_reading_without_another_read() {
+        let (sim, clock) = native_sim();
+        sim.schedule_at(Time::from_nanos(1), |_| {});
+        wait_past(&clock, Time::from_nanos(1_000));
+        let before = clock_reads();
+        let (next, now) = sim.run_wall(u64::MAX);
+        assert_eq!((next, clock_reads() - before), (None, 1), "one read for one due event");
+        assert!(now > Time::from_nanos(1_000) && now <= clock.now(), "the pass's reading: {now:?}");
     }
 
     #[test]
     fn a_wall_pass_over_an_empty_queue_returns_none() {
         let (sim, _clock) = native_sim();
-        assert_eq!(sim.run_wall(u64::MAX), None);
+        assert_eq!(sim.run_wall(u64::MAX).0, None);
         assert_eq!(sim.events_executed(), 0);
     }
 
@@ -1149,7 +1161,7 @@ mod tests {
         sim.schedule_at(far, |_| {});
         wait_past(&clock, Time::from_nanos(1_000));
         let before = clock_reads();
-        assert_eq!(sim.run_wall(u64::MAX), Some(far));
+        assert_eq!(sim.run_wall(u64::MAX).0, Some(far));
         assert_eq!(sim.events_executed(), 1_000);
         let reads = clock_reads() - before;
         assert!(reads <= 2, "{reads} clock reads for one pass of 1,000 due events");

@@ -112,7 +112,7 @@
 //! callers.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::thread::Thread;
 
@@ -222,6 +222,9 @@ pub struct Coordinator<M> {
     /// Worker thread handles for barrier unpark, registered by
     /// [`Coordinator::port`].
     threads: Vec<OnceLock<Thread>>,
+    /// Raised by [`Coordinator::poison`]: a worker unwound and will never
+    /// arrive again.
+    poisoned: AtomicBool,
     /// `2 × shards × shards` mailbox slots, flattened `[parity][src][dst]`.
     slots: Vec<Slot<M>>,
     /// `2 × shards` next-event times, flattened `[parity][shard]`.
@@ -248,6 +251,7 @@ impl<M> Coordinator<M> {
             generation: CachePadded(AtomicU64::new(0)),
             traffic_gen: AtomicU64::new(u64::MAX),
             threads: (0..shards).map(|_| OnceLock::new()).collect(),
+            poisoned: AtomicBool::new(false),
             slots: (0..2 * shards * shards).map(|_| Slot(UnsafeCell::new(Vec::new()))).collect(),
             next_times: (0..2 * shards).map(|_| NextCell(UnsafeCell::new(None))).collect(),
         }
@@ -297,6 +301,9 @@ impl<M> Coordinator<M> {
         self.threads[shard]
             .set(std::thread::current())
             .unwrap_or_else(|_| panic!("port({shard}) taken twice"));
+        // Pairs with the fence in `poison` (Dekker): a poisoner that misses
+        // this registration is seen by this thread's next park check.
+        fence(Ordering::SeqCst);
         ShardPort {
             coord: self,
             shard,
@@ -308,6 +315,18 @@ impl<M> Coordinator<M> {
             out: (0..self.shards).map(|_| Vec::new()).collect(),
             scratch: (0..self.shards).map(|_| Vec::new()).collect(),
             counters: EngineCounters::default(),
+        }
+    }
+
+    /// Fail the run's barriers: a worker is unwinding and will never
+    /// arrive again. Every registered worker thread is unparked, and from
+    /// now on a waiter that runs out of spin budget panics instead of
+    /// parking, so its worker unwinds too and the run can be joined.
+    pub fn poison(&self) {
+        self.poisoned.store(true, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        for t in self.threads.iter().filter_map(OnceLock::get) {
+            t.unpark();
         }
     }
 
@@ -358,6 +377,12 @@ impl<M> Coordinator<M> {
     /// Wait half of the barrier: spin the configured budget on the
     /// generation word, then park. Returns once the barrier for `gen` has
     /// been released (possibly by the caller's own `barrier_arrive`).
+    ///
+    /// # Panics
+    /// Panics, instead of parking, once the coordinator is poisoned. The
+    /// check sits on the park path only: before the first park, so a worker
+    /// that registered after the poisoner's unparks still fails, and after
+    /// every park returns. The spin path never reads it.
     fn barrier_wait(&self, gen: u64) {
         let mut budget = self.spin;
         while self.generation.0.load(Ordering::Acquire) == gen {
@@ -365,6 +390,7 @@ impl<M> Coordinator<M> {
                 budget -= 1;
                 std::hint::spin_loop();
             } else {
+                assert!(!self.poisoned.load(Ordering::SeqCst), "a peer shard worker panicked");
                 // A stale unpark token makes park return spuriously;
                 // the loop re-checks the generation either way.
                 std::thread::park();
