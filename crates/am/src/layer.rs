@@ -84,7 +84,8 @@ impl Am {
         for node in &am.inner.nodes {
             node.set_dispatcher(Rc::new(AmDispatcher { am: am.clone() }));
             let n = node.clone();
-            am.inner.net.set_arrival_hook(node.id(), move |_| n.kick());
+            // The fabric runs the hook as the last act of its event.
+            am.inner.net.set_arrival_hook(node.id(), move |_| n.kick_tail());
         }
         am
     }

@@ -60,6 +60,9 @@ pub struct AppOutcome {
     /// Simulation events executed (a proxy for simulator work, and the
     /// numerator of the perf harness's events/sec metric).
     pub events: u64,
+    /// Settles that advanced the clock in place instead of firing an event
+    /// (see [`RunReport::in_place`]).
+    pub in_place: u64,
     /// High-water mark of the simulator's event queue during the run.
     pub peak_queue_depth: u64,
 }
@@ -73,6 +76,7 @@ impl AppOutcome {
             answer,
             stats: report.stats,
             events: report.events,
+            in_place: report.in_place,
             peak_queue_depth: report.peak_queue_depth,
         }
     }

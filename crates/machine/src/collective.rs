@@ -127,7 +127,7 @@ impl<T> Round<T> {
 struct ReduceInner<T> {
     sim: Sim,
     /// The shard's own nodes, kicked at publish.
-    nodes: Vec<Node>,
+    nodes: Rc<[Node]>,
     latency: Dur,
     op: ReduceOp<T>,
     /// Replica id: creation order, identical on every shard.
@@ -164,12 +164,12 @@ impl<T: Clone + Send + Sync + 'static> Reducer<T> {
     /// Create a reducer combining contributions with `op` (must be
     /// associative and commutative).
     pub fn new(coll: &Collectives, op: impl Fn(&T, &T) -> T + 'static) -> Self {
-        Self::with_latency(&coll.sim, coll.nodes.clone(), coll.reduction_latency, &coll.shard, op)
+        Self::with_latency(&coll.sim, &coll.nodes, coll.reduction_latency, &coll.shard, op)
     }
 
     fn with_latency(
         sim: &Sim,
-        nodes: Vec<Node>,
+        nodes: &Rc<[Node]>,
         latency: Dur,
         ctx: &Rc<ShardCollectives>,
         op: impl Fn(&T, &T) -> T + 'static,
@@ -181,7 +181,7 @@ impl<T: Clone + Send + Sync + 'static> Reducer<T> {
         );
         let inner = Rc::new(ReduceInner {
             sim: sim.clone(),
-            nodes,
+            nodes: Rc::clone(nodes),
             latency,
             op: Rc::new(op),
             id: ctx.sinks.borrow().len() as u32,
@@ -258,7 +258,7 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
             (u64::from(self.id) << 32) | (round_no & 0xFFFF_FFFF),
         );
         let op = Rc::clone(&self.op);
-        let nodes = self.nodes.clone();
+        let nodes = Rc::clone(&self.nodes);
         let current = Rc::clone(&self.current_round);
         let rounds = Rc::clone(&self.rounds);
         let done = round;
@@ -281,7 +281,7 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
             *done.result.borrow_mut() = Some(acc);
             done.flag.set();
             current.set(round_no + 1);
-            for node in &nodes {
+            for node in nodes.iter() {
                 node.kick();
             }
         });
@@ -304,8 +304,8 @@ impl<T: Clone + Send + Sync + 'static> ReduceSink for ReduceInner<T> {
 #[derive(Clone)]
 pub struct Collectives {
     sim: Sim,
-    /// The shard's own nodes.
-    nodes: Vec<Node>,
+    /// The shard's own nodes, shared by every clone and replica.
+    nodes: Rc<[Node]>,
     reduction_latency: Dur,
     barrier: Reducer<()>,
     shard: Rc<ShardCollectives>,
@@ -317,12 +317,12 @@ impl Collectives {
     /// notes).
     pub fn new(
         sim: &Sim,
-        nodes: Vec<Node>,
+        nodes: Rc<[Node]>,
         barrier_latency: Dur,
         reduction_latency: Dur,
         ctx: Rc<ShardCollectives>,
     ) -> Self {
-        let barrier = Reducer::with_latency(sim, nodes.clone(), barrier_latency, &ctx, |_, _| ());
+        let barrier = Reducer::with_latency(sim, &nodes, barrier_latency, &ctx, |_, _| ());
         Collectives { sim: sim.clone(), nodes, reduction_latency, barrier, shard: ctx }
     }
 
@@ -366,7 +366,7 @@ mod tests {
             .collect();
         let coll = Collectives::new(
             &sim,
-            nodes.clone(),
+            nodes.as_slice().into(),
             cfg.cost.barrier_latency,
             cfg.cost.reduction_latency,
             Rc::new(ShardCollectives::new(0..n, n, Dur::ZERO)),

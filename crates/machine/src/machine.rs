@@ -107,7 +107,7 @@ impl MachineBuilder {
         let ctx = Rc::new(ShardCollectives::new(owned, cfg.nodes, lookahead));
         let coll = Collectives::new(
             &sim,
-            nodes.as_slice().to_vec(),
+            nodes.as_slice().into(),
             cfg.cost.barrier_latency,
             cfg.cost.reduction_latency,
             ctx,
@@ -162,6 +162,11 @@ pub struct RunReport {
     pub completed: bool,
     /// Total simulation events executed (a proxy for simulation work).
     pub events: u64,
+    /// Settles that advanced the clock in place instead of firing an event
+    /// ([`Sim::settle_for`]); `events + in_place` is the event count the
+    /// run would have with every settle fired as an event. Zero on native
+    /// runs.
+    pub in_place: u64,
     /// High-water mark of the simulator's event queue during the run.
     pub peak_queue_depth: u64,
 }
@@ -184,6 +189,7 @@ pub(crate) struct ReplicaExit<R> {
     pub(crate) first: usize,
     pub(crate) end_time: Time,
     pub(crate) events: u64,
+    pub(crate) in_place: u64,
     pub(crate) peak_queue_depth: u64,
     pub(crate) in_flight: usize,
     pub(crate) method_names: BTreeMap<u32, String>,
@@ -205,7 +211,8 @@ pub(crate) fn merge<R>(
     stopped: Option<Time>,
 ) -> Result<(RunReport, R), HangReport> {
     exits.sort_unstable_by_key(|e| e.first);
-    let (mut end_time, mut events, mut peak, mut in_flight) = (Time::ZERO, 0, 0, 0);
+    let (mut end_time, mut events, mut in_place, mut peak, mut in_flight) =
+        (Time::ZERO, 0, 0, 0, 0);
     let nodes = exits.iter().map(|e| e.nodes.len()).sum();
     let (mut per_node, mut hang) = (Vec::with_capacity(nodes), Vec::with_capacity(nodes));
     let mut method_names = BTreeMap::new();
@@ -213,6 +220,7 @@ pub(crate) fn merge<R>(
     for e in exits {
         end_time = end_time.max(e.end_time);
         events += e.events;
+        in_place += e.in_place;
         peak = peak.max(e.peak_queue_depth);
         in_flight += e.in_flight;
         method_names.extend(e.method_names);
@@ -238,7 +246,8 @@ pub(crate) fn merge<R>(
     let stats = MachineStats::new(per_node)
         .with_method_names(method_names)
         .with_engine(engine.unwrap_or_default());
-    let report = RunReport { end_time, stats, completed: true, events, peak_queue_depth: peak };
+    let report =
+        RunReport { end_time, stats, completed: true, events, in_place, peak_queue_depth: peak };
     Ok((report, answer.expect("the replica owning node 0 produces the answer")))
 }
 
@@ -365,6 +374,7 @@ impl Machine {
             stats: self.harvest(),
             completed,
             events: self.sim.events_executed(),
+            in_place: self.sim.settles_in_place(),
             peak_queue_depth: self.sim.peak_event_queue_depth(),
         }
     }
@@ -411,6 +421,7 @@ impl Machine {
             first: self.owned().start,
             end_time: self.sim.now(),
             events: self.sim.events_executed(),
+            in_place: self.sim.settles_in_place(),
             peak_queue_depth: self.sim.peak_event_queue_depth(),
             in_flight: self.net.in_flight(),
             method_names: stats.method_names,

@@ -162,7 +162,7 @@ pub async fn pace_until(node: &Node, at: Time) {
     let n = node.clone();
     node.sim().schedule_at_for(at, node.id().index() as u32, move |_| {
         f.set();
-        n.kick();
+        n.kick_tail();
     });
     node.spin_on(flag).await;
 }

@@ -364,7 +364,8 @@ impl Network {
 
     /// Register the callback invoked whenever a packet (or bulk completion)
     /// becomes available for `node`. The node scheduler uses this to leave
-    /// idle state; it must tolerate spurious calls.
+    /// idle state; it must tolerate spurious calls. Every call is the last
+    /// act of its event, so the hook may move the clock forward.
     pub fn set_arrival_hook(&self, node: NodeId, hook: impl Fn(&Sim) + 'static) {
         self.inner.borrow_mut().nodes[node.index()].arrival_hook = Some(Rc::new(hook));
     }
@@ -694,14 +695,19 @@ impl Network {
                     && n.in_link_free <= now;
                 if inline {
                     drop(inner);
+                    // Credits first: admitting runs the arrival hook, which
+                    // must be this event's last act (it may move the clock).
+                    if credits > 0 {
+                        self.credit(dst as u32, src, credits);
+                    }
                     self.admit(dst, pkt);
                 } else {
                     n.pending.push_back(pkt);
                     drop(inner);
                     self.ensure_delivery(dst);
-                }
-                if credits > 0 {
-                    self.credit(dst as u32, src, credits);
+                    if credits > 0 {
+                        self.credit(dst as u32, src, credits);
+                    }
                 }
             }
             Arrival::Bulk(done, dur) => {

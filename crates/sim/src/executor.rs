@@ -24,7 +24,7 @@
 //!
 //! Next to the queue sits one **continuation slot**: a single event that
 //! cannot be cancelled, held as `(time, key, owner, action)` outside both
-//! the slab and the queue ([`Sim::continue_after_for`]). A node's settle —
+//! the slab and the queue ([`Sim::settle_for`]). A node's settle —
 //! the wait that turns its accumulated charge into virtual time — goes
 //! through it, because with few busy nodes the settle is almost always the
 //! very next event to fire, and the slot spares it the key-to-slab-to-queue
@@ -34,6 +34,23 @@
 //! `(time, key)` order, cancelled entries are discarded at the same moments
 //! as without the slot, and an empty slot costs one branch. The slot counts
 //! as one pending entry in the queue depth and its peak.
+//!
+//! # Settles in place
+//!
+//! Most settles need no event at all. When a settle is the last thing its
+//! event does — the caller says so with `tail` ([`Sim::settle_for`]) — and
+//! no pending event precedes its `(time, key)`, the continuation would be
+//! the very next event to fire and nothing could run before it. The settle
+//! then takes its key as usual, moves [`Sim::now`] to its due time and
+//! returns `true`, and the caller goes on in place of the continuation.
+//! Every other event keeps its key and its place, so the run is the same
+//! run with one event fewer; [`Sim::settles_in_place`] counts these.
+//!
+//! The advance never leaves the window the current run loop may fire in:
+//! [`Sim::run_before`]'s fence (exclusive), [`Sim::run_with_deadline`]'s
+//! deadline (inclusive). A native sim never advances in place, since its
+//! events are paced by the wall clock; the check reads a field already
+//! under the settle's one borrow, so native settles pay nothing for it.
 
 use std::cell::RefCell;
 use std::hash::Hasher;
@@ -257,6 +274,11 @@ struct Inner {
     /// High-water mark of the event queue (pending entries, including
     /// stale cancelled ones), for capacity planning and perf harnesses.
     queue_peak: u64,
+    /// The latest instant a settle may reach in place: the window of the run
+    /// loop in progress (see the module docs).
+    horizon: Time,
+    /// Settles that advanced the clock in place instead of firing an event.
+    in_place: u64,
     /// Wall-clock time source (native backend); `None` in simulator mode.
     /// Lives here rather than on the `Sim` handle so the handle stays one
     /// word — closures capturing a `Sim` must keep fitting the event
@@ -311,6 +333,25 @@ impl Inner {
     /// Pending events: queue entries (stale ones included) plus the slot.
     fn depth(&self) -> usize {
         self.queue.len() + self.cont.is_some() as usize
+    }
+
+    /// Whether a pending event precedes `(t, seq)`: the held continuation or
+    /// a live queue entry. Stale entries ahead of `(t, seq)` are discarded
+    /// on the way, as firing up to `(t, seq)` would discard them.
+    fn due_before(&mut self, t: Time, seq: u64) -> bool {
+        if self.cont.as_ref().is_some_and(|c| (c.t, c.seq) < (t, seq)) {
+            return true;
+        }
+        while let Some(e) = self.queue.peek() {
+            if (e.t, e.seq) > (t, seq) {
+                return false;
+            }
+            if self.slots[e.slot as usize].gen == e.gen {
+                return true;
+            }
+            self.queue.pop();
+        }
+        false
     }
 }
 
@@ -375,6 +416,8 @@ impl Sim {
                 owner: 0,
                 events_executed: 0,
                 queue_peak: 0,
+                horizon: Time::MAX,
+                in_place: 0,
                 wall: None,
             })),
         }
@@ -428,6 +471,15 @@ impl Sim {
     /// Number of events executed so far.
     pub fn events_executed(&self) -> u64 {
         self.inner.borrow().events_executed
+    }
+
+    /// Number of settles that advanced the clock in place instead of firing
+    /// an event ([`Sim::settle_for`]). Each stands for one event that a
+    /// settle through the continuation slot would have fired, so
+    /// `events_executed() + settles_in_place()` is the event count of the
+    /// same run without in-place settles.
+    pub fn settles_in_place(&self) -> u64 {
+        self.inner.borrow().in_place
     }
 
     /// Number of events currently pending (including cancelled entries not
@@ -490,18 +542,40 @@ impl Sim {
         self.schedule_at_for(at, node, action)
     }
 
-    /// Schedule `action` `after` from now, attributed to `node`, as a
-    /// *continuation*: an event that cannot be cancelled and so needs no
+    /// Settle `node`'s charge: run `action` `after` from now, as a
+    /// *continuation* — or advance the clock in place and return `true`.
+    ///
+    /// A continuation is an event that cannot be cancelled and so needs no
     /// [`EventId`]. It takes `node`'s next class-0 key exactly as
     /// [`Sim::schedule_after_for`] does and fires in the same `(time, key)`
     /// order; only its storage differs. It goes to the continuation slot;
     /// if the slot is taken, the earlier of the two keeps it and the other
     /// joins the queue.
-    pub fn continue_after_for(&self, after: Dur, node: u32, action: impl FnOnce(&Sim) + 'static) {
+    ///
+    /// `tail` says the caller's event does nothing after this call, so no
+    /// code can observe the clock between the settle and its continuation.
+    /// If it holds, the sim is not native, no pending event precedes the
+    /// settle's `(time, key)` and that time lies inside the current run
+    /// loop's window, the settle still takes its key but moves the clock
+    /// to its time at once, drops `action` unrun and returns `true`; the
+    /// caller then goes on as `action` would have. Otherwise it returns
+    /// `false`.
+    pub fn settle_for(
+        &self,
+        after: Dur,
+        node: u32,
+        tail: bool,
+        action: impl FnOnce(&Sim) + 'static,
+    ) -> bool {
         let mut inner = self.inner.borrow_mut();
         let inner = &mut *inner;
         let t = inner.now + after;
         let seq = inner.next_key_for(node);
+        if tail && inner.wall.is_none() && t <= inner.horizon && !inner.due_before(t, seq) {
+            inner.now = t;
+            inner.in_place += 1;
+            return true;
+        }
         let action = EventAction::new(action);
         // The earlier of the two keeps the slot; the other is queued.
         if inner.cont.as_ref().is_some_and(|held| (held.t, held.seq) < (t, seq)) {
@@ -512,6 +586,7 @@ impl Sim {
         } else {
             inner.queue_peak = inner.queue_peak.max(inner.depth() as u64);
         }
+        false
     }
 
     /// Drop every pending event without running it: the continuation, and
@@ -571,6 +646,7 @@ impl Sim {
     /// Drive the simulation until no event remains. Returns the final
     /// virtual time.
     pub fn run(&self) -> Time {
+        self.set_horizon(Time::MAX);
         while self.fire_next_event() {}
         self.now()
     }
@@ -579,6 +655,7 @@ impl Sim {
     /// would exceed `deadline` with work still outstanding. Used by tests to
     /// bound runaway scenarios. Returns `true` on quiescence.
     pub fn run_with_deadline(&self, deadline: Time) -> bool {
+        self.set_horizon(deadline);
         loop {
             match self.peek_event_time() {
                 None => return true,
@@ -606,6 +683,7 @@ impl Sim {
     /// entirely — the returned time doubles as the exact next-event report
     /// for the fence agreement, saving a second queue peek.
     pub fn run_before_counted(&self, limit: Time) -> (Option<Time>, bool) {
+        self.set_horizon(Time::from_nanos(limit.as_nanos().saturating_sub(1)));
         let mut ran = false;
         loop {
             match self.peek_event_time() {
@@ -658,6 +736,11 @@ impl Sim {
     /// events earlier than what [`Sim::run_before`] reported).
     pub fn next_event_time(&self) -> Option<Time> {
         self.peek_event_time()
+    }
+
+    /// Bound the in-place settles of the run loop starting now to `last`.
+    fn set_horizon(&self, last: Time) {
+        self.inner.borrow_mut().horizon = last;
     }
 
     fn peek_event_time(&self) -> Option<Time> {
@@ -913,7 +996,7 @@ mod tests {
         };
         let stale_before = sim.schedule_at_for(t, 0, push(0));
         sim.schedule_at_for(t, 3, push(3));
-        sim.continue_after_for(Dur::from_nanos(100), 2, push(2));
+        sim.settle_for(Dur::from_nanos(100), 2, false, push(2));
         sim.schedule_at_for(t, 1, push(1));
         let stale_after = sim.schedule_at_for(t, 4, push(4));
         assert!(sim.cancel(stale_before) && sim.cancel(stale_after));
@@ -936,18 +1019,18 @@ mod tests {
         };
         // Later first, then earlier: the earlier displaces it.
         let sim = Sim::new(1);
-        sim.continue_after_for(Dur::from_nanos(20), 0, |_| {});
-        sim.continue_after_for(Dur::from_nanos(10), 1, |_| {});
+        sim.settle_for(Dur::from_nanos(20), 0, false, |_| {});
+        sim.settle_for(Dur::from_nanos(10), 1, false, |_| {});
         assert_eq!(held(&sim), (10, 1, 1));
         // Earlier first, then later: the later is queued.
         let sim = Sim::new(1);
-        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
-        sim.continue_after_for(Dur::from_nanos(20), 1, |_| {});
+        sim.settle_for(Dur::from_nanos(10), 0, false, |_| {});
+        sim.settle_for(Dur::from_nanos(20), 1, false, |_| {});
         assert_eq!(held(&sim), (10, 0, 1));
         // Same instant: the smaller key (node 0) keeps the slot.
         let sim = Sim::new(1);
-        sim.continue_after_for(Dur::from_nanos(10), 1, |_| {});
-        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
+        sim.settle_for(Dur::from_nanos(10), 1, false, |_| {});
+        sim.settle_for(Dur::from_nanos(10), 0, false, |_| {});
         assert_eq!(held(&sim), (10, 0, 1));
         sim.schedule_after(Dur::from_nanos(5), |_| {});
         assert_eq!(sim.run(), Time::from_nanos(10));
@@ -959,7 +1042,7 @@ mod tests {
         let sim = Sim::new(1);
         let hits = Rc::new(Cell::new(0u32));
         let h = hits.clone();
-        sim.continue_after_for(Dur::from_nanos(1_000), 0, move |_| h.set(h.get() + 1));
+        sim.settle_for(Dur::from_nanos(1_000), 0, false, move |_| h.set(h.get() + 1));
         let limit = Time::from_nanos(1_000);
         assert_eq!(sim.run_before_counted(limit), (Some(limit), false));
         assert_eq!(hits.get(), 0);
@@ -972,7 +1055,7 @@ mod tests {
         let sim = Sim::new(1);
         let fired = Rc::new(Cell::new(false));
         let f = fired.clone();
-        sim.continue_after_for(Dur::from_nanos(1_000), 0, move |_| f.set(true));
+        sim.settle_for(Dur::from_nanos(1_000), 0, false, move |_| f.set(true));
         assert!(!sim.run_with_deadline(Time::from_nanos(999)));
         assert!(!fired.get());
         assert_eq!(sim.now(), Time::ZERO);
@@ -984,7 +1067,7 @@ mod tests {
     fn a_continuation_counts_once_in_every_counter() {
         let sim = Sim::new(1);
         sim.schedule_after(Dur::from_nanos(5), |_| {});
-        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
+        sim.settle_for(Dur::from_nanos(10), 0, false, |_| {});
         assert_eq!(sim.event_queue_depth(), 2);
         assert_eq!(sim.peak_event_queue_depth(), 2);
         sim.run();
@@ -992,8 +1075,8 @@ mod tests {
         assert_eq!(sim.event_queue_depth(), 0);
         assert_eq!(sim.peak_event_queue_depth(), 2);
         // Displacing a held continuation queues it: still one entry each.
-        sim.continue_after_for(Dur::from_nanos(20), 0, |_| {});
-        sim.continue_after_for(Dur::from_nanos(10), 0, |_| {});
+        sim.settle_for(Dur::from_nanos(20), 0, false, |_| {});
+        sim.settle_for(Dur::from_nanos(10), 0, false, |_| {});
         sim.schedule_after(Dur::from_nanos(30), |_| {});
         assert_eq!(sim.event_queue_depth(), 3);
         assert_eq!(sim.peak_event_queue_depth(), 3);
@@ -1006,7 +1089,7 @@ mod tests {
         let drops = Rc::new(Cell::new(0u32));
         let sim = Sim::new(1);
         let c = DropCounter(drops.clone());
-        sim.continue_after_for(Dur::from_nanos(10), 0, move |_| {
+        sim.settle_for(Dur::from_nanos(10), 0, false, move |_| {
             let _keep = &c;
         });
         drop(sim);
@@ -1015,7 +1098,7 @@ mod tests {
         // A fired continuation drops its captures when it runs.
         let sim = Sim::new(1);
         let c = DropCounter(drops.clone());
-        sim.continue_after_for(Dur::from_nanos(10), 0, move |_| {
+        sim.settle_for(Dur::from_nanos(10), 0, false, move |_| {
             let _keep = &c;
         });
         sim.run();
@@ -1039,7 +1122,7 @@ mod tests {
         });
         assert!(sim.cancel(id));
         let c = DropCounter(drops.clone());
-        sim.continue_after_for(Dur::from_nanos(15), 0, move |_| {
+        sim.settle_for(Dur::from_nanos(15), 0, false, move |_| {
             let _keep = &c;
         });
         assert_eq!(drops.get(), 1, "the cancelled action");
@@ -1061,6 +1144,127 @@ mod tests {
         assert!(!quiesced);
         assert!(!fired.get());
         assert_eq!(sim.now(), Time::ZERO, "clock must not pass the deadline");
+    }
+
+    /// Schedule at `at` an action that settles `after` for node 0 (as a
+    /// tail if `tail`) and logs whether the settle went in place, the
+    /// clock after it, and, when it fires, its continuation's time.
+    fn settle_at(sim: &Sim, at: u64, after: u64, tail: bool) -> Rc<RefCell<Vec<(bool, u64)>>> {
+        let log: Rc<RefCell<Vec<(bool, u64)>>> = Rc::default();
+        let l = log.clone();
+        sim.schedule_at(Time::from_nanos(at), move |sim| {
+            let c = l.clone();
+            let cont = move |sim: &Sim| c.borrow_mut().push((false, sim.now().as_nanos()));
+            let in_place = sim.settle_for(Dur::from_nanos(after), 0, tail, cont);
+            l.borrow_mut().push((in_place, sim.now().as_nanos()));
+        });
+        log
+    }
+
+    #[test]
+    fn a_tail_settle_with_nothing_before_it_fires_no_event_and_advances_now() {
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 5, true);
+        assert_eq!(sim.run(), Time::from_nanos(15));
+        assert_eq!(*log.borrow(), [(true, 15)], "no continuation fired");
+        assert_eq!((sim.events_executed(), sim.settles_in_place()), (1, 1));
+        assert_eq!(sim.peak_event_queue_depth(), 1, "only the scheduled action was pending");
+        // The settle took node 0's key 1, as its continuation would have.
+        assert_eq!(sim.alloc_key_for(0), event_key(0, KEY_CLASS_NODE, 2));
+    }
+
+    #[test]
+    fn a_cancelled_entry_ahead_does_not_hold_a_settle_back() {
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 5, true);
+        let stale = sim.schedule_at_for(Time::from_nanos(12), 1, |_| {});
+        assert!(sim.cancel(stale));
+        sim.run();
+        assert_eq!(*log.borrow(), [(true, 15)]);
+        assert_eq!(sim.event_queue_depth(), 0, "the stale entry was discarded on the way");
+    }
+
+    #[test]
+    fn a_queued_event_or_held_continuation_ahead_keeps_the_settle_an_event() {
+        // A queued event at 12 precedes the settle's 15.
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 5, true);
+        sim.schedule_at_for(Time::from_nanos(12), 1, |_| {});
+        sim.run();
+        assert_eq!(*log.borrow(), [(false, 10), (false, 15)]);
+        assert_eq!((sim.events_executed(), sim.settles_in_place()), (3, 0));
+
+        // So does one at the same instant under a smaller key: node 0's
+        // event scheduled before the settle took its key.
+        let sim = Sim::new(1);
+        sim.schedule_at_for(Time::from_nanos(15), 0, |_| {});
+        let log = settle_at(&sim, 10, 5, true);
+        sim.run();
+        assert_eq!(*log.borrow(), [(false, 10), (false, 15)]);
+
+        // And a continuation held in the slot for 14.
+        let sim = Sim::new(1);
+        sim.settle_for(Dur::from_nanos(14), 1, false, |_| {});
+        let log = settle_at(&sim, 10, 5, true);
+        sim.run();
+        assert_eq!(*log.borrow(), [(false, 10), (false, 15)]);
+        assert_eq!(sim.settles_in_place(), 0);
+
+        // An event after the settle's time does not hold it back.
+        let sim = Sim::new(1);
+        sim.schedule_at_for(Time::from_nanos(16), 1, |_| {});
+        let log = settle_at(&sim, 10, 5, true);
+        sim.run();
+        assert_eq!(*log.borrow(), [(true, 15)]);
+    }
+
+    #[test]
+    fn a_settle_in_place_never_passes_the_window_of_its_run_loop() {
+        // `run_before_counted` fires strictly before its limit.
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 5, true);
+        assert_eq!(
+            sim.run_before_counted(Time::from_nanos(15)),
+            (Some(Time::from_nanos(15)), true)
+        );
+        assert_eq!(*log.borrow(), [(false, 10)], "a settle to the limit stays an event");
+        assert_eq!(sim.now(), Time::from_nanos(10));
+        sim.run();
+        assert_eq!(*log.borrow(), [(false, 10), (false, 15)]);
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 4, true);
+        assert_eq!(sim.run_before_counted(Time::from_nanos(15)), (None, true));
+        assert_eq!(*log.borrow(), [(true, 14)], "one just inside goes in place");
+
+        // `run_with_deadline` fires up to and including its deadline.
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 6, true);
+        assert!(!sim.run_with_deadline(Time::from_nanos(15)));
+        assert_eq!(*log.borrow(), [(false, 10)]);
+        assert_eq!(sim.now(), Time::from_nanos(10), "the clock did not pass the deadline");
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 5, true);
+        assert!(sim.run_with_deadline(Time::from_nanos(15)));
+        assert_eq!(*log.borrow(), [(true, 15)]);
+    }
+
+    #[test]
+    fn a_settle_that_is_not_a_tail_is_always_an_event() {
+        let sim = Sim::new(1);
+        let log = settle_at(&sim, 10, 5, false);
+        sim.run();
+        assert_eq!(*log.borrow(), [(false, 10), (false, 15)]);
+        assert_eq!((sim.events_executed(), sim.settles_in_place()), (2, 0));
+    }
+
+    #[test]
+    fn a_native_sim_never_settles_in_place() {
+        let (sim, clock) = native_sim();
+        let log = settle_at(&sim, 0, 5, true);
+        wait_past(&clock, Time::from_nanos(1_000));
+        assert_eq!(sim.run_wall(u64::MAX).0, None);
+        assert_eq!(*log.borrow(), [(false, 0), (false, 5)]);
+        assert_eq!((sim.events_executed(), sim.settles_in_place()), (2, 0));
     }
 
     /// A native-mode sim on a fresh clock, and the clock.
@@ -1092,9 +1296,9 @@ mod tests {
         // that continuation once more.
         let l = log.clone();
         sim.schedule_at(Time::from_nanos(5), move |sim| {
-            sim.continue_after_for(Dur::from_nanos(1), 0, move |sim| {
+            sim.settle_for(Dur::from_nanos(1), 0, false, move |sim| {
                 l.borrow_mut().push(sim.now().as_nanos() + 100);
-                sim.continue_after_for(Dur::from_nanos(1), 0, move |sim| {
+                sim.settle_for(Dur::from_nanos(1), 0, false, move |sim| {
                     l.borrow_mut().push(sim.now().as_nanos() + 100);
                 });
             });

@@ -19,9 +19,18 @@
 //!
 //! Costs accumulate in a per-node `pending` pot; the scheduler converts the
 //! pot into a wait (a *settle*) before running anything else. The settle is
-//! a simulator continuation ([`Sim::continue_after_for`]): an uncancellable
-//! event with the node's next key that usually skips the event queue, since
-//! it is most often the very next event to fire.
+//! a simulator continuation ([`Sim::settle_for`]): an uncancellable event
+//! with the node's next key that usually skips the event queue, since it is
+//! most often the very next event to fire.
+//!
+//! Most settles fire no event at all. A kick that is the last act of its
+//! event — a *tail* kick ([`Node::kick_tail`]): the settle continuation
+//! itself, the wake-from-idle kick, the network's arrival hook and an
+//! open-loop driver's pacing wake — lets its step loop settle in place:
+//! when nothing pending precedes the settle, the simulator advances the
+//! clock and the loop goes on without an event. Any other kick (one of
+//! several in an event, or one nested in another node's step) settles
+//! through an event as before.
 //! `charge()` inside a thread suspends until its cost has settled — compute
 //! is non-preemptible and messages wait in the NI meanwhile, which is
 //! exactly CM-5 polling semantics. `charge()` inside an inline handler
@@ -580,6 +589,18 @@ impl Node {
     /// idle, or finishes. Invoked by events (arrivals, settles, external
     /// wakes); re-entrant calls are ignored.
     pub fn kick(&self) {
+        self.kick_as(false);
+    }
+
+    /// [`Node::kick`] from an event that does nothing after it: the step
+    /// loop may then settle in place ([`Sim::settle_for`]), moving the
+    /// clock forward before this call returns. Call it only as the last act
+    /// of an event, outside any node's step.
+    pub fn kick_tail(&self) {
+        self.kick_as(true);
+    }
+
+    fn kick_as(&self, tail: bool) {
         if self.inner.stepping.get() {
             return;
         }
@@ -599,7 +620,7 @@ impl Node {
         // Attribute everything scheduled from node code to this node while
         // the step loop runs.
         let prev_owner = self.inner.sim.swap_owner(self.inner.id.index() as u32);
-        self.step();
+        self.step(tail);
         self.inner.sim.swap_owner(prev_owner);
     }
 
@@ -611,28 +632,30 @@ impl Node {
             let node = self.clone();
             self.inner.sim.schedule_after_for(Dur::ZERO, self.inner.id.index() as u32, move |_| {
                 node.inner.kick_scheduled.set(false);
-                node.kick();
+                node.kick_tail();
             });
         }
     }
 
-    fn step(&self) {
+    /// The step loop. `tail`: the kick that started it is the last act of
+    /// its event, so a settle may be taken in place.
+    fn step(&self, tail: bool) {
         debug_assert!(!self.inner.stepping.get());
         self.inner.stepping.set(true);
         loop {
-            // 0. Settle accumulated charges before doing anything else.
+            // 0. Settle accumulated charges before doing anything else:
+            //    in place when nothing is due first, else as an event.
             let pending = self.inner.pending.replace(Dur::ZERO);
             if !pending.is_zero() {
-                self.inner.run_state.set(RunState::Settling);
                 let node = self.clone();
-                self.inner.sim.continue_after_for(
-                    pending,
-                    self.inner.id.index() as u32,
-                    move |_| {
-                        node.inner.run_state.set(RunState::Active);
-                        node.kick();
-                    },
-                );
+                let settle = move |_: &Sim| {
+                    node.inner.run_state.set(RunState::Active);
+                    node.kick_tail();
+                };
+                if self.inner.sim.settle_for(pending, self.inner.id.index() as u32, tail, settle) {
+                    continue;
+                }
+                self.inner.run_state.set(RunState::Settling);
                 break;
             }
 
@@ -988,14 +1011,14 @@ impl Future for PollBatch {
 
 pub(crate) struct JoinShared<T> {
     result: RefCell<Option<T>>,
-    done: Flag,
+    done: Cell<bool>,
     waiters: RefCell<Vec<ThreadId>>,
 }
 
 impl<T> JoinShared<T> {
     pub(crate) fn finish(&self, node: &Node, value: T) {
         *self.result.borrow_mut() = Some(value);
-        self.done.set();
+        self.done.set(true);
         for tid in self.waiters.borrow_mut().drain(..) {
             node.make_runnable(tid, Placement::Front);
         }
@@ -1014,7 +1037,7 @@ impl<T> JoinHandle<T> {
             node,
             shared: Rc::new(JoinShared {
                 result: RefCell::new(None),
-                done: Flag::new(),
+                done: Cell::new(false),
                 waiters: RefCell::new(Vec::new()),
             }),
         }

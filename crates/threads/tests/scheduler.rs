@@ -401,3 +401,79 @@ fn idle_time_is_accounted() {
     sim.run();
     assert_eq!(stats.borrow().idle_time, Dur::from_micros(100));
 }
+
+/// Two nodes on one simulator.
+fn two_nodes() -> (Sim, Node, Node) {
+    let sim = Sim::new(11);
+    let cfg = Rc::new(MachineConfig::cm5(2));
+    let mk = |i| Node::new(&sim, NodeId(i), 2, Rc::clone(&cfg), Rc::new(RefCell::default()));
+    let (a, b) = (mk(0), mk(1));
+    (sim, a, b)
+}
+
+#[test]
+fn a_tail_kick_settles_in_place_when_nothing_is_due_first() {
+    let (sim, node, _) = test_node();
+    let n = node.clone();
+    sim.schedule_at(Time::from_nanos(1_000), move |_| {
+        n.add_pending(Dur::from_micros(5));
+        n.kick_tail();
+    });
+    assert_eq!(sim.run(), Time::from_nanos(6_000));
+    assert_eq!((sim.events_executed(), sim.settles_in_place()), (1, 1));
+}
+
+#[test]
+fn a_kick_followed_by_more_scheduling_settles_through_an_event() {
+    let (sim, node, _) = test_node();
+    let n = node.clone();
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let s = seen.clone();
+    sim.schedule_at(Time::from_nanos(1_000), move |sim| {
+        n.add_pending(Dur::from_micros(5));
+        n.kick();
+        // Still at 1 µs: the kick did not move the clock.
+        sim.schedule_after(Dur::from_micros(1), move |sim| s.borrow_mut().push(sim.now()));
+    });
+    assert_eq!(sim.run(), Time::from_nanos(6_000));
+    assert_eq!(*seen.borrow(), [Time::from_nanos(2_000)]);
+    assert_eq!((sim.events_executed(), sim.settles_in_place()), (3, 0));
+}
+
+#[test]
+fn two_kicks_in_one_event_both_settle_through_events() {
+    // As a collective publish kicks every node: were the first kick's
+    // settle taken in place, the second node would start 5 µs late.
+    let (sim, a, b) = two_nodes();
+    let (ak, bk) = (a.clone(), b.clone());
+    sim.schedule_at(Time::from_nanos(1_000), move |_| {
+        ak.add_pending(Dur::from_micros(5));
+        bk.add_pending(Dur::from_micros(3));
+        ak.kick();
+        bk.kick();
+    });
+    assert_eq!(sim.run(), Time::from_nanos(6_000));
+    assert_eq!((sim.events_executed(), sim.settles_in_place()), (3, 0));
+}
+
+#[test]
+fn a_kick_nested_in_another_nodes_step_settles_through_an_event() {
+    // Node a's thread kicks node b from inside a's step (a's own step came
+    // from a tail kick); b's settle must wait for its own event, or a's
+    // thread would see the clock jump by b's 3 µs.
+    let (sim, a, b) = two_nodes();
+    let (na, nb) = (a.clone(), b.clone());
+    let seen = Rc::new(RefCell::new(Vec::new()));
+    let s = seen.clone();
+    a.spawn(async move {
+        let t0 = na.now();
+        nb.add_pending(Dur::from_micros(3));
+        nb.kick();
+        s.borrow_mut().push(na.now().since(t0));
+        na.charge(Dur::from_micros(1)).await;
+        s.borrow_mut().push(na.now().since(t0));
+    });
+    sim.run();
+    assert_eq!(*seen.borrow(), [Dur::ZERO, Dur::from_micros(1)]);
+    assert!(sim.settles_in_place() > 0, "node a's own settles went in place");
+}

@@ -6,6 +6,11 @@
 //! to them means some change altered observable scheduling order, which is
 //! a bug even if every answer still comes out right.
 //!
+//! Each scenario also pins its executed event count, and the sum of that
+//! count and the settles taken in place (`RunReport::in_place`): the sum is
+//! the event count from before settles could go in place, so it shows that
+//! each in-place settle stands for exactly one event that no longer fires.
+//!
 //! If a *deliberate* semantic change to the runtime invalidates them,
 //! re-record with `OAM_PRINT_GOLDEN=1 cargo test -q --test
 //! determinism_golden -- --nocapture`.
@@ -63,7 +68,9 @@ fn trace_bytes(rec: &Recorder) -> Vec<u8> {
 const GOLDEN_TRACE_HASH: u64 = 0x14bf_6a18_7eda_b5ff;
 const GOLDEN_ANSWER: u64 = 3187;
 const GOLDEN_END_NS: u64 = 294_735_204;
-const GOLDEN_EVENTS: u64 = 7581;
+const GOLDEN_EVENTS: u64 = 5592;
+/// Events plus in-place settles: the event count with every settle fired.
+const GOLDEN_ALL_SETTLES_EVENTS: u64 = 7581;
 
 #[test]
 fn fixed_seed_tsp_chaos_trace_is_byte_identical_to_the_pre_swap_golden() {
@@ -72,10 +79,11 @@ fn fixed_seed_tsp_chaos_trace_is_byte_identical_to_the_pre_swap_golden() {
     let hash = fnv1a(&bytes);
     if std::env::var("OAM_PRINT_GOLDEN").is_ok() {
         println!(
-            "GOLDEN_TRACE_HASH = {hash:#018x}\nGOLDEN_ANSWER = {}\nGOLDEN_END_NS = {}\nGOLDEN_EVENTS = {}\n({} trace events, {} bytes)",
+            "GOLDEN_TRACE_HASH = {hash:#018x}\nGOLDEN_ANSWER = {}\nGOLDEN_END_NS = {}\nGOLDEN_EVENTS = {}\nGOLDEN_ALL_SETTLES_EVENTS = {}\n({} trace events, {} bytes)",
             out.answer,
             out.elapsed.as_nanos(),
             out.events,
+            out.events + out.in_place,
             rec.len(),
             bytes.len(),
         );
@@ -84,6 +92,11 @@ fn fixed_seed_tsp_chaos_trace_is_byte_identical_to_the_pre_swap_golden() {
     assert_eq!(out.answer, GOLDEN_ANSWER, "TSP chaos answer drifted");
     assert_eq!(out.elapsed.as_nanos(), GOLDEN_END_NS, "virtual end time drifted");
     assert_eq!(out.events, GOLDEN_EVENTS, "executed event count drifted");
+    assert_eq!(
+        out.events + out.in_place,
+        GOLDEN_ALL_SETTLES_EVENTS,
+        "an in-place settle did not stand for exactly one event"
+    );
     assert_eq!(
         hash, GOLDEN_TRACE_HASH,
         "trace bytes drifted (hash {hash:#018x}): the engine no longer preserves the \
@@ -122,7 +135,7 @@ define_rpc_service! {
 /// the pooled-buffer bulk path — lease, spill, Rc-shared retransmit
 /// copies, pool recycling — under chaos, so buffer management feeds the
 /// trace alongside the executor, fabric, and RPC reliability layers.
-fn chaos_bulk() -> (Recorder, u64, u64, u64) {
+fn chaos_bulk() -> (Recorder, u64, u64, u64, u64) {
     let p = 0.05;
     let cfg = MachineConfig::cm5(2)
         .with_fault_plan(FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20)))
@@ -159,22 +172,25 @@ fn chaos_bulk() -> (Recorder, u64, u64, u64) {
             env.barrier().await;
         }
     });
-    (rec, answer.get(), report.end_time.as_nanos(), report.events)
+    (rec, answer.get(), report.end_time.as_nanos(), report.events, report.in_place)
 }
 
 const GOLDEN_BULK_TRACE_HASH: u64 = 0xd461_1ca6_950f_94c0;
 const GOLDEN_BULK_ANSWER: u64 = 20_478_066;
 const GOLDEN_BULK_END_NS: u64 = 49_768_450;
-const GOLDEN_BULK_EVENTS: u64 = 1107;
+const GOLDEN_BULK_EVENTS: u64 = 717;
+/// Events plus in-place settles: the event count with every settle fired.
+const GOLDEN_BULK_ALL_SETTLES_EVENTS: u64 = 1107;
 
 #[test]
 fn fixed_seed_bulk_chaos_trace_is_byte_identical_to_the_recorded_golden() {
-    let (rec, answer, end_ns, events) = chaos_bulk();
+    let (rec, answer, end_ns, events, in_place) = chaos_bulk();
     let bytes = trace_bytes(&rec);
     let hash = fnv1a(&bytes);
     if std::env::var("OAM_PRINT_GOLDEN").is_ok() {
         println!(
-            "GOLDEN_BULK_TRACE_HASH = {hash:#018x}\nGOLDEN_BULK_ANSWER = {answer}\nGOLDEN_BULK_END_NS = {end_ns}\nGOLDEN_BULK_EVENTS = {events}\n({} trace events, {} bytes)",
+            "GOLDEN_BULK_TRACE_HASH = {hash:#018x}\nGOLDEN_BULK_ANSWER = {answer}\nGOLDEN_BULK_END_NS = {end_ns}\nGOLDEN_BULK_EVENTS = {events}\nGOLDEN_BULK_ALL_SETTLES_EVENTS = {}\n({} trace events, {} bytes)",
+            events + in_place,
             rec.len(),
             bytes.len(),
         );
@@ -184,6 +200,11 @@ fn fixed_seed_bulk_chaos_trace_is_byte_identical_to_the_recorded_golden() {
     assert_eq!(end_ns, GOLDEN_BULK_END_NS, "virtual end time drifted");
     assert_eq!(events, GOLDEN_BULK_EVENTS, "executed event count drifted");
     assert_eq!(
+        events + in_place,
+        GOLDEN_BULK_ALL_SETTLES_EVENTS,
+        "an in-place settle did not stand for exactly one event"
+    );
+    assert_eq!(
         hash, GOLDEN_BULK_TRACE_HASH,
         "bulk trace bytes drifted (hash {hash:#018x}): the pooled payload path altered \
          observable scheduling order"
@@ -192,10 +213,10 @@ fn fixed_seed_bulk_chaos_trace_is_byte_identical_to_the_recorded_golden() {
 
 #[test]
 fn bulk_golden_scenario_is_reproducible_within_one_binary() {
-    let (rec_a, ans_a, end_a, ev_a) = chaos_bulk();
-    let (rec_b, ans_b, end_b, ev_b) = chaos_bulk();
+    let (rec_a, ans_a, end_a, ev_a, in_a) = chaos_bulk();
+    let (rec_b, ans_b, end_b, ev_b, in_b) = chaos_bulk();
     assert_eq!(trace_bytes(&rec_a), trace_bytes(&rec_b));
-    assert_eq!((ans_a, end_a, ev_a), (ans_b, end_b, ev_b));
+    assert_eq!((ans_a, end_a, ev_a, in_a), (ans_b, end_b, ev_b, in_b));
 }
 
 #[test]
@@ -205,4 +226,30 @@ fn golden_scenario_is_reproducible_within_one_binary() {
     assert_eq!(trace_bytes(&rec_a), trace_bytes(&rec_b));
     assert_eq!(out_a.answer, out_b.answer);
     assert_eq!(out_a.elapsed, out_b.elapsed);
+}
+
+/// The chaos TSP scenario's event counts at 1, 2 and 4 shards from before
+/// settles could go in place; a sharded run fires each collective publish
+/// once per shard, so the counts grow with the shard count.
+const GOLDEN_SHARDED_ALL_SETTLES_EVENTS: [(usize, u64); 3] = [(1, 7581), (2, 7584), (4, 7590)];
+
+#[test]
+fn in_place_settles_each_stand_for_one_event_at_every_shard_count() {
+    // The hooked golden run above is one shard whatever `OAM_SHARDS` says;
+    // this runs the same scenario partitioned, without a recorder.
+    let p = 0.05;
+    for (shards, all_settles_events) in GOLDEN_SHARDED_ALL_SETTLES_EVENTS {
+        let cfg = MachineConfig::cm5(5)
+            .with_fault_plan(
+                FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20)),
+            )
+            .with_retransmission()
+            .with_shards(shards);
+        let params = TspParams { ncities: 10, prefix_len: 4, ..Default::default() };
+        let out = tsp::run_configured(System::Orpc, cfg, params);
+        assert_eq!(out.answer, GOLDEN_ANSWER, "answer at {shards} shards");
+        assert_eq!(out.elapsed.as_nanos(), GOLDEN_END_NS, "end time at {shards} shards");
+        assert!(out.in_place > 0, "no settle went in place at {shards} shards");
+        assert_eq!(out.events + out.in_place, all_settles_events, "at {shards} shards");
+    }
 }

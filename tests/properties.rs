@@ -257,7 +257,7 @@ fn issue(sim: &Sim, model: &Rc<RefCell<OrderModel>>) {
         }
     };
     if op == 0 {
-        sim.continue_after_for(after, node, action);
+        sim.settle_for(after, node, false, action);
     } else {
         let id = sim.schedule_after_for(after, node, action);
         m.ids.push((id, at));
