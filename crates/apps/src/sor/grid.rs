@@ -129,15 +129,23 @@ impl Slab {
     }
 
     /// Edge local rows (need ghosts), in order.
-    pub fn edge_rows(&self) -> Vec<usize> {
-        let mut v = Vec::new();
-        if self.has_up_neighbour() {
-            v.push(0);
-        }
-        if self.has_down_neighbour() && self.height() > 1 {
-            v.push(self.height() - 1);
-        }
-        v
+    pub fn edge_rows(&self) -> impl Iterator<Item = usize> {
+        let top = self.has_up_neighbour().then_some(0);
+        let bottom = (self.has_down_neighbour() && self.height() > 1).then(|| self.height() - 1);
+        top.into_iter().chain(bottom)
+    }
+
+    /// The owned edge row to send to the neighbour above (`top`) or below,
+    /// copied into the ghost row on that side. Last iteration's sweep was
+    /// that ghost's last reader and the neighbour sends a fresh one, so
+    /// its storage carries the send instead of a new vector.
+    pub fn outgoing_edge(&mut self, top: bool) -> Vec<f64> {
+        let l = if top { 0 } else { self.height() - 1 };
+        let ghost = if top { &mut self.above } else { &mut self.below };
+        let mut row = ghost.take().unwrap_or_default();
+        row.clear();
+        row.extend_from_slice(&self.cur[l]);
+        row
     }
 
     /// Flip buffers after a full sweep.
@@ -247,7 +255,7 @@ mod tests {
         s.above = Some(vec![0.0; 4]);
         s.below = Some(vec![0.0; 4]);
         let interior: Vec<usize> = s.interior_rows().collect();
-        let edges = s.edge_rows();
+        let edges: Vec<usize> = s.edge_rows().collect();
         let mut all: Vec<usize> = interior.iter().chain(edges.iter()).copied().collect();
         all.sort_unstable();
         assert_eq!(all, (0..s.height()).collect::<Vec<_>>());

@@ -229,7 +229,7 @@ pub fn app(system: System, params: SorParams, machine: &Machine) -> ShardApp<u64
 
                 // Send edge rows to neighbours (bulk: 80 doubles = 640 B).
                 if has_up {
-                    let row = slab.cur[0].clone();
+                    let row = slab.outgoing_edge(true);
                     match system {
                         System::HandAm => {
                             let payload = oam_rpc::to_payload(
@@ -252,7 +252,7 @@ pub fn app(system: System, params: SorParams, machine: &Machine) -> ShardApp<u64
                     }
                 }
                 if has_down {
-                    let row = slab.cur[slab.height() - 1].clone();
+                    let row = slab.outgoing_edge(false);
                     match system {
                         System::HandAm => {
                             let payload = oam_rpc::to_payload(

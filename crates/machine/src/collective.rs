@@ -37,7 +37,7 @@ use oam_threads::{Flag, Node};
 // cross-shard effects (asserted at creation).
 
 /// One reduction contribution crossing shard threads. The value is type-
-/// erased (`Arc<dyn Any>`) so a single record type serves every reducer;
+/// erased ([`ReduceValue`]) so a single record type serves every reducer;
 /// the owning replica downcasts it back.
 #[derive(Clone)]
 pub struct ReduceRecord {
@@ -50,7 +50,59 @@ pub struct ReduceRecord {
     /// Virtual time of the contribution.
     pub t: Time,
     /// The contributed value.
-    pub value: Arc<dyn Any + Send + Sync>,
+    pub value: ReduceValue,
+}
+
+/// A type-erased contribution value. The scalar types of every reducer in
+/// the tree travel inline, so sending them to another shard allocates
+/// nothing; any other type is shared behind an `Arc`.
+#[derive(Clone)]
+pub enum ReduceValue {
+    /// `()`: the barrier.
+    Unit,
+    /// A `bool`.
+    Bool(bool),
+    /// A `u32`.
+    U32(u32),
+    /// A `u64`.
+    U64(u64),
+    /// An `f64`.
+    F64(f64),
+    /// Any other type.
+    Other(Arc<dyn Any + Send + Sync>),
+}
+
+impl ReduceValue {
+    /// Erase `value`'s type, inline when it is one of the scalars.
+    pub fn of<T: Clone + Send + Sync + 'static>(value: &T) -> Self {
+        let any: &dyn Any = value;
+        if any.is::<()>() {
+            ReduceValue::Unit
+        } else if let Some(&v) = any.downcast_ref::<bool>() {
+            ReduceValue::Bool(v)
+        } else if let Some(&v) = any.downcast_ref::<u32>() {
+            ReduceValue::U32(v)
+        } else if let Some(&v) = any.downcast_ref::<u64>() {
+            ReduceValue::U64(v)
+        } else if let Some(&v) = any.downcast_ref::<f64>() {
+            ReduceValue::F64(v)
+        } else {
+            ReduceValue::Other(Arc::new(value.clone()))
+        }
+    }
+
+    /// The value as a `T`; panics when it was made from another type.
+    pub fn get<T: Clone + 'static>(&self) -> T {
+        let any: &dyn Any = match self {
+            ReduceValue::Unit => &(),
+            ReduceValue::Bool(v) => v,
+            ReduceValue::U32(v) => v,
+            ReduceValue::U64(v) => v,
+            ReduceValue::F64(v) => v,
+            ReduceValue::Other(v) => &**v,
+        };
+        any.downcast_ref::<T>().expect("reduction contribution value type mismatch").clone()
+    }
 }
 
 /// Integration interface the shard worker uses to deliver remote
@@ -210,7 +262,7 @@ impl<T: Clone + Send + Sync + 'static> Reducer<T> {
                 round: round_no,
                 node: idx as u32,
                 t,
-                value: Arc::new(value.clone()),
+                value: ReduceValue::of(&value),
             });
         }
         inner.integrate_contribution(round_no, idx, t, value);
@@ -290,12 +342,7 @@ impl<T: Clone + Send + Sync + 'static> ReduceInner<T> {
 
 impl<T: Clone + Send + Sync + 'static> ReduceSink for ReduceInner<T> {
     fn integrate(&self, rec: ReduceRecord) {
-        let value = rec
-            .value
-            .downcast_ref::<T>()
-            .expect("reduction contribution value type mismatch")
-            .clone();
-        self.integrate_contribution(rec.round, rec.node as usize, rec.t, value);
+        self.integrate_contribution(rec.round, rec.node as usize, rec.t, rec.value.get());
     }
 }
 

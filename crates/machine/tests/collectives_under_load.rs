@@ -2,11 +2,11 @@
 //! must complete while RPC handlers keep being served by the spinning
 //! nodes, at every machine size.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use oam_machine::{MachineBuilder, Reducer};
-use oam_model::{AbortStrategy, MachineConfig, NodeId, QueuePolicy};
+use oam_machine::{run_partitioned, MachineBuilder, Reducer, ShardApp};
+use oam_model::{AbortStrategy, Backend, MachineConfig, NodeId, QueuePolicy};
 use oam_rpc::{define_rpc_service, RpcMode};
 
 pub struct PokeState {
@@ -137,4 +137,56 @@ fn alewife_like_machines_run_the_same_workload() {
     });
     let total: u64 = states.iter().map(|s| s.pokes.get()).sum();
     assert_eq!(total, 80);
+}
+
+/// Contributions of a type with drop glue travel between shards behind
+/// an `Arc` (the scalar types travel inline); every shard folds the same
+/// values in the same order, at every shard count and on both backends.
+#[test]
+fn a_reducer_over_a_type_with_drop_glue_works_across_shards() {
+    const NODES: usize = 8;
+    const ROUNDS: u64 = 3;
+    let configs = [
+        MachineConfig::cm5(NODES).with_shards(1),
+        MachineConfig::cm5(NODES).with_shards(2),
+        MachineConfig::cm5(NODES).with_shards(4),
+        MachineConfig::cm5(NODES).with_backend(Backend::Native),
+    ];
+    for cfg in configs {
+        let label = format!("{} shards, {:?}", cfg.shards, cfg.backend);
+        let (report, answer) = run_partitioned(cfg, |machine| {
+            // Merge sorted lists: associative and commutative.
+            let merge = Reducer::new(machine.collectives(), |a: &Vec<String>, b: &Vec<String>| {
+                let mut v: Vec<String> = a.iter().chain(b).cloned().collect();
+                v.sort();
+                v
+            });
+            let out: Rc<RefCell<Vec<Vec<String>>>> = Rc::default();
+            let o = Rc::clone(&out);
+            ShardApp {
+                main: Box::new(move |env| {
+                    let (merge, o) = (merge.clone(), Rc::clone(&o));
+                    Box::pin(async move {
+                        for round in 0..ROUNDS {
+                            let mine = vec![format!("r{round}n{}", env.id().index())];
+                            let all = merge.reduce(env.node(), mine).await;
+                            if env.id().index() == 0 {
+                                o.borrow_mut().push(all);
+                            }
+                        }
+                    })
+                }),
+                finish: Box::new(move |_| out.take()),
+            }
+        });
+        assert!(report.completed, "{label}");
+        let expect: Vec<Vec<String>> = (0..ROUNDS)
+            .map(|r| {
+                let mut v: Vec<String> = (0..NODES).map(|n| format!("r{r}n{n}")).collect();
+                v.sort();
+                v
+            })
+            .collect();
+        assert_eq!(answer, expect, "{label}");
+    }
 }

@@ -10,9 +10,9 @@
 //! fabric's per-hop packet clones — duplication faults, retransmission
 //! buffers, staging queues — are plain memcpys with no heap traffic. Heap
 //! payloads share their storage through an [`Rc`], so those same clones are
-//! a refcount bump rather than a byte copy, and pool-leased storage
-//! ([`crate::BufPool`]) flows back to its pool when the last reference
-//! drops.
+//! a refcount bump rather than a byte copy. A pooled payload's `Rc` is a
+//! *shell* its [`crate::BufPool`] keeps, so once the last payload reference
+//! drops, both the shell and the bytes in it serve the pool's next wrap.
 
 use std::fmt;
 use std::ops::Deref;
@@ -25,22 +25,12 @@ use crate::pool::BufPool;
 /// Maximum payload of a short packet, in bytes (CM-5: 4 argument words).
 pub const SHORT_PAYLOAD_MAX: usize = 16;
 
-/// Reference-counted heap storage behind [`PayloadBuf::Heap`]. When the
-/// last reference drops, storage that was leased from a [`BufPool`] is
-/// returned to it for reuse.
+/// Reference-counted heap storage behind [`PayloadBuf::Heap`]. A
+/// [`BufPool`] keeps a reference to each one it wraps; the pool holding
+/// the only reference means no payload reads the bytes any more.
 pub struct HeapBuf {
     /// The payload bytes.
-    bytes: Vec<u8>,
-    /// Pool the storage was leased from, if any.
-    pool: Option<BufPool>,
-}
-
-impl Drop for HeapBuf {
-    fn drop(&mut self) {
-        if let Some(pool) = self.pool.take() {
-            pool.reclaim(std::mem::take(&mut self.bytes));
-        }
-    }
+    pub(crate) bytes: Vec<u8>,
 }
 
 /// A packet payload: stored inline when it fits a short packet
@@ -102,13 +92,7 @@ impl PayloadBuf {
     /// Wrap an owned heap buffer without pool backing, keeping it on the
     /// heap regardless of size.
     pub fn heap(bytes: Vec<u8>) -> Self {
-        PayloadBuf::Heap(Rc::new(HeapBuf { bytes, pool: None }))
-    }
-
-    /// Wrap a pool-leased buffer; the storage returns to `pool` when the
-    /// last reference drops.
-    pub(crate) fn pooled(bytes: Vec<u8>, pool: BufPool) -> Self {
-        PayloadBuf::Heap(Rc::new(HeapBuf { bytes, pool: Some(pool) }))
+        PayloadBuf::Heap(Rc::new(HeapBuf { bytes }))
     }
 
     /// A zero-copy view of this payload from byte `start` to the end,

@@ -24,9 +24,12 @@
 //!   append-only `Vec`s; each is sorted once, when the cursor reaches it.
 //! * Events beyond the horizon overflow into a small `far` binary heap and
 //!   are pulled into the wheel as the cursor advances toward them.
-//! * A bucket that drains hands its storage to a spare list, and the next
-//!   empty bucket to fill takes it from there, so the wheel holds about as
-//!   many entry slots as were ever pending at once.
+//! * Only occupied days own storage: a `u16` index maps each of the
+//!   `NBUCKETS` days to a slot of a slot vector that grows to the peak
+//!   number of days occupied at once. A day that drains gives its slot,
+//!   storage and all, to the next day to fill, so the wheel holds about as
+//!   many entry slots as were ever pending at once, and a new queue writes
+//!   an 8 KiB index instead of 4,096 `Vec` headers.
 //!
 //! Two structural invariants keep this correct:
 //!
@@ -57,8 +60,8 @@ pub const DAY_SHIFT: u32 = 10;
 const MASK: u64 = (NBUCKETS as u64) - 1;
 const WORDS: usize = NBUCKETS / 64;
 
-/// Occupancy bitmap over the wheel's buckets: bit `i` is set iff
-/// `buckets[i]` is non-empty. Lets the cursor jump straight to the next
+/// Occupancy bitmap over the wheel's buckets: bit `i` is set iff day
+/// bucket `i` is non-empty. Lets the cursor jump straight to the next
 /// occupied day with a handful of word scans instead of probing empty
 /// `Vec`s one day at a time — crucial for workloads whose inter-event gaps
 /// span many days (a compute-bound TSP worker sleeps tens of microseconds,
@@ -80,6 +83,11 @@ impl Occupancy {
     #[inline]
     fn clear(&mut self, i: usize) {
         self.words[i >> 6] &= !(1 << (i & 63));
+    }
+
+    #[inline]
+    fn get(&self, i: usize) -> bool {
+        self.words[i >> 6] & (1 << (i & 63)) != 0
     }
 
     /// Distance (in buckets, wrapping) from `from` to the nearest set bit
@@ -144,14 +152,18 @@ impl Ord for Entry {
 
 /// The calendar queue. See the module docs for the invariants.
 pub struct CalendarQueue {
-    /// The wheel. `buckets[day & MASK]` holds the entries due on `day`.
-    /// An empty bucket owns no storage.
-    buckets: Vec<Vec<Entry>>,
-    /// Storage of drained buckets, handed to the next empty bucket that
-    /// fills. The wheel's memory then follows the entries pending at once,
-    /// not the busiest day each of its 4096 buckets ever held.
-    spare: Vec<Vec<Entry>>,
-    /// Which buckets are non-empty, for fast cursor advancement.
+    /// The wheel: the entries due on `day` are in
+    /// `slots[slot_of[day & MASK]]`. An entry of `slot_of` means something
+    /// only while its `occupied` bit is set.
+    slot_of: Box<[u16]>,
+    /// Storage of the occupied days, and of drained days awaiting reuse.
+    /// The wheel's memory then follows the entries pending at once, not
+    /// the busiest day each of its 4096 buckets ever held.
+    slots: Vec<Vec<Entry>>,
+    /// Slots of drained days, handed to the next day that fills.
+    free_slots: Vec<u16>,
+    /// Which buckets are non-empty, for fast cursor advancement and for
+    /// every empty-day check.
     occupied: Occupancy,
     /// The day the dequeue cursor stands on. The bucket at this index is
     /// kept sorted descending (minimum at the back).
@@ -172,8 +184,9 @@ impl CalendarQueue {
     /// An empty queue with its cursor at day zero.
     pub fn new() -> Self {
         CalendarQueue {
-            buckets: (0..NBUCKETS).map(|_| Vec::new()).collect(),
-            spare: Vec::new(),
+            slot_of: vec![0; NBUCKETS].into_boxed_slice(),
+            slots: Vec::new(),
+            free_slots: Vec::new(),
             occupied: Occupancy::new(),
             cursor_day: 0,
             near_len: 0,
@@ -218,12 +231,10 @@ impl CalendarQueue {
             let cur = self.bucket_to_fill(idx);
             let pos = cur.partition_point(|x| *x > e);
             cur.insert(pos, e);
-            self.occupied.set(idx);
             self.near_len += 1;
         } else if d < self.cursor_day + NBUCKETS as u64 {
             let idx = (d & MASK) as usize;
             self.bucket_to_fill(idx).push(e);
-            self.occupied.set(idx);
             self.near_len += 1;
         } else {
             self.far.push(Reverse(e));
@@ -242,14 +253,15 @@ impl CalendarQueue {
     pub fn pop_if(&mut self, take: impl FnOnce(&Entry) -> bool) -> Option<Entry> {
         self.advance_to_nonempty()?;
         let idx = (self.cursor_day & MASK) as usize;
-        let cur = &mut self.buckets[idx];
+        let slot = self.slot_of[idx];
+        let cur = &mut self.slots[slot as usize];
         if !take(cur.last().expect("advance_to_nonempty found a bucket")) {
             return None;
         }
         let e = cur.pop().expect("advance_to_nonempty found a bucket");
         if cur.is_empty() {
             self.occupied.clear(idx);
-            self.spare.push(std::mem::take(cur));
+            self.free_slots.push(slot);
         }
         self.near_len -= 1;
         Some(e)
@@ -261,7 +273,13 @@ impl CalendarQueue {
     /// that is harmless — see invariant 1 in the module docs.
     pub fn peek(&mut self) -> Option<Entry> {
         self.advance_to_nonempty()?;
-        self.buckets[(self.cursor_day & MASK) as usize].last().copied()
+        self.current().last().copied()
+    }
+
+    /// The bucket the cursor stands on; it must be occupied.
+    #[inline]
+    fn current(&mut self) -> &mut Vec<Entry> {
+        &mut self.slots[self.slot_of[(self.cursor_day & MASK) as usize] as usize]
     }
 
     /// Move the cursor forward to the next non-empty bucket, pulling far
@@ -272,7 +290,7 @@ impl CalendarQueue {
             return None;
         }
         loop {
-            if !self.buckets[(self.cursor_day & MASK) as usize].is_empty() {
+            if self.occupied.get((self.cursor_day & MASK) as usize) {
                 return Some(());
             }
             if self.near_len == 0 {
@@ -296,7 +314,9 @@ impl CalendarQueue {
             self.pull_far();
             // First visit to this day: sort its append-only bucket into
             // descending order so the minimum sits at the back.
-            self.buckets[(self.cursor_day & MASK) as usize].sort_unstable_by(|a, b| b.cmp(a));
+            if self.occupied.get((self.cursor_day & MASK) as usize) {
+                self.current().sort_unstable_by(|a, b| b.cmp(a));
+            }
         }
     }
 
@@ -309,28 +329,29 @@ impl CalendarQueue {
             let Reverse(e) = self.far.pop().expect("peeked entry");
             let idx = (Self::day(e.t) & MASK) as usize;
             self.bucket_to_fill(idx).push(e);
-            self.occupied.set(idx);
             self.near_len += 1;
         }
     }
 
-    /// Bucket `idx`, about to take an entry. An empty bucket first takes
-    /// the storage the latest drained bucket gave up.
+    /// Bucket `idx`, about to take an entry, marked occupied. An empty
+    /// day first takes the slot the latest drained day gave up, or a new
+    /// one.
     #[inline]
     fn bucket_to_fill(&mut self, idx: usize) -> &mut Vec<Entry> {
-        let bucket = &mut self.buckets[idx];
-        if bucket.capacity() == 0 {
-            if let Some(storage) = self.spare.pop() {
-                *bucket = storage;
-            }
+        if !self.occupied.get(idx) {
+            self.occupied.set(idx);
+            self.slot_of[idx] = self.free_slots.pop().unwrap_or_else(|| {
+                self.slots.push(Vec::new());
+                (self.slots.len() - 1) as u16
+            });
         }
-        bucket
+        &mut self.slots[self.slot_of[idx] as usize]
     }
 
-    /// Entry slots held by the wheel's buckets and the spare list.
+    /// Entry slots held by the wheel's storage.
     #[cfg(test)]
     fn retained_capacity(&self) -> usize {
-        self.buckets.iter().chain(&self.spare).map(Vec::capacity).sum()
+        self.slots.iter().map(Vec::capacity).sum()
     }
 }
 

@@ -16,6 +16,9 @@
 //!
 //! Lock handoff is FIFO and direct (the releasing thread grants to the
 //! longest waiter), which keeps scheduling deterministic.
+//!
+//! A waiter holds a *ticket* instead of a shared flag, so parking
+//! allocates nothing (see [`WaitQueue`]).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -29,12 +32,54 @@ use oam_model::AbortReason;
 use crate::node::{ExecMode, Node};
 use crate::sched::{BlockKind, Placement, ThreadId};
 
-type WaitEntry = (ThreadId, Rc<Cell<bool>>);
+/// The FIFO wait list of one primitive. Tickets are issued in increasing
+/// order and entries leave only from the front (a grant or signal) or by
+/// the waiter's own withdrawal, so the queue stays sorted by ticket and a
+/// waiter has been granted or signalled exactly when its ticket is no
+/// longer queued: the queue is empty or its ticket is below the front one.
+#[derive(Default)]
+struct WaitQueue {
+    /// `(thread, ticket)`, longest waiter first.
+    entries: RefCell<VecDeque<(ThreadId, u64)>>,
+    next_ticket: Cell<u64>,
+}
+
+impl WaitQueue {
+    /// Enqueue `tid` at the back and return its ticket.
+    fn park(&self, tid: ThreadId) -> u64 {
+        let ticket = self.next_ticket.get();
+        self.next_ticket.set(ticket + 1);
+        self.entries.borrow_mut().push_back((tid, ticket));
+        ticket
+    }
+
+    /// Has the waiter holding `ticket` left the queue through the front?
+    fn released(&self, ticket: u64) -> bool {
+        self.entries.borrow().front().is_none_or(|&(_, front)| ticket < front)
+    }
+
+    /// Withdraw a waiter that is still queued.
+    fn withdraw(&self, ticket: u64) {
+        self.entries.borrow_mut().retain(|&(_, t)| t != ticket);
+    }
+
+    fn pop_front(&self) -> Option<ThreadId> {
+        self.entries.borrow_mut().pop_front().map(|(tid, _)| tid)
+    }
+
+    fn pop_back(&self) -> Option<ThreadId> {
+        self.entries.borrow_mut().pop_back().map(|(tid, _)| tid)
+    }
+
+    fn len(&self) -> usize {
+        self.entries.borrow().len()
+    }
+}
 
 struct MutexInner<T> {
     node: Node,
     locked: Cell<bool>,
-    waiters: RefCell<VecDeque<WaitEntry>>,
+    waiters: WaitQueue,
     value: RefCell<T>,
 }
 
@@ -56,7 +101,7 @@ impl<T> Mutex<T> {
             inner: Rc::new(MutexInner {
                 node: node.clone(),
                 locked: Cell::new(false),
-                waiters: RefCell::new(VecDeque::new()),
+                waiters: WaitQueue::default(),
                 value: RefCell::new(value),
             }),
         }
@@ -65,7 +110,7 @@ impl<T> Mutex<T> {
     /// Acquire the lock. Await point: may park the thread or abort an
     /// optimistic execution.
     pub fn lock(&self) -> LockFuture<T> {
-        LockFuture { mutex: self.clone(), registration: None, acquired: false }
+        LockFuture { mutex: self.clone(), ticket: None, acquired: false }
     }
 
     /// Non-blocking acquisition attempt (usable from hand-coded AM
@@ -87,18 +132,14 @@ impl<T> Mutex<T> {
 
     /// Number of threads waiting for the lock.
     pub fn waiters(&self) -> usize {
-        self.inner.waiters.borrow().len()
+        self.inner.waiters.len()
     }
 
     /// Release: hand off to the longest waiter, or unlock.
     fn unlock(&self) {
         debug_assert!(self.inner.locked.get(), "unlock of an unlocked mutex");
-        let next = self.inner.waiters.borrow_mut().pop_front();
-        match next {
-            Some((tid, granted)) => {
-                granted.set(true);
-                self.inner.node.make_runnable(tid, Placement::Front);
-            }
+        match self.inner.waiters.pop_front() {
+            Some(tid) => self.inner.node.make_runnable(tid, Placement::Front),
             None => self.inner.locked.set(false),
         }
         self.inner.node.add_pending(self.inner.node.config().cost.mutex_op);
@@ -158,8 +199,8 @@ impl<T> Drop for MutexGuard<T> {
 /// Future returned by [`Mutex::lock`].
 pub struct LockFuture<T> {
     mutex: Mutex<T>,
-    /// `(tid, granted)` once parked in the wait list.
-    registration: Option<WaitEntry>,
+    /// The ticket, once parked in the wait list.
+    ticket: Option<u64>,
     acquired: bool,
 }
 
@@ -169,10 +210,10 @@ impl<T> Future for LockFuture<T> {
     fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<MutexGuard<T>> {
         let this = self.get_mut();
         let node = this.mutex.inner.node.clone();
-        if let Some((_tid, granted)) = &this.registration {
-            if granted.get() {
+        if let Some(ticket) = this.ticket {
+            if this.mutex.inner.waiters.released(ticket) {
                 // Direct handoff: the releaser already made us the holder.
-                this.registration = None;
+                this.ticket = None;
                 this.acquired = true;
                 node.add_pending(node.config().cost.mutex_op);
                 return Poll::Ready(MutexGuard { mutex: this.mutex.clone(), released: false });
@@ -192,10 +233,7 @@ impl<T> Future for LockFuture<T> {
             return Poll::Ready(MutexGuard { mutex: this.mutex.clone(), released: false });
         }
         // Contended: park.
-        let tid = node.current_exec();
-        let granted = Rc::new(Cell::new(false));
-        this.mutex.inner.waiters.borrow_mut().push_back((tid, Rc::clone(&granted)));
-        this.registration = Some((tid, granted));
+        this.ticket = Some(this.mutex.inner.waiters.park(node.current_exec()));
         match node.mode() {
             ExecMode::Thread => node.set_block_kind(BlockKind::Blocked),
             ExecMode::Optimistic => node.set_abort_cause(AbortReason::LockHeld),
@@ -207,13 +245,13 @@ impl<T> Future for LockFuture<T> {
 
 impl<T> Drop for LockFuture<T> {
     fn drop(&mut self) {
-        if let Some((tid, granted)) = self.registration.take() {
-            if granted.get() {
+        if let Some(ticket) = self.ticket.take() {
+            if self.mutex.inner.waiters.released(ticket) {
                 // The lock was handed to us but never consumed (abort
                 // raced with the release): pass it on.
                 self.mutex.unlock();
             } else {
-                self.mutex.inner.waiters.borrow_mut().retain(|(t, _)| *t != tid);
+                self.mutex.inner.waiters.withdraw(ticket);
             }
         }
     }
@@ -225,7 +263,7 @@ impl<T> Drop for LockFuture<T> {
 
 struct CondVarInner {
     node: Node,
-    waiters: RefCell<VecDeque<WaitEntry>>,
+    waiters: WaitQueue,
 }
 
 /// A condition variable. Use with the owning node's [`Mutex`].
@@ -243,10 +281,7 @@ impl CondVar {
     /// Create a condition variable on `node`.
     pub fn new(node: &Node) -> Self {
         CondVar {
-            inner: Rc::new(CondVarInner {
-                node: node.clone(),
-                waiters: RefCell::new(VecDeque::new()),
-            }),
+            inner: Rc::new(CondVarInner { node: node.clone(), waiters: WaitQueue::default() }),
         }
     }
 
@@ -259,9 +294,7 @@ impl CondVar {
 
     /// Wake the longest-waiting thread, if any.
     pub fn signal(&self) {
-        let next = self.inner.waiters.borrow_mut().pop_front();
-        if let Some((tid, signaled)) = next {
-            signaled.set(true);
+        if let Some(tid) = self.inner.waiters.pop_front() {
             self.inner.node.make_runnable(tid, Placement::Front);
         }
         self.inner.node.add_pending(self.inner.node.config().cost.condvar_signal);
@@ -270,11 +303,10 @@ impl CondVar {
     /// Wake all waiting threads, preserving their wait order (the
     /// longest waiter runs first).
     pub fn broadcast(&self) {
-        let drained: Vec<WaitEntry> = self.inner.waiters.borrow_mut().drain(..).collect();
-        // Front placement reverses insertion order, so walk the waiters
-        // back-to-front: the earliest waiter ends up frontmost.
-        for (tid, signaled) in drained.into_iter().rev() {
-            signaled.set(true);
+        // Front placement reverses insertion order, so pop the waiters
+        // back-to-front: the earliest waiter ends up frontmost. Making a
+        // thread runnable runs nothing, so no waiter joins meanwhile.
+        while let Some(tid) = self.inner.waiters.pop_back() {
             self.inner.node.make_runnable(tid, Placement::Front);
         }
         self.inner.node.add_pending(self.inner.node.config().cost.condvar_signal);
@@ -282,15 +314,15 @@ impl CondVar {
 
     /// Number of threads currently waiting.
     pub fn waiters(&self) -> usize {
-        self.inner.waiters.borrow().len()
+        self.inner.waiters.len()
     }
 }
 
 enum CvPhase<T> {
     /// Holding the guard; about to release and park.
     Start(MutexGuard<T>),
-    /// Parked, waiting for a signal.
-    Waiting(WaitEntry),
+    /// Parked with this ticket, waiting for a signal.
+    Waiting(u64),
     /// Signalled; reacquiring the mutex.
     Relock(LockFuture<T>),
     Done,
@@ -312,14 +344,12 @@ impl<T> Future for CvWait<T> {
         loop {
             match std::mem::replace(&mut this.phase, CvPhase::Done) {
                 CvPhase::Start(guard) => {
-                    let tid = node.current_exec();
-                    let signaled = Rc::new(Cell::new(false));
                     // Register *before* releasing the lock so a signal sent
                     // by the thread the release wakes cannot be missed.
-                    this.cv.inner.waiters.borrow_mut().push_back((tid, Rc::clone(&signaled)));
+                    let ticket = this.cv.inner.waiters.park(node.current_exec());
                     node.add_pending(node.config().cost.condvar_wait_setup);
                     drop(guard); // releases the mutex (possible handoff)
-                    this.phase = CvPhase::Waiting((tid, signaled));
+                    this.phase = CvPhase::Waiting(ticket);
                     match node.mode() {
                         ExecMode::Thread => node.set_block_kind(BlockKind::Blocked),
                         ExecMode::Optimistic => node.set_abort_cause(AbortReason::ConditionFalse),
@@ -327,12 +357,12 @@ impl<T> Future for CvWait<T> {
                     }
                     return Poll::Pending;
                 }
-                CvPhase::Waiting(entry) => {
-                    if entry.1.get() {
+                CvPhase::Waiting(ticket) => {
+                    if this.cv.inner.waiters.released(ticket) {
                         this.phase = CvPhase::Relock(this.mutex.lock());
                         continue;
                     }
-                    this.phase = CvPhase::Waiting(entry);
+                    this.phase = CvPhase::Waiting(ticket);
                     match node.mode() {
                         ExecMode::Thread => node.set_block_kind(BlockKind::Blocked),
                         ExecMode::Optimistic => node.set_abort_cause(AbortReason::ConditionFalse),
@@ -355,13 +385,13 @@ impl<T> Future for CvWait<T> {
 
 impl<T> Drop for CvWait<T> {
     fn drop(&mut self) {
-        if let CvPhase::Waiting((tid, signaled)) = &self.phase {
-            if signaled.get() {
+        if let CvPhase::Waiting(ticket) = self.phase {
+            if self.cv.inner.waiters.released(ticket) {
                 // A signal was consumed by a wait that is being abandoned
                 // (abort path): forward it so no wakeup is lost.
                 self.cv.signal();
             } else {
-                self.cv.inner.waiters.borrow_mut().retain(|(t, _)| t != tid);
+                self.cv.inner.waiters.withdraw(ticket);
             }
         }
         // CvPhase::Relock drops the inner LockFuture, whose own Drop
