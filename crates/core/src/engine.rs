@@ -631,7 +631,9 @@ struct Tracked {
 /// cancelled call are answered from the frame, not re-executed, then lets
 /// go of the packet and the admission token. Holding the packet until the
 /// frame closes means no later arrival can be stored at the address the
-/// frame's claim names, whether or not the body keeps the packet.
+/// frame's claim names, whether or not the body keeps the packet. The
+/// scheduler runs it in the storage of a finished `Offline` when one is
+/// spare, so the wrapper itself allocates nothing once warm.
 struct Offline {
     /// `None` once the body has finished or been dropped on a cancel.
     body: Option<BoxedCall>,

@@ -151,20 +151,9 @@ pub fn arrivals_for(cfg: &OpenLoopConfig, node: usize) -> Vec<Arrival> {
 
 /// Sleep virtual time until `at` (no-op if already past), keeping the node
 /// responsive: the waiter spin-polls so incoming replies and requests keep
-/// being served while the driver paces itself.
+/// being served while the driver paces itself ([`Node::spin_until`]).
 pub async fn pace_until(node: &Node, at: Time) {
-    let now = node.now();
-    if at <= now {
-        return;
-    }
-    let flag = Flag::new();
-    let f = flag.clone();
-    let n = node.clone();
-    node.sim().schedule_at_for(at, node.id().index() as u32, move |_| {
-        f.set();
-        n.kick_tail();
-    });
-    node.spin_on(flag).await;
+    node.spin_until(at).await;
 }
 
 /// Counts calls a driver has issued but not yet resolved, so the node main

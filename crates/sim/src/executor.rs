@@ -52,6 +52,7 @@
 //! events are paced by the wall clock; the check reads a field already
 //! under the settle's one borrow, so native settles pay nothing for it.
 
+use std::any::Any;
 use std::cell::RefCell;
 use std::hash::Hasher;
 use std::marker::PhantomData;
@@ -284,6 +285,8 @@ struct Inner {
     /// word — closures capturing a `Sim` must keep fitting the event
     /// slab's inline buffer ([`ACTION_WORDS`]).
     wall: Option<WallClock>,
+    /// Values of [`Sim::shared`], one per type.
+    shared: Vec<Rc<dyn Any>>,
 }
 
 impl Inner {
@@ -419,6 +422,7 @@ impl Sim {
                 horizon: Time::MAX,
                 in_place: 0,
                 wall: None,
+                shared: Vec::new(),
             })),
         }
     }
@@ -438,6 +442,19 @@ impl Sim {
     /// Whether this simulation is driven by a wall clock (native backend).
     pub fn is_native(&self) -> bool {
         self.inner.borrow().wall.is_some()
+    }
+
+    /// This simulator's one value of type `T`, made by `T::default()` on
+    /// the first request. The layers above keep state in it that every
+    /// node on the simulator shares and that goes with it, such as the
+    /// thread package's spare thread-body storage.
+    pub fn shared<T: Default + 'static>(&self) -> Rc<T> {
+        let found = self.inner.borrow().shared.iter().find_map(|v| Rc::clone(v).downcast().ok());
+        found.unwrap_or_else(|| {
+            let value = Rc::new(T::default());
+            self.inner.borrow_mut().shared.push(value.clone());
+            value
+        })
     }
 
     /// Set the ambient owner node and return the previous one. Node

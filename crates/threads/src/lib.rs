@@ -4,7 +4,9 @@
 //! reproduced as futures driven by a per-node scheduler:
 //!
 //! * thread creation, termination, scheduling; run queues with front/back
-//!   placement (§4.1);
+//!   placement (§4.1); joins by thread id ([`JoinHandle`]), and a finished
+//!   thread's body storage reused by the next thread of its type, so a
+//!   warm spawn allocates nothing;
 //! * [`Mutex`] and [`CondVar`] with FIFO handoff;
 //! * virtual-compute charging ([`Node::charge`]), voluntary yield, and
 //!   busy-wait flags ([`Node::spin_on`]) for RPC replies and barriers;

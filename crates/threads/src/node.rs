@@ -49,8 +49,12 @@ use oam_model::{
 use oam_sim::Sim;
 
 use crate::sched::{
-    switch_cost, BlockKind, Flag, Placement, Sched, SlotState, ThreadId, ThreadSlot,
+    switch_cost, BlockKind, BodyPool, Flag, Placement, Sched, SlotState, ThreadId, ThreadSlot,
 };
+
+/// Spare flags a node keeps for [`Node::spin_until`]: more than the waits
+/// one node usually has pending at once.
+const SPARE_FLAGS: usize = 4;
 
 /// What kind of code is currently executing on a node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,9 +114,13 @@ pub(crate) struct NodeInner {
     cfg: Rc<MachineConfig>,
     stats: Rc<RefCell<NodeStats>>,
     pub(crate) sched: RefCell<Sched>,
+    /// Spare thread-body storage, shared with the simulator's other nodes.
+    bodies: Rc<BodyPool>,
     /// Buffer the step loop lends to [`Sched::take_ready_spinners`] and
     /// gets back empty, so waking a spinner allocates nothing.
     ready_spinners: Cell<Vec<ThreadId>>,
+    /// Flags of finished [`Node::spin_until`] waits, for the next to reuse.
+    spare_flags: RefCell<Vec<Flag>>,
     pending: Cell<Dur>,
     mode: Cell<ExecMode>,
     block_kind: RefCell<Option<BlockKind>>,
@@ -159,7 +167,9 @@ impl Node {
                 cfg,
                 stats,
                 sched: RefCell::new(Sched::new()),
+                bodies: sim.shared(),
                 ready_spinners: Cell::new(Vec::new()),
+                spare_flags: RefCell::new(Vec::new()),
                 pending: Cell::new(Dur::ZERO),
                 mode: Cell::new(ExecMode::Thread),
                 block_kind: RefCell::new(None),
@@ -232,6 +242,7 @@ impl Node {
             let mut sched = self.inner.sched.borrow_mut();
             sched.run_queue.clear();
             sched.spinners.clear();
+            sched.joiners.clear();
             sched.current = None;
             sched.live_threads = 0;
             std::mem::take(&mut sched.slots)
@@ -328,53 +339,32 @@ impl Node {
     // ---- thread management ----
 
     /// Spawn an application thread (queued at the back). Returns a handle
-    /// the spawner can `join`.
-    pub fn spawn<T: 'static>(&self, fut: impl Future<Output = T> + 'static) -> JoinHandle<T> {
-        self.spawn_placed(fut, Placement::Back).0
+    /// the spawner can `join`; dropping it leaves the thread running.
+    ///
+    /// A thread's result is whatever its body leaves behind (say, in an
+    /// `Rc<Cell<_>>`): the body is moved into the storage of a finished
+    /// thread of the same type when one is spare, and a join needs no
+    /// state beyond the thread's id, so a warm spawn allocates nothing.
+    pub fn spawn(&self, fut: impl Future<Output = ()> + 'static) -> JoinHandle {
+        JoinHandle { node: self.clone(), tid: self.spawn_incoming_at(fut, Placement::Back) }
     }
 
-    /// Spawn a thread for an incoming RPC, placed per the machine's
-    /// configured queue policy (§4.1 of the paper).
-    pub fn spawn_incoming<T: 'static>(
-        &self,
-        fut: impl Future<Output = T> + 'static,
-    ) -> JoinHandle<T> {
-        self.spawn_placed(fut, Placement::Policy).0
-    }
-
-    /// Spawn a thread for an incoming RPC at an explicit queue position —
-    /// priority dispatch overrides the configured policy — and return its
-    /// thread id so the call engine can wake it for cancellation.
+    /// Spawn a thread for an incoming RPC at a queue position —
+    /// [`Placement::Policy`] for the machine's configured policy (§4.1 of
+    /// the paper), or an explicit end for priority dispatch — and return
+    /// its thread id so the call engine can wake it for cancellation.
     pub fn spawn_incoming_at(
         &self,
         fut: impl Future<Output = ()> + 'static,
         place: Placement,
     ) -> ThreadId {
-        self.spawn_placed(fut, place).1
-    }
-
-    fn spawn_placed<T: 'static>(
-        &self,
-        fut: impl Future<Output = T> + 'static,
-        place: Placement,
-    ) -> (JoinHandle<T>, ThreadId) {
-        let handle = JoinHandle::new(self.clone());
-        let inner = handle.shared();
-        let node = self.clone();
-        let wrapped = async move {
-            let out = fut.await;
-            inner.finish(&node, out);
-        };
+        let fut = self.inner.bodies.task(fut);
         let tid = {
             let mut sched = self.inner.sched.borrow_mut();
             let tid = sched.alloc_id();
             sched.slots.insert(
                 tid.0,
-                ThreadSlot {
-                    fut: Some(Box::pin(wrapped)),
-                    state: SlotState::Runnable,
-                    never_ran: true,
-                },
+                ThreadSlot { fut: Some(fut), state: SlotState::Runnable, never_ran: true },
             );
             sched.live_threads += 1;
             tid
@@ -384,7 +374,7 @@ impl Node {
         self.add_pending(self.inner.cfg.cost.enqueue_runnable);
         self.enqueue(tid, place);
         self.wake_if_idle();
-        (handle, tid)
+        tid
     }
 
     /// Reserve a thread id for an optimistic execution. The id enters the
@@ -408,13 +398,12 @@ impl Node {
     /// processed) the thread is immediately runnable; otherwise it stays
     /// parked in whatever wait list the partially-run handler joined.
     pub fn promote(&self, tid: ThreadId, fut: impl Future<Output = ()> + 'static) {
+        let fut = self.inner.bodies.task(fut);
         let woken = {
             let mut sched = self.inner.sched.borrow_mut();
             let woken = sched.end_attempt(tid);
             let state = if woken { SlotState::Runnable } else { SlotState::Parked };
-            sched
-                .slots
-                .insert(tid.0, ThreadSlot { fut: Some(Box::pin(fut)), state, never_ran: true });
+            sched.slots.insert(tid.0, ThreadSlot { fut: Some(fut), state, never_ran: true });
             sched.live_threads += 1;
             woken
         };
@@ -554,6 +543,33 @@ impl Node {
     /// for replies and how split-phase barriers complete.
     pub fn spin_on(&self, flag: Flag) -> SpinOn {
         SpinOn { node: self.clone(), flag, registered_optimistic: None }
+    }
+
+    /// Spin-wait until virtual time `at` (at once if it has passed),
+    /// dispatching messages and letting runnable threads run meanwhile: an
+    /// open-loop driver's pacing. An event at `at` sets the wait's flag and
+    /// kicks the node as its last act; the flag comes from the node's
+    /// spares and goes back once the wait ends, so a warm wait allocates
+    /// nothing.
+    pub async fn spin_until(&self, at: Time) {
+        if at <= self.now() {
+            return;
+        }
+        let flag = self.inner.spare_flags.borrow_mut().pop().unwrap_or_default();
+        let (f, node) = (flag.clone(), self.clone());
+        self.inner.sim.schedule_at_for(at, self.inner.id.index() as u32, move |_| {
+            f.set();
+            // Let go of the flag before the waiter resumes, so that it
+            // holds the flag alone and can put it back.
+            drop(f);
+            node.kick_tail();
+        });
+        self.spin_on(flag.clone()).await;
+        let mut spares = self.inner.spare_flags.borrow_mut();
+        if flag.is_unique() && spares.len() < SPARE_FLAGS {
+            flag.clear();
+            spares.push(flag);
+        }
     }
 
     /// The application-level `poll()`: drain deliverable messages, run any
@@ -722,15 +738,24 @@ impl Node {
         self.inner.block_kind.borrow_mut().take();
         let waker = Waker::noop();
         let mut cx = Context::from_waker(waker);
-        let poll = fut.as_mut().poll(&mut cx);
+        let poll = fut.as_mut().poll_body(&mut cx);
         self.inner.mode.set(prev_mode);
         match poll {
             Poll::Ready(()) => {
+                self.inner.bodies.recycle(fut);
                 let mut sched = self.inner.sched.borrow_mut();
                 sched.slots.remove(&cur.0);
                 sched.current = None;
                 sched.stack_state = crate::sched::StackState::Terminated;
                 sched.live_threads -= 1;
+                // The thread is done now that its slot is gone: wake its
+                // joiners in the order they came, each to the front.
+                while let Some(at) = sched.joiners.iter().position(|&(t, _)| t == cur) {
+                    let (_, joiner) = sched.joiners.remove(at);
+                    drop(sched);
+                    self.make_runnable(joiner, Placement::Front);
+                    sched = self.inner.sched.borrow_mut();
+                }
                 drop(sched);
                 self.inner.stats.borrow_mut().threads_completed += 1;
                 self.emit(TraceKind::ThreadFinished { tid: cur.raw() });
@@ -1009,95 +1034,68 @@ impl Future for PollBatch {
 // Join handles
 // ---------------------------------------------------------------------------
 
-pub(crate) struct JoinShared<T> {
-    result: RefCell<Option<T>>,
-    done: Cell<bool>,
-    waiters: RefCell<Vec<ThreadId>>,
-}
-
-impl<T> JoinShared<T> {
-    pub(crate) fn finish(&self, node: &Node, value: T) {
-        *self.result.borrow_mut() = Some(value);
-        self.done.set(true);
-        for tid in self.waiters.borrow_mut().drain(..) {
-            node.make_runnable(tid, Placement::Front);
-        }
-    }
-}
-
-/// Handle to a spawned thread; `join` to wait for its result.
-pub struct JoinHandle<T> {
+/// Handle to a spawned thread; `join` to wait for it to finish. Clones
+/// name the same thread, so several threads can wait for it.
+#[derive(Clone)]
+pub struct JoinHandle {
     node: Node,
-    shared: Rc<JoinShared<T>>,
+    tid: ThreadId,
 }
 
-impl<T> JoinHandle<T> {
-    fn new(node: Node) -> Self {
-        JoinHandle {
-            node,
-            shared: Rc::new(JoinShared {
-                result: RefCell::new(None),
-                done: Cell::new(false),
-                waiters: RefCell::new(Vec::new()),
-            }),
-        }
-    }
-
-    pub(crate) fn shared(&self) -> Rc<JoinShared<T>> {
-        Rc::clone(&self.shared)
-    }
-
-    /// Has the thread completed?
+impl JoinHandle {
+    /// Has the thread completed? Ids are never reused, so a thread is done
+    /// once its slot is gone.
     pub fn is_done(&self) -> bool {
-        self.shared.done.get()
+        !self.node.inner.sched.borrow().slots.contains_key(&self.tid.0)
     }
 
-    /// Wait for the thread to finish and take its result.
+    /// Wait for the thread to finish.
     ///
     /// Blocks the calling thread; inside an optimistic execution this is a
     /// wait and therefore aborts the handler.
-    pub fn join(self) -> Join<T> {
-        Join { node: self.node.clone(), shared: self.shared, registered: None }
+    pub fn join(self) -> Join {
+        Join { handle: self, registered: None }
     }
 }
 
 /// Future returned by [`JoinHandle::join`].
-pub struct Join<T> {
-    node: Node,
-    shared: Rc<JoinShared<T>>,
+pub struct Join {
+    handle: JoinHandle,
+    /// The waiter this join registered with the scheduler, if any.
     registered: Option<ThreadId>,
 }
 
-impl<T> Future for Join<T> {
-    type Output = T;
-    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<T> {
+impl Future for Join {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
         let this = self.get_mut();
-        if this.shared.done.get() {
+        if this.handle.is_done() {
+            // The scheduler dropped the registration when it woke us.
             this.registered = None;
-            return Poll::Ready(
-                this.shared.result.borrow_mut().take().expect("join result taken twice"),
-            );
+            return Poll::Ready(());
         }
-        let tid = this.node.current_exec();
+        let node = &this.handle.node;
+        let tid = node.current_exec();
         if this.registered != Some(tid) {
-            this.shared.waiters.borrow_mut().push(tid);
+            node.inner.sched.borrow_mut().joiners.push((this.handle.tid, tid));
             this.registered = Some(tid);
         }
-        match this.node.mode() {
-            ExecMode::Thread => this.node.set_block_kind(BlockKind::Blocked),
-            ExecMode::Optimistic => this.node.set_abort_cause(AbortReason::ConditionFalse),
+        match node.mode() {
+            ExecMode::Thread => node.set_block_kind(BlockKind::Blocked),
+            ExecMode::Optimistic => node.set_abort_cause(AbortReason::ConditionFalse),
             ExecMode::AmInline => unreachable!("current_exec already panicked"),
         }
         Poll::Pending
     }
 }
 
-impl<T> Drop for Join<T> {
+impl Drop for Join {
     fn drop(&mut self) {
         // Rerun/NACK abort paths drop pending waits; deregister so the
-        // completing thread doesn't wake a recycled slot.
-        if let Some(tid) = self.registered.take() {
-            self.shared.waiters.borrow_mut().retain(|t| *t != tid);
+        // finishing thread doesn't wake a recycled slot.
+        if let Some(waiter) = self.registered.take() {
+            let target = self.handle.tid;
+            self.handle.node.inner.sched.borrow_mut().joiners.retain(|&j| j != (target, waiter));
         }
     }
 }

@@ -11,12 +11,14 @@
 //! `Node::step` (private to [`crate::node`]); this module holds the data structures and
 //! the cost accounting they imply.
 
-use std::cell::Cell;
+use std::any::{Any, TypeId};
+use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, VecDeque};
 use std::future::Future;
 use std::hash::BuildHasherDefault;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll};
 
 use oam_model::{CostModel, Dur};
 use oam_sim::SeqHasher;
@@ -74,6 +76,11 @@ impl Flag {
     pub fn get(&self) -> bool {
         self.0.get()
     }
+
+    /// No clone of this flag is held elsewhere.
+    pub(crate) fn is_unique(&self) -> bool {
+        Rc::strong_count(&self.0) == 1
+    }
 }
 
 impl std::fmt::Debug for Flag {
@@ -108,8 +115,103 @@ pub(crate) enum SlotState {
     Parked,
 }
 
+/// A thread body in storage that outlives it: `Some(future)` while the
+/// thread runs, `None` once it has finished and the storage waits in
+/// [`BodyPool`] for the next thread of the same type.
+pub(crate) trait Task {
+    /// Poll the body; an emptied body is finished.
+    fn poll_body(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()>;
+    /// Move the body out of `next`, an `Option` of this task's type, into
+    /// this storage.
+    fn refill(self: Pin<&mut Self>, next: &mut dyn Any);
+    /// Drop the body, keeping the storage.
+    fn clear(self: Pin<&mut Self>);
+    /// The pool list this storage belongs to.
+    fn key(&self) -> TypeId;
+}
+
+/// A thread body as the scheduler holds it.
+pub(crate) type TaskBox = Pin<Box<dyn Task>>;
+
+impl<F: Future<Output = ()> + 'static> Task for Option<F> {
+    fn poll_body(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        match self.as_pin_mut() {
+            Some(body) => body.poll(cx),
+            None => Poll::Ready(()),
+        }
+    }
+
+    fn refill(mut self: Pin<&mut Self>, next: &mut dyn Any) {
+        let next = next.downcast_mut::<Self>().expect("a body list is keyed by its type");
+        self.set(next.take());
+    }
+
+    fn clear(mut self: Pin<&mut Self>) {
+        self.set(None);
+    }
+
+    fn key(&self) -> TypeId {
+        TypeId::of::<Self>()
+    }
+}
+
+/// Emptied thread-body storage, one list per body type, shared by every
+/// node of a simulator ([`oam_sim::Sim::shared`]) — a native worker's
+/// nodes share their worker's. A body type's few warm boxes then stay in
+/// cache, where lists per node would hold a box per node and type.
+#[derive(Default)]
+pub(crate) struct BodyPool {
+    lists: RefCell<Vec<(TypeId, Vec<TaskBox>)>>,
+}
+
+/// Boxes kept per body type: more than the threads of one type a node
+/// usually has alive at once.
+const BODIES_PER_TYPE: usize = 16;
+
+impl BodyPool {
+    /// `body` as a thread body, moved into the storage of a finished body
+    /// of its type if one is spare, else boxed.
+    pub fn task<F: Future<Output = ()> + 'static>(&self, body: F) -> TaskBox {
+        let key = TypeId::of::<Option<F>>();
+        let spare = self
+            .lists
+            .borrow_mut()
+            .iter_mut()
+            .find(|(k, _)| *k == key)
+            .and_then(|(_, list)| list.pop());
+        match spare {
+            Some(mut storage) => {
+                storage.as_mut().refill(&mut Some(body));
+                storage
+            }
+            None => Box::pin(Some(body)),
+        }
+    }
+
+    /// Empty a finished thread's storage and keep it for the next body of
+    /// its type. The body drops first, outside the pool, since its
+    /// destructors may reach back into the scheduler.
+    pub fn recycle(&self, mut storage: TaskBox) {
+        storage.as_mut().clear();
+        let key = storage.key();
+        let mut lists = self.lists.borrow_mut();
+        let at = match lists.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                lists.push((key, Vec::new()));
+                lists.len() - 1
+            }
+        };
+        let list = &mut lists[at].1;
+        if list.len() < BODIES_PER_TYPE {
+            list.push(storage);
+        }
+    }
+}
+
 pub(crate) struct ThreadSlot {
-    pub fut: Option<Pin<Box<dyn Future<Output = ()>>>>,
+    /// Taken out while the thread is polled.
+    pub fut: Option<TaskBox>,
     pub state: SlotState,
     /// True until the thread's first poll: drives live-stack accounting.
     pub never_ran: bool,
@@ -183,6 +285,9 @@ pub(crate) struct Sched {
     pub current: Option<ThreadId>,
     /// Spin-waiting threads, in registration order.
     pub spinners: Vec<(ThreadId, Flag)>,
+    /// `(target, joiner)`: threads waiting for another to finish, in
+    /// registration order. A thread has finished once its slot is gone.
+    pub joiners: Vec<(ThreadId, ThreadId)>,
     pub stack_state: StackState,
     pub next_id: u64,
     /// Count of live threads (slots in the table).
@@ -203,6 +308,7 @@ impl Sched {
             run_queue: VecDeque::new(),
             current: None,
             spinners: Vec::new(),
+            joiners: Vec::new(),
             stack_state: StackState::Pristine,
             next_id: 0,
             live_threads: 0,

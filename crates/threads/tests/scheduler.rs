@@ -1,12 +1,19 @@
 //! Behavioral tests of the thread package: scheduling order, live-stack
-//! cost accounting, blocking primitives, and provisional-slot promotion.
+//! cost accounting, blocking primitives, joins, provisional-slot
+//! promotion, and the reuse of finished thread bodies' storage.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::future::Future;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 use oam_model::{Dur, MachineConfig, NodeId, NodeStats, QueuePolicy, Time};
-use oam_sim::Sim;
-use oam_threads::{CondVar, ExecMode, Flag, Mutex, Node, Placement};
+use oam_sim::{thread_alloc_snapshot, CountingAlloc, Sim};
+use oam_threads::{CondVar, ExecMode, Flag, Mutex, Node, Placement, ThreadId};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 fn test_node_with(cfg: MachineConfig) -> (Sim, Node, Rc<RefCell<NodeStats>>) {
     let sim = Sim::new(11);
@@ -247,9 +254,11 @@ fn join_returns_the_child_result() {
     let got: Rc<RefCell<Option<u64>>> = Rc::default();
     let g = got.clone();
     node.spawn(async move {
-        let child = n.spawn(async move { 21u64 * 2 });
-        let v = child.join().await;
-        *g.borrow_mut() = Some(v);
+        let out = Rc::new(Cell::new(0u64));
+        let o = out.clone();
+        let child = n.spawn(async move { o.set(21 * 2) });
+        child.join().await;
+        *g.borrow_mut() = Some(out.get());
     });
     sim.run();
     assert_eq!(*got.borrow(), Some(42));
@@ -262,14 +271,162 @@ fn join_on_completed_thread_is_immediate() {
     let ok = Rc::new(RefCell::new(false));
     let okc = ok.clone();
     node.spawn(async move {
-        let child = n.spawn(async move { 7u8 });
+        let out = Rc::new(Cell::new(0u8));
+        let o = out.clone();
+        let child = n.spawn(async move { o.set(7) });
         n.yield_now().await; // let the child run to completion
         assert!(child.is_done());
-        assert_eq!(child.join().await, 7);
+        child.join().await;
+        assert_eq!(out.get(), 7);
         *okc.borrow_mut() = true;
     });
     sim.run();
     assert!(*ok.borrow());
+}
+
+#[test]
+fn a_join_after_finish_returns_at_once() {
+    let (sim, node, stats) = test_node();
+    let n = node.clone();
+    let seen = Rc::new(Cell::new(None));
+    let s = seen.clone();
+    node.spawn(async move {
+        let child = n.spawn(async {});
+        n.yield_now().await; // the child runs and finishes
+        let (t0, switches) = (n.now(), n.stats().borrow().context_switches);
+        child.join().await;
+        s.set(Some((n.now().since(t0), n.stats().borrow().context_switches - switches)));
+    });
+    sim.run();
+    assert_eq!(seen.get(), Some((Dur::ZERO, 0)), "no wait, no switch");
+    assert_eq!(stats.borrow().threads_completed, 2);
+}
+
+#[test]
+fn a_join_before_finish_is_woken_at_the_front() {
+    let (sim, node, _) = test_node();
+    let n = node.clone();
+    let order: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+    let (o1, o2, o3) = (order.clone(), order.clone(), order.clone());
+    node.spawn(async move {
+        let child = n.spawn(async move { o1.borrow_mut().push("child") });
+        // Queued behind the child; the woken joiner must pass it.
+        n.spawn(async move { o2.borrow_mut().push("other") });
+        child.join().await;
+        o3.borrow_mut().push("joiner");
+    });
+    sim.run();
+    assert_eq!(*order.borrow(), ["child", "joiner", "other"]);
+}
+
+#[test]
+fn two_joiners_are_both_woken() {
+    let (sim, node, _) = test_node();
+    let n = node.clone();
+    let flag = Flag::new();
+    let f = flag.clone();
+    let child = node.spawn(async move { n.spin_on(f).await });
+    let order: Rc<RefCell<Vec<&'static str>>> = Rc::default();
+    for name in ["first", "second"] {
+        let (handle, out) = (child.clone(), order.clone());
+        node.spawn(async move {
+            handle.join().await;
+            out.borrow_mut().push(name);
+        });
+    }
+    let n = node.clone();
+    sim.schedule_at(Time::from_nanos(200_000), move |_| {
+        flag.set();
+        n.kick();
+    });
+    sim.run();
+    // Each is woken to the front in the order they joined, so the last to
+    // join runs first.
+    assert_eq!(*order.borrow(), ["second", "first"]);
+    assert!(child.is_done());
+    assert_eq!(node.live_threads(), 0);
+}
+
+/// Poll `fut` once as an OAM handler attempt would: in optimistic mode on
+/// provisional slot `tid`, on the caller's stack.
+fn poll_optimistically<F: Future>(node: &Node, tid: ThreadId, fut: Pin<&mut F>) -> Poll<F::Output> {
+    let prev_mode = node.set_mode(ExecMode::Optimistic);
+    let prev_tid = node.set_active_provisional_replace(Some(tid));
+    let out = fut.poll(&mut Context::from_waker(Waker::noop()));
+    node.set_active_provisional_replace(prev_tid);
+    node.set_mode(prev_mode);
+    node.take_abort_cause();
+    out
+}
+
+#[test]
+fn a_join_dropped_mid_wait_deregisters() {
+    let (sim, node, _) = test_node();
+    let n = node.clone();
+    let flag = Flag::new();
+    let f = flag.clone();
+    let child = node.spawn(async move { n.spin_on(f).await });
+    // An attempt waits for the child and aborts; the rerun and NACK paths
+    // drop its join. Its id then goes to a promoted thread that nothing
+    // should wake.
+    let tid = node.reserve_provisional();
+    let mut join = Box::pin(child.clone().join());
+    assert!(poll_optimistically(&node, tid, join.as_mut()).is_pending());
+    drop(join);
+    let woken = Rc::new(Cell::new(false));
+    let w = woken.clone();
+    node.promote(tid, async move { w.set(true) });
+    let n = node.clone();
+    sim.schedule_at(Time::from_nanos(50_000), move |_| {
+        flag.set();
+        n.kick();
+    });
+    sim.run();
+    assert!(child.is_done());
+    assert!(!woken.get(), "a withdrawn joiner is not woken");
+    assert_eq!(node.live_threads(), 1, "the promoted thread stays parked");
+}
+
+/// One thread body type: charges a microsecond and counts its run.
+async fn counted_body(node: Node, runs: Rc<Cell<u32>>) {
+    node.charge(Dur::from_micros(1)).await;
+    runs.set(runs.get() + 1);
+}
+
+#[test]
+fn a_finished_body_is_reused_by_the_next_spawn_of_its_type() {
+    let (sim, node, _) = test_node();
+    let runs = Rc::new(Cell::new(0));
+    let round = || {
+        node.spawn(counted_body(node.clone(), runs.clone()));
+        sim.run();
+    };
+    // The first rounds grow the tables and box the body.
+    (0..3).for_each(|_| round());
+    let before = thread_alloc_snapshot();
+    round();
+    let used = thread_alloc_snapshot().since(before);
+    assert_eq!(runs.get(), 4);
+    assert_eq!((used.allocs, used.bytes), (0, 0), "a warm spawn → finish allocated");
+}
+
+#[test]
+fn a_promoted_handlers_box_returns_to_its_list() {
+    let (sim, node, stats) = test_node();
+    let runs = Rc::new(Cell::new(0));
+    let round = || {
+        let tid = node.reserve_provisional();
+        node.promote(tid, counted_body(node.clone(), runs.clone()));
+        node.make_runnable(tid, Placement::Front);
+        sim.run();
+    };
+    (0..3).for_each(|_| round());
+    let before = thread_alloc_snapshot();
+    round();
+    let used = thread_alloc_snapshot().since(before);
+    assert_eq!(runs.get(), 4);
+    assert_eq!(stats.borrow().threads_completed, 4);
+    assert_eq!((used.allocs, used.bytes), (0, 0), "a warm promotion allocated");
 }
 
 #[test]
@@ -288,9 +445,12 @@ fn queue_policy_controls_incoming_placement() {
             n.spawn(async move {
                 o2.borrow_mut().push("app");
             });
-            n.spawn_incoming(async move {
-                o3.borrow_mut().push("incoming");
-            });
+            n.spawn_incoming_at(
+                async move {
+                    o3.borrow_mut().push("incoming");
+                },
+                Placement::Policy,
+            );
         });
         sim.run();
         let got = order.borrow();

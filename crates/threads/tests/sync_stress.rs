@@ -2,7 +2,7 @@
 //! multi-consumer queues, lock fairness, and join chains; and the abort
 //! paths of a wait, driven the way the OAM engine drives a handler.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
@@ -112,19 +112,23 @@ fn join_chain_propagates_results() {
     let r = result.clone();
     let n = node.clone();
     node.spawn(async move {
-        // Each thread spawns the next and adds its own contribution.
-        fn chain(node: Node, depth: u64) -> oam_threads::JoinHandle<u64> {
+        // Each thread spawns the next and adds its own contribution to
+        // the value the child left in `out`.
+        fn chain(node: Node, depth: u64, out: Rc<Cell<u64>>) -> oam_threads::JoinHandle {
             let inner = node.clone();
             node.spawn(async move {
                 if depth == 0 {
-                    1
+                    out.set(1);
                 } else {
-                    let child = chain(inner.clone(), depth - 1);
-                    child.join().await + depth
+                    let below = Rc::new(Cell::new(0));
+                    chain(inner.clone(), depth - 1, below.clone()).join().await;
+                    out.set(below.get() + depth);
                 }
             })
         }
-        *r.borrow_mut() = chain(n.clone(), 10).join().await;
+        let out = Rc::new(Cell::new(0));
+        chain(n.clone(), 10, out.clone()).join().await;
+        *r.borrow_mut() = out.get();
     });
     sim.run();
     assert_eq!(*result.borrow(), 1 + (1..=10).sum::<u64>());

@@ -1,4 +1,4 @@
-//! Allocation budgets of the blocking and bulk paths.
+//! Allocation budgets of the blocking, bulk and open-loop paths.
 //!
 //! A SOR iteration under ORPC sends two edge rows in bulk, blocks on
 //! boundary buffers through a mutex and condition variables, and joins a
@@ -9,13 +9,22 @@
 //! pooled payload that allocates its `Rc`, a contribution that boxes its
 //! value for the other shard, or an edge row cloned for each send.
 //!
-//! The primitives are also checked one at a time: warm waits, the payload
-//! pool's wrap → drop → wrap cycle and scalar reduction values allocate
-//! nothing. Those read their own thread's counters; the SOR runs use
-//! worker threads, so they read the process-wide counters, and every test
-//! here holds one lock so that no other test allocates meanwhile.
+//! An open-loop driver paces its arrivals and gives each request a thread
+//! of its own, which makes a null ORPC call. Once warm, a request
+//! allocates nothing: the thread moves into the storage of a finished
+//! thread of its type, joining needs no shared state, the pacing wait
+//! reuses its flag, and the inline call recycles its future and packet.
+//! Each of those, undone, would cost a whole allocation per request.
+//!
+//! The primitives are also checked one at a time: warm waits, spawns and
+//! pacing waits, the payload pool's wrap → drop → wrap cycle and scalar
+//! reduction values allocate nothing. Those and the open-loop runs, which
+//! run on the simulator on the test's thread, read their own thread's
+//! counters; the SOR runs use worker threads, so they read the
+//! process-wide counters, and every test here holds one lock so that no
+//! other test allocates meanwhile.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Mutex as StdMutex;
@@ -23,8 +32,10 @@ use std::sync::Mutex as StdMutex;
 use oam_apps::sor::{run_configured, SorParams};
 use oam_apps::System;
 use oam_machine::collective::ReduceValue;
-use oam_model::{MachineConfig, NodeId, NodeStats};
+use oam_machine::{pace_until, MachineBuilder, OpenLoopTracker};
+use oam_model::{Backend, Dur, MachineConfig, NodeId, NodeStats};
 use oam_net::BufPool;
+use oam_rpc::{define_rpc_service, RpcMode};
 use oam_sim::{alloc_snapshot, thread_alloc_snapshot, AllocSnapshot, CountingAlloc, Sim};
 use oam_threads::{CondVar, Mutex, Node};
 
@@ -120,6 +131,139 @@ fn warm_waits_allocate_nothing() {
         used.allocs,
         used.bytes
     );
+}
+
+/// Allocations allowed per extra open-loop request.
+const BUDGET_PER_REQUEST: f64 = 0.1;
+
+const SERVER: NodeId = NodeId(0);
+const DRIVER: NodeId = NodeId(1);
+/// Arrivals of the shorter open-loop run; the longer one has twice as many.
+const ARRIVALS: u64 = 200;
+/// Time between arrivals: a null call's round trip is well inside it.
+const GAP: Dur = Dur::from_micros(200);
+
+/// Null calls served.
+pub struct Served {
+    pub calls: Cell<u64>,
+}
+
+define_rpc_service! {
+    service Null {
+        state Served;
+
+        /// Count the call and return the count.
+        rpc ping(ctx, st) -> u64 {
+            let v = st.calls.get() + 1;
+            st.calls.set(v);
+            v
+        }
+    }
+}
+
+/// Allocations of a whole open-loop run of `arrivals` requests, machine
+/// build included. It runs on the simulator, whatever `OAM_*` says.
+fn open_loop_allocs(arrivals: u64) -> u64 {
+    let before = thread_alloc_snapshot();
+    let cfg = MachineConfig::cm5(2).with_backend(Backend::Sim);
+    let machine = MachineBuilder::from_config(cfg).build();
+    let served = Rc::new(Served { calls: Cell::new(0) });
+    Null::register_all(machine.rpc(), SERVER, Rc::clone(&served), RpcMode::Orpc);
+    let answered = Rc::new(Cell::new(0u64));
+    let a = answered.clone();
+    let report = machine.run(move |env| {
+        let a = a.clone();
+        async move {
+            if env.id() != DRIVER {
+                return;
+            }
+            let tracker = OpenLoopTracker::new();
+            let t0 = env.now();
+            for i in 1..=arrivals {
+                pace_until(env.node(), t0 + GAP * i).await;
+                tracker.begin();
+                let (e, tracker, a) = (env.clone(), tracker.clone(), a.clone());
+                env.node().spawn(async move {
+                    if Null::ping::call(e.rpc(), e.node(), SERVER).await.is_ok() {
+                        a.set(a.get() + 1);
+                    }
+                    tracker.finish();
+                });
+            }
+            tracker.drained(env.node()).await;
+        }
+    });
+    assert!(report.completed);
+    assert_eq!(report.stats.total().oam_successes, arrivals, "every call ran inline");
+    drop(machine);
+    let used = thread_alloc_snapshot().since(before);
+    assert_eq!((answered.get(), served.calls.get()), (arrivals, arrivals));
+    used.allocs
+}
+
+#[test]
+fn extra_open_loop_requests_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let (short, long) = (open_loop_allocs(ARRIVALS), open_loop_allocs(2 * ARRIVALS));
+    let per = long.saturating_sub(short) as f64 / ARRIVALS as f64;
+    assert!(
+        per <= BUDGET_PER_REQUEST,
+        "{per:.2} allocations per extra request ({short} over {ARRIVALS} requests, {long} over {})",
+        2 * ARRIVALS
+    );
+}
+
+/// Run `body(i)` in a thread for `WARM` turns and then `COUNTED` more, and
+/// return the allocations of all counted turns but the last.
+fn warm_turns<F, Fut>(body: F) -> AllocSnapshot
+where
+    F: Fn(Node, u64) -> Fut + 'static,
+    Fut: std::future::Future<Output = ()> + 'static,
+{
+    const WARM: u64 = 10;
+    const COUNTED: u64 = 1_000;
+    let (sim, node) = test_node();
+    let window: Rc<RefCell<Vec<AllocSnapshot>>> = Rc::new(RefCell::new(Vec::with_capacity(2)));
+    let (n, w) = (node.clone(), window.clone());
+    node.spawn(async move {
+        for i in 0..WARM + COUNTED {
+            if i == WARM || i == WARM + COUNTED - 1 {
+                w.borrow_mut().push(thread_alloc_snapshot());
+            }
+            body(n.clone(), i).await;
+        }
+    });
+    sim.run();
+    let window = window.borrow();
+    window[1].since(window[0])
+}
+
+#[test]
+fn a_warm_spawn_finish_and_join_allocate_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let ran = Rc::new(Cell::new(0u64));
+    let r = ran.clone();
+    let used = warm_turns(move |node, _| {
+        let (n, r) = (node.clone(), r.clone());
+        let child = node.spawn(async move {
+            n.charge(Dur::from_micros(1)).await;
+            r.set(r.get() + 1);
+        });
+        child.join()
+    });
+    assert_eq!(ran.get(), 1_010);
+    assert_eq!((used.allocs, used.bytes), (0, 0), "warm spawn → finish → join allocated");
+}
+
+#[test]
+fn a_warm_pace_until_allocates_nothing() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let used = warm_turns(|node, _| async move {
+        let at = node.now() + Dur::from_micros(10);
+        pace_until(&node, at).await;
+        assert_eq!(node.now(), at);
+    });
+    assert_eq!((used.allocs, used.bytes), (0, 0), "warm pacing waits allocated");
 }
 
 #[test]
