@@ -2,6 +2,9 @@
 //! the §4.1.2 bulk-transfer curve, Figures 1–4, Tables 2–3, and the
 //! queue-policy, abort-strategy, buffering, handler-budget and
 //! adaptive-dispatch ablations, each printed next to the paper's numbers.
+//! A last section, the simulator performance rows, runs small workloads
+//! (null-RPC and bulk churn, TSP, SOR, Water, the streaming service, chaos
+//! variants) and counts each one's heap allocations.
 //!
 //! Every distinct run (application, system, size, machine configuration)
 //! is measured once, and every table that needs it reads that one row:
@@ -10,7 +13,9 @@
 //! is the figure's row. All rows, sequential baselines included, are
 //! written as JSON (default `PAPER_results.json` at the workspace root);
 //! `bench_check PAPER_rows.json PAPER_results.json` holds them against the
-//! committed baseline exactly. Every time is virtual, so the rows are
+//! committed baseline: answers, times, events and the engine and OAM
+//! counters exactly, the performance rows' allocation counts to +20% and
+//! the service's p99 to +25%. Every time is virtual, so the rows are
 //! deterministic.
 //!
 //! ```sh
@@ -20,6 +25,7 @@
 use std::cell::Cell;
 use std::rc::Rc;
 
+use oam_apps::service::{self, ServiceOutcome, ServiceParams};
 use oam_apps::sor::{self, SorParams};
 use oam_apps::tsp::{self, TspParams};
 use oam_apps::water::{self, WaterParams, WaterVariant};
@@ -30,10 +36,16 @@ use oam_bench::report::{
 use oam_bench::{micro_rpc, MicroParams, ServerLoad};
 use oam_machine::MachineBuilder;
 use oam_model::{
-    AbortReason, AbortStrategy, AdaptivePolicy, Dur, ExecPolicy, MachineConfig, NodeId, QueuePolicy,
+    AbortReason, AbortStrategy, AdaptivePolicy, Dur, ExecPolicy, FaultPlan, MachineConfig, NodeId,
+    QueuePolicy,
 };
 use oam_rpc::{define_rpc_service, RpcMode};
+use oam_sim::{alloc_snapshot, CountingAlloc};
 use oam_threads::Mutex;
+
+/// Counts heap allocations for the simulator performance rows.
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
 
 /// The Triangle puzzle's size (the paper's workload).
 const TRIANGLE_SIZE: usize = 6;
@@ -746,8 +758,214 @@ fn adaptive_contention(rows: &mut Rows) {
     println!("\nadaptive beats both static modes; demotion and re-promotion are trace-visible.");
 }
 
+/// State of the churn service: one counter per node.
+pub struct ChurnState {
+    /// Calls served.
+    pub counter: Cell<u64>,
+}
+
+define_rpc_service! {
+    /// The null-RPC churn service: the cheapest possible remote call, so
+    /// the measurement is dominated by simulator overhead per message.
+    service Churn {
+        state ChurnState;
+
+        /// Increment and return the server-side counter.
+        rpc bump(ctx, st) -> u64 {
+            let _ = ctx;
+            let v = st.counter.get() + 1;
+            st.counter.set(v);
+            v
+        }
+
+        /// Consume a bulk payload, returning a checksum folded into the
+        /// running counter. Exercises the pooled bulk-transfer path.
+        rpc ingest(ctx, st, data: Vec<u8>) -> u64 {
+            let _ = ctx;
+            let sum: u64 = data.iter().map(|&b| b as u64).sum();
+            let v = st.counter.get().wrapping_add(sum).wrapping_add(1);
+            st.counter.set(v);
+            v
+        }
+    }
+}
+
+/// A performance row's outcome as a report row.
+trait IntoRow {
+    fn into_row(self, name: &str) -> Row;
+}
+
+impl IntoRow for AppOutcome {
+    fn into_row(self, name: &str) -> Row {
+        Row::app(name, self)
+    }
+}
+
+/// The service's overload scorecard, as extra row columns (virtual-time
+/// latency quantiles are deterministic, so the gate watches p99 drift
+/// like any other counter).
+impl IntoRow for ServiceOutcome {
+    fn into_row(self, name: &str) -> Row {
+        let extra = vec![
+            ("p50_us", format!("{:.3}", self.p50.as_micros_f64())),
+            ("p99_us", format!("{:.3}", self.p99.as_micros_f64())),
+            ("p999_us", format!("{:.3}", self.p999.as_micros_f64())),
+            ("goodput_per_sec", format!("{:.1}", self.goodput_per_sec)),
+            ("completed", self.completed.to_string()),
+            ("shed", self.shed.to_string()),
+            ("expired", self.expired.to_string()),
+            ("abandoned", self.abandoned.to_string()),
+        ];
+        Row { extra, ..Row::app(name, self.app) }
+    }
+}
+
+/// Run `body` once, bracketed by allocator snapshots, and add its row.
+/// Every gated column is deterministic, so one run is the measurement.
+/// Building a machine allocates, so a zero count means no counting
+/// allocator is installed: the row then has no allocation columns, and
+/// the gate fails it by name.
+fn measure<T: IntoRow>(rows: &mut Rows, name: &str, body: impl FnOnce() -> T) {
+    let before = alloc_snapshot();
+    let out = body();
+    let alloc = alloc_snapshot().since(before);
+    rows.add(Row { alloc: (alloc.allocs > 0).then_some(alloc), ..out.into_row(name) });
+}
+
+fn chaos_cfg(nodes: usize, p: f64) -> MachineConfig {
+    let plan = FaultPlan::drop_only(p).with_dup(p).with_delay(p, Dur::from_micros(20));
+    MachineConfig::cm5(nodes).with_fault_plan(plan).with_retransmission()
+}
+
+/// `rounds` back-to-back null RPCs from node 0 to node 1.
+fn churn(rounds: u32, cfg: MachineConfig) -> AppOutcome {
+    let machine = MachineBuilder::from_config(cfg).build();
+    let states: Vec<Rc<ChurnState>> =
+        (0..2).map(|_| Rc::new(ChurnState { counter: Cell::new(0) })).collect();
+    for (i, st) in states.iter().enumerate() {
+        Churn::register_all(machine.rpc(), NodeId(i), Rc::clone(st), RpcMode::Orpc);
+    }
+    let answer = Rc::new(Cell::new(0u64));
+    let a = Rc::clone(&answer);
+    let report = machine.run(move |env| {
+        let a = Rc::clone(&a);
+        async move {
+            if env.id().index() == 0 {
+                let mut last = 0;
+                for _ in 0..rounds {
+                    last = Churn::bump::call(env.rpc(), env.node(), NodeId(1))
+                        .await
+                        .expect("reply decode");
+                }
+                a.set(last);
+            }
+            env.barrier().await;
+        }
+    });
+    AppOutcome::new(report, answer.get())
+}
+
+/// `rounds` back-to-back 4 KiB-payload RPCs from node 0 to node 1: a bulk
+/// transfer storm, so the measurement is dominated by payload marshaling
+/// and buffer management rather than per-message dispatch.
+fn bulk_churn(rounds: u32, cfg: MachineConfig) -> AppOutcome {
+    let machine = MachineBuilder::from_config(cfg).build();
+    let states: Vec<Rc<ChurnState>> =
+        (0..2).map(|_| Rc::new(ChurnState { counter: Cell::new(0) })).collect();
+    for (i, st) in states.iter().enumerate() {
+        Churn::register_all(machine.rpc(), NodeId(i), Rc::clone(st), RpcMode::Orpc);
+    }
+    let answer = Rc::new(Cell::new(0u64));
+    let a = Rc::clone(&answer);
+    let report = machine.run(move |env| {
+        let a = Rc::clone(&a);
+        async move {
+            if env.id().index() == 0 {
+                let data: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+                let mut last = 0;
+                for _ in 0..rounds {
+                    last = Churn::ingest::call(env.rpc(), env.node(), NodeId(1), data.clone())
+                        .await
+                        .expect("reply decode");
+                }
+                a.set(last);
+            }
+            env.barrier().await;
+        }
+    });
+    AppOutcome::new(report, answer.get())
+}
+
+/// The simulator's performance rows: small workloads whose events, queue
+/// depth, epochs, delivery and OAM counters and heap allocations price the
+/// runtime itself rather than reproduce a paper figure.
+fn performance_rows(rows: &mut Rows) {
+    let first = rows.rows.len();
+    let tsp_params = TspParams { ncities: 10, prefix_len: 4, ..Default::default() };
+    // The 64-node SOR workload, run single-shard and with 4 shard worker
+    // threads. Identical virtual work (answer, end time, per-node stats) —
+    // only the host-side execution strategy differs — so the epoch and
+    // delivery counters are what these rows pin.
+    let sor_64node = |shards: usize| {
+        sor::run_configured(
+            System::Orpc,
+            MachineConfig::cm5(64).with_shards(shards),
+            SorParams { rows: 256, cols: 128, iters: 2 },
+        )
+    };
+    measure(rows, "null_rpc_churn_chaos", || churn(2_000, chaos_cfg(2, 0.01)));
+    measure(rows, "bulk_payload_churn", || bulk_churn(500, MachineConfig::cm5(2)));
+    measure(rows, "tsp_n10", || {
+        tsp::run_configured(System::Orpc, MachineConfig::cm5(5), tsp_params)
+    });
+    measure(rows, "tsp_n10_chaos", || {
+        tsp::run_configured(System::Orpc, chaos_cfg(5, 0.05), tsp_params)
+    });
+    // The pipelining pair, at 2 slaves so the run is slave-bound (at 4+
+    // slaves the master's GEN_COST pacing dominates and prefetching a
+    // job cannot create jobs faster). Same machine, same instance; the
+    // only difference is the slaves' call schedule: tsp_pipelined keeps
+    // one get_job outstanding while expanding the previous route, so
+    // the virtual_us gap between these two rows is the round trip the
+    // pipelined stubs hide.
+    measure(rows, "tsp_n10_s2", || tsp::run(System::Orpc, 2, tsp_params));
+    measure(rows, "tsp_pipelined", || tsp::run_pipelined(System::Orpc, 2, tsp_params));
+    measure(rows, "sor_256", || {
+        sor::run(System::Orpc, 4, SorParams { rows: 256, cols: 256, iters: 3 })
+    });
+    measure(rows, "water_64", || {
+        let variant = WaterVariant { system: System::Orpc, barrier: true };
+        water::run(variant, 4, WaterParams { molecules: 64, iters: 2 }).outcome
+    });
+    measure(rows, "sor_64node", || sor_64node(1));
+    measure(rows, "sor_64node_shards4", || sor_64node(4));
+    // The open-loop service (DESIGN.md §13) with heavy requests fetching
+    // their scans as chunked streaming sessions: the row that prices the
+    // session protocol (chunk messages, session table, Close frames).
+    measure(rows, "service_stream_scan", || {
+        let cfg = MachineConfig::cm5(4).with_seed(0x5e41_11ce);
+        service::run(cfg, ServiceParams { arrivals: 96, streaming: true, ..Default::default() })
+    });
+    let cells: Vec<Vec<String>> = rows.rows[first..]
+        .iter()
+        .map(|r| {
+            let (out, alloc) = (r.outcome(), r.alloc.unwrap_or_default());
+            vec![
+                r.name.clone(),
+                format!("{:.3}", r.virtual_time.as_micros_f64() / 1e3),
+                out.events.to_string(),
+                out.peak_queue_depth.to_string(),
+                alloc.allocs.to_string(),
+                alloc.bytes.to_string(),
+            ]
+        })
+        .collect();
+    let headers = ["row", "virtual (ms)", "events", "peak queue", "allocs", "alloc bytes"];
+    print_table("Simulator performance rows", &headers, &cells);
+}
+
 fn main() {
-    let path = out_path("paper", "PAPER_results.json");
+    let path = out_path();
     let mut rows = Rows::default();
     table1(&mut rows);
     bulk_transfer(&mut rows);
@@ -762,5 +980,6 @@ fn main() {
     ablate_buffering(&mut rows);
     ablate_handler_budget(&mut rows);
     adaptive_contention(&mut rows);
-    write_report(&path, "paper", &rows.rows);
+    performance_rows(&mut rows);
+    write_report(&path, &rows.rows);
 }

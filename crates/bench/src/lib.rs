@@ -1,10 +1,9 @@
 //! # oam-bench
 //!
-//! The paper's evaluation (§4) and its ablations, regenerated by one
-//! binary, `paper`, which prints the paper's rows next to the measured
-//! ones and writes every row as JSON; and `perfsuite`, the simulator's
-//! performance rows. `bench_check` gates both files against their
-//! committed baselines.
+//! The paper's evaluation (§4), its ablations and the simulator's
+//! performance rows, regenerated by one binary, `paper`, which prints the
+//! paper's rows next to the measured ones and writes every row as JSON.
+//! `bench_check` gates that file against the committed `PAPER_rows.json`.
 
 #![warn(missing_docs)]
 

@@ -1,9 +1,7 @@
-//! Tables and the JSON row report shared by the `paper` and `perfsuite`
-//! binaries.
+//! Tables and the JSON row report of the `paper` binary.
 
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use oam_apps::AppOutcome;
 use oam_model::Dur;
@@ -19,16 +17,23 @@ pub fn workspace_root() -> PathBuf {
     root.canonicalize().unwrap_or(root)
 }
 
-/// The report path from the command line: `--out PATH`, else `default`
-/// at the workspace root. The binaries take no other flag.
-pub fn out_path(bin: &str, default: &str) -> PathBuf {
+/// Where `paper` writes its rows unless told otherwise, relative to the
+/// workspace root.
+const DEFAULT_OUT: &str = "PAPER_results.json";
+
+/// The report path from the command line: `--out PATH`, else
+/// `PAPER_results.json` at the workspace root. The binary takes no other
+/// flag.
+pub fn out_path() -> PathBuf {
     let mut out = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--out" => out = Some(PathBuf::from(args.next().expect("--out needs a path"))),
             "--help" | "-h" => {
-                println!("usage: {bin} [--out PATH]   (default: {default} at the workspace root)");
+                println!(
+                    "usage: paper [--out PATH]   (default: {DEFAULT_OUT} at the workspace root)"
+                );
                 std::process::exit(0);
             }
             other => {
@@ -37,18 +42,14 @@ pub fn out_path(bin: &str, default: &str) -> PathBuf {
             }
         }
     }
-    out.unwrap_or_else(|| workspace_root().join(default))
+    out.unwrap_or_else(|| workspace_root().join(DEFAULT_OUT))
 }
 
 /// One measured row of a report: a paper row, a sequential baseline or a
-/// perfsuite suite.
+/// simulator performance row.
 pub struct Row {
     /// Unique row name; `bench_check` matches baseline and result rows by it.
     pub name: String,
-    /// Which gates `bench_check` applies when the row sits in a baseline:
-    /// `"full"` (every deterministic column, the sim rows) or `"answer"`
-    /// (answer only: native rows, whose counters follow host timing).
-    pub gates: &'static str,
     /// The row's virtual time: a run's elapsed time, a sequential
     /// baseline's time, or a microbenchmark's mean round trip.
     pub virtual_time: Dur,
@@ -56,9 +57,8 @@ pub struct Row {
     pub answer: u64,
     /// The simulated run behind the row; `None` for a sequential baseline.
     pub run: Option<AppOutcome>,
-    /// Host wall-clock, for information only: no gate reads it.
-    pub wall: Option<Duration>,
-    /// Heap allocations during the row, where the binary counts them.
+    /// Heap allocations during the row: counted on the simulator
+    /// performance rows only.
     pub alloc: Option<AllocSnapshot>,
     /// Row-specific columns, written after the common ones.
     pub extra: Vec<(&'static str, String)>,
@@ -77,16 +77,7 @@ impl Row {
         answer: u64,
         run: Option<AppOutcome>,
     ) -> Row {
-        Row {
-            name: name.into(),
-            gates: "full",
-            virtual_time,
-            answer,
-            run,
-            wall: None,
-            alloc: None,
-            extra: Vec::new(),
-        }
+        Row { name: name.into(), virtual_time, answer, run, alloc: None, extra: Vec::new() }
     }
 
     /// The run behind the row.
@@ -96,29 +87,17 @@ impl Row {
     pub fn outcome(&self) -> &AppOutcome {
         self.run.as_ref().unwrap_or_else(|| panic!("{} is a sequential baseline", self.name))
     }
-
-    /// Simulated events per host second, when both are known.
-    pub fn events_per_sec(&self) -> Option<f64> {
-        Some(self.run.as_ref()?.events as f64 / self.wall?.as_secs_f64().max(1e-9))
-    }
 }
 
 /// The JSON report: `{"schema", "mode", "suites": [...]}`, one flat
 /// object per row. Columns a row does not have are left out, so
 /// `bench_check` sees them absent on both sides.
-pub fn json_report(mode: &str, rows: &[Row]) -> String {
+pub fn json_report(rows: &[Row]) -> String {
     let mut fields: Vec<(&str, String)> = Vec::new();
-    let mut s = format!("{{\n  \"schema\": 1,\n  \"mode\": \"{mode}\",\n  \"suites\": [\n");
+    let mut s = String::from("{\n  \"schema\": 1,\n  \"mode\": \"paper\",\n  \"suites\": [\n");
     for (i, r) in rows.iter().enumerate() {
         fields.clear();
         fields.push(("name", format!("\"{}\"", r.name)));
-        fields.push(("gates", format!("\"{}\"", r.gates)));
-        if let Some(wall) = r.wall {
-            fields.push(("wall_ms", format!("{:.3}", wall.as_secs_f64() * 1e3)));
-        }
-        if let Some(eps) = r.events_per_sec() {
-            fields.push(("events_per_sec", format!("{eps:.0}")));
-        }
         fields.push(("virtual_us", format!("{:.3}", r.virtual_time.as_micros_f64())));
         fields.push(("answer", r.answer.to_string()));
         if let Some(a) = &r.alloc {
@@ -160,8 +139,8 @@ pub fn json_report(mode: &str, rows: &[Row]) -> String {
 }
 
 /// Write [`json_report`] to `path`, exiting with status 1 on failure.
-pub fn write_report(path: &Path, mode: &str, rows: &[Row]) {
-    match std::fs::write(path, json_report(mode, rows)) {
+pub fn write_report(path: &Path, rows: &[Row]) {
+    match std::fs::write(path, json_report(rows)) {
         Ok(()) => println!("\n[json] {}", path.display()),
         Err(e) => {
             eprintln!("failed to write {}: {e}", path.display());
@@ -247,7 +226,7 @@ mod tests {
 
     #[test]
     fn a_sequential_row_writes_only_its_time_and_answer() {
-        let json = json_report("paper", &[Row::new("seq", Dur::from_micros(2), 7, None)]);
+        let json = json_report(&[Row::new("seq", Dur::from_micros(2), 7, None)]);
         assert!(json.contains("\"virtual_us\": 2.000,\n"), "{json}");
         assert!(json.contains("\"answer\": 7\n"), "{json}");
         assert!(!json.contains("events"), "{json}");

@@ -18,7 +18,7 @@
 //! longest waiter), which keeps scheduling deterministic.
 //!
 //! A waiter holds a *ticket* instead of a shared flag, so parking
-//! allocates nothing (see [`WaitQueue`]).
+//! allocates nothing (see `WaitQueue`).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;

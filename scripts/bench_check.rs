@@ -1,16 +1,14 @@
 //! Benchmark gates, one per clock.
 //!
-//! **Deterministic gate.** Compares a fresh row report against its
-//! committed baseline: `BENCH_results.json` (written by the `perfsuite`
-//! binary) against `BENCH_baseline.json`, or `PAPER_results.json` (written
-//! by the `paper` binary) against `PAPER_rows.json`. Every gated column is
-//! a pure function of the workload, so any drift is a real change: sim
-//! rows (`"gates": "full"`) must reproduce `answer`, `events`,
-//! `virtual_us`, `run_us`, `peak_queue_depth`, `epochs`, `deposits`,
-//! `batches` and the OAM counters (attempts, successes, promotions,
-//! reruns, NACKs sent) exactly, and may grow `allocs` by at most 20% and
-//! `p99_us` by at most 25%; native rows (`"gates": "answer"`) must
-//! reproduce their answer. Host wall time is not read.
+//! **Deterministic gate.** Compares the `paper` binary's fresh row report,
+//! `PAPER_results.json`, against the committed baseline `PAPER_rows.json`.
+//! Every row is a simulator run or a sequential baseline, and every gated
+//! column is a pure function of the workload, so any drift is a real
+//! change: each row must reproduce `answer`, `events`, `virtual_us`,
+//! `run_us`, `peak_queue_depth`, `epochs`, `deposits`, `batches` and the
+//! OAM counters (attempts, successes, promotions, reruns, NACKs sent)
+//! exactly, and may grow `allocs` by at most 20% and `p99_us` by at most
+//! 25%. The report holds no host time.
 //!
 //! **Host-time pairs.** `pairs <parent-rev>` builds e2ebench at the
 //! parent revision (a detached worktree under `.bench_build/`) and in the
@@ -26,7 +24,6 @@
 //!
 //! ```sh
 //! rustc -O --edition 2021 scripts/bench_check.rs -o bench_check
-//! ./bench_check BENCH_baseline.json BENCH_results.json
 //! ./bench_check PAPER_rows.json PAPER_results.json
 //! ./bench_check pairs origin/main        # from the repository root
 //! rustc --test --edition 2021 scripts/bench_check.rs -o bench_check_test && ./bench_check_test
@@ -42,10 +39,9 @@
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
-/// Columns a `"full"` row must reproduce exactly. Native rows' peak queue
-/// depth follows thread timing, so only sim rows gate it. A column absent
-/// from both rows (a sequential baseline has no events) passes.
-const EXACT_FULL: [&str; 13] = [
+/// Columns a row must reproduce exactly. A column absent from both rows
+/// (a sequential baseline has no events) passes.
+const EXACT: [&str; 13] = [
     "answer",
     "events",
     "virtual_us",
@@ -61,11 +57,12 @@ const EXACT_FULL: [&str; 13] = [
     "oam_nacks_sent",
 ];
 
-/// One-sided growth bands on `"full"` rows: (column, max growth as a
-/// fraction of the baseline). Allocation counts differ by a handful
-/// between host core counts (worker spawns on the sharded rows), so they
-/// get a band rather than equality. The p99 histogram is log-bucketed:
-/// one bucket step is ~25%. A zero or absent baseline skips the band.
+/// One-sided growth bands: (column, max growth as a fraction of the
+/// baseline). Allocation counts differ by a handful between host core
+/// counts (worker spawns on the sharded rows), so they get a band rather
+/// than equality. The p99 histogram is log-bucketed: one bucket step is
+/// ~25%. A zero or absent baseline skips the band; a baseline value with
+/// no result value fails it.
 const BANDS: [(&str, f64); 2] = [("allocs", 0.20), ("p99_us", 0.25)];
 
 /// Alternating parent/change pairs per workload, on seeds 21, 22, ...
@@ -129,30 +126,27 @@ fn read(path: &str) -> Result<String, String> {
 }
 
 /// The gate failures of one baseline row against its result row.
-fn check_row(name: &str, gates: &str, base: &str, new: &str) -> Vec<String> {
-    let exact: &[&str] = match gates {
-        "full" => &EXACT_FULL,
-        "answer" => &["answer"],
-        other => return vec![format!("{name}: unknown gates level {other:?} in the baseline")],
-    };
+fn check_row(name: &str, base: &str, new: &str) -> Vec<String> {
     let mut failures = Vec::new();
-    for &k in exact {
+    for k in EXACT {
         let (b, n) = (field(base, k), field(new, k));
         if b != n {
             let show = |v: Option<String>| v.unwrap_or_else(|| "absent".into());
             failures.push(format!("{name}: {k} {} (baseline) vs {} (result)", show(b), show(n)));
         }
     }
-    if gates == "full" {
-        for (k, limit) in BANDS {
-            let (Some(b), Some(n)) = (num(base, k), num(new, k)) else { continue };
-            if b > 0.0 && (n - b) / b > limit {
-                failures.push(format!(
-                    "{name}: {k} {b} (baseline) vs {n} (result), {:+.1}% > +{:.0}% limit",
-                    (n - b) / b * 100.0,
-                    limit * 100.0
-                ));
-            }
+    for (k, limit) in BANDS {
+        let Some(b) = num(base, k) else { continue };
+        let Some(n) = num(new, k) else {
+            failures.push(format!("{name}: {k} {b} (baseline) vs absent (result)"));
+            continue;
+        };
+        if b > 0.0 && (n - b) / b > limit {
+            failures.push(format!(
+                "{name}: {k} {b} (baseline) vs {n} (result), {:+.1}% > +{:.0}% limit",
+                (n - b) / b * 100.0,
+                limit * 100.0
+            ));
         }
     }
     failures
@@ -173,20 +167,19 @@ fn gate(base_json: &str, new_json: &str) -> Result<Vec<String>, String> {
     let mut failures = Vec::new();
     for b in &base {
         let row = name(b);
-        let gates = field(b, "gates").unwrap_or_default();
         let row_failures = match new.iter().find(|n| name(n) == row) {
-            Some(n) => check_row(&row, &gates, b, n),
+            Some(n) => check_row(&row, b, n),
             None => vec![format!("{row}: missing from new results")],
         };
         let verdict = if row_failures.is_empty() { "ok" } else { "FAILED" };
-        println!("{row:<24} {gates:<7} {verdict}");
+        println!("{row:<40} {verdict}");
         failures.extend(row_failures);
     }
     // An unknown result row would be silently ungated.
     for n in &new {
         let row = name(n);
         if !base.iter().any(|b| name(b) == row) {
-            println!("{row:<24} {:<7} UNKNOWN", "-");
+            println!("{row:<40} UNKNOWN");
             failures.push(format!("{row}: present in results but missing from the baseline"));
         }
     }
@@ -449,24 +442,13 @@ fn compare(
     Ok(failures)
 }
 
-/// The binary that writes a row report: `paper` for the `PAPER_*` files,
-/// `perfsuite` for the rest.
-fn writer_of(path: &str) -> &'static str {
-    let file = Path::new(path).file_name().map(|f| f.to_string_lossy());
-    if file.is_some_and(|f| f.starts_with("PAPER")) {
-        "paper"
-    } else {
-        "perfsuite"
-    }
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let result = match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
         ["pairs", parent] => pairs(parent),
         [base, new] if base != "pairs" => deterministic_gate(base, new),
         _ => {
-            eprintln!("usage: bench_check BASELINE.json RESULTS.json   (BENCH_* or PAPER_* files)");
+            eprintln!("usage: bench_check PAPER_rows.json PAPER_results.json");
             eprintln!("       bench_check pairs <parent-rev>   (from the repository root)");
             return ExitCode::from(2);
         }
@@ -487,9 +469,8 @@ fn main() -> ExitCode {
             }
             if let [base, _] = &args[..] {
                 eprintln!(
-                    "if intentional, re-record with `cargo run --release -p oam-bench --bin {} \
-                     -- --out {base}`",
-                    writer_of(base)
+                    "if intentional, re-record with `cargo run --release -p oam-bench --bin paper \
+                     -- --out {base}`"
                 );
             }
             ExitCode::FAILURE
@@ -501,11 +482,10 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// A `"full"` row body with `virtual_us` and `allocs` as given.
+    /// A row body with `virtual_us` and `allocs` as given.
     fn row(virtual_us: &str, allocs: u64) -> String {
         format!(
-            "\"name\": \"r\", \"gates\": \"full\", \"virtual_us\": {virtual_us}, \
-             \"answer\": 7, \"allocs\": {allocs}"
+            "\"name\": \"r\", \"virtual_us\": {virtual_us}, \"answer\": 7, \"allocs\": {allocs}"
         )
     }
 
@@ -516,42 +496,46 @@ mod tests {
 
     #[test]
     fn an_unchanged_row_passes() {
-        assert!(check_row("r", "full", &row("1.500", 10), &row("1.500", 10)).is_empty());
+        assert!(check_row("r", &row("1.500", 10), &row("1.500", 10)).is_empty());
     }
 
     #[test]
     fn a_moved_exact_column_fails() {
-        let failures = check_row("r", "full", &row("1.500", 10), &row("1.501", 10));
+        let failures = check_row("r", &row("1.500", 10), &row("1.501", 10));
         assert_eq!(failures, ["r: virtual_us 1.500 (baseline) vs 1.501 (result)"]);
     }
 
     #[test]
     fn a_column_absent_on_both_sides_passes() {
         // Neither row has `events` or the OAM counters: a sequential baseline.
-        let base = "\"name\": \"seq\", \"gates\": \"full\", \"virtual_us\": 2.000, \"answer\": 1";
-        assert!(check_row("seq", "full", base, base).is_empty());
+        let base = "\"name\": \"seq\", \"virtual_us\": 2.000, \"answer\": 1";
+        assert!(check_row("seq", base, base).is_empty());
     }
 
     #[test]
     fn a_column_present_on_one_side_fails() {
         let with = format!("{}, \"oam_reruns\": 0", row("1.500", 10));
-        let failures = check_row("r", "full", &with, &row("1.500", 10));
+        let failures = check_row("r", &with, &row("1.500", 10));
         assert_eq!(failures, ["r: oam_reruns 0 (baseline) vs absent (result)"]);
     }
 
     #[test]
-    fn an_unknown_gates_level_fails() {
-        let failures = check_row("r", "exact", &row("1.500", 10), &row("1.500", 10));
+    fn an_allocation_band_breach_fails_and_growth_within_it_passes() {
+        assert!(check_row("r", &row("1.500", 100), &row("1.500", 120)).is_empty());
+        let failures = check_row("r", &row("1.500", 100), &row("1.500", 121));
         assert_eq!(failures.len(), 1);
-        assert!(failures[0].contains("unknown gates level \"exact\""), "{failures:?}");
+        assert!(
+            failures[0].starts_with("r: allocs 100 (baseline) vs 121 (result)"),
+            "{failures:?}"
+        );
     }
 
     #[test]
-    fn an_allocation_band_breach_fails_and_growth_within_it_passes() {
-        assert!(check_row("r", "full", &row("1.500", 100), &row("1.500", 120)).is_empty());
-        let failures = check_row("r", "full", &row("1.500", 100), &row("1.500", 121));
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].starts_with("r: allocs 100 (baseline) vs 121 (result)"), "{failures:?}");
+    fn a_band_column_missing_from_the_result_fails() {
+        // A row whose binary lost its counting allocator writes no `allocs`.
+        let without = row("1.500", 100).replace(", \"allocs\": 100", "");
+        let failures = check_row("r", &row("1.500", 100), &without);
+        assert_eq!(failures, ["r: allocs 100 (baseline) vs absent (result)"]);
     }
 
     #[test]
@@ -569,12 +553,5 @@ mod tests {
         let other = row("1.500", 10).replace("\"r\"", "\"other\"");
         let failures = gate(&base, &report(&[&other])).expect("both reports parse");
         assert!(failures.contains(&"r: missing from new results".to_string()), "{failures:?}");
-    }
-
-    #[test]
-    fn the_hint_names_the_writer_of_the_file() {
-        assert_eq!(writer_of("PAPER_rows.json"), "paper");
-        assert_eq!(writer_of("some/dir/PAPER_rows.json"), "paper");
-        assert_eq!(writer_of("BENCH_baseline.json"), "perfsuite");
     }
 }

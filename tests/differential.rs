@@ -177,7 +177,7 @@ fn sor_is_shard_count_invariant() {
             }
         }
     }
-    // The 64-node machine at the perfsuite `sor_64node*` rows' grid, where
+    // The 64-node machine at the `paper` binary's `sor_64node*` rows' grid, where
     // each shard holds 16 or more nodes and every epoch exchanges bulk
     // boundary rows across shards.
     let p = SorParams { rows: 256, cols: 128, iters: 2 };
@@ -242,7 +242,7 @@ fn adaptive_fence_matches_naive_reference_for_water_collectives() {
 
 #[test]
 fn sor_256node_is_shard_count_invariant() {
-    // The perfsuite's large-machine row, shrunk to a debug-runtime grid:
+    // Four times the `paper` binary's `sor_64node` machine, on a debug-runtime grid:
     // 256 nodes is where the per-(src,dst) mailbox matrix and the owner
     // table get real fan-out. Answers, end time, and per-node stats must
     // not notice the shard count.
